@@ -157,6 +157,10 @@ type worker struct {
 
 	queries2 [][]float64 // request scratch
 	frame    []byte
+
+	// swapDone, for the swap shape, closes when its first swap returns;
+	// nil for every other shape.
+	swapDone chan struct{}
 }
 
 // nextBatch fills w.queries2 with the shape's next request and returns
@@ -204,8 +208,24 @@ func (w *worker) nextBatch() bool {
 	return closed
 }
 
+// awaitingSwap reports whether the swap shape's first swap is still
+// outstanding. The shape keeps loading past its request budget until it
+// returns, so a swap always lands during load however fast the server
+// drains the budget.
+func (w *worker) awaitingSwap() bool {
+	if w.swapDone == nil {
+		return false
+	}
+	select {
+	case <-w.swapDone:
+		return false
+	default:
+		return true
+	}
+}
+
 func (w *worker) run(url string) {
-	for r := 0; r < w.l.cfg.requests; r++ {
+	for r := 0; r < w.l.cfg.requests || w.awaitingSwap(); r++ {
 		closed := w.nextBatch()
 		w.frame = serveproto.AppendRequest(w.frame[:0], w.queries2, w.l.cfg.d, closed)
 		// Deterministic per-request trace context: derived from the run
@@ -323,6 +343,10 @@ func (l *loader) runShape(shape string) (ShapeResult, error) {
 	if shape == "swap" {
 		// Hot swaps on a fixed cadence for the whole run: the load's
 		// answers must stay golden across every one of them.
+		swapDone := make(chan struct{})
+		for _, w := range workers {
+			w.swapDone = swapDone
+		}
 		swapWG.Add(1)
 		go func() {
 			defer swapWG.Done()
@@ -340,6 +364,10 @@ func (l *loader) runShape(shape string) (ShapeResult, error) {
 						if resp.StatusCode == http.StatusOK {
 							swaps.Add(1)
 						}
+					}
+					if swapDone != nil {
+						close(swapDone)
+						swapDone = nil
 					}
 				}
 			}
@@ -460,8 +488,9 @@ func main() {
 		Golden: *golden,
 		Note: "binary wire protocol, per-request wall-time percentiles under concurrent load; " +
 			"rejected = 503 admission sheds (not errors); swap shape issues POST /swap on a fixed " +
-			"cadence during load — golden_failures counts answers differing from a locally built " +
-			"reference structure over the same point set",
+			"cadence during load and runs past its request budget until the first swap returns — " +
+			"golden_failures counts answers differing from a locally built reference structure " +
+			"over the same point set",
 	}
 	failed := false
 	for _, shape := range strings.Split(*shapes, ",") {

@@ -10,18 +10,19 @@ import (
 // The coalescer is the admission-control and batching layer between the
 // HTTP handlers and the zero-alloc batch engine. Each replica owns a
 // bounded queue of pending ops and one coalescer goroutine: the
-// goroutine blocks for the first op, then gathers more until either
-// maxBatch queries have accumulated or the batch deadline expires,
-// pins the current snapshot generation, runs one (or two — open and
-// closed queries cannot share a pass) Batcher passes, copies each op's
-// answers into op-owned arenas, and signals the waiting handlers.
+// goroutine blocks for the first op, then takes whatever ops are
+// already queued — without waiting for more — until maxBatch queries
+// are reached or the queue is empty, pins the current snapshot
+// generation, runs one (or two — open and closed queries cannot share a
+// pass) Batcher passes, copies each op's answers into op-owned arenas,
+// and signals the waiting handlers. Under load, batches grow on their
+// own: requests queue up while the previous pass runs.
 //
 // Design constraints, in the batch engine's own style:
 //
 //   - The steady state allocates nothing: ops are pooled by the HTTP
-//     layer, every per-pass slice on the replica is reused, result
-//     arenas grow once per op and are recycled with it, and the
-//     deadline timer is a single reused time.Timer.
+//     layer, every per-pass slice on the replica is reused, and result
+//     arenas grow once per op and are recycled with it.
 //     TestCoalescerSteadyStateAllocs holds the line.
 //
 //   - A pass pins exactly one generation: queries coalesced into one
@@ -34,6 +35,9 @@ import (
 //     rejects at the front door (HTTP 503) instead of growing an
 //     unbounded backlog, which is what keeps tail latency meaningful
 //     under saturation.
+
+// maxBatch is the query count at which a gather stops taking queued ops.
+const maxBatch = 512
 
 // op is one pending request's unit of work: the queries to answer, and
 // op-owned result storage the coalescer fills before signalling done.
@@ -85,8 +89,6 @@ type replica struct {
 	qbuf   [][]float64
 	tbuf   []sepdc.TraceContext
 
-	timer *time.Timer
-
 	passes  atomic.Int64 // coalesced Batcher passes run
 	coalesc atomic.Int64 // ops that shared a pass with at least one other
 }
@@ -98,15 +100,11 @@ func newReplica(s *server, idx int) *replica {
 		ch:    make(chan *op, s.cfg.queue),
 		stop:  make(chan struct{}),
 		batch: make([]*op, 0, 64),
-		qbuf:  make([][]float64, 0, s.cfg.maxBatch),
-		tbuf:  make([]sepdc.TraceContext, 0, s.cfg.maxBatch),
-		timer: time.NewTimer(time.Hour),
+		qbuf:  make([][]float64, 0, maxBatch),
+		tbuf:  make([]sepdc.TraceContext, 0, maxBatch),
 	}
 	for i := range r.groups {
 		r.groups[i] = make([]*op, 0, 64)
-	}
-	if !r.timer.Stop() {
-		<-r.timer.C
 	}
 	return r
 }
@@ -121,9 +119,9 @@ func (r *replica) submit(o *op) bool {
 	}
 }
 
-// loop is the coalescer goroutine: gather, serve, repeat. On stop it
-// drains whatever is already queued (their handlers are waiting) and
-// returns.
+// loop is the coalescer goroutine: gather, serve, repeat. After stop it
+// keeps serving until the queue is empty (those handlers are waiting),
+// then returns.
 func (r *replica) loop() {
 	defer r.srv.wg.Done()
 	for {
@@ -131,53 +129,33 @@ func (r *replica) loop() {
 		select {
 		case first = <-r.ch:
 		case <-r.stop:
-			r.drain()
-			return
-		}
-		first.deq = time.Now()
-		r.batch = append(r.batch[:0], first)
-		nq := len(first.queries)
-
-		// Gather until the size cutover or the batch deadline. The
-		// deadline starts at first arrival — an op never waits longer
-		// than one deadline before its pass starts.
-		if nq < r.srv.cfg.maxBatch {
-			r.timer.Reset(r.srv.cfg.deadline)
-		gather:
-			for nq < r.srv.cfg.maxBatch {
-				select {
-				case o := <-r.ch:
-					o.deq = time.Now()
-					r.batch = append(r.batch, o)
-					nq += len(o.queries)
-				case <-r.timer.C:
-					break gather
-				case <-r.stop:
-					break gather
-				}
-			}
-			if !r.timer.Stop() {
-				select {
-				case <-r.timer.C:
-				default:
-				}
+			select {
+			case first = <-r.ch:
+			default:
+				return
 			}
 		}
-		r.serve(r.batch)
+		r.serve(r.gather(first))
 	}
 }
 
-// drain serves every op still queued after stop, one final pass each
-// wave, so no handler is left waiting on a dead coalescer.
-func (r *replica) drain() {
-	for {
+// gather starts a batch with first, then takes whatever ops are already
+// queued, without blocking, until maxBatch queries are reached or the
+// queue is empty.
+func (r *replica) gather(first *op) []*op {
+	r.batch = r.batch[:0]
+	nq := 0
+	for o := first; ; {
+		o.deq = time.Now()
+		r.batch = append(r.batch, o)
+		nq += len(o.queries)
+		if nq >= maxBatch {
+			return r.batch
+		}
 		select {
-		case o := <-r.ch:
-			o.deq = time.Now()
-			r.batch = append(r.batch[:0], o)
-			r.serve(r.batch)
+		case o = <-r.ch:
 		default:
-			return
+			return r.batch
 		}
 	}
 }

@@ -43,10 +43,6 @@ func main() {
 		replicas = flag.Int("replicas", 0, "serving replicas / coalescer strands (0 = 2)")
 		workers  = flag.Int("workers", 0, "Batcher strands per replica (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "per-replica pending-request queue bound (0 = 256)")
-		batch    = flag.Int("batch", 0, "coalesced queries per pass before cutover (0 = 512)")
-		deadline = flag.Duration("deadline", 0, "batch gather deadline (0 = 2ms)")
-		sample   = flag.Int("sample", 0, "observer sampling: time 1 in N queries (0 = 16)")
-		blockW   = flag.Int("block-width", 0, "leaf-scan query-blocking width, 1..16 (0 = engine default)")
 		ringSize = flag.Int("journal-ring", 0, "wide-event journal ring capacity per strand; watch sepdc_journal_overwrite_rate (0 = 4096)")
 		flight   = flag.String("flight", "", "flight-recorder bundle directory (empty = off)")
 		flightLa = flag.Duration("flight-latency", 0, "flight SLO per-pass latency objective (0 = 100ms)")
@@ -63,10 +59,6 @@ func main() {
 		replicas:      *replicas,
 		workers:       *workers,
 		queue:         *queue,
-		maxBatch:      *batch,
-		deadline:      *deadline,
-		sample:        *sample,
-		blockW:        *blockW,
 		ringSize:      *ringSize,
 		flightDir:     *flight,
 		flightLatency: *flightLa,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +36,7 @@ func testConfig() serverConfig {
 	return serverConfig{
 		n: 900, d: 2, k: 3, seed: 11,
 		replicas: 2, workers: 2,
-		queue: 64, maxBatch: 64, deadline: time.Millisecond,
+		queue: 64,
 	}
 }
 
@@ -455,7 +456,6 @@ func postBinaryE(client *http.Client, url string, queries [][]float64, dim int, 
 func TestCoalescerSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.replicas = 1
-	cfg.maxBatch = 8 // an 8-query op skips the gather timer entirely
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -504,6 +504,105 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if r.submit(o2) {
 		t.Fatal("second submit accepted past the queue bound")
+	}
+}
+
+// TestCoalescerSharesPass: ops already queued when the coalescer picks
+// one up share its pass — one pass per membership mode — and a queue
+// holding more than maxBatch queries splits across passes. Every op's
+// answers stay golden either way.
+func TestCoalescerSharesPass(t *testing.T) {
+	t.Run("mixed modes", func(t *testing.T) {
+		const ops = 12
+		r := serveQueued(t, ops, func(i int) (int, bool) { return 1 + i%5, i%2 == 1 })
+		if p := r.passes.Load(); p != 2 {
+			t.Errorf("%d passes, want 2 (one per membership mode)", p)
+		}
+		if c := r.coalesc.Load(); c != ops {
+			t.Errorf("coalesced %d ops, want %d", c, ops)
+		}
+	})
+	t.Run("over maxBatch", func(t *testing.T) {
+		r := serveQueued(t, 8, func(int) (int, bool) { return maxBatch / 4, false })
+		if p := r.passes.Load(); p < 2 {
+			t.Errorf("%d passes for %d queued queries, want >= 2", p, 2*maxBatch)
+		}
+	})
+}
+
+// serveQueued queues n ops (shape(i) gives op i's query count and
+// membership mode) on a replica whose loop has not started, so all are
+// waiting when it first looks; then it starts the loop, waits for every
+// op, checks each answer against the golden Batcher, and returns the
+// stopped replica. The replica shares replica 0's Batchers, which stay
+// idle: no traffic reaches srv.reps.
+func serveQueued(t *testing.T, n int, shape func(i int) (int, bool)) *replica {
+	t.Helper()
+	cfg := testConfig()
+	cfg.replicas = 1
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ref := goldenBatcher(t, srv)
+
+	r := newReplica(srv, 0)
+	ops := make([]*op, n)
+	for i := range ops {
+		nq, closed := shape(i)
+		ops[i] = newOp()
+		ops[i].queries = testQueries(srv, nq, uint64(300+i))
+		ops[i].closed = closed
+		if !r.submit(ops[i]) {
+			t.Fatalf("op %d refused", i)
+		}
+	}
+	srv.wg.Add(1)
+	go r.loop()
+	for _, o := range ops {
+		<-o.done
+	}
+	close(r.stop)
+
+	for i, o := range ops {
+		if o.err != nil {
+			t.Fatalf("op %d: %v", i, o.err)
+		}
+		want := golden(t, ref, o.queries, o.closed)
+		for qi := range want {
+			if !sameRowInts(o.res[qi], want[qi]) {
+				t.Fatalf("op %d query %d: %v, want %v", i, qi, o.res[qi], want[qi])
+			}
+		}
+	}
+	return r
+}
+
+// TestServeLoneOpNotHeld: on an idle server a lone request is served as
+// soon as the coalescer picks it up; nothing holds its pass open waiting
+// for company. The median tolerates one scheduler hiccup.
+func TestServeLoneOpNotHeld(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	const requests = 24
+	queries := testQueries(srv, 4, 17)
+	sent := map[sepdc.TraceContext]bool{}
+	for i := 0; i < requests; i++ {
+		postJSON(t, ts.Client(), ts.URL, queries, i%2 == 1)
+		sent[sepdc.GenerateTrace(srv.cfg.seed, uint64(i))] = true
+	}
+	var coalesce []int64
+	for _, rt := range srv.traces.Snapshot() {
+		if sent[rt.Trace] {
+			coalesce = append(coalesce, rt.CoalesceNs)
+		}
+	}
+	if len(coalesce) != requests {
+		t.Fatalf("%d traces for %d requests", len(coalesce), requests)
+	}
+	slices.Sort(coalesce)
+	if med := time.Duration(coalesce[requests/2]); med >= time.Millisecond {
+		t.Fatalf("median coalesce %v for a lone request, want < 1ms", med)
 	}
 }
 
@@ -708,7 +807,6 @@ func TestServeTraceEndToEnd(t *testing.T) {
 func TestCoalescerTracedOpAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.replicas = 1
-	cfg.maxBatch = 8
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -28,15 +28,11 @@ type serverConfig struct {
 	n, d, k int
 	seed    uint64
 
-	replicas int           // coalescer strands (queues + goroutines)
-	workers  int           // Batcher strands per replica (0 = GOMAXPROCS)
-	queue    int           // per-replica pending-op queue bound
-	maxBatch int           // coalesced queries per pass cutover
-	deadline time.Duration // batch gather deadline
-	maxBody  int64         // request body cap, bytes
-	sample   int           // observer sampling period (0 = default 16)
-	blockW   int           // leaf-scan query-blocking width (0 = engine default)
-	ringSize int           // journal ring capacity per strand (0 = default 4096)
+	replicas int   // coalescer strands (queues + goroutines)
+	workers  int   // Batcher strands per replica (0 = GOMAXPROCS)
+	queue    int   // per-replica pending-op queue bound
+	maxBody  int64 // request body cap, bytes
+	ringSize int   // journal ring capacity per strand (0 = default 4096)
 
 	flightDir     string        // flight-recorder bundle directory ("" = off)
 	flightLatency time.Duration // per-pass latency SLO objective
@@ -51,12 +47,6 @@ func (c *serverConfig) defaults() {
 	}
 	if c.queue <= 0 {
 		c.queue = 256
-	}
-	if c.maxBatch <= 0 {
-		c.maxBatch = 512
-	}
-	if c.deadline <= 0 {
-		c.deadline = 2 * time.Millisecond
 	}
 	if c.maxBody <= 0 {
 		c.maxBody = 64 << 20
@@ -230,12 +220,8 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 	}
 	s.gens.Add(1)
 	for i := 0; i < s.cfg.replicas; i++ {
-		gen.obs[i] = sepdc.ReplaceServeObserver(observerName(i),
-			sepdc.ServeObserverConfig{SampleEvery: s.cfg.sample})
+		gen.obs[i] = sepdc.ReplaceServeObserver(observerName(i), sepdc.ServeObserverConfig{})
 		bt := qs.NewBatcher(s.cfg.workers)
-		if s.cfg.blockW > 0 {
-			bt.SetBlockWidth(s.cfg.blockW)
-		}
 		bt.Observe(gen.obs[i])
 		bt.Journal(s.journals[i])
 		gen.batchers[i] = bt
