@@ -35,15 +35,15 @@ bench-query:
 	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch' -benchmem .
 
 # Distance-kernel benchmarks: the d=2..8 dispatch table (unrolled
-# single-pair and four-point forms, plus the AVX2 assembly eight-lane
-# batch and strided forms on CPUs that have them) against the generic
+# single-pair and four-point forms, plus the AVX2 assembly four-lane
+# and eight-lane strided forms on CPUs that have them) against the generic
 # fallback. CI runs these at -benchtime=1x and diffs against
 # testdata/bench-kernel-baseline.txt — deliberately the PR-6 record,
 # taken before the assembly tier existed, so on an AVX2 host the
 # benchstat delta reads as asm's gain over the unrolled kernels —
 # with benchstat when available (informational smoke, not a gate).
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'Dist2Kernel|Dist2Generic|Dist2Batch4|Dist2Batch8|Dist2Strided8|DotKernel' -benchmem ./internal/vec/
+	$(GO) test -run '^$$' -bench 'Dist2Kernel|Dist2Generic|Dist2Batch4|Dist2Strided8|DotKernel' -benchmem ./internal/vec/
 
 # Kernel-dispatch matrix: the packages that exercise distance
 # arithmetic, end to end under each KNN_KERNELS tier (answers must be

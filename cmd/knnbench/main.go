@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -61,20 +62,65 @@ type Env struct {
 	KernelTier  string `json:"kernel_tier,omitempty"`
 }
 
-// Report is the whole BENCH_knn.json document.
+// Report is the whole BENCH_knn.json document. Every run rewrites the
+// header fields; the sections are held as raw JSON so that a run marshals
+// only the sections it measures and carries every other section of the
+// existing -out file forward byte for byte. That covers sections this
+// tool never measures (serve, written by knnload) and sections it no
+// longer measures (layout, the recorded baseline of a retired
+// configuration).
 type Report struct {
-	Generated  string         `json:"generated"`
-	GoVersion  string         `json:"go_version"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Env        Env            `json:"env"`
-	Note       string         `json:"note"`
-	Baseline   []Result       `json:"baseline"`
-	Results    []Result       `json:"results"`
-	Query      []QueryResult  `json:"query,omitempty"`
-	Obs        []ObsOverhead  `json:"obs_overhead,omitempty"`
-	Journal    *JournalBench  `json:"journal,omitempty"`
-	Kernels    []KernelResult `json:"kernels,omitempty"`
-	Layout     []LayoutResult `json:"layout,omitempty"`
+	Generated  string          `json:"generated"`
+	GoVersion  string          `json:"go_version"`
+	GOMAXPROCS int             `json:"gomaxprocs"`
+	Env        Env             `json:"env"`
+	Note       string          `json:"note"`
+	Baseline   json.RawMessage `json:"baseline,omitempty"`
+	Results    json.RawMessage `json:"results,omitempty"`
+	Query      json.RawMessage `json:"query,omitempty"`
+	Obs        json.RawMessage `json:"obs_overhead,omitempty"`
+	Journal    json.RawMessage `json:"journal,omitempty"`
+	Kernels    json.RawMessage `json:"kernels,omitempty"`
+	Layout     json.RawMessage `json:"layout,omitempty"`
+	Serve      json.RawMessage `json:"serve,omitempty"`
+}
+
+// update reads the report at path, lets measure overwrite the header and
+// the sections it re-measures, and writes the report back. Sections
+// measure leaves alone keep their bytes in a two-space-indented record:
+// the encoder re-indents raw sections at the depth they were read from
+// and leaves their string escapes alone (HTML escaping is off). A
+// missing file starts an empty report unless mustExist is set (the -only
+// modes merge into a record, so they need one); path "-" starts empty
+// and writes to stdout.
+func update(path string, mustExist bool, measure func(rep *Report) error) error {
+	var rep Report
+	if path != "-" {
+		raw, err := os.ReadFile(path)
+		switch {
+		case err == nil:
+			if err := json.Unmarshal(raw, &rep); err != nil {
+				return fmt.Errorf("parse existing report %s: %w", path, err)
+			}
+		case mustExist || !os.IsNotExist(err):
+			return fmt.Errorf("read existing report: %w", err)
+		}
+	}
+	if err := measure(&rep); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(&rep); err != nil {
+		return err
+	}
+	if path == "-" {
+		_, err := os.Stdout.Write(buf.Bytes())
+		return err
+	}
+	return os.WriteFile(path, buf.Bytes(), 0o644)
 }
 
 // captureEnv gathers the environment header: toolchain, CPU shape, the CPU
@@ -198,76 +244,57 @@ func measure(c cfg, iters, procs int) (Result, error) {
 
 // remeasureObs re-runs only the obs_overhead and journal sections and
 // merges them into the existing report at path, preserving every other
-// section verbatim. The section notes record the partial regeneration.
+// section verbatim. The note records the partial regeneration.
 func remeasureObs(path string, queries, queryIters int) error {
 	if path == "-" {
 		return fmt.Errorf("-only obs needs a real -out file to merge into")
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read existing report: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("parse existing report %s: %w", path, err)
-	}
-	or, err := runObsBench(queries, queryIters)
-	if err != nil {
-		return fmt.Errorf("obs bench: %w", err)
-	}
-	jb, err := runJournalBench(queries, 50)
-	if err != nil {
-		return fmt.Errorf("journal bench: %w", err)
-	}
-	rep.Obs = or
-	rep.Journal = jb
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
-	if !strings.Contains(rep.Note, "obs_overhead+journal remeasured") {
-		rep.Note += "; obs_overhead+journal remeasured via -only obs (other sections predate it)"
-	}
-	enc, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
+	return update(path, true, func(rep *Report) error {
+		or, err := runObsBench(queries, queryIters)
+		if err != nil {
+			return fmt.Errorf("obs bench: %w", err)
+		}
+		jb, err := runJournalBench(queries, 50)
+		if err != nil {
+			return fmt.Errorf("journal bench: %w", err)
+		}
+		if rep.Obs, err = json.Marshal(or); err != nil {
+			return err
+		}
+		if rep.Journal, err = json.Marshal(jb); err != nil {
+			return err
+		}
+		rep.Generated = time.Now().UTC().Format(time.RFC3339)
+		if !strings.Contains(rep.Note, "obs_overhead+journal remeasured") {
+			rep.Note += "; obs_overhead+journal remeasured via -only obs (other sections predate it)"
+		}
+		return nil
+	})
 }
 
-// remeasureKernels re-runs only the dims-driven sections — kernels and
-// layout — and merges them into the existing report at path, refreshing
-// the env header (the kernel columns are meaningless without knowing
-// which tier and CPU produced them). Every other section is preserved
-// verbatim.
+// remeasureKernels re-runs only the kernels section and merges it into
+// the existing report at path, refreshing the env header (the kernel
+// columns are meaningless without knowing which tier and CPU produced
+// them). Every other section is preserved verbatim.
 func remeasureKernels(path string, dims []int) error {
 	if path == "-" {
 		return fmt.Errorf("-only kernels needs a real -out file to merge into")
 	}
 	if len(dims) == 0 {
-		return fmt.Errorf("-only kernels with the sections disabled (-dims 0) measures nothing")
+		return fmt.Errorf("-only kernels with the section disabled (-dims 0) measures nothing")
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("read existing report: %w", err)
-	}
-	var rep Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return fmt.Errorf("parse existing report %s: %w", path, err)
-	}
-	rep.Kernels = runKernelBench(dims)
-	lr, err := runLayoutBench(dims, 2048, 25)
-	if err != nil {
-		return fmt.Errorf("layout bench: %w", err)
-	}
-	rep.Layout = lr
-	rep.Env = captureEnv()
-	rep.Generated = time.Now().UTC().Format(time.RFC3339)
-	if !strings.Contains(rep.Note, "kernels+layout remeasured") {
-		rep.Note += "; kernels+layout remeasured via -only kernels (other sections predate it)"
-	}
-	enc, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(enc, '\n'), 0o644)
+	return update(path, true, func(rep *Report) error {
+		var err error
+		if rep.Kernels, err = json.Marshal(runKernelBench(dims)); err != nil {
+			return err
+		}
+		rep.Env = captureEnv()
+		rep.Generated = time.Now().UTC().Format(time.RFC3339)
+		if !strings.Contains(rep.Note, "kernels remeasured") {
+			rep.Note += "; kernels remeasured via -only kernels (other sections predate it)"
+		}
+		return nil
+	})
 }
 
 func main() {
@@ -276,8 +303,8 @@ func main() {
 	queries := flag.Int("queries", 4096, "queries per serving-benchmark pass (0 disables the query section)")
 	queryIters := flag.Int("query-iters", 20, "measured passes per query-serving cell")
 	procsFlag := flag.String("procs", "", "comma-separated GOMAXPROCS sweep for the build grid and batch strands (default \"1,4,NumCPU\" deduplicated)")
-	dimsFlag := flag.String("dims", "", "comma-separated dimension sweep for the kernels/layout sections (default \"2,3,4,5,6,7,8\"; empty string keeps the default, \"0\" disables the sections)")
-	only := flag.String("only", "", "re-measure only the named section and merge into the existing -out file (\"obs\" = obs_overhead + journal, \"kernels\" = kernels + layout); other sections are preserved verbatim")
+	dimsFlag := flag.String("dims", "", "comma-separated dimension sweep for the kernels section (default \"2,3,4,5,6,7,8\"; empty string keeps the default, \"0\" disables the section)")
+	only := flag.String("only", "", "re-measure only the named section and merge into the existing -out file (\"obs\" = obs_overhead + journal, \"kernels\" = kernels); other sections are preserved verbatim")
 	flag.Parse()
 
 	procs, err := parseProcs(*procsFlag)
@@ -291,111 +318,102 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Merge mode: re-measure one section against the committed record
+	// The -only modes re-measure one section against the committed record
 	// without paying for a full-grid regeneration (hours on small hosts).
-	if *only != "" {
-		var err error
-		switch *only {
-		case "obs":
-			err = remeasureObs(*out, *queries, *queryIters)
-		case "kernels":
-			err = remeasureKernels(*out, dims)
-		default:
-			err = fmt.Errorf("unknown -only section %q (want \"obs\" or \"kernels\")", *only)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench:", err)
-			os.Exit(1)
-		}
-		return
+	switch *only {
+	case "":
+		err = update(*out, false, func(rep *Report) error {
+			return measureAll(rep, *iters, *queries, *queryIters, procs, dims)
+		})
+	case "obs":
+		err = remeasureObs(*out, *queries, *queryIters)
+	case "kernels":
+		err = remeasureKernels(*out, dims)
+	default:
+		err = fmt.Errorf("unknown -only section %q (want \"obs\" or \"kernels\")", *only)
 	}
-
-	rep := Report{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Env:        captureEnv(),
-		Note: "baseline = seed commit 267ddc0 (pre flat-storage), measured back-to-back " +
-			"with results on the same machine; grid matches BenchmarkBuildKNNGraph, each " +
-			"cell swept over -procs (GOMAXPROCS + Options.Workers pinned together); " +
-			"observed = one extra instrumented (Observe: true) run per DNC cell, not timed; " +
-			"query = covering-ball serving over one structure per cell — pointer vs frozen " +
-			"sequential, batch engine swept over procs 1/4/NumCPU with GOMAXPROCS pinned; " +
-			"query ns/query and qps are the fastest of query-iters identically-sized timed " +
-			"passes taken round-robin across modes (interleaved minimum: noise-robust on " +
-			"shared hosts and immune to multi-second skew, same work per pass in every mode); " +
-			"obs_overhead = the same interleaved-minimum protocol comparing a nil-observer " +
-			"batch engine against one feeding a ServeRecorder at the production sampling " +
-			"default and one additionally publishing every query to the wide-event journal, " +
-			"on the largest query cells (acceptance budget: <=5% throughput, 0 allocs); " +
-			"journal = drain throughput with a concurrent consumer and ring-overwrite rate " +
-			"with none, over a deliberately small 1024-event ring; " +
-			"kernels = per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs " +
-			"four-point vs the AVX2 assembly batch forms where the CPU supports them, each captured " +
-			"under an explicitly pinned dispatch tier, interleaved minimum over identical operand " +
-			"streams; asm_speedup is best-asm-form vs the unrolled four-point kernel); layout = whole-path " +
-			"serving per dimension over a correlated query stream (runs of 8 jittered queries per " +
-			"anchor — the shape the correction's QueryBatchClosed and clustered external traffic " +
-			"produce), ref (breadth-first layout + generic kernels + per-query scans and descents, " +
-			"the PR-5 configuration) vs opt (pair-blocked layout + specialized kernels/descents + " +
-			"query-blocked scans at block_width, 1 at d<=3 where the inline whole-path scans already " +
-			"win), answers cross-checked identical before timing, phase means from " +
-			"non-timed instrumented passes",
-	}
-	rep.Baseline = baseline
-	for _, c := range grid {
-		for _, p := range procs {
-			r, err := measure(c, *iters, p)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "knnbench: %s n=%d d=%d k=%d procs=%d: %v\n", c.algo, c.n, c.d, c.k, p, err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "%-10s procs=%-2d n=%-6d d=%d k=%d  %12d ns/op  %9d allocs/op  %9.0f points/sec\n",
-				r.Algorithm, r.Procs, r.N, r.D, r.K, r.NsPerOp, r.AllocsPerOp, r.PointsPerSec)
-			rep.Results = append(rep.Results, r)
-		}
-	}
-	if *queries > 0 {
-		qr, err := runQueryBench(*queries, *queryIters, procs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench: query bench:", err)
-			os.Exit(1)
-		}
-		rep.Query = qr
-		or, err := runObsBench(*queries, *queryIters)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench: obs bench:", err)
-			os.Exit(1)
-		}
-		rep.Obs = or
-		jb, err := runJournalBench(*queries, 50)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench: journal bench:", err)
-			os.Exit(1)
-		}
-		rep.Journal = jb
-	}
-	if len(dims) > 0 {
-		rep.Kernels = runKernelBench(dims)
-		lr, err := runLayoutBench(dims, 2048, 25)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "knnbench: layout bench:", err)
-			os.Exit(1)
-		}
-		rep.Layout = lr
-	}
-	enc, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "knnbench:", err)
 		os.Exit(1)
 	}
-	enc = append(enc, '\n')
-	if *out == "-" {
-		os.Stdout.Write(enc)
-		return
+}
+
+// measureAll is the full regeneration: the header, the build grid and,
+// unless disabled by -queries 0 or -dims 0, the serving and kernel
+// sections. Sections it does not measure keep their recorded values.
+func measureAll(rep *Report, iters, queries, queryIters int, procs, dims []int) error {
+	rep.Generated = time.Now().UTC().Format(time.RFC3339)
+	rep.GoVersion = runtime.Version()
+	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	rep.Env = captureEnv()
+	rep.Note = "baseline = seed commit 267ddc0 (pre flat-storage), measured back-to-back " +
+		"with results on the same machine; grid matches BenchmarkBuildKNNGraph, each " +
+		"cell swept over -procs (GOMAXPROCS + Options.Workers pinned together); " +
+		"observed = one extra instrumented (Observe: true) run per DNC cell, not timed; " +
+		"query = covering-ball serving over one structure per cell — pointer vs frozen " +
+		"sequential, batch engine swept over procs 1/4/NumCPU with GOMAXPROCS pinned; " +
+		"query ns/query and qps are the fastest of query-iters identically-sized timed " +
+		"passes taken round-robin across modes (interleaved minimum: noise-robust on " +
+		"shared hosts and immune to multi-second skew, same work per pass in every mode); " +
+		"obs_overhead = the same interleaved-minimum protocol comparing a nil-observer " +
+		"batch engine against one feeding a ServeRecorder at the production sampling " +
+		"default and one additionally publishing every query to the wide-event journal, " +
+		"on the largest query cells (acceptance budget: <=5% throughput, 0 allocs); " +
+		"journal = drain throughput with a concurrent consumer and ring-overwrite rate " +
+		"with none, over a deliberately small 1024-event ring; " +
+		"kernels = per-dimension distance-kernel micro-bench (generic fallback vs unrolled vs " +
+		"four-point vs the AVX2 assembly batch forms where the CPU supports them, each captured " +
+		"under an explicitly pinned dispatch tier, interleaved minimum over identical operand " +
+		"streams; asm_speedup is best-asm-form vs the unrolled four-point kernel); " +
+		"layout = recorded baseline of a retired configuration (breadth-first layout + generic " +
+		"kernels vs pair-blocked layout + query-blocked scans), no longer measured, carried " +
+		"forward verbatim; serve = knnload's section (make bench-serve), carried forward verbatim"
+	var err error
+	if rep.Baseline, err = json.Marshal(baseline); err != nil {
+		return err
 	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "knnbench:", err)
-		os.Exit(1)
+	var results []Result
+	for _, c := range grid {
+		for _, p := range procs {
+			r, err := measure(c, iters, p)
+			if err != nil {
+				return fmt.Errorf("%s n=%d d=%d k=%d procs=%d: %w", c.algo, c.n, c.d, c.k, p, err)
+			}
+			fmt.Fprintf(os.Stderr, "%-10s procs=%-2d n=%-6d d=%d k=%d  %12d ns/op  %9d allocs/op  %9.0f points/sec\n",
+				r.Algorithm, r.Procs, r.N, r.D, r.K, r.NsPerOp, r.AllocsPerOp, r.PointsPerSec)
+			results = append(results, r)
+		}
 	}
+	if rep.Results, err = json.Marshal(results); err != nil {
+		return err
+	}
+	if queries > 0 {
+		qr, err := runQueryBench(queries, queryIters, procs)
+		if err != nil {
+			return fmt.Errorf("query bench: %w", err)
+		}
+		or, err := runObsBench(queries, queryIters)
+		if err != nil {
+			return fmt.Errorf("obs bench: %w", err)
+		}
+		jb, err := runJournalBench(queries, 50)
+		if err != nil {
+			return fmt.Errorf("journal bench: %w", err)
+		}
+		if rep.Query, err = json.Marshal(qr); err != nil {
+			return err
+		}
+		if rep.Obs, err = json.Marshal(or); err != nil {
+			return err
+		}
+		if rep.Journal, err = json.Marshal(jb); err != nil {
+			return err
+		}
+	}
+	if len(dims) > 0 {
+		if rep.Kernels, err = json.Marshal(runKernelBench(dims)); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -177,8 +177,7 @@ func (w *worker) nextBatch() bool {
 		}
 	case "hot":
 		// Hot-leaf skew: all queries jitter tightly around a few stored
-		// anchors, so they descend to the same handful of leaves and
-		// exercise the engine's query-blocked scan path.
+		// anchors, so they descend to the same handful of leaves.
 		w.queries2 = w.queries2[:0]
 		anchor := w.l.points[w.g.IntN(8)*len(w.l.points)/8]
 		for i := 0; i < size; i++ {

@@ -18,7 +18,7 @@ func testSources() Sources {
 			Sampled: true, LatencyNs: 1200, DescentNs: 700, ScanNs: 500},
 		{Batch: 1, Query: 2, Leaf: -1, Nodes: 3},
 	})
-	j.Strand(1).Publish([]obs.JournalEvent{{Batch: 1, Query: 1, Leaf: 5, Nodes: 4, Blocked: true}})
+	j.Strand(1).Publish([]obs.JournalEvent{{Batch: 1, Query: 1, Leaf: 5, Nodes: 4}})
 	rec := obs.NewServeRecorder(obs.ServeConfig{Every: true, Tail: 2}, 1)
 	s := rec.Strand(0)
 	s.NoteQueries(3)

@@ -47,7 +47,7 @@ type JournalEvent struct {
 	Strand int32 `json:"strand"`
 	// Leaf is the destination leaf node id, or -1 when the engine
 	// answered through a fused path that does not expose it (unsampled
-	// queries on the unblocked engine).
+	// queries).
 	Leaf int32 `json:"leaf"`
 	// Nodes is the descent depth (root-to-leaf nodes visited).
 	Nodes int32 `json:"nodes_visited"`
@@ -58,8 +58,6 @@ type JournalEvent struct {
 	// Sampled marks a fully timed phase-split query; only then are the
 	// three latency fields non-zero.
 	Sampled bool `json:"sampled"`
-	// Blocked marks a query answered by a shared query-blocked leaf scan.
-	Blocked bool `json:"blocked"`
 	// LatencyNs is always DescentNs + ScanNs: the ring stores the phase
 	// split and derives the total (with Seq and Strand) at read time, so
 	// the hot path moves fewer bytes per query than the export form.
@@ -104,7 +102,7 @@ type journalRec struct {
 	query, leaf       int32
 	nodes, scanned    int32
 	reported          int32
-	sampled, blocked  bool
+	sampled           bool
 }
 
 // JournalConfig configures a Journal. The zero value selects the
@@ -217,8 +215,7 @@ func (s *JournalStrand) Publish(events []JournalEvent) {
 			traceHi: e.TraceHi, traceLo: e.TraceLo, span: e.Span,
 			startNs: e.StartNs,
 			query:   e.Query, leaf: e.Leaf, nodes: e.Nodes,
-			scanned: e.Scanned, reported: e.Reported,
-			sampled: e.Sampled, blocked: e.Blocked,
+			scanned: e.Scanned, reported: e.Reported, sampled: e.Sampled,
 		}
 		if pos++; pos == n {
 			pos = 0
@@ -250,8 +247,7 @@ func (s *JournalStrand) read(consume bool, out []JournalEvent) ([]JournalEvent, 
 		ev := JournalEvent{
 			Seq: pos + 1, Batch: r.batch, Query: r.query,
 			Strand: int32(s.idx), Leaf: r.leaf, Nodes: r.nodes,
-			Scanned: r.scanned, Reported: r.reported,
-			Sampled: r.sampled, Blocked: r.blocked,
+			Scanned: r.scanned, Reported: r.reported, Sampled: r.sampled,
 			LatencyNs: r.descentNs + r.scanNs,
 			DescentNs: r.descentNs, ScanNs: r.scanNs,
 			TraceHi: r.traceHi, TraceLo: r.traceLo, Span: r.span,

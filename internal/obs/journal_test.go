@@ -196,7 +196,7 @@ func TestJournalDrainWriteJSONL(t *testing.T) {
 	j.Strand(0).Publish([]JournalEvent{
 		{Batch: 1, Query: 0, Leaf: 7, Nodes: 3, Scanned: 12, Reported: 2,
 			Sampled: true, LatencyNs: 900, DescentNs: 400, ScanNs: 500},
-		{Batch: 1, Query: 1, Leaf: -1, Blocked: true},
+		{Batch: 1, Query: 1, Leaf: -1},
 	})
 	var buf bytes.Buffer
 	if err := j.Snapshot().WriteJSONL(&buf); err != nil {
@@ -210,7 +210,7 @@ func TestJournalDrainWriteJSONL(t *testing.T) {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
 		for _, f := range []string{"seq", "batch", "query", "strand", "leaf",
-			"nodes_visited", "leaf_scanned", "reported", "sampled", "blocked",
+			"nodes_visited", "leaf_scanned", "reported", "sampled",
 			"latency_ns", "descent_ns", "scan_ns"} {
 			if _, ok := ev[f]; !ok {
 				t.Fatalf("line %d missing field %q", lines, f)

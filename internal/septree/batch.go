@@ -38,7 +38,6 @@ type Batch struct {
 	next    atomic.Int64
 	nq      int64
 	closed  bool
-	blockW  int // leaf-scan query-block width; <= 1 disables blocking
 
 	// inj is the serving-side chaos seam (nil = no injection, one
 	// predictable branch per claimed chunk): the stall clause delays a
@@ -81,32 +80,13 @@ type batchShard struct {
 	// costs low single-digit nanoseconds amortized and zero allocations.
 	journal *obs.JournalStrand
 	jbuf    [batchChunk]obs.JournalEvent
-	// Query-blocking scratch (allocated by SetBlockWidth, reused across
-	// runs). leaves/qnodes/done hold the current chunk's descent results;
-	// qs and outs are the lane views handed to scanLeafBlock — outs lanes
-	// grow once and are recycled, keeping the blocked steady state
-	// allocation-free.
-	leaves [batchChunk]int32
-	qnodes [batchChunk]int32
-	done   [batchChunk]bool
-	qs     [][]float64
-	outs   [][]int
-	_      [64]byte
+	_       [64]byte
 }
 
 // batchChunk is how many queries a strand claims per atomic fetch-add:
 // large enough that counter contention is negligible, small enough that
 // an unlucky strand stuck with deep queries sheds load to the others.
 const batchChunk = 16
-
-// maxBlockWidth caps the leaf-scan query-block width. Sixteen query
-// lanes are two eight-wide assembly passes (or four four-wide Go
-// passes) per candidate — wide enough that a hot leaf's record stream
-// is amortized over a full chunk's worth of co-located queries, narrow
-// enough that the lane scratch stays resident in L1. Matching
-// batchChunk means a chunk whose queries all land on one leaf forms a
-// single group.
-const maxBlockWidth = 16
 
 // NewBatch returns an engine with the given strand count over f.
 // workers <= 0 selects GOMAXPROCS. With one strand the engine runs
@@ -171,50 +151,6 @@ func (b *Batch) Journal(j *obs.Journal) {
 // are bit-identical. Nil detaches. Not safe to call concurrently with
 // Run.
 func (b *Batch) Chaos(inj *chaos.Injector) { b.inj = inj }
-
-// SetBlockWidth sets the engine's leaf-scan query-blocking width,
-// clamped to [1, 16]. Widths above 1 enable blocked scans: after a chunk
-// of queries descends, queries that landed on the same leaf are grouped
-// up to the width and answered by one streaming pass over the leaf's
-// candidate records (scanLeafBlock), amortizing the candidate stream —
-// the dominant memory traffic at d >= 4 — across the group. Answers are
-// bit-identical to the unblocked engine and each query's ids stay in
-// ascending order; width 1 restores the sequential per-query path.
-// Sampled (timed) queries always take the individual phase-split path so
-// telemetry keeps meaning the same thing. Not safe to call concurrently
-// with Run.
-func (b *Batch) SetBlockWidth(w int) {
-	if w < 1 {
-		w = 1
-	}
-	if w > maxBlockWidth {
-		w = maxBlockWidth
-	}
-	b.blockW = w
-	if w == 1 {
-		return
-	}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		if sh.path == nil {
-			sh.path = make([]int32, 0, 64)
-		}
-		if sh.qs == nil {
-			sh.qs = make([][]float64, maxBlockWidth)
-		}
-		if sh.outs == nil {
-			sh.outs = make([][]int, maxBlockWidth)
-		}
-	}
-}
-
-// BlockWidth returns the current leaf-scan query-block width.
-func (b *Batch) BlockWidth() int {
-	if b.blockW < 1 {
-		return 1
-	}
-	return b.blockW
-}
 
 // Run answers an open-ball covering query for every element of queries
 // (the Tree.Query predicate). Results are read back with Result; they
@@ -313,10 +249,6 @@ func traceOf(tr []obs.TraceContext, qi int64) (obs.TraceContext, uint64) {
 // strand is one worker's loop: claim a chunk of query indices, answer
 // each into this strand's arena, repeat until the batch is drained.
 func (b *Batch) strand(id int) {
-	if b.blockW > 1 {
-		b.strandBlocked(id)
-		return
-	}
 	sh := &b.shards[id]
 	f := b.f
 	closed := b.closed
@@ -394,155 +326,6 @@ func (b *Batch) strand(id int) {
 		}
 		if jn {
 			sh.journal.Publish(sh.jbuf[:hi-lo])
-		}
-		sh.serve.NoteQueries(hi - lo)
-	}
-}
-
-// strandBlocked is strand with leaf-scan query blocking: each chunk is
-// answered in two phases. Phase 1 descends every query, recording its
-// destination leaf and path length (sampled queries are answered
-// completely on the individual timed path here, so the phase-split
-// telemetry stays comparable across modes). Phase 2 walks the chunk in
-// order, bundling up to blockW not-yet-answered queries that share a
-// leaf into one scanLeafBlock pass; each lane's hits are then copied
-// into the shard arena and its span recorded. Grouping is O(chunk²)
-// pointer-free compares over at most 16 int32s — noise next to one leaf
-// scan. Every per-query observable (ids, order, nodes visited,
-// candidates scanned, spans, counters) matches the sequential strand.
-func (b *Batch) strandBlocked(id int) {
-	sh := &b.shards[id]
-	f := b.f
-	closed := b.closed
-	blockW := b.blockW
-	tr := b.traces
-	jn := sh.journal != nil
-	for {
-		lo := b.next.Add(batchChunk) - batchChunk
-		if lo >= b.nq {
-			return
-		}
-		hi := lo + batchChunk
-		if hi > b.nq {
-			hi = b.nq
-		}
-		cn := int(hi - lo)
-		b.inj.Stall(nil) // chaos: a lagging serving worker (nil = no-op)
-		// Phase 1: descend. DescendPath dispatches to the d=2/3 inlined
-		// descents at the hot dimensions and reuses the shard's path
-		// scratch, so counting nodes costs nothing extra.
-		for k := 0; k < cn; k++ {
-			qi := lo + int64(k)
-			q := b.queries[qi]
-			tc, qspan := traceOf(tr, qi)
-			tick := sh.serve.ShouldSample()
-			if tick || tc.Sampled {
-				before := len(sh.ids)
-				t0 := time.Now()
-				leaf, path := f.DescendPath(q, sh.path[:0])
-				t1 := time.Now()
-				var scanned int
-				sh.ids, scanned = f.ScanLeaf(leaf, q, closed, sh.ids)
-				t2 := time.Now()
-				sh.path = path
-				descNs, scanNs := t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
-				var startNs int64
-				if tc.Valid() {
-					startNs = t0.UnixNano()
-					if tick {
-						sh.serve.RecordTraced(descNs, scanNs,
-							len(path), scanned, len(sh.ids)-before, path, tc, startNs)
-					} else {
-						sh.serve.RecordExemplar(descNs+scanNs, tc, startNs)
-					}
-				} else {
-					sh.serve.Record(descNs, scanNs,
-						len(path), scanned, len(sh.ids)-before, path)
-				}
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(len(path))
-				sh.scanned += int64(scanned)
-				sh.done[k] = true
-				if jn {
-					sh.jbuf[k] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: int32(len(path)), Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before), Sampled: true,
-						LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
-						TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-						StartNs: startNs,
-					}
-				}
-				continue
-			}
-			leaf, path := f.DescendPath(q, sh.path[:0])
-			sh.path = path
-			sh.leaves[k] = leaf
-			sh.qnodes[k] = int32(len(path))
-			sh.done[k] = false
-		}
-		// Phase 2: bundle same-leaf queries and scan.
-		for k := 0; k < cn; k++ {
-			if sh.done[k] {
-				continue
-			}
-			leaf := sh.leaves[k]
-			w := 0
-			var lanes [maxBlockWidth]int
-			for m := k; m < cn && w < blockW; m++ {
-				if !sh.done[m] && sh.leaves[m] == leaf {
-					lanes[w] = m
-					sh.done[m] = true
-					w++
-				}
-			}
-			if w == 1 {
-				qi := lo + int64(k)
-				before := len(sh.ids)
-				var scanned int
-				sh.ids, scanned = f.ScanLeaf(leaf, b.queries[qi], closed, sh.ids)
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(sh.qnodes[k])
-				sh.scanned += int64(scanned)
-				if jn {
-					tc, qspan := traceOf(tr, qi)
-					sh.jbuf[k] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: sh.qnodes[k], Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before),
-						TraceHi:  tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-					}
-				}
-				continue
-			}
-			for i := 0; i < w; i++ {
-				sh.qs[i] = b.queries[lo+int64(lanes[i])]
-				sh.outs[i] = sh.outs[i][:0]
-			}
-			scanned := f.scanLeafBlock(leaf, sh.qs[:w], closed, sh.outs[:w])
-			for i := 0; i < w; i++ {
-				qi := lo + int64(lanes[i])
-				before := len(sh.ids)
-				sh.ids = append(sh.ids, sh.outs[i]...)
-				b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
-				sh.queries++
-				sh.nodes += int64(sh.qnodes[lanes[i]])
-				sh.scanned += int64(scanned)
-				if jn {
-					tc, qspan := traceOf(tr, qi)
-					sh.jbuf[lanes[i]] = obs.JournalEvent{
-						Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
-						Nodes: sh.qnodes[lanes[i]], Scanned: int32(scanned),
-						Reported: int32(len(sh.ids) - before), Blocked: true,
-						TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
-					}
-				}
-			}
-		}
-		if jn {
-			sh.journal.Publish(sh.jbuf[:cn])
 		}
 		sh.serve.NoteQueries(hi - lo)
 	}

@@ -10,7 +10,7 @@ import (
 
 // TestJournaledBatchIdenticalResults: attaching a journal must not
 // change a single answer or engine counter, in every serving mode
-// (sequential, parallel, blocked, observed+journaled together).
+// (sequential, parallel, observed+journaled together).
 func TestJournaledBatchIdenticalResults(t *testing.T) {
 	tree, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	f, err := Freeze(tree)
@@ -19,33 +19,29 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 	}
 	queries := queryMix(pts, 3, 333, 31)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
-			plain := NewBatch(f, workers)
-			plain.SetBlockWidth(blockW)
-			journaled := NewBatch(f, workers)
-			journaled.SetBlockWidth(blockW)
-			journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			journaled.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
-			for _, closed := range []bool{false, true} {
-				if closed {
-					plain.RunClosed(queries)
-					journaled.RunClosed(queries)
-				} else {
-					plain.Run(queries)
-					journaled.Run(queries)
-				}
-				for i := range queries {
-					if !equalInts(plain.Result(i), journaled.Result(i)) {
-						t.Fatalf("workers=%d blockW=%d closed=%v query %d: journaled %v, plain %v",
-							workers, blockW, closed, i, journaled.Result(i), plain.Result(i))
-					}
+		plain := NewBatch(f, workers)
+		journaled := NewBatch(f, workers)
+		journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		journaled.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
+		for _, closed := range []bool{false, true} {
+			if closed {
+				plain.RunClosed(queries)
+				journaled.RunClosed(queries)
+			} else {
+				plain.Run(queries)
+				journaled.Run(queries)
+			}
+			for i := range queries {
+				if !equalInts(plain.Result(i), journaled.Result(i)) {
+					t.Fatalf("workers=%d closed=%v query %d: journaled %v, plain %v",
+						workers, closed, i, journaled.Result(i), plain.Result(i))
 				}
 			}
-			a, b := plain.Stats(), journaled.Stats()
-			if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
-				t.Fatalf("workers=%d blockW=%d: journaled stats %+v diverge from plain %+v",
-					workers, blockW, b, a)
-			}
+		}
+		a, b := plain.Stats(), journaled.Stats()
+		if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
+			t.Fatalf("workers=%d: journaled stats %+v diverge from plain %+v",
+				workers, b, a)
 		}
 	}
 }
@@ -60,83 +56,72 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := queryMix(pts, 2, 300, 13)
-	for _, blockW := range []int{1, 4} {
-		b := NewBatch(f, 4)
-		b.SetBlockWidth(blockW)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
-		// Big enough that even one strand serving the whole load (pool
-		// degraded to inline on a saturated box) keeps both Runs' events.
-		j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
-		b.Journal(j)
-		b.Run(queries)
-		b.Run(queries)
+	b := NewBatch(f, 4)
+	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
+	// Big enough that even one strand serving the whole load (pool
+	// degraded to inline on a saturated box) keeps both Runs' events.
+	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
+	b.Journal(j)
+	b.Run(queries)
+	b.Run(queries)
 
-		d := j.Snapshot()
-		if d.Published != uint64(2*len(queries)) {
-			t.Fatalf("blockW=%d: published %d events, want %d", blockW, d.Published, 2*len(queries))
+	d := j.Snapshot()
+	if d.Published != uint64(2*len(queries)) {
+		t.Fatalf("published %d events, want %d", d.Published, 2*len(queries))
+	}
+	// Exactly one event per (batch, query), batches stamped 1 and 2.
+	seen := map[[2]int64]bool{}
+	var nodes, scanned int64
+	sampled := 0
+	for _, ev := range d.Events {
+		key := [2]int64{ev.Batch, int64(ev.Query)}
+		if seen[key] {
+			t.Fatalf("duplicate event %+v", ev)
 		}
-		// Exactly one event per (batch, query), batches stamped 1 and 2.
-		seen := map[[2]int64]bool{}
-		var nodes, scanned int64
-		sampled := 0
-		for _, ev := range d.Events {
-			key := [2]int64{ev.Batch, int64(ev.Query)}
-			if seen[key] {
-				t.Fatalf("blockW=%d: duplicate event %+v", blockW, ev)
-			}
-			seen[key] = true
-			if ev.Batch != 1 && ev.Batch != 2 {
-				t.Fatalf("blockW=%d: batch ordinal %d", blockW, ev.Batch)
-			}
-			if ev.Query < 0 || int(ev.Query) >= len(queries) {
-				t.Fatalf("blockW=%d: query id %d out of range", blockW, ev.Query)
-			}
-			if ev.Nodes < 1 {
-				t.Fatalf("blockW=%d: event visited %d nodes", blockW, ev.Nodes)
-			}
-			if ev.Leaf >= 0 && int(ev.Leaf) >= f.NumNodes() {
-				t.Fatalf("blockW=%d: leaf %d out of range", blockW, ev.Leaf)
-			}
-			if blockW > 1 && ev.Leaf < 0 {
-				// The blocked engine always knows the destination leaf.
-				t.Fatalf("blockW=%d: blocked-mode event lost its leaf: %+v", blockW, ev)
-			}
-			if ev.Sampled {
-				sampled++
-				if ev.LatencyNs != ev.DescentNs+ev.ScanNs || ev.LatencyNs <= 0 {
-					t.Fatalf("blockW=%d: sampled latency %d != %d + %d",
-						blockW, ev.LatencyNs, ev.DescentNs, ev.ScanNs)
-				}
-				if ev.Blocked {
-					t.Fatalf("blockW=%d: sampled query claimed blocked: %+v", blockW, ev)
-				}
-			}
-			if ev.Batch == 2 {
-				// The second Run's results are still addressable.
-				if got := int32(len(b.Result(int(ev.Query)))); got != ev.Reported {
-					t.Fatalf("blockW=%d: query %d reported %d, Result has %d",
-						blockW, ev.Query, ev.Reported, got)
-				}
-				nodes += int64(ev.Nodes)
-				scanned += int64(ev.Scanned)
+		seen[key] = true
+		if ev.Batch != 1 && ev.Batch != 2 {
+			t.Fatalf("batch ordinal %d", ev.Batch)
+		}
+		if ev.Query < 0 || int(ev.Query) >= len(queries) {
+			t.Fatalf("query id %d out of range", ev.Query)
+		}
+		if ev.Nodes < 1 {
+			t.Fatalf("event visited %d nodes", ev.Nodes)
+		}
+		if ev.Leaf >= 0 && int(ev.Leaf) >= f.NumNodes() {
+			t.Fatalf("leaf %d out of range", ev.Leaf)
+		}
+		if ev.Sampled {
+			sampled++
+			if ev.LatencyNs != ev.DescentNs+ev.ScanNs || ev.LatencyNs <= 0 {
+				t.Fatalf("sampled latency %d != %d + %d",
+					ev.LatencyNs, ev.DescentNs, ev.ScanNs)
 			}
 		}
-		if len(seen) != 2*len(queries) {
-			t.Fatalf("blockW=%d: %d distinct events, want %d", blockW, len(seen), 2*len(queries))
+		if ev.Batch == 2 {
+			// The second Run's results are still addressable.
+			if got := int32(len(b.Result(int(ev.Query)))); got != ev.Reported {
+				t.Fatalf("query %d reported %d, Result has %d",
+					ev.Query, ev.Reported, got)
+			}
+			nodes += int64(ev.Nodes)
+			scanned += int64(ev.Scanned)
 		}
-		if sampled == 0 {
-			t.Fatalf("blockW=%d: no sampled events at shift 2", blockW)
-		}
-		// Nodes reconcile with the engine's exact counter for one Run:
-		// unblocked-mode scanned is exact too; blocked lanes share a scan,
-		// so each lane charges the full pass (matching Stats accounting).
-		st := b.Stats()
-		if nodes != st.NodesVisited/2 {
-			t.Fatalf("blockW=%d: journal nodes %d, engine %d per run", blockW, nodes, st.NodesVisited/2)
-		}
-		if scanned != st.LeafScanned/2 {
-			t.Fatalf("blockW=%d: journal scanned %d, engine %d per run", blockW, scanned, st.LeafScanned/2)
-		}
+	}
+	if len(seen) != 2*len(queries) {
+		t.Fatalf("%d distinct events, want %d", len(seen), 2*len(queries))
+	}
+	if sampled == 0 {
+		t.Fatal("no sampled events at shift 2")
+	}
+	// Nodes and candidates scanned reconcile with the engine's exact
+	// counters for one Run.
+	st := b.Stats()
+	if nodes != st.NodesVisited/2 {
+		t.Fatalf("journal nodes %d, engine %d per run", nodes, st.NodesVisited/2)
+	}
+	if scanned != st.LeafScanned/2 {
+		t.Fatalf("journal scanned %d, engine %d per run", scanned, st.LeafScanned/2)
 	}
 }
 
@@ -152,18 +137,15 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
-			b := NewBatch(f, workers)
-			b.SetBlockWidth(blockW)
-			b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
-			for warm := 0; warm < 3; warm++ {
-				b.Run(queries)
-			}
-			if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
-				t.Fatalf("workers=%d blockW=%d: %v allocs per journaled steady-state Run, want 0",
-					workers, blockW, avg)
-			}
+		b := NewBatch(f, workers)
+		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
+		for warm := 0; warm < 3; warm++ {
+			b.Run(queries)
+		}
+		if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
+			t.Fatalf("workers=%d: %v allocs per journaled steady-state Run, want 0",
+				workers, avg)
 		}
 	}
 }

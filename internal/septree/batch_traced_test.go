@@ -41,47 +41,43 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 	queries := queryMix(pts, 3, 333, 31)
 	traces := mkTraces(len(queries), 8, 77, 4, 5)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
-			plainRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
-			tracedRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
-			plain := NewBatch(f, workers)
-			plain.SetBlockWidth(blockW)
-			plain.Observe(plainRec)
-			traced := NewBatch(f, workers)
-			traced.SetBlockWidth(blockW)
-			traced.Observe(tracedRec)
-			traced.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
-			for _, closed := range []bool{false, true} {
-				if closed {
-					plain.RunClosed(queries)
-					traced.RunClosedTraced(queries, traces)
-				} else {
-					plain.Run(queries)
-					traced.RunTraced(queries, traces)
-				}
-				for i := range queries {
-					if !equalInts(plain.Result(i), traced.Result(i)) {
-						t.Fatalf("workers=%d blockW=%d closed=%v query %d: traced %v, plain %v",
-							workers, blockW, closed, i, traced.Result(i), plain.Result(i))
-					}
+		plainRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
+		tracedRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
+		plain := NewBatch(f, workers)
+		plain.Observe(plainRec)
+		traced := NewBatch(f, workers)
+		traced.Observe(tracedRec)
+		traced.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
+		for _, closed := range []bool{false, true} {
+			if closed {
+				plain.RunClosed(queries)
+				traced.RunClosedTraced(queries, traces)
+			} else {
+				plain.Run(queries)
+				traced.RunTraced(queries, traces)
+			}
+			for i := range queries {
+				if !equalInts(plain.Result(i), traced.Result(i)) {
+					t.Fatalf("workers=%d closed=%v query %d: traced %v, plain %v",
+						workers, closed, i, traced.Result(i), plain.Result(i))
 				}
 			}
-			a, b := plain.Stats(), traced.Stats()
-			if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
-				t.Fatalf("workers=%d blockW=%d: traced stats %+v diverge from plain %+v",
-					workers, blockW, b, a)
-			}
-			// With one worker the per-strand sample cadence is fully
-			// deterministic: the traced recorder's aggregates must match
-			// an untraced recorder over the same stream exactly.
-			if workers == 1 {
-				ps, ts := plainRec.Snapshot(), tracedRec.Snapshot()
-				if ps.Queries != ts.Queries || ps.Sampled != ts.Sampled ||
-					ps.Latency.Count != ts.Latency.Count {
-					t.Fatalf("blockW=%d: tracing skewed recorder stats: plain queries=%d sampled=%d count=%d, traced queries=%d sampled=%d count=%d",
-						blockW, ps.Queries, ps.Sampled, ps.Latency.Count,
-						ts.Queries, ts.Sampled, ts.Latency.Count)
-				}
+		}
+		a, b := plain.Stats(), traced.Stats()
+		if a.Queries != b.Queries || a.NodesVisited != b.NodesVisited || a.LeafScanned != b.LeafScanned {
+			t.Fatalf("workers=%d: traced stats %+v diverge from plain %+v",
+				workers, b, a)
+		}
+		// With one worker the per-strand sample cadence is fully
+		// deterministic: the traced recorder's aggregates must match
+		// an untraced recorder over the same stream exactly.
+		if workers == 1 {
+			ps, ts := plainRec.Snapshot(), tracedRec.Snapshot()
+			if ps.Queries != ts.Queries || ps.Sampled != ts.Sampled ||
+				ps.Latency.Count != ts.Latency.Count {
+				t.Fatalf("tracing skewed recorder stats: plain queries=%d sampled=%d count=%d, traced queries=%d sampled=%d count=%d",
+					ps.Queries, ps.Sampled, ps.Latency.Count,
+					ts.Queries, ts.Sampled, ts.Latency.Count)
 			}
 		}
 	}
@@ -99,55 +95,52 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 	}
 	queries := queryMix(pts, 2, 300, 13)
 	traces := mkTraces(len(queries), 8, 99, 4, 5)
-	for _, blockW := range []int{1, 4} {
-		b := NewBatch(f, 4)
-		b.SetBlockWidth(blockW)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
-		j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
-		b.Journal(j)
-		b.RunTraced(queries, traces)
+	b := NewBatch(f, 4)
+	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
+	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
+	b.Journal(j)
+	b.RunTraced(queries, traces)
 
-		d := j.Snapshot()
-		if d.Published != uint64(len(queries)) {
-			t.Fatalf("blockW=%d: published %d events, want %d", blockW, d.Published, len(queries))
+	d := j.Snapshot()
+	if d.Published != uint64(len(queries)) {
+		t.Fatalf("published %d events, want %d", d.Published, len(queries))
+	}
+	tracedEvents, sampledTraced := 0, 0
+	for _, ev := range d.Events {
+		tc := traces[ev.Query]
+		if !tc.Valid() {
+			if ev.Traced() || ev.TraceID != "" || ev.SpanID != "" {
+				t.Fatalf("untraced query %d carries trace fields: %+v", ev.Query, ev)
+			}
+			continue
 		}
-		tracedEvents, sampledTraced := 0, 0
-		for _, ev := range d.Events {
-			tc := traces[ev.Query]
-			if !tc.Valid() {
-				if ev.Traced() || ev.TraceID != "" || ev.SpanID != "" {
-					t.Fatalf("blockW=%d: untraced query %d carries trace fields: %+v", blockW, ev.Query, ev)
-				}
-				continue
-			}
-			tracedEvents++
-			if ev.TraceHi != tc.TraceHi || ev.TraceLo != tc.TraceLo {
-				t.Fatalf("blockW=%d: query %d trace %x%x, want %x%x",
-					blockW, ev.Query, ev.TraceHi, ev.TraceLo, tc.TraceHi, tc.TraceLo)
-			}
-			wantSpan := obs.ChildSpan(tc.Span, uint64(ev.Query))
-			if ev.Span != wantSpan {
-				t.Fatalf("blockW=%d: query %d span %x, want ChildSpan %x", blockW, ev.Query, ev.Span, wantSpan)
-			}
-			if ev.TraceID != obs.TraceIDString(tc.TraceHi, tc.TraceLo) {
-				t.Fatalf("blockW=%d: query %d trace id %q not derived from raw ids", blockW, ev.Query, ev.TraceID)
-			}
-			if ev.SpanID != obs.SpanIDString(wantSpan) {
-				t.Fatalf("blockW=%d: query %d span id %q, want %q",
-					blockW, ev.Query, ev.SpanID, obs.SpanIDString(wantSpan))
-			}
-			if tc.Sampled {
-				// A client-sampled trace forces the timed path: the event
-				// must carry phase latencies and a wall-clock start.
-				if !ev.Sampled || ev.LatencyNs <= 0 || ev.StartNs <= 0 {
-					t.Fatalf("blockW=%d: sampled trace query %d not timed: %+v", blockW, ev.Query, ev)
-				}
-				sampledTraced++
-			}
+		tracedEvents++
+		if ev.TraceHi != tc.TraceHi || ev.TraceLo != tc.TraceLo {
+			t.Fatalf("query %d trace %x%x, want %x%x",
+				ev.Query, ev.TraceHi, ev.TraceLo, tc.TraceHi, tc.TraceLo)
 		}
-		if tracedEvents == 0 || sampledTraced == 0 {
-			t.Fatalf("blockW=%d: traced=%d sampledTraced=%d, want both > 0", blockW, tracedEvents, sampledTraced)
+		wantSpan := obs.ChildSpan(tc.Span, uint64(ev.Query))
+		if ev.Span != wantSpan {
+			t.Fatalf("query %d span %x, want ChildSpan %x", ev.Query, ev.Span, wantSpan)
 		}
+		if ev.TraceID != obs.TraceIDString(tc.TraceHi, tc.TraceLo) {
+			t.Fatalf("query %d trace id %q not derived from raw ids", ev.Query, ev.TraceID)
+		}
+		if ev.SpanID != obs.SpanIDString(wantSpan) {
+			t.Fatalf("query %d span id %q, want %q",
+				ev.Query, ev.SpanID, obs.SpanIDString(wantSpan))
+		}
+		if tc.Sampled {
+			// A client-sampled trace forces the timed path: the event
+			// must carry phase latencies and a wall-clock start.
+			if !ev.Sampled || ev.LatencyNs <= 0 || ev.StartNs <= 0 {
+				t.Fatalf("sampled trace query %d not timed: %+v", ev.Query, ev)
+			}
+			sampledTraced++
+		}
+	}
+	if tracedEvents == 0 || sampledTraced == 0 {
+		t.Fatalf("traced=%d sampledTraced=%d, want both > 0", tracedEvents, sampledTraced)
 	}
 }
 
@@ -164,18 +157,15 @@ func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
 	queries := queryMix(pts, 2, 256, 9)
 	traces := mkTraces(len(queries), 8, 55, 4, 0)
 	for _, workers := range []int{1, 4} {
-		for _, blockW := range []int{1, 4} {
-			b := NewBatch(f, workers)
-			b.SetBlockWidth(blockW)
-			b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
-			b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
-			for warm := 0; warm < 3; warm++ {
-				b.RunTraced(queries, traces)
-			}
-			if avg := testing.AllocsPerRun(50, func() { b.RunTraced(queries, traces) }); avg != 0 {
-				t.Fatalf("workers=%d blockW=%d: %v allocs per traced steady-state Run, want 0",
-					workers, blockW, avg)
-			}
+		b := NewBatch(f, workers)
+		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
+		for warm := 0; warm < 3; warm++ {
+			b.RunTraced(queries, traces)
+		}
+		if avg := testing.AllocsPerRun(50, func() { b.RunTraced(queries, traces) }); avg != 0 {
+			t.Fatalf("workers=%d: %v allocs per traced steady-state Run, want 0",
+				workers, avg)
 		}
 	}
 }

@@ -16,14 +16,13 @@ import (
 //
 //   - Nodes are stored with sibling pairs adjacent, so an internal node
 //     records only its left child id (right = left + 1) and the branch
-//     taken is a +0/+1 index adjustment, not a pointer load. The default
-//     ordering groups nodes into van Emde Boas-style pair-blocks
-//     (LayoutBlocked): blockLevels consecutive tree levels of one
-//     subtree sit contiguously, so a root-to-leaf descent touches
-//     ~depth/blockLevels separated memory regions instead of one per
-//     level — the plain breadth-first order (LayoutBFS, the PR-4
-//     layout) scatters consecutive levels ever further apart as n
-//     grows, costing one cache miss per hop. See FreezeLayout.
+//     taken is a +0/+1 index adjustment, not a pointer load. Nodes are
+//     grouped into van Emde Boas-style pair-blocks (see blockedOrder):
+//     blockLevels consecutive tree levels of one subtree sit
+//     contiguously, so a root-to-leaf descent touches ~depth/blockLevels
+//     separated memory regions instead of one per level, where a plain
+//     breadth-first order would scatter consecutive levels ever further
+//     apart as n grows, costing one cache miss per hop.
 //   - Separator geometry lives in one flat []float64 with stride d+3
 //     (center‖radius‖r²-band for spheres, normal‖offset for the
 //     hyperplane punts), so the descent touches one contiguous record
@@ -47,15 +46,16 @@ import (
 //     single multiplication the pointer path performs, so results stay
 //     bit-identical.
 //
-// All traversal arithmetic goes through the d-specialized vec kernels,
-// which are bit-identical to the generic forms; Covering/CoveringClosed
-// therefore return exactly the ids, in exactly the order, of
+// Each query is one root-to-leaf descent and one leaf scan. d = 2 and
+// d = 3 run inlined traversals; every other d runs the descent and scan
+// loops over the vec kernels dispatched for that d. All of them are
+// bit-identical to the generic kernel forms, so Covering/CoveringClosed
+// return exactly the ids, in exactly the order, of
 // Tree.Query/Tree.QueryClosed.
 type Frozen struct {
 	dim     int
 	stride  int // dim + 1: ball record width (center ‖ r²)
 	nstride int // dim + 3: node record width (geometry ‖ scalar ‖ r² band)
-	layout  Layout
 
 	kind  []uint8   // per node: kindSphere | kindHalf | kindLeaf
 	child []int32   // internal: left child id; leaf: leaf slot
@@ -68,9 +68,7 @@ type Frozen struct {
 	dist2    vec.Dist2Func
 	dot      vec.DotFunc
 	batch4   vec.Dist2Batch4Func   // four-wide scan kernel; nil disables batching
-	batch8   vec.Dist2Batch8Func   // eight-wide query-blocked kernel; nil falls back to batch4
 	strided8 vec.Dist2Strided8Func // eight-record stream kernel; nil falls back to batch4
-	generic  bool                  // generic tier: also skip the d=4..8 inline descents
 }
 
 const (
@@ -79,82 +77,29 @@ const (
 	kindLeaf
 )
 
-// Layout selects the node ordering Freeze emits. Both orderings keep
-// sibling pairs adjacent (the right-child = left-child+1 invariant the
-// descent relies on) and produce bit-identical query answers; they
-// differ only in where a node's children live relative to it.
-type Layout uint8
-
-const (
-	// LayoutBlocked is the default: nodes are grouped into van Emde
-	// Boas-style pair-blocks. A block is a sibling pair (the root is a
-	// singleton) together with its descendants for blockLevels tree
-	// levels, stored contiguously in breadth-first order; the sibling
-	// pairs hanging below a block become blocks of their own, laid out
-	// depth-first so a subtree's blocks cluster together
-	// (root-subtree-first). A descent therefore lands in a new memory
-	// region only once every blockLevels hops instead of on every hop.
-	LayoutBlocked Layout = iota
-	// LayoutBFS is the PR-4 plain breadth-first ordering. Level ℓ of the
-	// tree occupies one contiguous run, so consecutive hops of a descent
-	// are ~2^ℓ node records apart — a cache miss per level once the tree
-	// outgrows the caches. Kept as the measurable reference point for
-	// the layout benchmarks (knnbench's layout section).
-	LayoutBFS
-)
-
-// blockLevels is the pair-block height of LayoutBlocked. Three levels
+// blockLevels is the pair-block height of the node order. Three levels
 // put at most 2+4+8 = 14 node records (a pair and two generations below
 // it) in one contiguous run — 560 B at d=2 (nstride 5), 1.2 KiB at d=8
 // (nstride 11) — of which any single descent touches exactly 3 records
-// spanning ≤ 2 cache lines of the sep array at d ≤ 5. Against BFS's
-// line-per-level, that cuts the distinct lines a depth-D descent
-// touches from ~D to ~D·2/3 at d ≤ 5 (and keeps the per-block records
-// prefetchable at every d), while keeping blocks small enough that the
-// top of every subtree stays resident across queries.
+// spanning ≤ 2 cache lines of the sep array at d ≤ 5. Against a
+// breadth-first order's line-per-level, that cuts the distinct lines a
+// depth-D descent touches from ~D to ~D·2/3 at d ≤ 5 (and keeps the
+// per-block records prefetchable at every d), while keeping blocks small
+// enough that the top of every subtree stays resident across queries.
 const blockLevels = 3
 
-// Freeze converts a built tree into its flat query representation using
-// the default blocked layout. The tree is not modified and remains
-// usable.
-func Freeze(t *Tree) (*Frozen, error) { return FreezeLayout(t, LayoutBlocked) }
-
-// FreezeLayout is Freeze with an explicit node ordering. Queries over
-// the two layouts return bit-identical results; LayoutBFS exists so the
-// blocked layout's cache behavior can be measured against the PR-4
-// baseline on the same tree. Freezing a tree whose separators are
-// neither spheres nor halfspaces (impossible for trees built by this
-// package) is an error.
-func FreezeLayout(t *Tree, layout Layout) (*Frozen, error) {
+// Freeze converts a built tree into its flat query representation. The
+// tree is not modified and remains usable. Freezing a tree whose
+// separators are neither spheres nor halfspaces (impossible for trees
+// built by this package) is an error.
+func Freeze(t *Tree) (*Frozen, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("septree: freeze of nil tree")
 	}
-	n := t.Sys.Len()
-	if n == 0 {
+	if t.Sys.Len() == 0 {
 		return nil, fmt.Errorf("septree: freeze of empty system")
 	}
-	var order []*Node
-	switch layout {
-	case LayoutBFS:
-		order = bfsOrder(t.Root)
-	case LayoutBlocked:
-		order = blockedOrder(t.Root)
-	default:
-		return nil, fmt.Errorf("septree: unknown layout %d", layout)
-	}
-	return freezeOrder(t, order, layout)
-}
-
-// bfsOrder returns the nodes breadth-first; children of the i-th node
-// are appended together, so sibling pairs are adjacent by construction.
-func bfsOrder(root *Node) []*Node {
-	order := []*Node{root}
-	for i := 0; i < len(order); i++ {
-		if nd := order[i]; !nd.IsLeaf() {
-			order = append(order, nd.Left, nd.Right)
-		}
-	}
-	return order
+	return freezeOrder(t, blockedOrder(t.Root))
 }
 
 // blockedOrder returns the nodes in pair-blocked van Emde Boas-ish
@@ -200,30 +145,23 @@ func blockedOrder(root *Node) []*Node {
 // ordering must keep sibling pairs adjacent; the emission verifies the
 // invariant and fails loudly rather than freeze a tree whose descent
 // would branch to the wrong node.
-func freezeOrder(t *Tree, order []*Node, layout Layout) (*Frozen, error) {
+func freezeOrder(t *Tree, order []*Node) (*Frozen, error) {
 	dim := len(t.Sys.Centers[0])
 	// Kernels are captured once at freeze time from the active dispatch
-	// tier (KNN_KERNELS / vec.SetActiveTier). The eight-lane forms are
-	// nil on tiers or builds without assembly, which the scan loops
-	// treat as "use the four-wide path". The generic tier freezes with
-	// no batch kernels at all and skips the d=4..8 inline descents —
-	// the same configuration UseGenericKernels restores — so a
-	// KNN_KERNELS=generic run exercises the pre-dispatch arithmetic end
-	// to end. (The scan loops also rely on batch kernels reading only
-	// [0, dim) of the candidate's slot, which the flat generic batch
-	// kernel does not guarantee.)
+	// tier (KNN_KERNELS / vec.SetActiveTier). The strided form is nil on
+	// tiers or builds without assembly, which ScanLeaf treats as "use the
+	// four-wide path". The generic tier freezes with no batch kernels at
+	// all, so a KNN_KERNELS=generic run exercises the pre-dispatch
+	// arithmetic end to end.
 	f := &Frozen{
 		dim:     dim,
 		stride:  dim + 1,
 		nstride: dim + 3,
-		layout:  layout,
 		dist2:   vec.Dist2Kernel(dim),
 		dot:     vec.DotKernel(dim),
-		generic: vec.ActiveTier() == vec.TierGeneric,
 	}
-	if !f.generic {
+	if vec.ActiveTier() != vec.TierGeneric {
 		f.batch4 = vec.Dist2Batch4Kernel(dim)
-		f.batch8 = vec.Dist2Batch8Kernel(dim)
 		f.strided8 = vec.Dist2Strided8Kernel(dim)
 	}
 	id := make(map[*Node]int32, len(order))
@@ -270,29 +208,12 @@ func freezeOrder(t *Tree, order []*Node, layout Layout) (*Frozen, error) {
 		}
 		left := id[nd.Left]
 		if id[nd.Right] != left+1 {
-			return nil, fmt.Errorf("septree: layout %d broke sibling adjacency (left %d, right %d)",
-				layout, left, id[nd.Right])
+			return nil, fmt.Errorf("septree: node order broke sibling adjacency (left %d, right %d)",
+				left, id[nd.Right])
 		}
 		f.child = append(f.child, left)
 	}
 	return f, nil
-}
-
-// UseGenericKernels re-points the traversal at the pre-dispatch generic
-// kernels, disables four-wide candidate batching, and turns off the
-// d=4..8 inline descents — the exact arithmetic path every d ∉ {2,3}
-// query took before the kernel dispatch table was widened. It exists as
-// knnbench's reference configuration for the kernel/layout sections;
-// answers are bit-identical either way (the d = 2/3 inlined traversals
-// are unaffected: they predate the dispatch table). Not safe to call
-// concurrently with queries.
-func (f *Frozen) UseGenericKernels() {
-	f.dist2 = vec.Dist2Flat
-	f.dot = vec.DotFlat
-	f.batch4 = nil
-	f.batch8 = nil
-	f.strided8 = nil
-	f.generic = true
 }
 
 // sqrtFreeBand returns [lo, hi] bracketing r² such that for any squared
@@ -367,29 +288,16 @@ func (f *Frozen) descend(q []float64) (int32, int) {
 // id on the root-to-leaf path (leaf included) to path and returns the
 // leaf id. The serving telemetry's sampled queries take this entry
 // point so tail samples can retain the exact descent a slow query took.
-// The branch decisions are the generic kernels', which are bit-identical
-// to the d=2/3 specializations, so a sampled query answers exactly like
-// an unsampled one.
+// d = 2 and d = 3 take inlined descents that mirror covering2 and
+// covering3; every other d runs descend's loop. Either way the branch decisions
+// match the unsampled path, so a sampled query answers exactly like an
+// unsampled one.
 func (f *Frozen) DescendPath(q []float64, path []int32) (leaf int32, outPath []int32) {
 	switch f.dim {
 	case 2:
 		return f.descendPath2(q, path)
 	case 3:
 		return f.descendPath3(q, path)
-	}
-	if !f.generic {
-		switch f.dim {
-		case 4:
-			return f.descendPath4(q, path)
-		case 5:
-			return f.descendPath5(q, path)
-		case 6:
-			return f.descendPath6(q, path)
-		case 7:
-			return f.descendPath7(q, path)
-		case 8:
-			return f.descendPath8(q, path)
-		}
 	}
 	dist2, dot := f.dist2, f.dot
 	nstride, dim := f.nstride, f.dim
@@ -566,155 +474,6 @@ func (f *Frozen) ScanLeaf(leaf int32, q []float64, closed bool, out []int) (res 
 		}
 	}
 	return out, n
-}
-
-// scanLeafBlock scans one leaf's candidate stream on behalf of several
-// queries that all descended to it, appending each query's hits to its
-// own outs lane. For full groups of eight (asm tier) or four lanes the
-// loop order is inverted relative to ScanLeaf — candidates outermost —
-// so the leaf's records stream through cache once per lane group and
-// the wide kernel amortizes each candidate load over the group's query
-// lanes (dist²(c, q) is bitwise equal to dist²(q, c), so the candidate
-// can sit in the kernel's query slot). Lanes [nq8, nq4) run through the
-// four-wide kernel; lanes past nq4 take one candidate-blocked ScanLeaf
-// pass each over the records the block loop just streamed (still warm)
-// — every lane runs wide in one orientation or the other, never
-// through the single-pair kernel. Candidates are visited in
-// ascending-id order in every shape, so each lane's hits come out
-// ascending, exactly as ScanLeaf would produce them; each lane's
-// compare uses the same expression as the sequential path, keeping
-// blocked answers bit-identical. Returns the number of candidates
-// scanned (charged to every query in the block).
-func (f *Frozen) scanLeafBlock(leaf int32, qs [][]float64, closed bool, outs [][]int) int {
-	slot := f.child[leaf]
-	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
-	balls := f.leafBalls[lo:hi]
-	batch4, batch8, stride := f.batch4, f.batch8, f.stride
-	recs := f.leafRecs[int(lo)*stride : int(hi)*stride]
-	nq := len(qs)
-	nq4, nq8 := 0, 0
-	if batch4 != nil {
-		nq4 = nq &^ 3
-	}
-	if batch8 != nil {
-		nq8 = nq &^ 7
-		if nq4 < nq8 {
-			// batch8 without batch4 cannot happen through freeze, but keep
-			// the lane accounting self-consistent regardless.
-			nq4 = nq8
-		}
-	}
-	// The candidate's record goes in the kernel's query slot bounded to
-	// its center's dim coordinates: the fixed-dim and asm kernels index
-	// only [0, dim) anyway, and the flat fallback (d > 8) sizes its loop
-	// from that slot's length. The closed/open split keeps the
-	// membership branch out of the candidate loop, mirroring ScanLeaf's
-	// candidate-blocked body. batch8 reads its eight query headers
-	// straight from the qs window.
-	dim := stride - 1
-	if nq4 > 0 && closed {
-		for k, j := range balls {
-			m := k * stride
-			thr := recs[m+stride-1] + geom.Eps
-			id := int(j)
-			li := 0
-			for ; li < nq8; li += 8 {
-				d0, d1, d2, d3, d4, d5, d6, d7 := batch8(recs[m:m+dim], qs[li:])
-				if d0 <= thr {
-					outs[li] = append(outs[li], id)
-				}
-				if d1 <= thr {
-					outs[li+1] = append(outs[li+1], id)
-				}
-				if d2 <= thr {
-					outs[li+2] = append(outs[li+2], id)
-				}
-				if d3 <= thr {
-					outs[li+3] = append(outs[li+3], id)
-				}
-				if d4 <= thr {
-					outs[li+4] = append(outs[li+4], id)
-				}
-				if d5 <= thr {
-					outs[li+5] = append(outs[li+5], id)
-				}
-				if d6 <= thr {
-					outs[li+6] = append(outs[li+6], id)
-				}
-				if d7 <= thr {
-					outs[li+7] = append(outs[li+7], id)
-				}
-			}
-			for ; li < nq4; li += 4 {
-				da, db, dc, dd := batch4(recs[m:m+dim], qs[li], qs[li+1], qs[li+2], qs[li+3])
-				if da <= thr {
-					outs[li] = append(outs[li], id)
-				}
-				if db <= thr {
-					outs[li+1] = append(outs[li+1], id)
-				}
-				if dc <= thr {
-					outs[li+2] = append(outs[li+2], id)
-				}
-				if dd <= thr {
-					outs[li+3] = append(outs[li+3], id)
-				}
-			}
-		}
-	} else if nq4 > 0 {
-		for k, j := range balls {
-			m := k * stride
-			thr := recs[m+stride-1]
-			id := int(j)
-			li := 0
-			for ; li < nq8; li += 8 {
-				d0, d1, d2, d3, d4, d5, d6, d7 := batch8(recs[m:m+dim], qs[li:])
-				if d0 < thr {
-					outs[li] = append(outs[li], id)
-				}
-				if d1 < thr {
-					outs[li+1] = append(outs[li+1], id)
-				}
-				if d2 < thr {
-					outs[li+2] = append(outs[li+2], id)
-				}
-				if d3 < thr {
-					outs[li+3] = append(outs[li+3], id)
-				}
-				if d4 < thr {
-					outs[li+4] = append(outs[li+4], id)
-				}
-				if d5 < thr {
-					outs[li+5] = append(outs[li+5], id)
-				}
-				if d6 < thr {
-					outs[li+6] = append(outs[li+6], id)
-				}
-				if d7 < thr {
-					outs[li+7] = append(outs[li+7], id)
-				}
-			}
-			for ; li < nq4; li += 4 {
-				da, db, dc, dd := batch4(recs[m:m+dim], qs[li], qs[li+1], qs[li+2], qs[li+3])
-				if da < thr {
-					outs[li] = append(outs[li], id)
-				}
-				if db < thr {
-					outs[li+1] = append(outs[li+1], id)
-				}
-				if dc < thr {
-					outs[li+2] = append(outs[li+2], id)
-				}
-				if dd < thr {
-					outs[li+3] = append(outs[li+3], id)
-				}
-			}
-		}
-	}
-	for li := nq4; li < nq; li++ {
-		outs[li], _ = f.ScanLeaf(leaf, qs[li], closed, outs[li])
-	}
-	return len(balls)
 }
 
 // Covering appends to out the ids of all balls whose open interior
@@ -949,222 +708,6 @@ func (f *Frozen) descendPath3(q []float64, path []int32) (leaf int32, outPath []
 			s += rec[1] * q1
 			s += rec[2] * q2
 			right = s-rec[3] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-// descendPath4..8 extend the inline-descent family to the rest of the
-// dispatch-table range. Unlike d=2/3 there is no whole-path covering
-// specialization at these dimensions — the leaf scans are already
-// four-wide through ScanLeaf/scanLeafBlock — but the descent's per-node
-// kernel is small enough that the indirect call dominates it, so the
-// blocked batch engine's phase 1 (and the telemetry's sampled queries)
-// route here. Each distance/dot expression is the corresponding vec
-// kernel's, operation for operation, keeping branch decisions
-// bit-identical to the generic loop; UseGenericKernels bypasses these.
-
-func (f *Frozen) descendPath4(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 7
-		rec := sep[base : base+7 : base+7]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			d3 := q3 - rec[3]
-			dd := ((d0*d0 + d1*d1) + d2*d2) + d3*d3
-			if dd > rec[6] {
-				right = true
-			} else if dd >= rec[5] {
-				right = math.Sqrt(dd)-rec[4] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			s += rec[3] * q3
-			right = s-rec[4] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) descendPath5(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2, q3, q4 := q[0], q[1], q[2], q[3], q[4]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 8
-		rec := sep[base : base+8 : base+8]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			d3 := q3 - rec[3]
-			d4 := q4 - rec[4]
-			dd := (((d0*d0 + d1*d1) + d2*d2) + d3*d3) + d4*d4
-			if dd > rec[7] {
-				right = true
-			} else if dd >= rec[6] {
-				right = math.Sqrt(dd)-rec[5] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			s += rec[3] * q3
-			s += rec[4] * q4
-			right = s-rec[5] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) descendPath6(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2, q3, q4, q5 := q[0], q[1], q[2], q[3], q[4], q[5]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 9
-		rec := sep[base : base+9 : base+9]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			d3 := q3 - rec[3]
-			d4 := q4 - rec[4]
-			d5 := q5 - rec[5]
-			dd := ((((d0*d0 + d1*d1) + d2*d2) + d3*d3) + d4*d4) + d5*d5
-			if dd > rec[8] {
-				right = true
-			} else if dd >= rec[7] {
-				right = math.Sqrt(dd)-rec[6] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			s += rec[3] * q3
-			s += rec[4] * q4
-			s += rec[5] * q5
-			right = s-rec[6] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) descendPath7(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2, q3, q4, q5, q6 := q[0], q[1], q[2], q[3], q[4], q[5], q[6]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 10
-		rec := sep[base : base+10 : base+10]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			d3 := q3 - rec[3]
-			d4 := q4 - rec[4]
-			d5 := q5 - rec[5]
-			d6 := q6 - rec[6]
-			dd := (((((d0*d0 + d1*d1) + d2*d2) + d3*d3) + d4*d4) + d5*d5) + d6*d6
-			if dd > rec[9] {
-				right = true
-			} else if dd >= rec[8] {
-				right = math.Sqrt(dd)-rec[7] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			s += rec[3] * q3
-			s += rec[4] * q4
-			s += rec[5] * q5
-			s += rec[6] * q6
-			right = s-rec[7] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) descendPath8(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2, q3 := q[0], q[1], q[2], q[3]
-	q4, q5, q6, q7 := q[4], q[5], q[6], q[7]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 11
-		rec := sep[base : base+11 : base+11]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			d3 := q3 - rec[3]
-			d4 := q4 - rec[4]
-			d5 := q5 - rec[5]
-			d6 := q6 - rec[6]
-			d7 := q7 - rec[7]
-			dd := ((((((d0*d0 + d1*d1) + d2*d2) + d3*d3) + d4*d4) + d5*d5) + d6*d6) + d7*d7
-			if dd > rec[10] {
-				right = true
-			} else if dd >= rec[9] {
-				right = math.Sqrt(dd)-rec[8] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			s += rec[3] * q3
-			s += rec[4] * q4
-			s += rec[5] * q5
-			s += rec[6] * q6
-			s += rec[7] * q7
-			right = s-rec[8] > 0
 		}
 		if right {
 			i = child[i] + 1

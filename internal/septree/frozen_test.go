@@ -43,7 +43,7 @@ func equalInts(a, b []int) bool {
 // dimensions, distributions, and degenerate (forced-leaf) trees.
 func TestFrozenMatchesTree(t *testing.T) {
 	g := xrand.New(7)
-	for _, d := range []int{1, 2, 3, 4} {
+	for d := 1; d <= 9; d++ {
 		for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Clustered, pointgen.Annulus} {
 			pts := pointgen.Dedup(pointgen.MustGenerate(dist, 900, d, g.Split()))
 			sys := nbrsys.KNeighborhood(pts, 3)

@@ -36,32 +36,9 @@ type DotFunc func(a, b []float64) float64
 // coordinates in registers across all four evaluations — the loaded
 // cache lines of q are reused instead of re-fetched per candidate.
 //
-// Each lane is bit-identical to Dist2Flat(q, ·) on that operand. Because
-// (x−y)² and (y−x)² are the same floating-point value bit for bit, the
-// kernel serves both orientations of the blocked scans: one query
-// against four candidate records (candidate-blocked leaf scan) and one
-// candidate against four queries (query-blocked leaf scan) — swap which
-// role q plays.
+// Each lane is bit-identical to Dist2Flat(q, ·) on that operand. The
+// septree leaf scan feeds it one query against four candidate records.
 type Dist2Batch4Func func(q, a, b, c, d []float64) (da, db, dc, dd float64)
-
-// Dist2Batch8Func computes eight squared Euclidean distances at once:
-// from one point q to each of ps[0..7] (ps must hold at least eight
-// slices of at least the kernel's dimension). The assembly
-// implementation keeps two ymm accumulators live (four points per
-// register), so one call retires eight distances while q's broadcast
-// coordinate is loaded once per dimension. Taking the points as a
-// slice-of-slices matters for the call overhead: an assembly callee is
-// reached through an ABI0 bridge that spills every argument word to
-// the stack, and two slice headers (six words) spill far cheaper than
-// nine would — the kernel loads the eight data pointers from ps's
-// backing array itself. The query-blocked leaf scan already holds its
-// query lanes in exactly this shape.
-//
-// Each lane is bit-identical to Dist2Flat(q, ps[k]); as with
-// Dist2Batch4Func, the symmetry of (x−y)² lets the same kernel serve
-// one candidate against eight queries, which is how the blocked scan
-// orients it.
-type Dist2Batch8Func func(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
 
 // Dist2Strided8Func computes squared Euclidean distances from q to
 // eight consecutive fixed-stride records in a packed slice: lane k is
@@ -166,23 +143,12 @@ func Dist2Batch4Kernel(d int) Dist2Batch4Func {
 	}
 }
 
-// Dist2Batch8Kernel returns the eight-point squared-distance kernel for
-// dimension d, or nil when no assembly body exists for this tier,
-// build, or dimension. The eight-lane form only exists in assembly —
-// a Go version would neither vectorize reliably nor beat two unrolled
-// four-lane calls — so callers must treat nil as "use the batch-4
-// path", which is exactly what the septree blocked scans do.
-func Dist2Batch8Kernel(d int) Dist2Batch8Func {
-	if activeTier != TierAsm || d < 2 || d > 8 {
-		return nil
-	}
-	return asmBatch8[d]
-}
-
 // Dist2Strided8Kernel returns the eight-record strided squared-distance
 // kernel for dimension d, or nil when no assembly body exists for this
-// tier, build, or dimension. Like Dist2Batch8Kernel this form is
-// asm-only; nil means "scan records with the batch-4 kernel".
+// tier, build, or dimension. The eight-lane form only exists in
+// assembly — a Go version would neither vectorize reliably nor beat two
+// unrolled four-lane calls — so nil means "scan records with the batch-4
+// kernel", which is exactly what the septree leaf scan does.
 func Dist2Strided8Kernel(d int) Dist2Strided8Func {
 	if activeTier != TierAsm || d < 2 || d > 8 {
 		return nil

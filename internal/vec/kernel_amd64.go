@@ -34,31 +34,6 @@ func dist2Batch4Asm7(q, a, b, c, d []float64) (da, db, dc, dd float64)
 //go:noescape
 func dist2Batch4Asm8(q, a, b, c, d []float64) (da, db, dc, dd float64)
 
-// Eight-lane batch kernels: two ymm accumulators, eight distances per
-// indirect call. The point headers are loaded from ps inside the
-// kernel; ps must hold at least eight slices of at least d elements.
-
-//go:noescape
-func dist2Batch8Asm2(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm3(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm4(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm5(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm6(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm7(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
-//go:noescape
-func dist2Batch8Asm8(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-
 // Strided eight-record kernels over a packed record stream
 // (lane k = dist²(q, recs[k*stride:k*stride+dim])).
 
@@ -93,16 +68,6 @@ var asmBatch4 = [9]Dist2Batch4Func{
 	6: dist2Batch4Asm6,
 	7: dist2Batch4Asm7,
 	8: dist2Batch4Asm8,
-}
-
-var asmBatch8 = [9]Dist2Batch8Func{
-	2: dist2Batch8Asm2,
-	3: dist2Batch8Asm3,
-	4: dist2Batch8Asm4,
-	5: dist2Batch8Asm5,
-	6: dist2Batch8Asm6,
-	7: dist2Batch8Asm7,
-	8: dist2Batch8Asm8,
 }
 
 var asmStrided8 = [9]Dist2Strided8Func{

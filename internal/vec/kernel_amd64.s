@@ -19,9 +19,10 @@
 // VMULPD+VADDPD the Go reference performs. Cross-algorithm equality
 // tests compare distances exactly, so contraction is off the table.
 //
-// Eight-lane forms keep a second accumulator (Y7) for candidates 4..7
-// so one indirect call retires eight distances, amortizing the ABI0
-// argument spill the compiler emits around assembly callees.
+// The eight-lane strided form keeps a second accumulator (Y7) for
+// candidates 4..7 so one indirect call retires eight distances,
+// amortizing the ABI0 argument spill the compiler emits around assembly
+// callees.
 //
 // Register use stays within AX,BX,CX,DX,SI,DI,R8..R11 and Y0..Y7 — no
 // callee-special registers (BP, R14) are touched.
@@ -70,40 +71,8 @@
 	VZEROUPPER; \
 	RET
 
-// BATCH8_HEAD pulls the eight point data pointers out of ps's backing
-// array of slice headers (24 bytes apart, base word first) so the call
-// site only spills two slice headers instead of nine.
-#define BATCH8_HEAD \
-	MOVQ q_base+0(FP), AX; \
-	MOVQ ps_base+24(FP), R11; \
-	MOVQ (R11), BX; \
-	MOVQ 24(R11), CX; \
-	MOVQ 48(R11), DX; \
-	MOVQ 72(R11), SI; \
-	MOVQ 96(R11), DI; \
-	MOVQ 120(R11), R8; \
-	MOVQ 144(R11), R9; \
-	MOVQ 168(R11), R10; \
-	VXORPD Y3, Y3, Y3; \
-	VXORPD Y7, Y7, Y7
-
-#define BATCH8_TAIL \
-	VMOVSD X3, d0+48(FP); \
-	VMOVHPD X3, d1+56(FP); \
-	VEXTRACTF128 $1, Y3, X4; \
-	VMOVSD X4, d2+64(FP); \
-	VMOVHPD X4, d3+72(FP); \
-	VMOVSD X7, d4+80(FP); \
-	VMOVHPD X7, d5+88(FP); \
-	VEXTRACTF128 $1, Y7, X4; \
-	VMOVSD X4, d6+96(FP); \
-	VMOVHPD X4, d7+104(FP); \
-	VZEROUPPER; \
-	RET
-
 // STRIDED8_HEAD materializes eight record pointers base + k*stride*8
-// into the same registers STEP8 reads, so the record-stream form
-// shares the batch-8 per-dimension body.
+// into the registers STEP8 reads for lanes 0..7.
 #define STRIDED8_HEAD \
 	MOVQ q_base+0(FP), AX; \
 	MOVQ recs_base+24(FP), BX; \
@@ -202,76 +171,6 @@ TEXT ·dist2Batch4Asm8(SB), NOSPLIT, $0-152
 	STEP4(6)
 	STEP4(7)
 	BATCH4_TAIL
-
-// func dist2Batch8Asm2(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm2(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm3(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm3(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm4(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm4(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STEP8(3)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm5(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm5(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STEP8(3)
-	STEP8(4)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm6(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm6(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STEP8(3)
-	STEP8(4)
-	STEP8(5)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm7(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm7(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STEP8(3)
-	STEP8(4)
-	STEP8(5)
-	STEP8(6)
-	BATCH8_TAIL
-
-// func dist2Batch8Asm8(q []float64, ps [][]float64) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Batch8Asm8(SB), NOSPLIT, $0-112
-	BATCH8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STEP8(3)
-	STEP8(4)
-	STEP8(5)
-	STEP8(6)
-	STEP8(7)
-	BATCH8_TAIL
 
 // func dist2Strided8Asm2(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
 TEXT ·dist2Strided8Asm2(SB), NOSPLIT, $0-120

@@ -66,37 +66,6 @@ func TestAsmBatch4BitIdentity(t *testing.T) {
 	}
 }
 
-// TestAsmBatch8BitIdentity checks all eight lanes of the two-register
-// assembly kernels against Dist2Flat.
-func TestAsmBatch8BitIdentity(t *testing.T) {
-	if !AsmSupported() {
-		t.Skip("assembly kernels not available on this build/CPU")
-	}
-	for d := 2; d <= 8; d++ {
-		kern := asmBatch8[d]
-		if kern == nil {
-			t.Fatalf("d=%d: asmBatch8 entry missing", d)
-		}
-		cases := kernelCases(d)
-		ops := make([][]float64, 8)
-		for i := 0; i+8 < len(cases); i++ {
-			q := cases[i][0]
-			for k := 0; k < 8; k++ {
-				ops[k] = cases[i+1+k][k%2]
-			}
-			r := make([]float64, 8)
-			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = kern(q, ops)
-			for lane := 0; lane < 8; lane++ {
-				want := Dist2Flat(q, ops[lane])
-				if math.Float64bits(r[lane]) != math.Float64bits(want) {
-					t.Fatalf("d=%d case %d lane %d: asm batch8 %v (bits %x), Dist2Flat %v (bits %x)",
-						d, i, lane, r[lane], math.Float64bits(r[lane]), want, math.Float64bits(want))
-				}
-			}
-		}
-	}
-}
-
 // TestAsmStrided8BitIdentity packs eight records at several strides —
 // tight (stride == d) and with trailing payload slots like the frozen
 // leaf layout's radius term (stride == d+1, d+3) — and checks each lane
@@ -140,7 +109,7 @@ func TestAsmStrided8BitIdentity(t *testing.T) {
 
 // TestTierDispatch pins the dispatch-priority table: which concrete
 // function each selector serves under each tier, that the single-pair
-// forms stay unrolled under asm, and that the 8-lane selectors are nil
+// forms stay unrolled under asm, and that the 8-lane selector is nil
 // everywhere the assembly bodies don't exist.
 func TestTierDispatch(t *testing.T) {
 	prev := ActiveTier()
@@ -153,16 +122,16 @@ func TestTierDispatch(t *testing.T) {
 	if !fnEq(Dist2Batch4Kernel(4), dist2Batch4Flat) {
 		t.Fatal("TierGeneric: batch4 selector must serve dist2Batch4Flat")
 	}
-	if Dist2Batch8Kernel(4) != nil || Dist2Strided8Kernel(4) != nil {
-		t.Fatal("TierGeneric: 8-lane selectors must be nil")
+	if Dist2Strided8Kernel(4) != nil {
+		t.Fatal("TierGeneric: 8-lane selector must be nil")
 	}
 
 	SetActiveTier(TierUnrolled)
 	if !fnEq(Dist2Kernel(4), dist2Dim4) || !fnEq(Dist2Batch4Kernel(4), dist2Batch4Dim4) {
 		t.Fatal("TierUnrolled: selectors must serve the unrolled bodies")
 	}
-	if Dist2Batch8Kernel(4) != nil || Dist2Strided8Kernel(4) != nil {
-		t.Fatal("TierUnrolled: 8-lane selectors must be nil")
+	if Dist2Strided8Kernel(4) != nil {
+		t.Fatal("TierUnrolled: 8-lane selector must be nil")
 	}
 	if !fnEq(Dist2Kernel(9), Dist2Flat) {
 		t.Fatal("TierUnrolled: out-of-range dimension must fall back to flat")
@@ -188,13 +157,13 @@ func TestTierDispatch(t *testing.T) {
 		if !fnEq(Dist2Batch4Kernel(d), asmBatch4[d]) {
 			t.Fatalf("TierAsm d=%d: batch4 selector must serve the asm body", d)
 		}
-		if Dist2Batch8Kernel(d) == nil || Dist2Strided8Kernel(d) == nil {
-			t.Fatalf("TierAsm d=%d: 8-lane selectors must be non-nil", d)
+		if Dist2Strided8Kernel(d) == nil {
+			t.Fatalf("TierAsm d=%d: 8-lane selector must be non-nil", d)
 		}
 	}
 	for _, d := range []int{1, 9, 16} {
-		if Dist2Batch8Kernel(d) != nil || Dist2Strided8Kernel(d) != nil {
-			t.Fatalf("TierAsm d=%d: 8-lane selectors must be nil outside 2..8", d)
+		if Dist2Strided8Kernel(d) != nil {
+			t.Fatalf("TierAsm d=%d: 8-lane selector must be nil outside 2..8", d)
 		}
 		if !fnEq(Dist2Batch4Kernel(d), dist2Batch4Flat) {
 			t.Fatalf("TierAsm d=%d: batch4 must fall back to flat outside 2..8", d)
@@ -234,7 +203,6 @@ func TestBatchKernelsBitIdenticalAllTiers(t *testing.T) {
 		SetActiveTier(tier)
 		for d := 1; d <= 16; d++ {
 			kern := Dist2Batch4Kernel(d)
-			b8 := Dist2Batch8Kernel(d)
 			s8 := Dist2Strided8Kernel(d)
 			cases := kernelCases(d)
 			for i := 0; i+8 < len(cases); i += 4 {
@@ -247,16 +215,6 @@ func TestBatchKernelsBitIdenticalAllTiers(t *testing.T) {
 				} {
 					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
 						t.Fatalf("tier=%v d=%d case %d lane %d: batch4 mismatch", tier, d, i, lane)
-					}
-				}
-				if b8 != nil {
-					ops := [][]float64{a, b, c, dd, cases[i+5][0], cases[i+6][1], cases[i+7][0], cases[i+8][1]}
-					r := make([]float64, 8)
-					r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = b8(q, ops)
-					for lane, op := range ops {
-						if math.Float64bits(r[lane]) != math.Float64bits(Dist2Flat(q, op)) {
-							t.Fatalf("tier=%v d=%d case %d lane %d: batch8 mismatch", tier, d, i, lane)
-						}
 					}
 				}
 				if s8 != nil {
@@ -335,14 +293,6 @@ func FuzzKernelParity(f *testing.F) {
 					t.Fatalf("tier=%v d=%d lane %d: batch4 %x, flat %x", tier, d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
 				}
 			}
-			if b8 := Dist2Batch8Kernel(d); b8 != nil {
-				got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = b8(q, ops)
-				for lane := 0; lane < 8; lane++ {
-					if !bitsEq(got[lane], want[lane]) {
-						t.Fatalf("tier=%v d=%d lane %d: batch8 %x, flat %x", tier, d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
-					}
-				}
-			}
 			if s8 := Dist2Strided8Kernel(d); s8 != nil {
 				stride := d + 1
 				recs := make([]float64, 8*stride)
@@ -358,28 +308,6 @@ func FuzzKernelParity(f *testing.F) {
 			}
 		}
 	})
-}
-
-// BenchmarkDist2Batch8 measures the eight-point assembly kernels; one
-// iteration produces eight distances. Compare 2× against
-// BenchmarkDist2Batch4 for the two-register win.
-func BenchmarkDist2Batch8(b *testing.B) {
-	for _, d := range kernelBenchDims {
-		kern := Dist2Batch8Kernel(d)
-		if kern == nil {
-			b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { b.Skip("no asm batch8 on this tier/build") })
-			continue
-		}
-		pts := benchPoints(d, 64)
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			var s float64
-			for i := 0; i < b.N; i++ {
-				d0, d1, d2, d3, d4, d5, d6, d7 := kern(pts[i&63], pts[(i&55)+1:])
-				s += d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7
-			}
-			_ = s
-		})
-	}
 }
 
 // BenchmarkDist2Strided8 measures the strided record-stream kernels on

@@ -8,10 +8,9 @@ var asmSupported = false
 
 // Empty dispatch tables so kernel.go compiles unchanged; the selectors
 // never consult them when asmSupported is false (TierAsm is
-// unreachable), and the batch-8 selectors return nil for every
+// unreachable), and the strided selector returns nil for every
 // dimension, pushing callers onto the batch-4 path.
 var (
 	asmBatch4   [9]Dist2Batch4Func
-	asmBatch8   [9]Dist2Batch8Func
 	asmStrided8 [9]Dist2Strided8Func
 )

@@ -107,7 +107,7 @@ func TestDotKernelNegativeZero(t *testing.T) {
 // TestDist2Batch4KernelBitIdentical checks every lane of the four-point
 // kernels — specialized and fallback — against Dist2Flat, in both
 // orientations (q as query vs q as candidate; the squared distance is
-// bitwise symmetric, which the blocked leaf scans rely on).
+// bitwise symmetric).
 func TestDist2Batch4KernelBitIdentical(t *testing.T) {
 	for d := 1; d <= 16; d++ {
 		kern := Dist2Batch4Kernel(d)

@@ -20,8 +20,7 @@ func availableTiers() []vec.KernelTier {
 // TestGoldenAcrossKernelTiersChaos is the cross-tier golden contract
 // under every chaos profile: whatever KNN_CHAOS does to the build, and
 // whichever kernel tier (KNN_KERNELS equivalent) serves the queries,
-// every answer — sequential, batched at several block widths, open and
-// closed — must be element-for-element identical to the clean
+// every answer — sequential and batched, open and closed — must be element-for-element identical to the clean
 // generic-tier baseline. This is the acceptance gate for swapping the
 // assembly kernels into the serving path.
 func TestGoldenAcrossKernelTiersChaos(t *testing.T) {
@@ -77,27 +76,21 @@ func TestGoldenAcrossKernelTiersChaos(t *testing.T) {
 							t.Fatalf("sequential query %d: %v, baseline %v", i, got, wantOpen[i])
 						}
 					}
-					// Block widths crossing every scan shape: per-query (1),
-					// four-wide remainder (5), pure eight-wide (8), and the
-					// widened two-group maximum (16).
-					for _, w := range []int{1, 5, 8, 16} {
-						bt := qs.NewBatcher(3)
-						bt.SetBlockWidth(w)
-						if err := bt.Run(queries); err != nil {
-							t.Fatal(err)
+					bt := qs.NewBatcher(3)
+					if err := bt.Run(queries); err != nil {
+						t.Fatal(err)
+					}
+					for i := range queries {
+						if !sameInts(bt.Result(i), wantOpen[i]) {
+							t.Fatalf("batched open query %d: %v, baseline %v", i, bt.Result(i), wantOpen[i])
 						}
-						for i := range queries {
-							if !sameInts(bt.Result(i), wantOpen[i]) {
-								t.Fatalf("width=%d open query %d: %v, baseline %v", w, i, bt.Result(i), wantOpen[i])
-							}
-						}
-						if err := bt.RunClosed(queries); err != nil {
-							t.Fatal(err)
-						}
-						for i := range queries {
-							if !sameInts(bt.Result(i), wantClosed[i]) {
-								t.Fatalf("width=%d closed query %d: %v, baseline %v", w, i, bt.Result(i), wantClosed[i])
-							}
+					}
+					if err := bt.RunClosed(queries); err != nil {
+						t.Fatal(err)
+					}
+					for i := range queries {
+						if !sameInts(bt.Result(i), wantClosed[i]) {
+							t.Fatalf("batched closed query %d: %v, baseline %v", i, bt.Result(i), wantClosed[i])
 						}
 					}
 				})
@@ -108,7 +101,7 @@ func TestGoldenAcrossKernelTiersChaos(t *testing.T) {
 
 // TestGoldenKernelTiersAllDims sweeps the asm-covered dimension range:
 // at every d the tiers must return identical coverings, sequential and
-// through the widest blocked scan.
+// batched.
 func TestGoldenKernelTiersAllDims(t *testing.T) {
 	prev := vec.ActiveTier()
 	defer vec.SetActiveTier(prev)
@@ -133,7 +126,6 @@ func TestGoldenKernelTiersAllDims(t *testing.T) {
 				t.Fatal(err)
 			}
 			bt := qs.NewBatcher(2)
-			bt.SetBlockWidth(16)
 			if err := bt.Run(queries); err != nil {
 				t.Fatal(err)
 			}
@@ -146,34 +138,9 @@ func TestGoldenKernelTiersAllDims(t *testing.T) {
 					t.Fatalf("d=%d tier=%v query %d: %v, baseline %v", d, tier, i, got, want[i])
 				}
 				if !sameInts(bt.Result(i), want[i]) {
-					t.Fatalf("d=%d tier=%v blocked query %d: %v, baseline %v", d, tier, i, bt.Result(i), want[i])
+					t.Fatalf("d=%d tier=%v batched query %d: %v, baseline %v", d, tier, i, bt.Result(i), want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestBatcherZeroAllocBlockedWide asserts the widened blocked scan — the
-// path that feeds full eight-lane groups to the assembly kernels at
-// d >= 4 — still performs zero steady-state allocations per Run at the
-// new maximum width.
-func TestBatcherZeroAllocBlockedWide(t *testing.T) {
-	points := genPoints(1200, 6, 7)
-	qs, err := NewQueryStructure(points, 3, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := queryPoints(points, 256, 11)
-	for _, w := range []int{8, 16} {
-		bt := qs.NewBatcher(4)
-		bt.SetBlockWidth(w)
-		for warm := 0; warm < 3; warm++ {
-			if err := bt.Run(queries); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if avg := testing.AllocsPerRun(50, func() { bt.Run(queries) }); avg != 0 {
-			t.Fatalf("width=%d: %v allocs per steady-state Run, want 0", w, avg)
 		}
 	}
 }

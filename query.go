@@ -195,15 +195,6 @@ func (qs *QueryStructure) NewBatcher(workers int) *Batcher {
 	return &Batcher{qs: qs, b: b}
 }
 
-// SetBlockWidth sets the leaf-scan query-blocking width, clamped to
-// [1, 16]. Widths above 1 let each worker bundle queries that descend to
-// the same leaf and answer them with one streaming pass over the leaf's
-// candidate records — a throughput win when many queries land together
-// (clustered workloads, d >= 4 trees with large leaves). Answers are
-// bit-identical to the unblocked engine. Width 1 (the default) restores
-// per-query scanning. Not safe to call concurrently with Run.
-func (bt *Batcher) SetBlockWidth(w int) { bt.b.SetBlockWidth(w) }
-
 // Run answers an open-ball covering query for every element of queries.
 // Results are read with Result and stay valid until the next Run.
 func (bt *Batcher) Run(queries [][]float64) error {
