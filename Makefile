@@ -104,6 +104,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSerializeRoundTrip$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzInsertSequence$$' -fuzztime $(FUZZTIME) ./internal/topk/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serveproto/
+	$(GO) test -run '^$$' -fuzz '^FuzzServeJSONQuery$$' -fuzztime $(FUZZTIME) ./cmd/knnserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelParity$$' -fuzztime $(FUZZTIME) ./internal/vec/
 
 # Chaos matrix: the identity/degeneracy tests under every fault-injection

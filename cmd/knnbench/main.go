@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -22,6 +21,7 @@ import (
 	"time"
 
 	"sepdc"
+	"sepdc/internal/benchfile"
 	"sepdc/internal/obs"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/xrand"
@@ -45,89 +45,11 @@ type Result struct {
 	Observed     *obs.BuildReport `json:"observed,omitempty"`
 }
 
-// Env records the machine and build the numbers were taken on.
-type Env struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"num_cpu"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	CPUModel   string `json:"cpu_model,omitempty"`
-	GitCommit  string `json:"git_commit,omitempty"`
-	// CPUFeatures and KernelTier pin which distance-kernel dispatch the
-	// numbers were taken under: the detected vector features
-	// ("avx,avx2,fma,..." or "none") and the tier the process resolved
-	// ("asm", "unrolled", or "generic" — KNN_KERNELS overrides).
-	CPUFeatures string `json:"cpu_features,omitempty"`
-	KernelTier  string `json:"kernel_tier,omitempty"`
-}
-
-// Report is the whole BENCH_knn.json document. Every run rewrites the
-// header fields; the sections are held as raw JSON so that a run marshals
-// only the sections it measures and carries every other section of the
-// existing -out file forward byte for byte. That covers sections this
-// tool never measures (serve, written by knnload) and sections it no
-// longer measures (layout, the recorded baseline of a retired
-// configuration).
-type Report struct {
-	Generated  string          `json:"generated"`
-	GoVersion  string          `json:"go_version"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Env        Env             `json:"env"`
-	Note       string          `json:"note"`
-	Baseline   json.RawMessage `json:"baseline,omitempty"`
-	Results    json.RawMessage `json:"results,omitempty"`
-	Query      json.RawMessage `json:"query,omitempty"`
-	Obs        json.RawMessage `json:"obs_overhead,omitempty"`
-	Journal    json.RawMessage `json:"journal,omitempty"`
-	Kernels    json.RawMessage `json:"kernels,omitempty"`
-	Layout     json.RawMessage `json:"layout,omitempty"`
-	Serve      json.RawMessage `json:"serve,omitempty"`
-}
-
-// update reads the report at path, lets measure overwrite the header and
-// the sections it re-measures, and writes the report back. Sections
-// measure leaves alone keep their bytes in a two-space-indented record:
-// the encoder re-indents raw sections at the depth they were read from
-// and leaves their string escapes alone (HTML escaping is off). A
-// missing file starts an empty report unless mustExist is set (the -only
-// modes merge into a record, so they need one); path "-" starts empty
-// and writes to stdout.
-func update(path string, mustExist bool, measure func(rep *Report) error) error {
-	var rep Report
-	if path != "-" {
-		raw, err := os.ReadFile(path)
-		switch {
-		case err == nil:
-			if err := json.Unmarshal(raw, &rep); err != nil {
-				return fmt.Errorf("parse existing report %s: %w", path, err)
-			}
-		case mustExist || !os.IsNotExist(err):
-			return fmt.Errorf("read existing report: %w", err)
-		}
-	}
-	if err := measure(&rep); err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(&rep); err != nil {
-		return err
-	}
-	if path == "-" {
-		_, err := os.Stdout.Write(buf.Bytes())
-		return err
-	}
-	return os.WriteFile(path, buf.Bytes(), 0o644)
-}
-
 // captureEnv gathers the environment header: toolchain, CPU shape, the CPU
 // model from /proc/cpuinfo (Linux; absent elsewhere), and the git commit
 // from build info (module builds) or the working tree (go run).
-func captureEnv() Env {
-	env := Env{
+func captureEnv() benchfile.Env {
+	env := benchfile.Env{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -249,7 +171,7 @@ func remeasureObs(path string, queries, queryIters int) error {
 	if path == "-" {
 		return fmt.Errorf("-only obs needs a real -out file to merge into")
 	}
-	return update(path, true, func(rep *Report) error {
+	return benchfile.Update(path, true, func(rep *benchfile.Report) error {
 		or, err := runObsBench(queries, queryIters)
 		if err != nil {
 			return fmt.Errorf("obs bench: %w", err)
@@ -283,7 +205,7 @@ func remeasureKernels(path string, dims []int) error {
 	if len(dims) == 0 {
 		return fmt.Errorf("-only kernels with the section disabled (-dims 0) measures nothing")
 	}
-	return update(path, true, func(rep *Report) error {
+	return benchfile.Update(path, true, func(rep *benchfile.Report) error {
 		var err error
 		if rep.Kernels, err = json.Marshal(runKernelBench(dims)); err != nil {
 			return err
@@ -322,7 +244,7 @@ func main() {
 	// without paying for a full-grid regeneration (hours on small hosts).
 	switch *only {
 	case "":
-		err = update(*out, false, func(rep *Report) error {
+		err = benchfile.Update(*out, false, func(rep *benchfile.Report) error {
 			return measureAll(rep, *iters, *queries, *queryIters, procs, dims)
 		})
 	case "obs":
@@ -341,7 +263,7 @@ func main() {
 // measureAll is the full regeneration: the header, the build grid and,
 // unless disabled by -queries 0 or -dims 0, the serving and kernel
 // sections. Sections it does not measure keep their recorded values.
-func measureAll(rep *Report, iters, queries, queryIters int, procs, dims []int) error {
+func measureAll(rep *benchfile.Report, iters, queries, queryIters int, procs, dims []int) error {
 	rep.Generated = time.Now().UTC().Format(time.RFC3339)
 	rep.GoVersion = runtime.Version()
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)

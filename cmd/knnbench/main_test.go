@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"sepdc/internal/benchfile"
 )
 
 // fixtureReport is a small BENCH_knn.json holding the two sections
@@ -98,7 +100,7 @@ func writeFixture(t *testing.T) string {
 func TestRegenerateKeepsUnmeasuredSections(t *testing.T) {
 	path := writeFixture(t)
 	before := sections(t, path)
-	err := update(path, false, func(rep *Report) error {
+	err := benchfile.Update(path, false, func(rep *benchfile.Report) error {
 		rep.Note = "regenerated"
 		var err error
 		if rep.Baseline, err = json.Marshal(baseline); err != nil {

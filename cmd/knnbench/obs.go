@@ -21,10 +21,10 @@ import (
 // fully traced on top of that — every query carrying a request trace
 // context through RunTraced, with every 16th request sampled (the
 // knnload -trace-every default). Client-sampled queries take the timed
-// phase-split route but record only their exemplar and journal timing
-// (RecordExemplar), so the traced mode's recorder aggregates are
-// identical to the journaled mode's; the traced_vs_jour_pct delta is
-// the cost of the tracing layer itself. The acceptance budget is <= 5%
+// phase-split route, but their journal events are not Ticked, so the
+// chunk fold records only their exemplar and the traced mode's recorder
+// aggregates are identical to the journaled mode's; the
+// traced_vs_jour_pct delta is the cost of the tracing layer itself. The acceptance budget is <= 5%
 // on that delta and zero allocations per pass.
 type ObsOverhead struct {
 	N                int     `json:"n"`
@@ -51,11 +51,11 @@ type ObsOverhead struct {
 	// budgets of the observer and journal layers, which were accepted
 	// separately.
 	TracedVsJour float64 `json:"traced_vs_jour_pct"`
-	NilAllocs        int64   `json:"nil_allocs_per_pass"`
-	ObsAllocs        int64   `json:"obs_allocs_per_pass"`
-	JourAllocs       int64   `json:"jour_allocs_per_pass"`
-	TracedAllocs     int64   `json:"traced_allocs_per_pass"`
-	SampledTotal     int64   `json:"sampled_total"` // timed queries absorbed by the recorder
+	NilAllocs    int64   `json:"nil_allocs_per_pass"`
+	ObsAllocs    int64   `json:"obs_allocs_per_pass"`
+	JourAllocs   int64   `json:"jour_allocs_per_pass"`
+	TracedAllocs int64   `json:"traced_allocs_per_pass"`
+	SampledTotal int64   `json:"sampled_total"` // timed queries absorbed by the recorder
 }
 
 // measureObsOverhead times nil-observer vs instrumented serving with the

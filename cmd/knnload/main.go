@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"sepdc"
+	"sepdc/internal/benchfile"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/serveproto"
 	"sepdc/internal/xrand"
@@ -425,28 +426,15 @@ func hashShape(s string) uint64 {
 	return h
 }
 
-// mergeBench merges the serve section into an existing BENCH_knn.json,
-// preserving every other section verbatim (the file is knnbench's; this
+// mergeBench merges the serve section into BENCH_knn.json through the
+// record's one writer, leaving every other section byte-identical (this
 // tool owns only the "serve" key).
 func mergeBench(path string, sec *ServeSection) error {
-	doc := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return fmt.Errorf("parse %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
+	return benchfile.Update(path, false, func(rep *benchfile.Report) error {
+		var err error
+		rep.Serve, err = json.Marshal(sec)
 		return err
-	}
-	enc, err := json.Marshal(sec)
-	if err != nil {
-		return err
-	}
-	doc["serve"] = enc
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
+	})
 }
 
 func main() {

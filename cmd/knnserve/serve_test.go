@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	"sepdc"
 	"sepdc/internal/obs"
+	"sepdc/internal/obs/promtext"
 	"sepdc/internal/serveproto"
 	"sepdc/internal/xrand"
 )
@@ -650,6 +653,86 @@ func TestServeMetricsExposed(t *testing.T) {
 	}
 }
 
+// TestServeQueriesTotalSurvivesSwap: each replica's observer lives for
+// the process, so its exact query counter keeps counting across a
+// snapshot swap instead of restarting from zero.
+func TestServeQueriesTotalSurvivesSwap(t *testing.T) {
+	srv, ts := newTestServer(t, testConfig())
+	client := ts.Client()
+	served := func() float64 {
+		t.Helper()
+		resp, err := client.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		exp, err := promtext.Lint(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := exp.Find("sepdc_serve_serve0_queries_total")
+		if len(got) != 1 {
+			t.Fatalf("serve0 queries_total series: %+v", got)
+		}
+		return got[0].Value
+	}
+	// Round-robin admission alternates replicas; four requests reach
+	// replica 0 at least once.
+	queries := testQueries(srv, 8, 17)
+	for i := 0; i < 4; i++ {
+		postJSON(t, client, ts.URL, queries, false)
+	}
+	before := served()
+	if before == 0 {
+		t.Fatal("serve0 counted no queries before the swap")
+	}
+	resp, err := client.Post(ts.URL+"/swap", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /swap: %s", resp.Status)
+	}
+	if after := served(); after < before {
+		t.Fatalf("serve0 queries_total fell across the swap: %v -> %v", before, after)
+	}
+	for i := 0; i < 4; i++ {
+		postJSON(t, client, ts.URL, queries, false)
+	}
+	if after := served(); after <= before {
+		t.Fatalf("serve0 stopped counting after the swap: %v -> %v", before, after)
+	}
+}
+
+// TestServeFlightBundleCarriesTail: knnserve's flight recorder watches
+// replica 0's observer, so a bundle carries tail.json with the
+// replica's served-query count.
+func TestServeFlightBundleCarriesTail(t *testing.T) {
+	cfg := testConfig()
+	cfg.flightDir = t.TempDir()
+	srv, ts := newTestServer(t, cfg)
+	for i := 0; i < 4; i++ {
+		postJSON(t, ts.Client(), ts.URL, testQueries(srv, 8, 23), false)
+	}
+	bundle, err := srv.fr.Capture("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(bundle, "tail.json"))
+	if err != nil {
+		t.Fatalf("bundle has no tail.json: %v", err)
+	}
+	var snap obs.ServeSnapshot
+	if err := json.Unmarshal(raw, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Queries == 0 {
+		t.Fatalf("tail.json counts no served queries: %s", raw)
+	}
+}
+
 // TestServeTraceEndToEnd: a request carrying a W3C traceparent is
 // traceable through the whole serving path — the context is echoed on
 // the response, the request's span summary appears on /traces, every
@@ -777,9 +860,8 @@ func TestServeTraceEndToEnd(t *testing.T) {
 	}
 
 	// The trace rides the latency histograms as an OpenMetrics exemplar
-	// even though no tick-sampled observation has landed yet — exactly
-	// the fresh-recorder state a scrape sees right after a swap. A
-	// forced query must never feed the bucket counts themselves.
+	// even though no tick-sampled observation has landed yet. A forced
+	// query must never feed the bucket counts themselves.
 	_, metrics := get("/metrics")
 	if !strings.Contains(metrics, `trace_id="`+traceID+`"`) {
 		t.Fatalf("traced request left no exemplar on /metrics:\n%s", metrics)

@@ -63,7 +63,6 @@ type generation struct {
 	seed     uint64 // tree-build seed (answers are seed-independent)
 	qs       *sepdc.QueryStructure
 	batchers []*sepdc.Batcher
-	obs      []*sepdc.ServeObserver
 	inflight atomic.Int64 // passes currently pinned to this generation
 }
 
@@ -86,7 +85,13 @@ type server struct {
 	// in a process whose Batchers are replaced by every swap.
 	passLat obs.AtomicHist
 
-	journals []*sepdc.QueryJournal
+	// observers and journals are per replica and live for the process:
+	// every generation's Batcher for replica i attaches observers[i] and
+	// journals[i], so counters never reset across swaps. Sharing is safe
+	// because one replica goroutine drives each generation's Batcher in
+	// turn.
+	observers []*sepdc.ServeObserver
+	journals  []*sepdc.QueryJournal
 
 	// traces is the request-trace log behind /traces: every request gets
 	// a trace context (parsed from its traceparent header, else generated
@@ -116,8 +121,8 @@ type server struct {
 	opPool sync.Pool
 }
 
-// observerName returns the stable per-replica exposition name; swaps
-// re-register the same names via ReplaceServeObserver.
+// observerName returns the per-replica exposition name of replica i's
+// observer and journal.
 func observerName(i int) string { return "serve" + strconv.Itoa(i) }
 
 // newServer generates the point set, builds generation 0, registers
@@ -137,8 +142,10 @@ func newServer(cfg serverConfig) (*server, error) {
 	s.passLat.Reset()
 	s.opPool.New = func() any { return newOp() }
 
+	s.observers = make([]*sepdc.ServeObserver, cfg.replicas)
 	s.journals = make([]*sepdc.QueryJournal, cfg.replicas)
 	for i := range s.journals {
+		s.observers[i] = sepdc.NewServeObserver(observerName(i), sepdc.ServeObserverConfig{})
 		s.journals[i] = sepdc.NewQueryJournal(observerName(i), sepdc.QueryJournalConfig{PerStrand: cfg.ringSize})
 	}
 	s.traces = sepdc.NewTraceLog("serve", sepdc.TraceLogConfig{})
@@ -169,7 +176,8 @@ func newServer(cfg serverConfig) (*server, error) {
 // latency histogram (stable across snapshot swaps, unlike any one
 // generation's Batchers) and ticks its burn-rate evaluator from a
 // dedicated goroutine — AtomicHist sources may be evaluated
-// concurrently with serving.
+// concurrently with serving. Bundles carry replica 0's journal, its
+// observer's slow tail (tail.json) and the request traces.
 func (s *server) startFlight() error {
 	fr, err := sepdc.NewFlightRecorder(sepdc.FlightConfig{
 		Dir:              s.cfg.flightDir,
@@ -180,7 +188,7 @@ func (s *server) startFlight() error {
 	if err != nil {
 		return err
 	}
-	if err := fr.Watch("serve_pass", s.passLat.Snapshot, s.journals[0], nil, s.traces); err != nil {
+	if err := fr.Watch("serve_pass", s.passLat.Snapshot, s.journals[0], s.observers[0], s.traces); err != nil {
 		return err
 	}
 	s.fr = fr
@@ -202,10 +210,9 @@ func (s *server) startFlight() error {
 	return nil
 }
 
-// buildGeneration builds one snapshot generation: query structure,
-// per-replica Batchers, and per-replica observers re-registered under
-// the stable names (ReplaceServeObserver — the previous generation's
-// deferred Close is identity-checked and cannot drop these slots).
+// buildGeneration builds one snapshot generation: the query structure
+// and per-replica Batchers attached to the replicas' observers and
+// journals.
 func (s *server) buildGeneration(seed uint64) (*generation, error) {
 	qs, err := sepdc.NewQueryStructure(s.points, s.cfg.k, seed)
 	if err != nil {
@@ -216,13 +223,11 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 		seed:     seed,
 		qs:       qs,
 		batchers: make([]*sepdc.Batcher, s.cfg.replicas),
-		obs:      make([]*sepdc.ServeObserver, s.cfg.replicas),
 	}
 	s.gens.Add(1)
 	for i := 0; i < s.cfg.replicas; i++ {
-		gen.obs[i] = sepdc.ReplaceServeObserver(observerName(i), sepdc.ServeObserverConfig{})
 		bt := qs.NewBatcher(s.cfg.workers)
-		bt.Observe(gen.obs[i])
+		bt.Observe(s.observers[i])
 		bt.Journal(s.journals[i])
 		gen.batchers[i] = bt
 	}
@@ -231,12 +236,7 @@ func (s *server) buildGeneration(seed uint64) (*generation, error) {
 
 // releaseGeneration is the snapshot.Holder release callback: it runs
 // once, after the swap that replaced gen AND the last reader's unpin.
-// The observers' Close is the replace-safe no-op unless the server is
-// shutting down and the generation still owns its names.
 func (s *server) releaseGeneration(gen *generation) {
-	for _, o := range gen.obs {
-		o.Close()
-	}
 	obs.SetGauge(obs.GaugeKey{Name: "sepdc_serve_generations_released"},
 		"Snapshot generations fully drained and released.",
 		float64(s.swapped.Load()))
@@ -313,8 +313,9 @@ func (s *server) Close() {
 		s.fr.Close()
 	}
 	s.snap.Close()
-	for _, j := range s.journals {
-		j.Close()
+	for i := range s.journals {
+		s.observers[i].Close()
+		s.journals[i].Close()
 	}
 	s.traces.Close()
 }

@@ -19,10 +19,11 @@ func testSources() Sources {
 		{Batch: 1, Query: 2, Leaf: -1, Nodes: 3},
 	})
 	j.Strand(1).Publish([]obs.JournalEvent{{Batch: 1, Query: 1, Leaf: 5, Nodes: 4}})
-	rec := obs.NewServeRecorder(obs.ServeConfig{Every: true, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(3)
-	s.Record(700, 500, 4, 9, 2, []int32{0, 1, 3})
+	rec := obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 1}, 1)
+	obs.PublishChunk(nil, rec.Strand(0), []obs.JournalEvent{
+		{Nodes: 4, Scanned: 9, Reported: 2, Sampled: true, Ticked: true, DescentNs: 700, ScanNs: 500},
+		{}, {},
+	}, [][]int32{{0, 1, 3}, nil, nil})
 	return Sources{
 		Journal: j,
 		Serve:   rec,

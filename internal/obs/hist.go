@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 )
 
 // histBuckets is the number of log2 buckets. Bucket semantics, exactly:
@@ -146,4 +147,74 @@ func bucketLe(i int) int64 {
 		return math.MaxInt64
 	}
 	return int64(1)<<uint(i) - 1
+}
+
+// AtomicHist is the race-safe form of the log2 histogram: identical
+// bucket semantics (see histBuckets), every field an atomic, so
+// concurrent writers and Snapshot readers need no lock. Multi-field
+// reads under concurrent writes are individually consistent but not
+// mutually transactional — a telemetry snapshot may be mid-observation
+// by one count, which is the standard Prometheus contract.
+type AtomicHist struct {
+	count   atomic.Int64
+	sum     atomic.Int64
+	min     atomic.Int64
+	max     atomic.Int64
+	buckets [histBuckets]atomic.Int64
+}
+
+// Reset arms an AtomicHist for first use (min must start at MaxInt64 so
+// the CAS floor works; the zero value's min of 0 would stick), so
+// recording never needs a lazy-init branch.
+func (h *AtomicHist) Reset() { h.min.Store(math.MaxInt64) }
+
+// Observe records one value (negatives clamp to 0, as in histogram).
+func (h *AtomicHist) Observe(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	h.count.Add(1)
+	h.sum.Add(v)
+	for {
+		m := h.min.Load()
+		if v >= m || h.min.CompareAndSwap(m, v) {
+			break
+		}
+	}
+	for {
+		m := h.max.Load()
+		if v <= m || h.max.CompareAndSwap(m, v) {
+			break
+		}
+	}
+	h.buckets[bucketOf(v)].Add(1)
+}
+
+// Snapshot returns the histogram in export form.
+func (h *AtomicHist) Snapshot() Hist {
+	var plain histogram
+	plain.min = math.MaxInt64
+	h.mergeInto(&plain)
+	if plain.count == 0 {
+		plain.min = math.MaxInt64 // snapshot() normalizes to 0
+	}
+	return plain.snapshot()
+}
+
+func (h *AtomicHist) mergeInto(dst *histogram) {
+	c := h.count.Load()
+	if c == 0 {
+		return
+	}
+	dst.count += c
+	dst.sum += h.sum.Load()
+	if m := h.min.Load(); m < dst.min {
+		dst.min = m
+	}
+	if m := h.max.Load(); m > dst.max {
+		dst.max = m
+	}
+	for i := range dst.buckets {
+		dst.buckets[i] += h.buckets[i].Load()
+	}
 }

@@ -162,8 +162,8 @@ func histFamEx(pw *promtext.Writer, name, help string, labels []promtext.Label, 
 		}
 	}
 	// An exemplar may sit in a bucket the snapshot elides: Hist.Buckets
-	// lists non-empty buckets only, and RecordExemplar deliberately does
-	// not feed the aggregate counts. Union those Les in as zero-count
+	// lists non-empty buckets only, and a forced (traced, unticked) query
+	// deliberately does not feed the aggregate counts. Union those Les in as zero-count
 	// cumulative points so every exemplar has a bucket line to ride.
 	counts := make(map[int64]int64, len(h.Buckets))
 	les := make([]int64, 0, len(h.Buckets)+len(byLe))

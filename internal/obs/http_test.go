@@ -12,16 +12,14 @@ import (
 // TestMetricsHandlerExposition: a scrape of /metrics must be a valid
 // Prometheus text exposition carrying the registered telemetry.
 func TestMetricsHandlerExposition(t *testing.T) {
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 64, Tail: 4}, 2)
+	rec := NewServeRecorder(ServeConfig{SampleEvery: 1}, 2)
 	s := rec.Strand(0)
 	for i := 0; i < 100; i++ {
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(int64(200+i), int64(100+i), 6, 9, 2, []int32{0, 3, 7})
-		}
+		feed(s, TailSample{DescentNs: int64(200 + i), ScanNs: int64(100 + i), Nodes: 6, Scanned: 9, Reported: 2},
+			[]int32{0, 3, 7}, true)
 	}
 	RegisterServe("testengine", rec)
-	defer RegisterServe("testengine", nil)
+	defer UnregisterServe("testengine", rec)
 	SetGauge(GaugeKey{Name: "sepdc_audit_pass", LabelName: "gen", LabelValue: "uniform-ball"},
 		"1 when every audit check passed.", 1)
 
@@ -60,14 +58,11 @@ func TestMetricsHandlerExposition(t *testing.T) {
 // TestStatszJSON: /statsz must carry the full machine-readable snapshot
 // including tail samples with descent paths.
 func TestStatszJSON(t *testing.T) {
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(1)
-	if s.ShouldSample() {
-		s.Record(900, 600, 5, 7, 1, []int32{0, 2, 6, 14})
-	}
+	rec := NewServeRecorder(ServeConfig{SampleEvery: 1}, 1)
+	feed(rec.Strand(0), TailSample{DescentNs: 900, ScanNs: 600, Nodes: 5, Scanned: 7, Reported: 1},
+		[]int32{0, 2, 6, 14}, true)
 	RegisterServe("statszengine", rec)
-	defer RegisterServe("statszengine", nil)
+	defer UnregisterServe("statszengine", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

@@ -58,6 +58,12 @@ type JournalEvent struct {
 	// Sampled marks a fully timed phase-split query; only then are the
 	// three latency fields non-zero.
 	Sampled bool `json:"sampled"`
+	// Ticked marks a query timed by the engine's own 1-in-SampleEvery
+	// tick: only those feed a ServeRecorder's aggregates. A Sampled
+	// event without it was timed because its request carried a sampled
+	// trace, and feeds only its latency bucket's exemplar. Not stored in
+	// the journal ring.
+	Ticked bool `json:"-"`
 	// LatencyNs is always DescentNs + ScanNs: the ring stores the phase
 	// split and derives the total (with Seq and Strand) at read time, so
 	// the hot path moves fewer bytes per query than the export form.
@@ -124,36 +130,22 @@ func (c JournalConfig) perStrand() int {
 // Journal is a long-lived, sharded wide-event ring. All methods are
 // nil-safe; Snapshot/Drain may be called concurrently with publishing.
 type Journal struct {
-	cfg JournalConfig
-
-	mu      sync.Mutex // guards strand-slice growth only
-	strands []*JournalStrand
+	cfg     JournalConfig
+	strands strandSet[JournalStrand]
 }
 
 // NewJournal returns a journal with the given strand count (grown on
-// demand by Ensure/Strand).
+// demand by Strand).
 func NewJournal(cfg JournalConfig, strands int) *Journal {
 	j := &Journal{cfg: cfg}
-	j.Ensure(strands)
+	if strands > 0 {
+		j.Strand(strands - 1)
+	}
 	return j
 }
 
 // Config returns the journal's resolved configuration.
 func (j *Journal) Config() JournalConfig { return j.cfg }
-
-// Ensure grows the journal to at least n strands. Safe to call
-// concurrently with publishing on existing strands (stable pointers,
-// slice replaced, never resized in place).
-func (j *Journal) Ensure(n int) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for len(j.strands) < n {
-		j.strands = append(j.strands, newJournalStrand(j, len(j.strands)))
-	}
-}
 
 // Strand returns strand i, growing the journal if needed. Nil-safe: a
 // nil journal hands out a nil strand whose methods all no-op.
@@ -161,13 +153,37 @@ func (j *Journal) Strand(i int) *JournalStrand {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	for len(j.strands) <= i {
-		j.strands = append(j.strands, newJournalStrand(j, len(j.strands)))
+	return j.strands.at(i, j.newStrand)
+}
+
+func (j *Journal) newStrand(idx int) *JournalStrand {
+	return &JournalStrand{idx: idx, ring: make([]journalRec, j.cfg.perStrand())}
+}
+
+// strandSet is the grow-only per-strand list behind Journal and
+// ServeRecorder. Element pointers are stable and the slice is replaced,
+// never resized in place, so growing is safe concurrently with
+// publishing on existing strands.
+type strandSet[T any] struct {
+	mu   sync.Mutex
+	list []*T
+}
+
+// at returns element i, creating elements up to i with mk.
+func (s *strandSet[T]) at(i int, mk func(idx int) *T) *T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.list) <= i {
+		s.list = append(s.list, mk(len(s.list)))
 	}
-	s := j.strands[i]
-	j.mu.Unlock()
-	return s
+	return s.list[i]
+}
+
+// all returns a copy of the current elements.
+func (s *strandSet[T]) all() []*T {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]*T(nil), s.list...)
 }
 
 // JournalStrand is one strand's event ring. Publish is driven by one
@@ -184,10 +200,6 @@ type JournalStrand struct {
 	dropped   uint64 // events overwritten before any Drain saw them
 
 	_ [64]byte // keep hot strands off each other's cache lines
-}
-
-func newJournalStrand(j *Journal, idx int) *JournalStrand {
-	return &JournalStrand{idx: idx, ring: make([]journalRec, j.cfg.perStrand())}
 }
 
 // Publish appends a chunk of events to the strand's ring. Seq, Strand,
@@ -316,9 +328,7 @@ func (j *Journal) Accounting() JournalAccounting {
 	if j == nil {
 		return JournalAccounting{}
 	}
-	j.mu.Lock()
-	strands := append([]*JournalStrand(nil), j.strands...)
-	j.mu.Unlock()
+	strands := j.strands.all()
 	var acc JournalAccounting
 	for _, s := range strands {
 		pub, over, drop := s.accounting()
@@ -355,9 +365,7 @@ func (j *Journal) read(consume bool) JournalDrain {
 	if j == nil {
 		return JournalDrain{}
 	}
-	j.mu.Lock()
-	strands := append([]*JournalStrand(nil), j.strands...)
-	j.mu.Unlock()
+	strands := j.strands.all()
 	d := JournalDrain{Strands: len(strands), Capacity: j.cfg.perStrand()}
 	for _, s := range strands {
 		var pub, drop uint64

@@ -117,7 +117,6 @@ func TestJournalSnapshotDoesNotDisturbDrain(t *testing.T) {
 
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	j.Ensure(4)
 	if s := j.Strand(2); s != nil {
 		t.Fatalf("nil journal handed out strand %v", s)
 	}
@@ -133,7 +132,6 @@ func TestJournalNilSafe(t *testing.T) {
 
 func TestJournalEnsureGrows(t *testing.T) {
 	j := NewJournal(JournalConfig{}, 1)
-	j.Ensure(3)
 	j.Strand(5).Publish(mkEvents(1, 0, 1))
 	d := j.Snapshot()
 	if d.Strands != 6 {

@@ -63,40 +63,24 @@ func infoSnapshot() map[string]string {
 	return out
 }
 
-// RegisterServe publishes a serve recorder under name (e.g. "batch");
-// re-registering a name replaces the previous recorder. A nil recorder
-// unregisters. The /metrics handler exports its snapshot per scrape.
-func RegisterServe(name string, r *ServeRecorder) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if r == nil {
-		delete(reg.serves, name)
-		return
-	}
-	reg.serves[name] = r
-}
-
-// RegisterServeIfAbsent publishes r under name only when the name is
+// RegisterServe publishes r under name (e.g. "batch") when the name is
 // free, and returns the recorder that owns the slot afterwards: r when
-// the registration won, the incumbent otherwise (registered reports
-// which). Replacing deliberately goes through RegisterServe; this is
-// the deterministic-name path for callers that must not silently drop
-// a live recorder's exposition slot.
-func RegisterServeIfAbsent(name string, r *ServeRecorder) (owner *ServeRecorder, registered bool) {
+// the registration won, the incumbent otherwise. The first recorder
+// registered under a name keeps its exposition slot until
+// UnregisterServe; the /metrics handler exports its snapshot per scrape.
+func RegisterServe(name string, r *ServeRecorder) *ServeRecorder {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	if cur, ok := reg.serves[name]; ok {
-		return cur, false
+		return cur
 	}
 	reg.serves[name] = r
-	return r, true
+	return r
 }
 
 // UnregisterServe removes name's registration only when r still owns
-// the slot. This is the safe teardown for replaceable observers: after
-// a hot swap re-registers name via RegisterServe, the replaced
-// observer's deferred close must become a no-op instead of silently
-// dropping the replacement's live exposition slot.
+// the slot, so a handle that lost the registration race closes as a
+// no-op instead of dropping the owner's live exposition slot.
 func UnregisterServe(name string, r *ServeRecorder) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()

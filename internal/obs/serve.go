@@ -10,228 +10,112 @@ import (
 // This file is the serving-side half of the observability layer: where a
 // build Recorder observes one construction and dies with it, a
 // ServeRecorder is a long-lived per-engine latency capture for the
-// batched query path. Design constraints, in order:
+// batched query path. It records nothing per query. The batch engine
+// writes one JournalEvent per query into a strand-local chunk buffer and
+// ends each chunk with one PublishChunk call, which folds the chunk's
+// events into the recorder's aggregates — exact query count, sampled
+// phase-split histograms, rolling-window quantiles, slowest-query tail,
+// exemplars — under one strand lock. Design constraints, in order:
 //
-//  1. A nil recorder (or nil strand) must cost one predictable branch
-//     per query on the batch hot loop and allocate nothing — the same
-//     contract as Shard.
+//  1. A nil recorder (or nil strand) costs nothing per query and
+//     allocates nothing — the same contract as Shard.
 //
 //  2. An enabled recorder must not serialize the strands and must not
-//     allocate in steady state. Each batch strand records into its own
-//     cache-padded ServeStrand; the recording fields are atomics (so
-//     concurrent Snapshot readers are race-free) but are only ever
-//     written by one strand at a time, so there is no cross-strand
-//     contention. The only lock is a per-strand mutex on the tail
-//     sampler, taken when a query beats the current admission threshold
-//     — by construction a vanishing fraction of traffic.
+//     allocate in steady state. Each batch strand folds into its own
+//     cache-padded ServeStrand; its one mutex is taken once per chunk by
+//     the owning strand and briefly by Snapshot readers.
 //
 //  3. Full per-query timing is sampled. The frozen descent costs a few
 //     hundred nanoseconds; bracketing every query with three monotonic
-//     clock reads would be a double-digit-percent tax. A strand instead
-//     times 1 in 2^SampleShift queries (deterministically, on a
-//     strand-local tick), and the sampled queries take a phase-split
-//     path: descent and leaf-scan timed separately, descent path
-//     captured for the tail sampler. The untimed majority pay one
-//     branch. Counts of queries/nodes/candidates remain exact (the
-//     batch engine tracks them regardless).
+//     clock reads would be a double-digit-percent tax. The engine times
+//     1 in SampleEvery queries (deterministically, on a strand-local
+//     tick) and marks them Ticked; only those feed the histograms,
+//     window and tail. A query timed because its request carried a
+//     sampled trace feeds only its latency bucket's exemplar, so traced
+//     traffic cannot skew the sampled statistics.
 
-// ServeConfig configures a ServeRecorder. The zero value selects the
-// defaults noted per field.
+// ServeConfig configures a ServeRecorder.
 type ServeConfig struct {
-	// SampleShift samples 1 in 2^SampleShift queries for full phase-split
-	// timing. 0 means the default (4, i.e. 1 in 16); use Every to time
-	// every query.
-	SampleShift uint
-	// Every times every query (SampleShift is ignored). Costly — for
-	// tests and offline analysis, not serving.
-	Every bool
-	// Window is the per-strand rolling window (in sampled queries) the
-	// p50/p95/p99/p999 snapshot quantiles are computed over. 0 selects
-	// 512; snapshots merge the windows of every strand.
-	Window int
-	// Tail is how many of the slowest sampled queries each strand
-	// retains, with descent path and candidate counts. 0 selects 8.
-	Tail int
-	// PathCap bounds the descent-path nodes stored per tail sample
-	// (deeper paths are truncated). 0 selects 64 — comfortably above the
-	// O(log n) height of any feasible tree.
-	PathCap int
+	// SampleEvery times 1 in SampleEvery queries, rounded up to a power
+	// of two; 1 times every query (costly — for tests and offline
+	// analysis, not serving). 0 selects 16.
+	SampleEvery int
 }
 
 const (
-	defaultServeShift   = 4
-	defaultServeWindow  = 512
-	defaultServeTail    = 8
-	defaultServePathCap = 64
+	defaultSampleEvery = 16
+	// serveWindow is each strand's rolling window, in sampled queries,
+	// behind the p50/p95/p99/p999 snapshot quantiles; snapshots merge
+	// the windows of every strand.
+	serveWindow = 512
+	// serveTail is how many of the slowest sampled queries each strand
+	// retains, with descent path and candidate counts.
+	serveTail = 8
+	// tailPathCap bounds the descent-path nodes stored per tail sample
+	// (deeper paths are truncated) — comfortably above the O(log n)
+	// height of any feasible tree.
+	tailPathCap = 64
 )
-
-func (c ServeConfig) shift() uint {
-	if c.Every {
-		return 0
-	}
-	if c.SampleShift == 0 {
-		return defaultServeShift
-	}
-	return c.SampleShift
-}
-
-func (c ServeConfig) window() int {
-	if c.Window <= 0 {
-		return defaultServeWindow
-	}
-	return c.Window
-}
-
-func (c ServeConfig) tail() int {
-	if c.Tail <= 0 {
-		return defaultServeTail
-	}
-	return c.Tail
-}
-
-func (c ServeConfig) pathCap() int {
-	if c.PathCap <= 0 {
-		return defaultServePathCap
-	}
-	return c.PathCap
-}
 
 // ServeRecorder is a long-lived, sharded latency recorder for a batched
 // query engine. All methods are nil-safe; Snapshot may be called
-// concurrently with recording.
+// concurrently with publishing.
 type ServeRecorder struct {
-	cfg ServeConfig
-
-	mu      sync.Mutex // guards strand-slice growth only
-	strands []*ServeStrand
-
-	seq atomic.Uint64 // global sample sequence (tail-sample recency)
+	every   int64
+	strands strandSet[ServeStrand]
+	seq     atomic.Uint64 // global tail-admission sequence (recency)
 }
 
 // NewServeRecorder returns a recorder with the given strand count
-// (grown on demand by Ensure/Strand).
+// (grown on demand by Strand).
 func NewServeRecorder(cfg ServeConfig, strands int) *ServeRecorder {
-	r := &ServeRecorder{cfg: cfg}
-	r.Ensure(strands)
+	every := int64(defaultSampleEvery)
+	if cfg.SampleEvery > 0 {
+		every = 1
+		for every < int64(cfg.SampleEvery) {
+			every <<= 1
+		}
+	}
+	r := &ServeRecorder{every: every}
+	if strands > 0 {
+		r.Strand(strands - 1)
+	}
 	return r
 }
 
-// Config returns the recorder's resolved configuration.
-func (r *ServeRecorder) Config() ServeConfig { return r.cfg }
-
-// SampleEvery returns the sampling period (1 = every query).
+// SampleEvery returns the power-of-two sampling period (1 = every
+// query; 0 for a nil recorder).
 func (r *ServeRecorder) SampleEvery() int64 {
 	if r == nil {
 		return 0
 	}
-	return int64(1) << r.cfg.shift()
-}
-
-// Ensure grows the recorder to at least n strands. Safe to call
-// concurrently with recording on existing strands: the strand objects
-// are stable pointers and the slice is replaced, never resized in place.
-func (r *ServeRecorder) Ensure(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for len(r.strands) < n {
-		r.strands = append(r.strands, newServeStrand(r))
-	}
+	return r.every
 }
 
 // Strand returns strand i, growing the recorder if needed. Nil-safe: a
-// nil recorder hands out a nil strand whose methods all no-op.
+// nil recorder hands out a nil strand that folds nothing.
 func (r *ServeRecorder) Strand(i int) *ServeStrand {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	for len(r.strands) <= i {
-		r.strands = append(r.strands, newServeStrand(r))
+	return r.strands.at(i, r.newStrand)
+}
+
+func (r *ServeRecorder) newStrand(int) *ServeStrand {
+	s := &ServeStrand{
+		rec:  r,
+		ring: make([]int64, serveWindow),
+		tail: make([]TailSample, 0, serveTail),
 	}
-	s := r.strands[i]
-	r.mu.Unlock()
+	for _, h := range []*histogram{&s.descent, &s.scan, &s.total, &s.nodes, &s.cands} {
+		h.min = math.MaxInt64
+	}
 	return s
 }
 
-// AtomicHist is the race-safe form of the log2 histogram: identical
-// bucket semantics (see histBuckets), every field an atomic, so one
-// writer and any number of Snapshot readers need no lock. Multi-field
-// reads under concurrent writes are individually consistent but not
-// mutually transactional — a telemetry snapshot may be mid-observation
-// by one count, which is the standard Prometheus contract.
-type AtomicHist struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// Reset arms an AtomicHist for first use (min must start at MaxInt64 so
-// the CAS floor works; the zero value's min of 0 would stick). Callers
-// construct strands through newServeStrand, which resets every hist, so
-// recording never needs a lazy-init branch.
-func (h *AtomicHist) Reset() { h.min.Store(math.MaxInt64) }
-
-// Observe records one value (negatives clamp to 0, as in histogram).
-// Single-writer: the owning strand is the only recorder; any number of
-// Snapshot readers are safe concurrently.
-func (h *AtomicHist) Observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		m := h.min.Load()
-		if v >= m || h.min.CompareAndSwap(m, v) {
-			break
-		}
-	}
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			break
-		}
-	}
-	h.buckets[bucketOf(v)].Add(1)
-}
-
-// Snapshot returns the histogram in export form.
-func (h *AtomicHist) Snapshot() Hist {
-	var plain histogram
-	plain.min = math.MaxInt64
-	h.mergeInto(&plain)
-	if plain.count == 0 {
-		plain.min = math.MaxInt64 // snapshot() normalizes to 0
-	}
-	return plain.snapshot()
-}
-
-func (h *AtomicHist) mergeInto(dst *histogram) {
-	c := h.count.Load()
-	if c == 0 {
-		return
-	}
-	dst.count += c
-	dst.sum += h.sum.Load()
-	if m := h.min.Load(); m < dst.min {
-		dst.min = m
-	}
-	if m := h.max.Load(); m > dst.max {
-		dst.max = m
-	}
-	for i := range dst.buckets {
-		dst.buckets[i] += h.buckets[i].Load()
-	}
-}
-
 // TailSample is one retained slow query: its phase-split latency, the
-// descent path it took (node ids of the frozen tree, truncated to the
-// recorder's PathCap), and its candidate accounting.
+// descent path it took (node ids of the frozen tree, truncated to
+// tailPathCap), and its candidate accounting.
 type TailSample struct {
 	Seq       uint64  `json:"seq"`        // global sample sequence (recency)
 	Strand    int     `json:"strand"`     // strand that served it
@@ -244,34 +128,29 @@ type TailSample struct {
 	Path      []int32 `json:"path,omitempty"`
 }
 
-// ServeStrand is one batch strand's recording buffer. Methods are
-// nil-safe no-ops; a strand's record path must only be driven by one
-// goroutine at a time (the batch engine's strand discipline), while
-// Snapshot may read concurrently.
+// ServeStrand is one batch strand's aggregates. Every field is plain and
+// guarded by mu, which fold takes once per published chunk and Snapshot
+// takes to read. Methods are nil-safe no-ops.
 type ServeStrand struct {
 	rec *ServeRecorder
 
-	queries atomic.Int64 // all queries seen (sampled or not)
-	sampled atomic.Int64
+	mu      sync.Mutex
+	queries int64 // all queries seen (sampled or not)
+	sampled int64
 
-	descent AtomicHist // sampled descent wall time (ns)
-	scan    AtomicHist // sampled leaf-scan wall time (ns)
-	total   AtomicHist // sampled descent+scan (ns)
-	nodes   AtomicHist // nodes visited per sampled query
-	cands   AtomicHist // leaf candidates scanned per sampled query
+	descent histogram // sampled descent wall time (ns)
+	scan    histogram // sampled leaf-scan wall time (ns)
+	total   histogram // sampled descent+scan (ns)
+	nodes   histogram // nodes visited per sampled query
+	cands   histogram // leaf candidates scanned per sampled query
 
-	ring    []atomic.Int64 // rolling window of sampled total latencies
-	ringPos atomic.Int64   // monotonically increasing write cursor
+	ring    []int64 // rolling window of sampled total latencies
+	ringPos int64   // monotonically increasing write cursor
 
-	tailMin atomic.Int64 // admission threshold: smallest retained latency
-	tailMu  sync.Mutex   // guards tail contents (rare inserts + snapshots)
-	tail    []TailSample // ≤ cfg.tail() entries, each with pre-allocated Path
+	tail    []TailSample // ≤ serveTail entries, each with its own Path buffer
+	tailMin int64        // admission threshold once the tail is full
 
-	exMu sync.Mutex // guards ex (rare traced-sample writes + snapshots)
-	ex   [histBuckets]exemplarSlot
-
-	tick uint64 // strand-local sample clock (never read by Strand's Snapshot)
-	mask uint64
+	ex [histBuckets]exemplarSlot
 
 	_ [64]byte // keep hot strands off each other's cache lines
 }
@@ -285,155 +164,83 @@ type exemplarSlot struct {
 	unixNs           int64
 }
 
-func newServeStrand(r *ServeRecorder) *ServeStrand {
-	s := &ServeStrand{
-		rec:  r,
-		ring: make([]atomic.Int64, r.cfg.window()),
-		tail: make([]TailSample, 0, r.cfg.tail()),
-		mask: 1<<r.cfg.shift() - 1,
-	}
-	for _, h := range []*AtomicHist{&s.descent, &s.scan, &s.total, &s.nodes, &s.cands} {
-		h.Reset()
-	}
-	return s
+// PublishChunk ends one batch chunk: it writes events to the journal
+// strand's ring and folds them into the serve strand's aggregates.
+// paths[i] is event i's descent path; it is read only for Ticked events
+// and only when one enters the tail. Either strand may be nil. The
+// caller keeps ownership of events and paths.
+func PublishChunk(j *JournalStrand, s *ServeStrand, events []JournalEvent, paths [][]int32) {
+	j.Publish(events)
+	s.fold(events, paths)
 }
 
-// NoteQueries adds n to the strand's served-query count; the batch
-// engine calls it once per claimed chunk so the untimed majority of
-// queries cost no atomics at all.
-func (s *ServeStrand) NoteQueries(n int64) {
+// fold adds one chunk to the strand's aggregates under one lock.
+func (s *ServeStrand) fold(events []JournalEvent, paths [][]int32) {
 	if s == nil {
 		return
 	}
-	s.queries.Add(n)
+	s.mu.Lock()
+	s.queries += int64(len(events))
+	for i := range events {
+		e := &events[i]
+		if !e.Sampled {
+			continue
+		}
+		total := max(e.DescentNs+e.ScanNs, 0)
+		if e.Traced() {
+			s.ex[bucketOf(total)] = exemplarSlot{traceHi: e.TraceHi, traceLo: e.TraceLo, value: total, unixNs: e.StartNs}
+		}
+		if !e.Ticked {
+			continue
+		}
+		s.sampled++
+		s.descent.observe(e.DescentNs)
+		s.scan.observe(e.ScanNs)
+		s.total.observe(total)
+		s.nodes.observe(int64(e.Nodes))
+		s.cands.observe(int64(e.Scanned))
+		s.ring[s.ringPos%serveWindow] = total
+		s.ringPos++
+		if len(s.tail) < serveTail || total > s.tailMin {
+			s.admitTail(e, total, paths[i])
+		}
+	}
+	s.mu.Unlock()
 }
 
-// ShouldSample advances the strand's sample clock and reports whether
-// the next query should take the timed phase-split path. Deterministic:
-// 1 in 2^SampleShift ticks, no RNG, no clock read.
-func (s *ServeStrand) ShouldSample() bool {
-	if s == nil {
-		return false
+// admitTail stores e in the tail: appended while the tail grows (the
+// only allocations the tail ever makes), otherwise displacing the
+// fastest retained sample in place. Called with mu held.
+func (s *ServeStrand) admitTail(e *JournalEvent, total int64, path []int32) {
+	slot := len(s.tail)
+	if slot < serveTail {
+		s.tail = append(s.tail, TailSample{Path: make([]int32, 0, tailPathCap)})
+	} else {
+		for i := range s.tail {
+			if s.tail[i].LatencyNs == s.tailMin {
+				slot = i
+				break
+			}
+		}
 	}
-	s.tick++
-	return s.tick&s.mask == 0
-}
-
-// Record stores one sampled query: phase-split wall times, traversal
-// shape, and — when the query is slow enough to beat the tail admission
-// threshold — a tail sample with its descent path. path is copied (up to
-// PathCap nodes); the caller keeps ownership.
-func (s *ServeStrand) Record(descNs, scanNs int64, nodes, scanned, reported int, path []int32) {
-	if s == nil {
-		return
+	if len(path) > tailPathCap {
+		path = path[:tailPathCap]
 	}
-	total := descNs + scanNs
-	s.sampled.Add(1)
-	s.descent.Observe(descNs)
-	s.scan.Observe(scanNs)
-	s.total.Observe(total)
-	s.nodes.Observe(int64(nodes))
-	s.cands.Observe(int64(scanned))
-	pos := s.ringPos.Add(1) - 1
-	s.ring[pos%int64(len(s.ring))].Store(total)
-
-	// Tail admission: one atomic load on the common (fast-query) path.
-	// tailMin is 0 until the tail fills, so early samples always enter.
-	if total <= s.tailMin.Load() {
-		return
-	}
-	s.recordTail(TailSample{
+	s.tail[slot] = TailSample{
 		Seq:       s.rec.seq.Add(1),
 		LatencyNs: total,
-		DescentNs: descNs,
-		ScanNs:    scanNs,
-		Nodes:     nodes,
-		Scanned:   scanned,
-		Reported:  reported,
-	}, path)
-}
-
-// RecordTraced is Record for a sampled query that also carries a trace
-// context: identical aggregate recording, plus the query becomes the
-// latency bucket's OpenMetrics exemplar (latest traced observation per
-// bucket wins). Traced sampled queries are a small fraction of traffic
-// — a client must both send a traceparent and win the sample tick (or
-// send it pre-sampled) — so the exemplar mutex is uncontended and the
-// fixed slot array keeps this allocation-free.
-func (s *ServeStrand) RecordTraced(descNs, scanNs int64, nodes, scanned, reported int, path []int32, tc TraceContext, unixNs int64) {
-	if s == nil {
-		return
+		DescentNs: e.DescentNs,
+		ScanNs:    e.ScanNs,
+		Nodes:     int(e.Nodes),
+		Scanned:   int(e.Scanned),
+		Reported:  int(e.Reported),
+		Path:      append(s.tail[slot].Path[:0], path...),
 	}
-	s.Record(descNs, scanNs, nodes, scanned, reported, path)
-	if !tc.Valid() {
-		return
-	}
-	s.storeExemplar(descNs+scanNs, tc, unixNs)
-}
-
-// RecordExemplar stores a traced observation as its latency bucket's
-// exemplar WITHOUT feeding the aggregate telemetry. It is the record
-// for a query that took the timed path only because its request carried
-// a pre-sampled traceparent: folding such queries into the histograms,
-// window quantiles, and tail would skew the recorder's deterministic
-// 1-in-SampleEvery statistics toward whatever traffic clients happen to
-// trace, and would make an instrumented run's aggregates diverge from
-// an untraced run over the same stream. The forced path pays one
-// uncontended mutex and nothing else.
-func (s *ServeStrand) RecordExemplar(totalNs int64, tc TraceContext, unixNs int64) {
-	if s == nil || !tc.Valid() {
-		return
-	}
-	s.storeExemplar(totalNs, tc, unixNs)
-}
-
-func (s *ServeStrand) storeExemplar(totalNs int64, tc TraceContext, unixNs int64) {
-	if totalNs < 0 {
-		totalNs = 0
-	}
-	b := bucketOf(totalNs)
-	s.exMu.Lock()
-	s.ex[b] = exemplarSlot{traceHi: tc.TraceHi, traceLo: tc.TraceLo, value: totalNs, unixNs: unixNs}
-	s.exMu.Unlock()
-}
-
-func (s *ServeStrand) recordTail(ts TailSample, path []int32) {
-	tcap := s.rec.cfg.tail()
-	pathCap := s.rec.cfg.pathCap()
-	s.tailMu.Lock()
-	defer s.tailMu.Unlock()
-	slot := -1
-	if len(s.tail) < tcap {
-		// Growing phase: append a fresh sample with its own path buffer
-		// (the only allocations the tail ever performs).
-		s.tail = append(s.tail, TailSample{Path: make([]int32, 0, pathCap)})
-		slot = len(s.tail) - 1
-	} else {
-		// Steady state: displace the fastest retained sample in place.
-		min := int64(math.MaxInt64)
+	if len(s.tail) == serveTail {
+		s.tailMin = math.MaxInt64
 		for i := range s.tail {
-			if s.tail[i].LatencyNs < min {
-				min, slot = s.tail[i].LatencyNs, i
-			}
+			s.tailMin = min(s.tailMin, s.tail[i].LatencyNs)
 		}
-		if ts.LatencyNs <= min {
-			return // raced past the threshold; no longer qualifies
-		}
-	}
-	buf := s.tail[slot].Path[:0]
-	if len(path) > pathCap {
-		path = path[:pathCap]
-	}
-	ts.Path = append(buf, path...)
-	s.tail[slot] = ts
-	if len(s.tail) == tcap {
-		min := int64(math.MaxInt64)
-		for i := range s.tail {
-			if s.tail[i].LatencyNs < min {
-				min = s.tail[i].LatencyNs
-			}
-		}
-		s.tailMin.Store(min)
 	}
 }
 
@@ -486,18 +293,15 @@ type LatencyExemplar struct {
 	UnixNs  int64  `json:"unix_ns"`
 }
 
-// Snapshot merges every strand. Safe to call while strands record; the
-// result is a consistent-enough telemetry view (each field internally
-// exact, cross-field skew bounded by in-flight observations). Nil-safe.
+// Snapshot merges every strand. Safe to call while strands publish; each
+// strand is read whole under its lock, so the result is exact as of
+// each strand's last published chunk. Nil-safe.
 func (r *ServeRecorder) Snapshot() *ServeSnapshot {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	strands := append([]*ServeStrand(nil), r.strands...)
-	r.mu.Unlock()
-
-	snap := &ServeSnapshot{Strands: len(strands), SampleEvery: r.SampleEvery()}
+	strands := r.strands.all()
+	snap := &ServeSnapshot{Strands: len(strands), SampleEvery: r.every}
 	var lat, desc, scan, nodes, cands histogram
 	for _, h := range []*histogram{&lat, &desc, &scan, &nodes, &cands} {
 		h.min = math.MaxInt64
@@ -505,41 +309,29 @@ func (r *ServeRecorder) Snapshot() *ServeSnapshot {
 	var window []int64
 	var ex [histBuckets]exemplarSlot
 	for si, s := range strands {
-		snap.Queries += s.queries.Load()
-		snap.Sampled += s.sampled.Load()
-		s.total.mergeInto(&lat)
-		s.descent.mergeInto(&desc)
-		s.scan.mergeInto(&scan)
-		s.nodes.mergeInto(&nodes)
-		s.cands.mergeInto(&cands)
-
-		n := s.ringPos.Load()
-		if n > int64(len(s.ring)) {
-			n = int64(len(s.ring))
-		}
-		for i := int64(0); i < n; i++ {
-			window = append(window, s.ring[i].Load())
-		}
-
-		s.tailMu.Lock()
+		s.mu.Lock()
+		snap.Queries += s.queries
+		snap.Sampled += s.sampled
+		lat.merge(&s.total)
+		desc.merge(&s.descent)
+		scan.merge(&s.scan)
+		nodes.merge(&s.nodes)
+		cands.merge(&s.cands)
+		window = append(window, s.ring[:min(s.ringPos, serveWindow)]...)
 		for i := range s.tail {
 			ts := s.tail[i]
 			ts.Path = append([]int32(nil), ts.Path...)
 			ts.Strand = si
 			snap.Tail = append(snap.Tail, ts)
 		}
-		s.tailMu.Unlock()
-
-		// Merge exemplars: per bucket, the most recent traced observation
-		// across strands wins.
-		s.exMu.Lock()
-		for b := range s.ex {
-			e := s.ex[b]
+		// Per bucket, the most recent traced observation across strands
+		// wins.
+		for b, e := range s.ex {
 			if e.traceHi|e.traceLo != 0 && (ex[b].traceHi|ex[b].traceLo == 0 || e.unixNs > ex[b].unixNs) {
 				ex[b] = e
 			}
 		}
-		s.exMu.Unlock()
+		s.mu.Unlock()
 	}
 	snap.Latency = lat.snapshot()
 	snap.Descent = desc.snapshot()

@@ -30,33 +30,41 @@ func synthStream(n int) []TailSample {
 	return out
 }
 
-func feed(s *ServeStrand, q TailSample, path []int32) {
-	s.NoteQueries(1)
-	if s.ShouldSample() {
-		s.Record(q.DescentNs, q.ScanNs, q.Nodes, q.Scanned, q.Reported, path)
+// event is q as a journal event; tick marks it sampled by the engine's
+// own tick, so it feeds the aggregates.
+func event(q TailSample, tick bool) JournalEvent {
+	return JournalEvent{
+		Sampled: tick, Ticked: tick,
+		DescentNs: q.DescentNs, ScanNs: q.ScanNs,
+		Nodes: int32(q.Nodes), Scanned: int32(q.Scanned), Reported: int32(q.Reported),
 	}
+}
+
+// feed folds q into s as a one-event chunk.
+func feed(s *ServeStrand, q TailSample, path []int32, tick bool) {
+	PublishChunk(nil, s, []JournalEvent{event(q, tick)}, [][]int32{path})
 }
 
 // TestServeMergeMatchesSingleStrand is the satellite-4 golden: a
 // snapshot merged across N strands fed round-robin must equal a
 // single-strand recorder fed the same stream in order — histograms
-// exactly, window quantiles exactly (window sized to hold every
-// sample), and the same top tail latencies.
+// exactly, window quantiles exactly (the stream fits one strand's
+// window), and the same top tail latencies.
 func TestServeMergeMatchesSingleStrand(t *testing.T) {
-	const n = 4096
+	const n = serveWindow
 	stream := synthStream(n)
-	cfg := ServeConfig{Every: true, Window: n, Tail: 16}
+	cfg := ServeConfig{SampleEvery: 1}
 
 	single := NewServeRecorder(cfg, 1)
 	s0 := single.Strand(0)
 	path := []int32{0, 1, 2, 3}
 	for _, q := range stream {
-		feed(s0, q, path)
+		feed(s0, q, path, true)
 	}
 
 	multi := NewServeRecorder(cfg, 4)
 	for i, q := range stream {
-		feed(multi.Strand(i%4), q, path)
+		feed(multi.Strand(i%4), q, path, true)
 	}
 
 	a, b := single.Snapshot(), multi.Snapshot()
@@ -83,13 +91,14 @@ func TestServeMergeMatchesSingleStrand(t *testing.T) {
 	if a.Window != b.Window {
 		t.Errorf("window quantiles diverge: single=%+v multi=%+v", a.Window, b.Window)
 	}
-	// The single recorder retains the global top-16; each multi strand
-	// retains its local top-16, so the merged tail is a superset of the
-	// true global top-16. Its 16 slowest must match exactly.
-	if len(a.Tail) != 16 || len(b.Tail) < 16 {
+	// The single recorder retains the global top-serveTail; each multi
+	// strand retains its local top-serveTail, so the merged tail is a
+	// superset of the true global top. Its serveTail slowest must match
+	// exactly.
+	if len(a.Tail) != serveTail || len(b.Tail) < serveTail {
 		t.Fatalf("tail sizes: single=%d multi=%d", len(a.Tail), len(b.Tail))
 	}
-	for i := 0; i < 16; i++ {
+	for i := 0; i < serveTail; i++ {
 		if a.Tail[i].LatencyNs != b.Tail[i].LatencyNs {
 			t.Errorf("tail[%d]: single=%d multi=%d", i, a.Tail[i].LatencyNs, b.Tail[i].LatencyNs)
 		}
@@ -108,13 +117,16 @@ func histEqual(a, b Hist) bool {
 	return true
 }
 
-// TestServeSampling: with SampleShift=3 exactly 1 in 8 queries is
-// sampled, deterministically, and exact query counts are unaffected.
+// TestServeSampling: SampleEvery rounds up to a power of two, every
+// folded event counts toward the exact query total, and only ticked
+// events feed the aggregates — a forced (traced, unticked) timed event
+// leaves them alone.
 func TestServeSampling(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{SampleShift: 3}, 1)
+	r := NewServeRecorder(ServeConfig{SampleEvery: 5}, 1)
 	s := r.Strand(0)
-	for i := 0; i < 800; i++ {
-		feed(s, TailSample{LatencyNs: 100, DescentNs: 60, ScanNs: 40, Nodes: 4, Scanned: 2}, nil)
+	q := TailSample{LatencyNs: 100, DescentNs: 60, ScanNs: 40, Nodes: 4, Scanned: 2}
+	for i := 1; i <= 800; i++ {
+		feed(s, q, nil, i%8 == 0)
 	}
 	snap := r.Snapshot()
 	if snap.Queries != 800 {
@@ -129,6 +141,14 @@ func TestServeSampling(t *testing.T) {
 	if snap.Latency.Count != 100 {
 		t.Errorf("latency count = %d, want 100", snap.Latency.Count)
 	}
+	forced := event(q, false)
+	forced.Sampled, forced.TraceLo = true, 1
+	PublishChunk(nil, s, []JournalEvent{forced}, [][]int32{nil})
+	if snap := r.Snapshot(); snap.Queries != 801 || snap.Sampled != 100 ||
+		snap.Latency.Count != 100 || len(snap.LatencyExemplars) != 1 {
+		t.Errorf("forced event: queries=%d sampled=%d latency=%d exemplars=%d, want 801/100/100/1",
+			snap.Queries, snap.Sampled, snap.Latency.Count, len(snap.LatencyExemplars))
+	}
 }
 
 // TestServeNilSafety: every method must be a no-op through nil
@@ -138,25 +158,17 @@ func TestServeNilSafety(t *testing.T) {
 	if r.Snapshot() != nil {
 		t.Fatal("nil recorder produced a snapshot")
 	}
-	r.Ensure(4)
 	s := r.Strand(2)
 	if s != nil {
 		t.Fatal("nil recorder handed out a strand")
 	}
-	s.NoteQueries(5)
-	if s.ShouldSample() {
-		t.Fatal("nil strand wants a sample")
-	}
-	s.Record(1, 2, 3, 4, 5, nil)
+	events := []JournalEvent{event(TailSample{DescentNs: 1, ScanNs: 2, Nodes: 3}, true)}
+	paths := [][]int32{nil}
+	PublishChunk(nil, s, events, paths)
 	if r.SampleEvery() != 0 {
 		t.Fatalf("nil recorder SampleEvery = %d", r.SampleEvery())
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(1, 2, 3, 4, 5, nil)
-		}
-	})
+	allocs := testing.AllocsPerRun(1000, func() { PublishChunk(nil, s, events, paths) })
 	if allocs != 0 {
 		t.Fatalf("nil serve path allocated %.1f allocs/op", allocs)
 	}
@@ -165,19 +177,19 @@ func TestServeNilSafety(t *testing.T) {
 // TestServeRecordSteadyStateZeroAllocs: once the tail is warm, the
 // record path (including tail displacement) must not allocate.
 func TestServeRecordSteadyStateZeroAllocs(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{Every: true, Tail: 4, Window: 64}, 1)
+	r := NewServeRecorder(ServeConfig{SampleEvery: 1}, 1)
 	s := r.Strand(0)
 	path := []int32{0, 5, 9, 12, 17}
-	for i := 0; i < 64; i++ { // warm: fill tail and ring
-		feed(s, TailSample{LatencyNs: int64(1000 + i), DescentNs: int64(600 + i), ScanNs: 400, Nodes: 5, Scanned: 9}, path)
+	for i := 0; i < serveWindow; i++ { // warm: fill tail and ring
+		feed(s, TailSample{LatencyNs: int64(1000 + i), DescentNs: int64(600 + i), ScanNs: 400, Nodes: 5, Scanned: 9}, path, true)
 	}
+	events := make([]JournalEvent, 1)
+	paths := [][]int32{path}
 	lat := int64(2000)
 	allocs := testing.AllocsPerRun(1000, func() {
-		lat++ // strictly increasing: every record displaces a tail entry
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(lat*3/5, lat*2/5, 6, 11, 2, path)
-		}
+		lat++ // strictly increasing: every fold displaces a tail entry
+		events[0] = event(TailSample{DescentNs: lat * 3 / 5, ScanNs: lat * 2 / 5, Nodes: 6, Scanned: 11, Reported: 2}, true)
+		PublishChunk(nil, s, events, paths)
 	})
 	if allocs != 0 {
 		t.Fatalf("warm record path allocated %.1f allocs/op, want 0", allocs)
@@ -187,7 +199,7 @@ func TestServeRecordSteadyStateZeroAllocs(t *testing.T) {
 // TestServeConcurrentSnapshot races recording strands against Snapshot
 // readers; run under -race this is the satellite-4 race assertion.
 func TestServeConcurrentSnapshot(t *testing.T) {
-	r := NewServeRecorder(ServeConfig{SampleShift: 1, Tail: 4, Window: 128}, 4)
+	r := NewServeRecorder(ServeConfig{SampleEvery: 2}, 4)
 	var recorders sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		recorders.Add(1)
@@ -202,7 +214,7 @@ func TestServeConcurrentSnapshot(t *testing.T) {
 					ScanNs:    int64(40 + i%400),
 					Nodes:     3 + i%9,
 					Scanned:   i % 31,
-				}, path)
+				}, path, i%2 == 1)
 			}
 		}(w)
 	}

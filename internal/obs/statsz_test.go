@@ -24,17 +24,15 @@ func TestStatszSchemaGolden(t *testing.T) {
 	// Populate one of everything the document can hold: a serve
 	// recorder with sampled traffic (histograms, window quantiles, tail
 	// samples with paths) and both labeled and unlabeled gauges.
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
+	rec := NewServeRecorder(ServeConfig{SampleEvery: 1}, 1)
 	s := rec.Strand(0)
 	path := []int32{0, 3, 9}
 	for i := 0; i < 8; i++ {
-		s.NoteQueries(1)
-		if s.ShouldSample() {
-			s.Record(int64(1000+i*300), int64(400+i*100), 5+i, 11+i, i%3, path)
-		}
+		feed(s, TailSample{DescentNs: int64(1000 + i*300), ScanNs: int64(400 + i*100),
+			Nodes: 5 + i, Scanned: 11 + i, Reported: i % 3}, path, true)
 	}
 	RegisterServe("statsz-golden", rec)
-	defer RegisterServe("statsz-golden", nil)
+	defer UnregisterServe("statsz-golden", rec)
 	SetGauge(GaugeKey{Name: "statsz_golden_plain"}, "", 1.5)
 	SetGauge(GaugeKey{Name: "statsz_golden_labeled", LabelName: "objective", LabelValue: "x"}, "", 2)
 	SetInfo("statsz_golden_info", "x")

@@ -109,7 +109,7 @@ func TestTracesEndpointJSONL(t *testing.T) {
 
 	// Malformed ids are rejected before any sink is consulted.
 	for _, bad := range []string{
-		"deadbeef", // too short
+		"deadbeef",                         // too short
 		"zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz", // non-hex
 		"00000000000000000000000000000000", // all-zero
 	} {
@@ -241,12 +241,12 @@ func TestMetricsLatencyExemplar(t *testing.T) {
 	if !ok {
 		t.Fatal("test vector rejected")
 	}
-	rec := NewServeRecorder(ServeConfig{Every: true, Window: 16, Tail: 2}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(1)
-	s.RecordTraced(400, 212, 5, 9, 2, []int32{0, 1}, tc, 1_700_000_000_250_000_000)
+	rec := NewServeRecorder(ServeConfig{SampleEvery: 1}, 1)
+	ev := event(TailSample{DescentNs: 400, ScanNs: 212, Nodes: 5, Scanned: 9, Reported: 2}, true)
+	ev.TraceHi, ev.TraceLo, ev.StartNs = tc.TraceHi, tc.TraceLo, 1_700_000_000_250_000_000
+	PublishChunk(nil, rec.Strand(0), []JournalEvent{ev}, [][]int32{{0, 1}})
 	RegisterServe("exemplareng", rec)
-	defer RegisterServe("exemplareng", nil)
+	defer UnregisterServe("exemplareng", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -293,24 +293,24 @@ func TestMetricsLatencyExemplar(t *testing.T) {
 }
 
 // TestMetricsExemplarOnEmptyHistogram: a query timed only because its
-// request carried a sampled traceparent records its exemplar WITHOUT
-// feeding the aggregate histogram (RecordExemplar). The exposition must
-// still carry that exemplar — the bucket it names is synthesized as a
-// zero-count cumulative point — and survive the linter. This is the
-// fresh-recorder-after-swap serving state: the first scrape after a
-// traced request, before any tick-sampled observation lands.
+// request carried a sampled traceparent (Sampled, not Ticked) records
+// its exemplar WITHOUT feeding the aggregate histogram. The exposition
+// must still carry that exemplar — the bucket it names is synthesized
+// as a zero-count cumulative point — and survive the linter. This is
+// the first scrape after a traced request, before any tick-sampled
+// observation lands.
 func TestMetricsExemplarOnEmptyHistogram(t *testing.T) {
 	const hdr = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
 	tc, ok := ParseTraceparent(hdr)
 	if !ok {
 		t.Fatal("test vector rejected")
 	}
-	rec := NewServeRecorder(ServeConfig{SampleShift: 20}, 1)
-	s := rec.Strand(0)
-	s.NoteQueries(3)
-	s.RecordExemplar(700, tc, 1_700_000_000_000_000_000)
+	rec := NewServeRecorder(ServeConfig{SampleEvery: 1 << 20}, 1)
+	forced := JournalEvent{Sampled: true, DescentNs: 700, TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
+		StartNs: 1_700_000_000_000_000_000}
+	PublishChunk(nil, rec.Strand(0), []JournalEvent{{}, forced, {}}, make([][]int32, 3))
 	RegisterServe("forcedeng", rec)
-	defer RegisterServe("forcedeng", nil)
+	defer UnregisterServe("forcedeng", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

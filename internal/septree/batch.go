@@ -66,21 +66,22 @@ type batchShard struct {
 	queries int64
 	nodes   int64
 	scanned int64
-	// serve is this strand's slot in the attached telemetry recorder
-	// (nil when no observer is attached — every call through it then
-	// costs one nil check). path is the descent-path scratch the
-	// sampled timed queries reuse; it never shrinks, so steady state
-	// records without allocating.
-	serve *obs.ServeStrand
-	path  []int32
-	// journal is this strand's slot in the attached wide-event journal
-	// (nil = one branch per chunk). jbuf is the chunk's event scratch:
-	// filled with plain stores while answering, published to the ring
-	// with one lock + one copy per chunk, so journaling every query
-	// costs low single-digit nanoseconds amortized and zero allocations.
+	// serve and journal are this strand's slots in the attached
+	// telemetry recorder and wide-event journal (nil = detached). When
+	// either is attached, each query fills its slot of jbuf with plain
+	// stores, and the chunk ends in one obs.PublishChunk: one ring copy
+	// and one aggregate fold, one lock each, zero allocations.
+	serve   *obs.ServeStrand
 	journal *obs.JournalStrand
 	jbuf    [batchChunk]obs.JournalEvent
-	_       [64]byte
+	// paths holds each slot's descent path for timed queries; the
+	// buffers never shrink, so steady state times without allocating.
+	paths [batchChunk][]int32
+	// tick is the strand's sample clock: with an observer attached,
+	// every query advances it and 1 in mask+1 is timed for the
+	// recorder's aggregates. Deterministic: no RNG, no clock read.
+	tick, mask uint64
+	_          [64]byte
 }
 
 // batchChunk is how many queries a strand claims per atomic fetch-add:
@@ -116,18 +117,17 @@ func NewBatch(f *Frozen, workers int) *Batch {
 // Workers returns the engine's strand count.
 func (b *Batch) Workers() int { return len(b.shards) }
 
-// Observe attaches a serving telemetry recorder: each strand records
-// into its own recorder slot (exact query counts per chunk; phase-split
+// Observe attaches a serving telemetry recorder: each strand folds its
+// chunks into its own recorder slot (exact query counts; phase-split
 // timed samples at the recorder's sampling rate; slowest-query tail with
 // descent paths). A nil recorder detaches. Not safe to call concurrently
 // with Run; results of timed queries are bit-identical to untimed ones.
 func (b *Batch) Observe(r *obs.ServeRecorder) {
-	r.Ensure(len(b.shards))
 	for i := range b.shards {
-		b.shards[i].serve = r.Strand(i) // nil recorder hands out nil strands
-		if b.shards[i].path == nil && r != nil {
-			b.shards[i].path = make([]int32, 0, 64)
-		}
+		sh := &b.shards[i]
+		sh.serve = r.Strand(i) // nil recorder hands out nil strands
+		sh.tick, sh.mask = 0, uint64(r.SampleEvery()-1)
+		sh.allocPaths()
 	}
 }
 
@@ -138,9 +138,21 @@ func (b *Batch) Observe(r *obs.ServeRecorder) {
 // bounded ring, one lock per chunk. A nil journal detaches. Not safe to
 // call concurrently with Run; answers are unaffected.
 func (b *Batch) Journal(j *obs.Journal) {
-	j.Ensure(len(b.shards))
 	for i := range b.shards {
 		b.shards[i].journal = j.Strand(i) // nil journal hands out nil strands
+		b.shards[i].allocPaths()
+	}
+}
+
+// allocPaths gives every chunk slot its descent-path buffer once
+// telemetry is attached, so the first timed query in a slot does not
+// allocate.
+func (sh *batchShard) allocPaths() {
+	if sh.paths[0] != nil || (sh.serve == nil && sh.journal == nil) {
+		return
+	}
+	for i := range sh.paths {
+		sh.paths[i] = make([]int32, 0, 64)
 	}
 }
 
@@ -253,7 +265,8 @@ func (b *Batch) strand(id int) {
 	f := b.f
 	closed := b.closed
 	tr := b.traces
-	jn := sh.journal != nil
+	observed := sh.serve != nil
+	publish := observed || sh.journal != nil
 	for {
 		lo := b.next.Add(batchChunk) - batchChunk
 		if lo >= b.nq {
@@ -270,39 +283,33 @@ func (b *Batch) strand(id int) {
 			leaf := int32(-1)
 			var descNs, scanNs, startNs int64
 			tc, qspan := traceOf(tr, qi)
-			// A client-sampled trace forces the timed path; the strand's
-			// own tick still advances so the deterministic cadence of
-			// untraced sampling is unchanged. Only tick-selected queries
-			// feed the recorder's aggregates — a forced query records its
-			// exemplar and journal timing only, so traced traffic cannot
-			// skew the sampled statistics.
-			tick := sh.serve.ShouldSample()
+			// A client-sampled trace forces the timed path; the tick
+			// still advances so the deterministic cadence of untraced
+			// sampling is unchanged. Only tick-selected queries feed the
+			// recorder's aggregates (the fold reads Ticked), so traced
+			// traffic cannot skew the sampled statistics.
+			sh.tick++
+			tick := observed && sh.tick&sh.mask == 0
 			sampled := tick || tc.Sampled
 			if sampled {
-				// Sampled timed path: phase-split clock reads bracket the
-				// descent and the leaf scan separately, and the descent
-				// route is captured for the tail sampler. Identical
+				// Timed path: phase-split clock reads bracket the descent
+				// and the leaf scan separately, and the descent route is
+				// kept in the slot's path buffer for the tail. Identical
 				// answers — DescendPath/ScanLeaf are the two halves the
 				// covering kernels are built from.
+				slot := qi - lo
 				q := b.queries[qi]
 				t0 := time.Now()
-				lf, path := f.DescendPath(q, sh.path[:0])
+				lf, path := f.DescendPath(q, sh.paths[slot][:0])
 				t1 := time.Now()
 				sh.ids, scanned = f.ScanLeaf(lf, q, closed, sh.ids)
 				t2 := time.Now()
-				sh.path = path
+				sh.paths[slot] = path
 				nodes = len(path)
 				leaf = lf
 				descNs, scanNs = t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
 				if tc.Valid() {
 					startNs = t0.UnixNano()
-					if tick {
-						sh.serve.RecordTraced(descNs, scanNs, nodes, scanned, len(sh.ids)-before, path, tc, startNs)
-					} else {
-						sh.serve.RecordExemplar(descNs+scanNs, tc, startNs)
-					}
-				} else {
-					sh.serve.Record(descNs, scanNs, nodes, scanned, len(sh.ids)-before, path)
 				}
 			} else if closed {
 				sh.ids, nodes, scanned = f.CoveringClosed(b.queries[qi], sh.ids)
@@ -313,21 +320,21 @@ func (b *Batch) strand(id int) {
 			sh.queries++
 			sh.nodes += int64(nodes)
 			sh.scanned += int64(scanned)
-			if jn {
+			if publish {
 				sh.jbuf[qi-lo] = obs.JournalEvent{
 					Batch: b.curBatch, Query: int32(qi), Leaf: leaf,
 					Nodes: int32(nodes), Scanned: int32(scanned),
-					Reported: int32(len(sh.ids) - before), Sampled: sampled,
+					Reported: int32(len(sh.ids) - before),
+					Sampled:  sampled, Ticked: tick,
 					LatencyNs: descNs + scanNs, DescentNs: descNs, ScanNs: scanNs,
 					TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: qspan,
 					StartNs: startNs,
 				}
 			}
 		}
-		if jn {
-			sh.journal.Publish(sh.jbuf[:hi-lo])
+		if publish {
+			obs.PublishChunk(sh.journal, sh.serve, sh.jbuf[:hi-lo], sh.paths[:hi-lo])
 		}
-		sh.serve.NoteQueries(hi - lo)
 	}
 }
 

@@ -21,7 +21,7 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		plain := NewBatch(f, workers)
 		journaled := NewBatch(f, workers)
-		journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		journaled.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
 		for _, closed := range []bool{false, true} {
 			if closed {
@@ -57,7 +57,7 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 	}
 	queries := queryMix(pts, 2, 300, 13)
 	b := NewBatch(f, 4)
-	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
+	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, 4))
 	// Big enough that even one strand serving the whole load (pool
 	// degraded to inline on a saturated box) keeps both Runs' events.
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
@@ -138,7 +138,7 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
 		for warm := 0; warm < 3; warm++ {
 			b.Run(queries)

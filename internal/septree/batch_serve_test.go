@@ -21,7 +21,7 @@ func TestObservedBatchIdenticalResults(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			plain := NewBatch(f, workers)
 			observed := NewBatch(f, workers)
-			observed.Observe(obs.NewServeRecorder(obs.ServeConfig{Every: true}, workers))
+			observed.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 1}, workers))
 			for _, closed := range []bool{false, true} {
 				if closed {
 					plain.RunClosed(queries)
@@ -55,7 +55,7 @@ func TestObservedBatchTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := queryMix(pts, 2, 512, 13)
-	rec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2, Window: 256, Tail: 4}, 0)
+	rec := obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, 0)
 	b := NewBatch(f, 4)
 	b.Observe(rec)
 	for i := 0; i < 4; i++ {
@@ -118,7 +118,7 @@ func TestObservedBatchZeroAllocSteadyState(t *testing.T) {
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		for warm := 0; warm < 3; warm++ {
 			b.Run(queries)
 		}

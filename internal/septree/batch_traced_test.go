@@ -41,8 +41,8 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 	queries := queryMix(pts, 3, 333, 31)
 	traces := mkTraces(len(queries), 8, 77, 4, 5)
 	for _, workers := range []int{1, 4} {
-		plainRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
-		tracedRec := obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers)
+		plainRec := obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers)
+		tracedRec := obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers)
 		plain := NewBatch(f, workers)
 		plain.Observe(plainRec)
 		traced := NewBatch(f, workers)
@@ -96,7 +96,7 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 	queries := queryMix(pts, 2, 300, 13)
 	traces := mkTraces(len(queries), 8, 99, 4, 5)
 	b := NewBatch(f, 4)
-	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, 4))
+	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, 4))
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
 	b.Journal(j)
 	b.RunTraced(queries, traces)
@@ -158,7 +158,7 @@ func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
 	traces := mkTraces(len(queries), 8, 55, 4, 0)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
-		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleShift: 2}, workers))
+		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
 		for warm := 0; warm < 3; warm++ {
 			b.RunTraced(queries, traces)

@@ -31,25 +31,21 @@ func KernelInfo() (tier, cpuFeatures string) {
 // covers the serving side the batch engine owns.
 
 // ServeObserverConfig tunes a ServeObserver. The zero value is the
-// serving default: 1 in 16 queries fully timed, 512-sample rolling
-// window, 8 retained tail queries.
+// serving default: 1 in 16 queries fully timed. Each strand keeps a
+// 512-sample rolling window and its 8 slowest queries.
 type ServeObserverConfig struct {
 	// SampleEvery times 1 in SampleEvery queries (rounded up to a power
-	// of two; 1 times every query). 0 selects 16. Untimed queries cost
-	// one branch.
+	// of two; 1 times every query). 0 selects 16. An untimed query costs
+	// one event write into its chunk buffer.
 	SampleEvery int
-	// Window is the rolling-window size (in timed samples) behind the
-	// p50/p95/p99/p999 snapshot quantiles. 0 selects 512.
-	Window int
-	// Tail is how many slowest queries to retain with descent path and
-	// candidate counts. 0 selects 8.
-	Tail int
 }
 
 // ServeObserver is a long-lived serving telemetry recorder shared by any
-// number of Batchers (each strand records into its own shard; Snapshot
+// number of Batchers (each strand folds into its own shard; Snapshot
 // may be called concurrently with serving). Create one per engine you
-// want distinguishable in /metrics.
+// want distinguishable in /metrics, and keep it for the engine's
+// lifetime: a server that rebuilds its Batchers re-attaches the same
+// observer, so its counters never reset.
 type ServeObserver struct {
 	name string
 	rec  *obs.ServeRecorder
@@ -61,41 +57,10 @@ type ServeObserver struct {
 // exposition slot, and a second NewServeObserver with the same name
 // returns an observer sharing the incumbent's recorder (the requested
 // config is ignored) instead of silently dropping the live one's
-// telemetry. To deliberately swap a name's recorder, use
-// ReplaceServeObserver.
+// telemetry.
 func NewServeObserver(name string, cfg ServeObserverConfig) *ServeObserver {
-	rec, _ := obs.RegisterServeIfAbsent(name, newServeRecorder(cfg))
+	rec := obs.RegisterServe(name, obs.NewServeRecorder(obs.ServeConfig{SampleEvery: cfg.SampleEvery}, 0))
 	return &ServeObserver{name: name, rec: rec}
-}
-
-// ReplaceServeObserver creates an observer and registers it under name,
-// replacing any previous registration — the explicit form of the swap
-// NewServeObserver used to do silently. The replaced observer's attached
-// Batchers keep recording into its (now unexported) recorder; detach
-// them with Observe(nil) or re-attach to the replacement.
-func ReplaceServeObserver(name string, cfg ServeObserverConfig) *ServeObserver {
-	rec := newServeRecorder(cfg)
-	obs.RegisterServe(name, rec)
-	return &ServeObserver{name: name, rec: rec}
-}
-
-func newServeRecorder(cfg ServeObserverConfig) *obs.ServeRecorder {
-	shift := uint(0)
-	every := false
-	switch {
-	case cfg.SampleEvery == 1:
-		every = true
-	case cfg.SampleEvery > 1:
-		for 1<<shift < cfg.SampleEvery {
-			shift++
-		}
-	}
-	return obs.NewServeRecorder(obs.ServeConfig{
-		SampleShift: shift,
-		Every:       every,
-		Window:      cfg.Window,
-		Tail:        cfg.Tail,
-	}, 0)
 }
 
 // Name returns the observer's registered exposition name.
@@ -114,12 +79,10 @@ func (o *ServeObserver) Snapshot() *obs.ServeSnapshot {
 }
 
 // Close unregisters the observer from /metrics — but only if it still
-// owns its name's exposition slot. An observer that has been superseded
-// by ReplaceServeObserver closes as a no-op, so the hot-swap pattern
-// (register replacement, drain old snapshot, close old observer) never
-// drops the replacement's live registration. Attached Batchers keep
-// recording into the closed recorder harmlessly; detach them with
-// Observe(nil) first if the recorder should stop accumulating.
+// owns its name's exposition slot, so a stale handle never drops a
+// newer owner's live registration. Attached Batchers keep recording
+// into the closed recorder harmlessly; detach them with Observe(nil)
+// first if the recorder should stop accumulating.
 func (o *ServeObserver) Close() {
 	if o != nil {
 		obs.UnregisterServe(o.name, o.rec)
@@ -127,10 +90,12 @@ func (o *ServeObserver) Close() {
 }
 
 // Observe attaches (or with nil detaches) a serving telemetry observer.
-// Per-query overhead: one branch when a query is not sampled, three
-// monotonic clock reads when it is; answers are bit-identical either
-// way, and the zero-allocation steady state is preserved. Not safe to
-// call concurrently with Run.
+// Per-query overhead: one fixed-size event write into the strand's chunk
+// buffer (shared with an attached QueryJournal), plus three monotonic
+// clock reads when the query is sampled; each 16-query chunk then takes
+// the observer's strand lock once. Answers are bit-identical either way,
+// and the zero-allocation steady state is preserved. Not safe to call
+// concurrently with Run.
 func (bt *Batcher) Observe(o *ServeObserver) {
 	if o == nil {
 		bt.b.Observe(nil)

@@ -80,31 +80,6 @@ func TestStatsSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestReplaceServeObserverSwapSafe pins the per-replica swap pattern
-// cmd/knnserve relies on: ReplaceServeObserver re-registers a name with
-// a fresh recorder, and closing the superseded observer afterwards (as
-// a draining snapshot's release callback does) must NOT tear down the
-// replacement's live exposition slot.
-func TestReplaceServeObserverSwapSafe(t *testing.T) {
-	old := NewServeObserver("swap-safe", ServeObserverConfig{})
-	repl := ReplaceServeObserver("swap-safe", ServeObserverConfig{})
-	defer repl.Close()
-
-	old.Close() // deferred close of the drained generation: must no-op
-
-	if got := obs.LookupServe("swap-safe"); got == nil {
-		t.Fatal("stale observer's Close dropped the replacement's registration")
-	} else if got != repl.rec {
-		t.Fatal("registry does not hold the replacement's recorder")
-	}
-
-	// A real Close by the owner still unregisters.
-	repl.Close()
-	if obs.LookupServe("swap-safe") != nil {
-		t.Fatal("owner Close left the slot registered")
-	}
-}
-
 // TestQueryJournalCloseSwapSafe: same replace-safe teardown for the
 // /journal registry.
 func TestQueryJournalCloseSwapSafe(t *testing.T) {

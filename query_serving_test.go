@@ -183,7 +183,7 @@ func TestBatcherObserverGoldenIdentity(t *testing.T) {
 	queries := queryPoints(points, 300, 29)
 	plain := qs.NewBatcher(2)
 	observed := qs.NewBatcher(2)
-	obsv := NewServeObserver("golden-test", ServeObserverConfig{SampleEvery: 1, Tail: 4})
+	obsv := NewServeObserver("golden-test", ServeObserverConfig{SampleEvery: 1})
 	defer obsv.Close()
 	observed.Observe(obsv)
 	if err := plain.Run(queries); err != nil {

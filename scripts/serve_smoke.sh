@@ -72,16 +72,16 @@ print("serve-smoke: shapes ok:", ", ".join(
 PY
 
 # One more explicit hot swap, then lint the live exposition: the
-# serving observers must be present and re-registered (not leaked) under
-# their stable per-replica names after the swaps.
+# per-replica serving observers live for the process, so after the
+# swaps each must still be present exactly once under its name.
 curl -fsS -X POST "http://$ADDR/swap" >"$OUT/swap.json"
 grep -q '"epoch"' "$OUT/swap.json" || {
   echo "serve-smoke: swap response malformed: $(cat "$OUT/swap.json")" >&2
   exit 1
 }
 
-# Post-swap traffic: a swap re-registers FRESH recorders under the
-# stable names, so the replacement series must start counting again.
+# Post-swap traffic: a swap re-attaches the same per-replica observers
+# to the new generation's Batchers, so the series keep counting.
 # Round-robin admission alternates replicas; a few requests cover all.
 for _ in 1 2 3 4; do
   curl -fsS -X POST "http://$ADDR/query" \
@@ -93,8 +93,8 @@ curl -fsS "http://$ADDR/metrics" -o "$OUT/metrics.txt"
   -gauge 'sepdc_serve_serve0_queries_total:1:1e18' \
   "$OUT/metrics.txt"
 
-# Exactly one exposition slot per replica: a swap must replace, never
-# duplicate or leak, the per-replica observer series.
+# Exactly one exposition slot per replica: a swap must never duplicate
+# or leak the per-replica observer series.
 count=$(grep -c '^sepdc_serve_serve0_queries_total' "$OUT/metrics.txt" || true)
 if [ "$count" -ne 1 ]; then
   echo "serve-smoke: serve0 queries_total appears $count times (leaked observer slot?)" >&2
@@ -108,7 +108,7 @@ TP_ID='4bf92f3577b34da6a3ce929d0e0e4736'
 TP="00-${TP_ID}-00f067aa0ba902b7-01"
 
 # Round-robin admission alternates replicas; four traced requests land
-# at least one exemplar on each replica's fresh post-swap recorder.
+# at least one exemplar on each replica's recorder after the swaps.
 for _ in 1 2 3 4; do
   curl -fsS -X POST "http://$ADDR/query" -H "traceparent: $TP" \
     -D "$OUT/trace_hdrs.txt" \
