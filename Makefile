@@ -42,8 +42,10 @@ bench-query:
 # taken before the assembly tier existed, so on an AVX2 host the
 # benchstat delta reads as asm's gain over the unrolled kernels —
 # with benchstat when available (informational smoke, not a gate).
+# NullVector times the fixed-size Radon null-vector solves (D=3, D=4)
+# against the generic elimination.
 bench-kernel:
-	$(GO) test -run '^$$' -bench 'Dist2Kernel|Dist2Generic|Dist2Batch4|Dist2Strided8|DotKernel' -benchmem ./internal/vec/
+	$(GO) test -run '^$$' -bench 'Dist2Kernel|Dist2Generic|Dist2Batch4|Dist2Strided8|DotKernel|NullVector' -benchmem ./internal/vec/
 
 # Kernel-dispatch matrix: the packages that exercise distance
 # arithmetic, end to end under each KNN_KERNELS tier (answers must be
@@ -106,6 +108,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzServeRequest$$' -fuzztime $(FUZZTIME) ./internal/serveproto/
 	$(GO) test -run '^$$' -fuzz '^FuzzServeJSONQuery$$' -fuzztime $(FUZZTIME) ./cmd/knnserve/
 	$(GO) test -run '^$$' -fuzz '^FuzzKernelParity$$' -fuzztime $(FUZZTIME) ./internal/vec/
+	$(GO) test -run '^$$' -fuzz '^FuzzNullVectorFixed$$' -fuzztime $(FUZZTIME) ./internal/vec/
 
 # Chaos matrix: the identity/degeneracy tests under every fault-injection
 # profile (see DESIGN.md §10). The graph is exact, so no profile may change

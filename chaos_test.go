@@ -138,6 +138,38 @@ func TestChaosMovesCounters(t *testing.T) {
 	}
 }
 
+// TestChaosPuntAllTakesBothPuntPaths: with every correction punted, the
+// small punts scan directly and the large ones still build the Section-3
+// query structure, so both halves of the punt path stay exercised.
+func TestChaosPuntAllTakesBothPuntPaths(t *testing.T) {
+	const n, d, k, seed = 2048, 3, 4, 11
+	points := genPoints(n, d, seed)
+	clean, err := BuildKNNGraph(points, k, &Options{Algorithm: Sphere, Seed: seed, chaos: &chaos.Injector{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := chaos.Parse("punt=all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildKNNGraph(points, k, &Options{Algorithm: Sphere, Seed: seed, Observe: true, chaos: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(g, clean) {
+		t.Fatal("punt=all changed the graph")
+	}
+	rep := g.Stats().Report
+	builds, corrections := rep.Counter("septree_builds"), rep.Counter("query_corrections")
+	t.Logf("septree_builds %d, query_corrections %d", builds, corrections)
+	if builds == 0 {
+		t.Errorf("no punt built a query structure (septree_builds = 0)")
+	}
+	if corrections <= builds {
+		t.Errorf("query_corrections %d <= septree_builds %d: no punt scanned directly", corrections, builds)
+	}
+}
+
 // TestChaosDeterministicUnderInjection: a chaos build is as reproducible
 // as a clean one — same seed, same profile, same graph and same counters.
 func TestChaosDeterministicUnderInjection(t *testing.T) {

@@ -136,18 +136,7 @@ func (sc *scratch) at(off int32) vec.Vec {
 // shuffles and survivor lists free of pointer writes (and hence of GC write
 // barriers), which were a measurable cost at this call frequency.
 func radonPointInto(sc *scratch, dst vec.Vec, group []int32) error {
-	d := sc.dim
-	for r := 0; r < d; r++ {
-		row := sc.rows[r]
-		for c, off := range group {
-			row[c] = sc.buf[int(off)+r]
-		}
-	}
-	ones := sc.rows[d]
-	for c := range ones {
-		ones[c] = 1
-	}
-	if err := vec.NullVectorInPlace(sc.rows, sc.lambda, sc.pivotCol, sc.isPivot); err != nil {
+	if err := radonLambda(sc, group); err != nil {
 		return ErrDegenerate
 	}
 	for i := range dst {
@@ -165,6 +154,35 @@ func radonPointInto(sc *scratch, dst vec.Vec, group []int32) error {
 	}
 	vec.ScaleTo(dst, 1/posSum, dst)
 	return nil
+}
+
+// radonLambda solves the group's homogeneous system into sc.lambda. The
+// lifted dimension of d=3 input (D=4) takes the fixed-size solver, which
+// is bit-identical to NullVectorInPlace.
+func radonLambda(sc *scratch, group []int32) error {
+	d := sc.dim
+	if d == 4 {
+		var w [5][6]float64
+		for c, off := range group {
+			o := int(off)
+			w[0][c], w[1][c], w[2][c], w[3][c], w[4][c] = sc.buf[o], sc.buf[o+1], sc.buf[o+2], sc.buf[o+3], 1
+		}
+		var x [6]float64
+		err := vec.NullVector5x6(&w, &x)
+		copy(sc.lambda, x[:])
+		return err
+	}
+	for r := 0; r < d; r++ {
+		row := sc.rows[r]
+		for c, off := range group {
+			row[c] = sc.buf[int(off)+r]
+		}
+	}
+	ones := sc.rows[d]
+	for c := range ones {
+		ones[c] = 1
+	}
+	return vec.NullVectorInPlace(sc.rows, sc.lambda, sc.pivotCol, sc.isPivot)
 }
 
 // centroidInto mirrors vec.CentroidTo over buffer offsets: zero, accumulate

@@ -170,3 +170,43 @@ func TestOptionsDefaults(t *testing.T) {
 		t.Error("explicit options ignored")
 	}
 }
+
+// radonPointInto (the fixed-size solve at D=4, the generic one
+// elsewhere) must reproduce RadonPoint bit for bit, degenerate groups
+// included.
+func TestRadonPointIntoMatchesRadonPoint(t *testing.T) {
+	g := xrand.New(17)
+	for _, D := range []int{2, 3, 4, 5} {
+		sc := &scratch{}
+		sc.ensure(D, D+2)
+		group := make([]int32, D+2)
+		pts := make([]vec.Vec, D+2)
+		for trial := 0; trial < 400; trial++ {
+			for i := range group {
+				group[i] = int32(i * D)
+				p := sc.buf[i*D : (i+1)*D]
+				for j := range p {
+					p[j] = g.Float64()*2 - 1
+				}
+				if trial%5 == 0 && i > 0 {
+					copy(p, sc.buf[:D]) // repeated points: rank-deficient systems
+				}
+				pts[i] = append(vec.Vec(nil), p...)
+			}
+			want, werr := RadonPoint(pts)
+			got := make(vec.Vec, D)
+			gerr := radonPointInto(sc, got, group)
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("D=%d trial %d: errors differ: %v vs %v", D, trial, gerr, werr)
+			}
+			if werr != nil {
+				continue
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("D=%d trial %d: coordinate %d = %v, RadonPoint %v", D, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

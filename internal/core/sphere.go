@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"sync"
 
 	"sepdc/internal/brute"
 	"sepdc/internal/march"
@@ -145,6 +147,16 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 	ctx := opts.machine().NewCtx()
 	base := opts.baseSize(n)
 	cc := canceller{done: cx.Done()}
+	if cc.done != nil {
+		// Carry cancellation into every separator search, the node's own
+		// and those of the punts' query structures.
+		o := Options{}
+		if opts != nil {
+			o = *opts
+		}
+		o.Sep = o.Sep.WithDone(cc.done)
+		opts = &o
+	}
 	sh := opts.rec().Root()
 	sp := sh.Begin()
 	tree := rec(ps, idx, lists, 0, g, opts, split, base, ctx, tl, sh, cc)
@@ -195,10 +207,25 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 
 	spDiv := sh.Begin()
 	// The divide step materializes the node's subset contiguously: one
-	// gather, after which every separator trial streams cache-friendly.
-	sub := ps.Gather(idx)
+	// gather into pooled scratch, after which every separator trial
+	// streams cache-friendly. No separator keeps a reference to the
+	// subset, so the scratch goes back as soon as the search returns.
+	sub := gatherPool.Get().(*pts.PointSet)
+	if need := m * ps.Dim; cap(sub.Data) < need {
+		sub.Data = make([]float64, need)
+	} else {
+		sub.Data = sub.Data[:need]
+	}
+	sub.Dim = ps.Dim
+	ps.GatherInto(sub.Data, idx)
 	res, alwaysQuery, err := split(sub, depth, g.Split(), opts)
+	gatherPool.Put(sub)
 	if err != nil {
+		if cc.cancelled() {
+			// The separator search stopped on cancellation, not on an
+			// unsplittable subset: abandon the node like any other.
+			return nil
+		}
 		// Unsplittable subset (all points identical): brute force it.
 		sh.End(spDiv, obs.PhaseDivide, obs.SpanDivide, int64(m))
 		return baseCase(ps, idx, lists, depth, ctx, tl, sh)
@@ -222,15 +249,22 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	}
 	ctx.PrimK(res.Trials, m) // each Unit Time Separator trial: O(1) steps over m points
 
-	// Partition the points: interior side takes Side <= 0.
-	var inIdx, exIdx []int
+	// Partition the points into one exact-size slice: interior side
+	// (Side <= 0) from the front, exterior from the back. Reversing the
+	// exterior part restores idx order on both sides.
+	part := make([]int, m)
+	lo, hi := 0, m
 	for _, j := range idx {
 		if res.Sep.Side(ps.At(j)) <= 0 {
-			inIdx = append(inIdx, j)
+			part[lo] = j
+			lo++
 		} else {
-			exIdx = append(exIdx, j)
+			hi--
+			part[hi] = j
 		}
 	}
+	inIdx, exIdx := part[:lo:lo], part[lo:]
+	slices.Reverse(exIdx)
 	ctx.PrimK(2, m) // classify + pack
 	sh.End(spDiv, obs.PhaseDivide, obs.SpanDivide, int64(m))
 	if len(inIdx) == 0 || len(exIdx) == 0 {
@@ -284,15 +318,18 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 
 	// Correction phase (Section 6.1's Correction / Section 5's step 3).
 	spCor := sh.Begin()
-	crossIn := crossing(ps, lists, inIdx, res.Sep, ctx)
-	crossEx := crossing(ps, lists, exIdx, res.Sep, ctx)
+	cs := corrPool.Get().(*corrScratch)
+	defer corrPool.Put(cs)
+	cs.crossIn = crossing(cs.crossIn[:0], ps, lists, inIdx, res.Sep, ctx)
+	cs.crossEx = crossing(cs.crossEx[:0], ps, lists, exIdx, res.Sep, ctx)
+	crossIn, crossEx := cs.crossIn, cs.crossEx
 	crossed := len(crossIn) + len(crossEx)
 	sh.Observe(obs.HCrossingBalls, int64(crossed))
 
 	gq := g.Split()
 	if alwaysQuery {
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc)
+		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
+		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 		return node
 	}
@@ -305,8 +342,8 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	if float64(crossed) >= threshold || opts.chaos().ForcePunt(depth) {
 		tl.add(func(s *Stats) { s.ThresholdPunts++ })
 		sh.Count(obs.CThresholdPunts, 1)
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc)
+		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
+		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 		return node
 	}
@@ -316,16 +353,19 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	// entirely (as if it had flooded at level 0) and takes the same punt.
 	activeLimit := int(opts.activeFactor()*threshold*math.Log2(float64(m))) + 16
 	forceAbort := opts.chaos().ForceMarchAbort(depth)
-	if forceAbort || !fastCorrect(ps, lists, crossIn, node.Right, activeLimit, opts, ctx, tl, sh) {
+	if forceAbort || !fastCorrect(ps, lists, crossIn, node.Right, activeLimit, opts, ctx, tl, sh, cs) {
 		tl.add(func(s *Stats) { s.MarchAborts++ })
 		sh.Count(obs.CMarchAborts, 1)
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc)
+		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
 	}
-	if forceAbort || !fastCorrect(ps, lists, crossEx, node.Left, activeLimit, opts, ctx, tl, sh) {
+	if forceAbort || !fastCorrect(ps, lists, crossEx, node.Left, activeLimit, opts, ctx, tl, sh, cs) {
 		tl.add(func(s *Stats) { s.MarchAborts++ })
 		sh.Count(obs.CMarchAborts, 1)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc)
+		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
 	}
 	sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 	return node
 }
+
+// gatherPool recycles the divide step's contiguous node subsets.
+var gatherPool = sync.Pool{New: func() any { return new(pts.PointSet) }}

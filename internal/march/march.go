@@ -31,6 +31,7 @@ package march
 
 import (
 	"math"
+	"sync"
 
 	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
@@ -113,7 +114,39 @@ type Stats struct {
 	Duplications int   // crossing-ball duplications (Lemma 6.4's quantity)
 	ActivePerLvl []int // full per-level profile for experiment E8
 	Aborted      bool  // true when MaxActive exceeded the caller's limit
+
+	buf *scratch // pooled storage behind the hits and ActivePerLvl
 }
+
+// Release hands the march's pooled storage back for reuse. The hits and
+// ActivePerLvl the march returned alias that storage and must not be used
+// afterwards. Calling Release is optional: an unreleased march's storage
+// is simply garbage collected.
+func (s *Stats) Release() {
+	if s.buf == nil {
+		return
+	}
+	s.buf.prof = s.ActivePerLvl[:0]
+	scratchPool.Put(s.buf)
+	s.buf, s.ActivePerLvl = nil, nil
+}
+
+// item is one active (ball, node) pair of the frontier.
+type item struct {
+	node *PNode
+	ball int // index into balls
+}
+
+// scratch is one march's storage: the two frontier levels (which swap
+// roles every level), the hit list and the per-level profile. Pooled so
+// that a steady stream of marches allocates nothing.
+type scratch struct {
+	cur, next []item
+	hits      []Hit
+	prof      []int
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Hit pairs a ball with a point found inside it.
 type Hit struct {
@@ -148,6 +181,9 @@ func Down(root *PNode, pv []vec.Vec, balls []Ball, activeLimit int, ctx *vm.Ctx)
 // The simulated cost charged to ctx follows Lemma 6.3: each level is a
 // constant number of vector primitives whose width is the level's active
 // pair count; the leaf scans charge one primitive per scanned point.
+//
+// The two frontier levels, the hits and Stats.ActivePerLvl live in pooled
+// storage; Stats.Release recycles it once the caller is done with them.
 func DownFlat(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int, ctx *vm.Ctx) ([]Hit, Stats) {
 	return DownFlatChaos(root, ps, balls, activeLimit, ctx, nil)
 }
@@ -161,33 +197,22 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 	if root == nil || len(balls) == 0 {
 		return nil, st
 	}
-	type item struct {
-		node *PNode
-		ball int // index into balls
-	}
-	frontier := make([]item, 0, len(balls))
+	sc := scratchPool.Get().(*scratch)
+	st.buf = sc
+	frontier := sc.cur[:0]
 	for i := range balls {
 		frontier = append(frontier, item{node: root, ball: i})
 	}
+	next := sc.next[:0]
+	hits := sc.hits[:0]
+	st.ActivePerLvl = sc.prof[:0]
 	// The leaf scan is the march's densest distance loop; resolve the
 	// d-specialized kernels once for the whole march (bit-identical to
 	// ps.Dist2To). The four-point form amortizes the ball-center load over
 	// four leaf points per call.
 	dist2 := vec.Dist2Kernel(ps.Dim)
 	batch4 := vec.Dist2Batch4Kernel(ps.Dim)
-	var hits []Hit
 	leafWork := 0
-	defer func() {
-		if ctx != nil {
-			// Constant steps for the whole march (Lemma 6.3, chunked);
-			// work = all (ball, node) pairs labeled plus the leaf scans.
-			ctx.Charge(vm.Cost{Steps: marchSteps, Work: int64(st.TotalVisited + leafWork)})
-		}
-		if obs.On() {
-			obs.Add(obs.GMarchPairs, int64(st.TotalVisited))
-			obs.Add(obs.GMarchLeafPoints, int64(leafWork))
-		}
-	}()
 	for len(frontier) > 0 {
 		st.Levels++
 		st.ActivePerLvl = append(st.ActivePerLvl, len(frontier))
@@ -197,9 +222,9 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 		st.TotalVisited += len(frontier)
 		if (activeLimit > 0 && len(frontier) > activeLimit) || inj.AbortMarchAtLevel(st.Levels) {
 			st.Aborted = true
-			return nil, st
+			break
 		}
-		next := frontier[:0:0]
+		next = next[:0]
 		for _, it := range frontier {
 			b := &balls[it.ball]
 			n := it.node
@@ -246,7 +271,26 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 					item{node: n.Right, ball: it.ball})
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
+	}
+	// Keep whatever the buffers grew to, with their node pointers cleared
+	// so the pool does not pin this tree; no level was longer than
+	// MaxActive. The hits and the profile stay the caller's until
+	// Stats.Release.
+	clear(frontier[:min(st.MaxActive, cap(frontier))])
+	clear(next[:min(st.MaxActive, cap(next))])
+	sc.cur, sc.next, sc.hits = frontier[:0], next[:0], hits[:0]
+	if ctx != nil {
+		// Constant steps for the whole march (Lemma 6.3, chunked);
+		// work = all (ball, node) pairs labeled plus the leaf scans.
+		ctx.Charge(vm.Cost{Steps: marchSteps, Work: int64(st.TotalVisited + leafWork)})
+	}
+	if obs.On() {
+		obs.Add(obs.GMarchPairs, int64(st.TotalVisited))
+		obs.Add(obs.GMarchLeafPoints, int64(leafWork))
+	}
+	if st.Aborted {
+		return nil, st
 	}
 	return hits, st
 }

@@ -31,6 +31,7 @@
 package separator
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -69,6 +70,33 @@ type Options struct {
 	// through the retry cascade and the hyperplane punt at will. Nil (the
 	// default) injects nothing.
 	Chaos *chaos.Injector
+	// Done stops the retry loop when closed (typically a context's Done
+	// channel): FindGood polls it between trials and returns
+	// context.Canceled. Nil disables the probe.
+	Done <-chan struct{}
+}
+
+// WithDone returns a copy of o (nil selects the defaults) whose Done is
+// done: how callers carry their cancellation into the separator search.
+func (o *Options) WithDone(done <-chan struct{}) *Options {
+	c := Options{}
+	if o != nil {
+		c = *o
+	}
+	c.Done = done
+	return &c
+}
+
+func (o *Options) cancelled() bool {
+	if o == nil || o.Done == nil {
+		return false
+	}
+	select {
+	case <-o.Done:
+		return true
+	default:
+		return false
+	}
 }
 
 func (o *Options) chaos() *chaos.Injector {
@@ -339,7 +367,8 @@ type Result struct {
 // "Iteratively apply Unit Time Sphere Separator Algorithm until finding a
 // good sphere separator S." If MaxTrials candidates all fail (probability
 // exponentially small in the budget), it falls back to the median
-// hyperplane, which splits perfectly by construction.
+// hyperplane, which splits perfectly by construction. A search whose
+// Options.Done closes returns context.Canceled before its next trial.
 func FindGood(pv []vec.Vec, g *xrand.RNG, opts *Options) (Result, error) {
 	if len(pv) == 0 {
 		return Result{}, errors.New("separator: no points")
@@ -357,6 +386,9 @@ func FindGoodFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (Result, error)
 	inj := opts.chaos()
 	var res Result
 	for trial := 1; trial <= budget; trial++ {
+		if opts.cancelled() {
+			return res, context.Canceled
+		}
 		sep, err := CandidateFlat(ps, g, opts)
 		if err != nil {
 			res.Trials = trial

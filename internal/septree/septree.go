@@ -146,6 +146,12 @@ func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Tree, error) {
 	if sys.Len() == 0 {
 		return nil, errors.New("septree: empty neighborhood system")
 	}
+	if opts != nil && opts.Done != nil && (opts.Sep == nil || opts.Sep.Done != opts.Done) {
+		// Forward cancellation into every node's separator search.
+		o := *opts
+		o.Sep = opts.Sep.WithDone(opts.Done)
+		opts = &o
+	}
 	t := &Tree{Sys: sys}
 	idx := make([]int, sys.Len())
 	for i := range idx {
@@ -202,6 +208,9 @@ func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.C
 	for attempt := 0; ; attempt++ {
 		res, err := separator.FindGood(centers, g.Split(), opts.sep())
 		if err != nil {
+			if opts.cancelled() {
+				return nil
+			}
 			// Degenerate subset (e.g. all centers identical): leaf out.
 			ctx.Prim(m)
 			return &Node{Balls: idx, Trials: trials, Forced: true}
