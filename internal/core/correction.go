@@ -206,7 +206,7 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		// Inflate, and bump past squared-distance underflow: never lose a tie.
 		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
 	}
-	sys := &nbrsys.System{Centers: centers, Radii: radii}
+	sys := &nbrsys.System{Centers: centers, Radii: radii, K: opts.k()}
 	tree, err := septree.Build(sys, g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
 	if err != nil {
 		if cc.cancelled() {

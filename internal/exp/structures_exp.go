@@ -72,6 +72,6 @@ func runE15(cfg Config) []*stats.Table {
 			1.0, // stores each ball exactly once
 			float64(queryBV.Microseconds())/perQ, check)
 	}
-	tb.AddNote("both answer identical covering-ball queries; the separator structure pays duplication (~2.7x space) for its O(k+log n) worst-case query guarantee, the BV tree is linear-space with heuristic pruning")
+	tb.AddNote("both answer identical covering-ball queries; the separator structure pays duplication (stored/n above 1) for its O(k+log n) worst-case query guarantee, the BV tree is linear-space with heuristic pruning")
 	return []*stats.Table{tb}
 }

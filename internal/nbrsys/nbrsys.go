@@ -17,9 +17,12 @@ import (
 )
 
 // System is a neighborhood system: parallel slices of centers and radii.
+// K is the neighborhood size the radii were derived from (the k of a
+// k-neighborhood system); 0 is read as 1.
 type System struct {
 	Centers []vec.Vec
 	Radii   []float64
+	K       int
 }
 
 // Len returns the number of balls.
@@ -58,7 +61,7 @@ func KNeighborhood(pts []vec.Vec, k int) *System {
 		r2, _ := tree.KNN(pts[i], k, i).Radius2()
 		radii[i] = math.Sqrt(r2)
 	}
-	return &System{Centers: pts, Radii: radii}
+	return &System{Centers: pts, Radii: radii, K: k}
 }
 
 // Partition classifies every ball against sep, returning index sets for

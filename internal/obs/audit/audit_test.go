@@ -56,18 +56,21 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 		{pointgen.JitteredGrid, 3, 4},
 		{pointgen.Clustered, 2, 4},
 		{pointgen.Clustered, 3, 4},
+		{pointgen.UniformBall, 2, 8},
+		{pointgen.UniformBall, 3, 8},
+		{pointgen.Clustered, 3, 8},
 	}
 	for _, c := range cases {
 		tree, frozen, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
 		rep, err := Audit(tree, frozen, probes(pts, c.d, 500, 43), Config{K: c.k})
 		if err != nil {
-			t.Fatalf("%s d=%d: %v", c.gen, c.d, err)
+			t.Fatalf("%s d=%d k=%d: %v", c.gen, c.d, c.k, err)
 		}
 		rep.Gen = string(c.gen)
 		if !rep.Pass {
 			var buf bytes.Buffer
 			rep.WriteTable(&buf)
-			t.Errorf("%s d=%d failed audit:\n%s", c.gen, c.d, buf.String())
+			t.Errorf("%s d=%d k=%d failed audit:\n%s", c.gen, c.d, c.k, buf.String())
 		}
 		if len(rep.Checks) != 7 {
 			t.Errorf("%s d=%d: %d checks, want 7", c.gen, c.d, len(rep.Checks))

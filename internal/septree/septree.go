@@ -6,7 +6,8 @@
 //
 // Construction follows Parallel Neighborhood Querying (Section 3.3):
 //
-//  1. If m <= m0, emit a leaf holding all balls.
+//  1. If m <= m0, emit a leaf holding all balls. m0 is fixed once per
+//     tree from d, the system's k and its size n (see Options.LeafSize).
 //  2. Otherwise iterate the Unit Time Sphere Separator Algorithm until a
 //     good separator S is found.
 //  3. B_0 = B_I(S) ∪ B_O(S), B_1 = B_E(S) ∪ B_O(S) — crossing balls are
@@ -23,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"sepdc/internal/geom"
@@ -52,8 +54,9 @@ func (n *Node) IsLeaf() bool { return n.Sep == nil }
 // Options configures construction.
 type Options struct {
 	// LeafSize is the paper's m0: subsets of at most this size become
-	// leaves. Zero selects 32, comfortably satisfying m0^μ ≤ (1−δ)/2·m0
-	// for the default δ and the empirical μ.
+	// leaves. Zero derives it from the system: max(4·(k + bits.Len(n)),
+	// 32·2^max(0, d−3)) for a system of n balls of neighborhood size k
+	// in R^d.
 	LeafSize int
 	// Sep configures the separator search at each node.
 	Sep *separator.Options
@@ -83,18 +86,22 @@ func (o *Options) cancelled() bool {
 	}
 }
 
-// leafSize returns the paper's m0 for ambient dimension d. Lemma 3.1
-// requires m0 large enough (depending on d, δ, μ) that the crossing set
-// of a leaf-sized subproblem is a small fraction of it; the intersection
-// number's m^{(d−1)/d} scaling means higher dimensions need larger leaves.
-func (o *Options) leafSize(d int) int {
+// leafSize returns the paper's m0 for a system of n balls of neighborhood
+// size k in R^d. Two constraints set it:
+//
+//   - Theorem 3.1's query budget: a query scans one leaf whole, so a leaf
+//     may hold the O(k + log n) candidates a query is allowed; the
+//     constant is the audit's default (QueryCandsC = 4).
+//   - Lemma 3.1's space bound: a leaf-sized subproblem's crossing set,
+//     O(k^{1/d}·m^{(d−1)/d}) by Theorem 2.1, must be a small fraction of
+//     it, so m0 grows with k. At d ≤ 3 the query budget already meets
+//     this; the floor 32·2^max(0, d−3) keeps the larger leaves that
+//     higher dimensions need.
+func (o *Options) leafSize(d, k, n int) int {
 	if o != nil && o.LeafSize > 0 {
 		return o.LeafSize
 	}
-	if d <= 3 {
-		return 32
-	}
-	return 32 << uint(d-3) // 64 at d=4, 128 at d=5, …
+	return max(4*(max(k, 1)+bits.Len(uint(n))), 32<<uint(max(0, d-3)))
 }
 
 func (o *Options) retries() int {
@@ -157,8 +164,9 @@ func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
+	m0 := opts.leafSize(len(sys.Centers[0]), sys.K, sys.Len())
 	ctx := opts.machine().NewCtx()
-	t.Root = build(sys, idx, g, opts, ctx)
+	t.Root = build(sys, idx, m0, g, opts, ctx)
 	if opts.cancelled() {
 		// Cancellation collapses subtrees to nil nodes; the partial tree
 		// is unusable, so report the abort rather than summarize it.
@@ -191,12 +199,12 @@ func BuildContext(cx context.Context, sys *nbrsys.System, g *xrand.RNG, opts *Op
 	return t, nil
 }
 
-func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.Ctx) *Node {
+func build(sys *nbrsys.System, idx []int, m0 int, g *xrand.RNG, opts *Options, ctx *vm.Ctx) *Node {
 	if opts.cancelled() {
 		return nil
 	}
 	m := len(idx)
-	if m <= opts.leafSize(len(sys.Centers[idx[0]])) {
+	if m <= m0 {
 		ctx.Prim(m) // emit leaf: one vector write
 		return &Node{Balls: idx}
 	}
@@ -241,9 +249,9 @@ func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.C
 		// exponentially (duplication outpaces the split). Lemma 3.1's
 		// recurrence needs |child| ≤ δ₁·m + m^μ; we enforce the practical
 		// version "both children at least 5% smaller" and retry (then leaf
-		// out) otherwise — the paper's requirement that m0 be a
-		// sufficiently large constant for the dimension plays the same
-		// role in the analysis.
+		// out) otherwise — the paper's requirement that m0 be large
+		// enough for d and k (see leafSize) plays the same role in the
+		// analysis.
 		limit := m - 1
 		if m >= 40 {
 			limit = m - m/20
@@ -254,8 +262,8 @@ func build(sys *nbrsys.System, idx []int, g *xrand.RNG, opts *Options, ctx *vm.C
 			// branch does not depend on execution interleaving.
 			gl, gr := g.Split(), g.Split()
 			ctx.Fork(
-				func(c *vm.Ctx) { node.Left = build(sys, left, gl, opts, c) },
-				func(c *vm.Ctx) { node.Right = build(sys, right, gr, opts, c) },
+				func(c *vm.Ctx) { node.Left = build(sys, left, m0, gl, opts, c) },
+				func(c *vm.Ctx) { node.Right = build(sys, right, m0, gr, opts, c) },
 			)
 			return node
 		}

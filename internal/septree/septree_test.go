@@ -364,3 +364,49 @@ func TestLeafSizeOption(t *testing.T) {
 		t.Error("leaf size constraint violated")
 	}
 }
+
+// TestSpaceAndLeafBudget: with the default leaf size m0(d, k, n) the tree
+// stays within O(n) space (Lemma 3.1) and a query's leaf scan within
+// Theorem 3.1's O(k + log n) candidate budget, across d and k. The
+// stored/n bounds carry at least 20% headroom over the measured maxima
+// at n = 2·10⁴ (3.60 at d=2 and 35.2 at d=3, both at k=8).
+func TestSpaceAndLeafBudget(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 5000
+	}
+	maxStoredPerN := map[int]float64{2: 4.5, 3: 43}
+	for _, d := range []int{2, 3} {
+		for _, k := range []int{1, 4, 8} {
+			tree, pts := buildUniform(t, n, d, k, 7, nil)
+			st := tree.Stats
+			perN := float64(st.TotalStored) / float64(len(pts))
+			frozen, err := Freeze(tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := xrand.New(8)
+			cands := 0
+			const probes = 400
+			var buf []int
+			for i := 0; i < probes; i++ {
+				var scanned int
+				buf, _, scanned = frozen.Covering(pts[g.IntN(len(pts))], buf[:0])
+				cands += scanned
+			}
+			meanCands := float64(cands) / probes
+			budget := 4 * (float64(k) + math.Log2(float64(len(pts))))
+			t.Logf("d=%d k=%d: stored/n %.2f, leaves %d, forced %d, mean leaf candidates %.1f (budget %.1f)",
+				d, k, perN, st.Leaves, st.ForcedLeaves, meanCands, budget)
+			if perN > maxStoredPerN[d] {
+				t.Errorf("d=%d k=%d: stored/n = %.2f, want ≤ %v", d, k, perN, maxStoredPerN[d])
+			}
+			if st.ForcedLeaves != 0 {
+				t.Errorf("d=%d k=%d: %d forced leaves, want 0", d, k, st.ForcedLeaves)
+			}
+			if meanCands > budget {
+				t.Errorf("d=%d k=%d: mean leaf candidates %.1f, want ≤ 4(k + log₂n) = %.1f", d, k, meanCands, budget)
+			}
+		}
+	}
+}

@@ -1,17 +1,29 @@
 #!/usr/bin/env bash
-# Scrape gate for the serving telemetry: run cmd/knn -audit with the
-# debug server up, scrape /metrics while the process holds, lint the
-# Prometheus exposition, and assert the paper-invariant gauges are in
-# bounds. Exits nonzero if the audit fails, the exposition is
-# malformed, or any gauge assertion is violated.
+# Scrape gate for the serving telemetry: run a plain cmd/knn -audit at
+# d=3, k=8, then run cmd/knn -audit at d=2, k=4 with the debug server
+# up, scrape /metrics while the process holds, lint the Prometheus
+# exposition, and assert the paper-invariant gauges are in bounds. Exits
+# nonzero if either audit fails, the exposition is malformed, or any
+# gauge assertion is violated.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18417}"
 OUT="$(mktemp -d)"
-trap 'rm -rf "$OUT"; kill "$KNN_PID" 2>/dev/null || true' EXIT
+KNN_PID=""
+trap 'rm -rf "$OUT"; [ -z "$KNN_PID" ] || kill "$KNN_PID" 2>/dev/null || true' EXIT
 
 go build -o "$OUT/knn" ./cmd/knn
 go build -o "$OUT/promlint" ./cmd/promlint
+
+# The space and query-candidate invariants at d=3, k=8, where the leaf
+# size has to grow with k (Lemma 3.1, Theorem 3.1). A plain run: its
+# exit status is the gate.
+if ! "$OUT/knn" -n 4000 -d 3 -k 8 -audit >"$OUT/audit-d3k8.log" 2>&1; then
+  echo "metrics-audit: knn -audit -d 3 -k 8 failed" >&2
+  cat "$OUT/audit-d3k8.log" >&2
+  exit 1
+fi
+cat "$OUT/audit-d3k8.log"
 
 "$OUT/knn" -n 4000 -d 2 -k 4 -audit -debug-addr "$ADDR" -debug-hold 30s \
   >"$OUT/audit.log" 2>&1 &
