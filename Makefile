@@ -61,11 +61,11 @@ kernels-matrix:
 
 # Focused race gate over the batched query-serving paths and the
 # serving telemetry they feed (concurrent Snapshot during recording,
-# journal publish/drain, SLO evaluation, flight capture). Also covered
-# by test-race's full-module sweep; kept as its own target so a failure
-# names the subsystem.
+# journal publish/drain, same-name journal registration, SLO evaluation,
+# flight capture). Also covered by test-race's full-module sweep; kept as
+# its own target so a failure names the subsystem.
 race-batch:
-	$(GO) test -race -run 'Batch|Batcher|CoveringBalls|QueryStructure|Serve|Journal|Flight|Burn|Trip|Trace' . ./internal/septree/ ./internal/obs/ ./internal/obs/slo/ ./internal/obs/flight/ ./internal/obs/runtimeobs/
+	$(GO) test -race -run 'Batch|Batcher|CoveringBalls|QueryStructure|Serve|Journal|NewQueryJournalConcurrentSameName|Flight|Burn|Trip|Trace' . ./internal/septree/ ./internal/obs/ ./internal/obs/slo/ ./internal/obs/flight/ ./internal/obs/runtimeobs/
 
 # Focused race gate over the serving front end: concurrent HTTP traffic
 # against the coalescer, repeated epoch/RCU snapshot swaps, telemetry

@@ -52,9 +52,6 @@ func runFlight(dir string, n, d, k int, seed uint64, workers, queriesPerBatch, b
 	fr, err := sepdc.NewFlightRecorder(sepdc.FlightConfig{
 		Dir:              dir,
 		LatencyObjective: latency,
-		Target:           0.99,
-		CaptureWindow:    100 * time.Millisecond,
-		Cooldown:         time.Second,
 	})
 	if err != nil {
 		return err
@@ -75,12 +72,10 @@ func runFlight(dir string, n, d, k int, seed uint64, workers, queriesPerBatch, b
 		if err := bt.Run(queries); err != nil {
 			return err
 		}
-		for _, s := range fr.Evaluate() {
-			if s.Tripped && !tripped {
-				tripped = true
-				fmt.Printf("SLO %s tripped at batch %d: fast burn %.2f, slow burn %.2f (%d/%d bad)\n",
-					s.Name, i+1, s.FastBurn, s.SlowBurn, s.Bad, s.Total)
-			}
+		if s := fr.Evaluate(); s.Tripped && !tripped {
+			tripped = true
+			fmt.Printf("SLO %s tripped at batch %d: fast burn %.2f, slow burn %.2f (%d/%d bad)\n",
+				s.Name, i+1, s.FastBurn, s.SlowBurn, s.Bad, s.Total)
 		}
 	}
 	fr.Close() // wait for async captures before reporting

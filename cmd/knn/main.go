@@ -299,10 +299,10 @@ func runAudit(n, d, k int, seed uint64, workers int) error {
 	// scripts/metrics_audit.sh lints and asserts these series.
 	if lastBatcher != nil {
 		bst := lastBatcher.Stats()
-		ev, err := slo.New([]slo.Objective{{
+		ev, err := slo.New(slo.Objective{
 			Name:   "audit_batch_latency",
 			Source: slo.HistSource(func() obs.Hist { return bst.Latency }, (100 * time.Millisecond).Nanoseconds()),
-		}}, nil)
+		}, nil)
 		if err != nil {
 			return err
 		}

@@ -412,7 +412,7 @@ func TestServeRaceHammer(t *testing.T) {
 		defer wg.Done()
 		defer close(obsDone)
 		for i := 0; i < 200; i++ {
-			if rec := obs.LookupServe(observerName(0)); rec != nil {
+			if rec := obs.Serves.Lookup(observerName(0)); rec != nil {
 				rec.Snapshot()
 			}
 			for _, j := range srv.journals {

@@ -148,7 +148,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		s.observers[i] = sepdc.NewServeObserver(observerName(i), sepdc.ServeObserverConfig{})
 		s.journals[i] = sepdc.NewQueryJournal(observerName(i), sepdc.QueryJournalConfig{PerStrand: cfg.ringSize})
 	}
-	s.traces = sepdc.NewTraceLog("serve", sepdc.TraceLogConfig{})
+	s.traces = sepdc.NewTraceLog("serve")
 
 	gen, err := s.buildGeneration(cfg.seed)
 	if err != nil {
@@ -182,8 +182,6 @@ func (s *server) startFlight() error {
 	fr, err := sepdc.NewFlightRecorder(sepdc.FlightConfig{
 		Dir:              s.cfg.flightDir,
 		LatencyObjective: s.cfg.flightLatency,
-		CaptureWindow:    100 * time.Millisecond,
-		Cooldown:         time.Second,
 	})
 	if err != nil {
 		return err

@@ -19,8 +19,11 @@ import (
 // cmd/knn -flight wires it to a flag; cmd/knnserve will consume it
 // wholesale.
 
-// FlightConfig tunes a FlightRecorder. Dir is required; everything else
-// defaults as noted.
+// FlightConfig tunes a FlightRecorder. Dir is required. The SLO's shape
+// is fixed: a 0.99 success target over batches, burn-rate windows of 5m
+// and 1h with trip thresholds 14.4 and 6 (a capture fires when BOTH
+// windows exceed theirs), a 100ms trace and CPU-profile capture window,
+// and at least 1s between automatic captures.
 type FlightConfig struct {
 	// Dir is where bundles are written (one timestamped directory each).
 	Dir string
@@ -29,20 +32,6 @@ type FlightConfig struct {
 	// log2 bucketing rounds the threshold down to a power-of-two
 	// nanosecond bound.
 	LatencyObjective time.Duration
-	// Target is the success-ratio objective over batches, e.g. 0.999.
-	// 0 selects 0.99.
-	Target float64
-	// FastWindow/SlowWindow are the burn-rate windows. Defaults 5m / 1h.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn/SlowBurn are the per-window trip thresholds; a capture
-	// fires when BOTH windows exceed theirs. Defaults 14.4 / 6.
-	FastBurn, SlowBurn float64
-	// CaptureWindow is how long the bundle's runtime/trace segment and
-	// CPU profile record. Default 250ms.
-	CaptureWindow time.Duration
-	// Cooldown is the minimum spacing between automatic captures.
-	// Default 1m.
-	Cooldown time.Duration
 }
 
 // FlightRecorder watches a Batcher's latency SLO and captures flight
@@ -117,20 +106,11 @@ func (fr *FlightRecorder) Watch(name string, latency func() obs.Hist, qj *QueryJ
 	if tl != nil {
 		src.Traces = tl.t.Retained
 	}
-	rec := flight.New(flight.Config{
-		Dir:      fr.cfg.Dir,
-		Window:   fr.cfg.CaptureWindow,
-		Cooldown: fr.cfg.Cooldown,
-	}, src)
-	ev, err := slo.New([]slo.Objective{{
-		Name:       name,
-		Source:     slo.HistSource(latency, threshold.Nanoseconds()),
-		Target:     fr.cfg.Target,
-		FastWindow: fr.cfg.FastWindow,
-		SlowWindow: fr.cfg.SlowWindow,
-		FastBurn:   fr.cfg.FastBurn,
-		SlowBurn:   fr.cfg.SlowBurn,
-	}}, fr.onTrip)
+	rec := flight.New(fr.cfg.Dir, src)
+	ev, err := slo.New(slo.Objective{
+		Name:   name,
+		Source: slo.HistSource(latency, threshold.Nanoseconds()),
+	}, fr.onTrip)
 	if err != nil {
 		return err
 	}
@@ -164,9 +144,9 @@ func (fr *FlightRecorder) onTrip(s slo.Status) {
 // burn-rate trip condition just started firing. MUST be called between
 // Runs, never concurrently with one — the same contract as
 // Batcher.Stats. Returns the objective's status.
-func (fr *FlightRecorder) Evaluate() []slo.Status {
+func (fr *FlightRecorder) Evaluate() slo.Status {
 	if fr == nil {
-		return nil
+		return slo.Status{}
 	}
 	fr.mu.Lock()
 	ev := fr.ev

@@ -197,17 +197,13 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		directScan(unbounded)
 	}
 
-	// Build the query structure over the finite crossing balls.
-	centers := make([]vec.Vec, len(finite))
-	radii := make([]float64, len(finite))
-	for j, i := range finite {
-		r2, _ := lists[i].Radius2()
-		centers[j] = ps.At(i)
-		// Inflate, and bump past squared-distance underflow: never lose a tie.
-		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
+	// Build the query structure over the finite crossing balls, and
+	// freeze it: the punt queries run on the same flat engine as serving.
+	tree, err := septree.Build(puntSystem(ps, lists, finite, opts.k()), g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
+	var frozen *septree.Frozen
+	if err == nil {
+		frozen, err = septree.Freeze(tree)
 	}
-	sys := &nbrsys.System{Centers: centers, Radii: radii, K: opts.k()}
-	tree, err := septree.Build(sys, g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
 	if err != nil {
 		if cc.cancelled() {
 			// The structure build was cut short by cancellation; the punt
@@ -227,27 +223,42 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	sh.Count(obs.CSeptreeBuilds, 1)
 	sh.Count(obs.CSeptreeStored, int64(tree.Stats.TotalStored))
 
-	// Query all other-side points in parallel: steps = deepest query path,
-	// work = total nodes visited (plus the hits).
-	queries := make([]vec.Vec, len(otherPts))
-	for qi, j := range otherPts {
-		queries[qi] = ps.At(j)
-	}
-	results, cost := tree.QueryBatchClosed(queries, nil)
-	ctx.Charge(cost)
-	hits := 0
-	for qi, ballIdx := range results {
-		j := otherPts[qi]
-		for _, b := range ballIdx {
+	// Query every other-side point, conceptually all in parallel (Theorem
+	// 3.1's query phase): steps = the deepest query path plus distributing
+	// the queries and packing the results, work = the total nodes visited
+	// plus the balls reported.
+	var covered []int
+	deepest, work, hits := 0, 0, 0
+	for _, j := range otherPts {
+		var visited int
+		covered, visited, _ = frozen.CoveringClosed(ps.At(j), covered[:0])
+		deepest = max(deepest, visited)
+		work += visited + len(covered)
+		for _, b := range covered {
 			i := finite[b]
 			lists[i].Insert(j, dist2(ps.At(i), ps.At(j)))
-			hits++
 		}
+		hits += len(covered)
 	}
+	ctx.Charge(vm.Cost{Steps: int64(deepest) + 2, Work: int64(work)})
 	tl.add(func(s *Stats) {
 		s.CandidatePairs += hits
 		s.QueryCorrections++
 	})
 	sh.Count(obs.CCandidatePairs, int64(hits))
 	sh.Count(obs.CQueryCorrections, 1)
+}
+
+// puntSystem is the ball system a large punt builds its search structure
+// over: the finite crossing balls at their current k-th neighbor radii.
+func puntSystem(ps *pts.PointSet, lists []*topk.List, finite []int, k int) *nbrsys.System {
+	centers := make([]vec.Vec, len(finite))
+	radii := make([]float64, len(finite))
+	for j, i := range finite {
+		r2, _ := lists[i].Radius2()
+		centers[j] = ps.At(i)
+		// Inflate, and bump past squared-distance underflow: never lose a tie.
+		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
+	}
+	return &nbrsys.System{Centers: centers, Radii: radii, K: k}
 }

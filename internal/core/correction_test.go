@@ -5,19 +5,18 @@ import (
 
 	"sepdc/internal/brute"
 	"sepdc/internal/pts"
+	"sepdc/internal/septree"
 	"sepdc/internal/topk"
 	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
-// runPunt sets up one punted correction: nA points on the left of x=0.5
-// whose lists hold their k-NN among themselves, nB points on the right,
-// and every left ball corrected against the right side. It returns the
-// points, the corrected lists, the run's tally and its simulated charge.
-func runPunt(t *testing.T, seed uint64, nA, nB, k int) ([]vec.Vec, []*topk.List, Stats, vm.Cost) {
-	t.Helper()
-	g := xrand.New(seed)
+// setupPunt sets up one punted correction: nA points on the left of x=0.5
+// whose lists hold their k-NN among themselves, nB points on the right.
+// The returned generator is the one the correction draws from next.
+func setupPunt(seed uint64, nA, nB, k int) (ps *pts.PointSet, lists []*topk.List, left, right []int, g *xrand.RNG) {
+	g = xrand.New(seed)
 	pv := make([]vec.Vec, nA+nB)
 	for i := range pv {
 		x := 0.5 * g.Float64()
@@ -26,19 +25,32 @@ func runPunt(t *testing.T, seed uint64, nA, nB, k int) ([]vec.Vec, []*topk.List,
 		}
 		pv[i] = vec.Of(x, g.Float64())
 	}
-	ps := pts.FromVecs(pv)
-	left, right := make([]int, nA), make([]int, nB)
+	ps = pts.FromVecs(pv)
+	left, right = make([]int, nA), make([]int, nB)
 	for i := range left {
 		left[i] = i
 	}
 	for i := range right {
 		right[i] = nA + i
 	}
-	lists := topk.NewArena(len(pv), k).Lists()
+	lists = topk.NewArena(len(pv), k).Lists()
 	brute.AllKNNSubsetInto(ps, left, lists)
+	return ps, lists, left, right, g
+}
+
+// runPunt runs setupPunt's correction, every left ball corrected against
+// the right side. It returns the points, the corrected lists, the run's
+// tally and its simulated charge.
+func runPunt(t *testing.T, seed uint64, nA, nB, k int) ([]vec.Vec, []*topk.List, Stats, vm.Cost) {
+	t.Helper()
+	ps, lists, left, right, g := setupPunt(seed, nA, nB, k)
 	tl := &tally{}
 	ctx := vm.Sequential().NewCtx()
 	queryCorrect(ps, lists, left, right, g.Split(), nil, ctx, tl, nil, canceller{}, new(corrScratch))
+	pv := make([]vec.Vec, len(right)+len(left))
+	for i := range pv {
+		pv[i] = ps.At(i)
+	}
 	return pv, lists, tl.s, ctx.Cost()
 }
 
@@ -106,6 +118,44 @@ func TestQueryCorrectUnboundedCharge(t *testing.T) {
 		}
 		if st.CandidatePairs != pairs || st.SeparatorTrials != 0 {
 			t.Fatalf("nB=%d: %d candidates, %d trials; want %d, 0", nB, st.CandidatePairs, st.SeparatorTrials, pairs)
+		}
+	}
+}
+
+// A punt above the crossover is charged its structure's build plus
+// Theorem 3.1's query phase over the other side, all queries in parallel:
+// steps = the deepest query path + 2 (distribute, pack), work = the nodes
+// visited plus the balls reported. The reference replays the same build
+// and queries the pointer tree one point at a time.
+func TestQueryCorrectQueryCharge(t *testing.T) {
+	const k = 4
+	for seed := uint64(1); seed <= 3; seed++ {
+		_, _, st, cost := runPunt(t, seed, 64, 64, k)
+
+		ps, lists, left, right, g := setupPunt(seed, 64, 64, k)
+		// runPunt's options (the defaults) and its generator: queryCorrect
+		// gets g.Split() and splits it again for the build.
+		var opts *Options
+		tree, err := septree.Build(puntSystem(ps, lists, left, opts.k()), g.Split().Split(), &septree.Options{Sep: opts.sep()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deepest, work, hits := 0, 0, 0
+		for _, j := range right {
+			balls, visited := tree.QueryClosed(ps.At(j))
+			deepest = max(deepest, visited)
+			work += visited + len(balls)
+			hits += len(balls)
+		}
+		want := tree.Stats.Cost
+		want.Steps += int64(deepest) + 2
+		want.Work += int64(work)
+		if cost != want {
+			t.Fatalf("seed %d: cost %+v, want %+v", seed, cost, want)
+		}
+		if st.CandidatePairs != hits || st.SeparatorTrials != tree.Stats.SeparatorTrials {
+			t.Fatalf("seed %d: %d candidates, %d trials; want %d, %d",
+				seed, st.CandidatePairs, st.SeparatorTrials, hits, tree.Stats.SeparatorTrials)
 		}
 	}
 }

@@ -42,38 +42,15 @@ import (
 	"sepdc/internal/obs"
 )
 
-// Config tunes the recorder. The zero value of each field selects the
-// noted default.
-type Config struct {
-	// Dir is the directory bundles are written under. Default "flight".
-	Dir string
-	// Window is how long the trace + CPU profile record. Default 250ms —
-	// long enough to catch scheduler behavior, short enough that capture
-	// does not itself become the outage.
-	Window time.Duration
+const (
+	// Window is how long a bundle's trace and CPU profile record: long
+	// enough to catch scheduler behavior, short enough that capture does
+	// not itself become the outage.
+	Window = 100 * time.Millisecond
 	// Cooldown is the minimum spacing between automatic captures
-	// (TryCapture); explicit Capture calls ignore it. Default 1m.
-	Cooldown time.Duration
-}
-
-func (c Config) dir() string {
-	if c.Dir == "" {
-		return "flight"
-	}
-	return c.Dir
-}
-func (c Config) window() time.Duration {
-	if c.Window <= 0 {
-		return 250 * time.Millisecond
-	}
-	return c.Window
-}
-func (c Config) cooldown() time.Duration {
-	if c.Cooldown <= 0 {
-		return time.Minute
-	}
-	return c.Cooldown
-}
+	// (TryCapture); explicit Capture calls ignore it.
+	Cooldown = time.Second
+)
 
 // Sources are the telemetry producers a capture snapshots. Any field
 // may be nil; the bundle simply omits that evidence.
@@ -94,7 +71,7 @@ type Sources struct {
 // Recorder captures flight bundles. Safe for concurrent use; captures
 // are single-flight (a capture while one is running is dropped).
 type Recorder struct {
-	cfg Config
+	dir string
 	src Sources
 
 	mu        sync.Mutex
@@ -103,9 +80,9 @@ type Recorder struct {
 	captures  int64
 }
 
-// New returns a recorder writing bundles under cfg.Dir.
-func New(cfg Config, src Sources) *Recorder {
-	return &Recorder{cfg: cfg, src: src}
+// New returns a recorder writing bundles under dir.
+func New(dir string, src Sources) *Recorder {
+	return &Recorder{dir: dir, src: src}
 }
 
 // Captures returns how many bundles this recorder has written.
@@ -127,7 +104,7 @@ func (r *Recorder) TryCapture(reason string) (string, error) {
 		return "", nil
 	}
 	r.mu.Lock()
-	if r.capturing || (!r.last.IsZero() && time.Since(r.last) < r.cfg.cooldown()) {
+	if r.capturing || (!r.last.IsZero() && time.Since(r.last) < Cooldown) {
 		r.mu.Unlock()
 		return "", nil
 	}
@@ -186,14 +163,14 @@ type journalMeta struct {
 
 func (r *Recorder) capture(reason string) (string, error) {
 	start := time.Now()
-	final := filepath.Join(r.cfg.dir(), "bundle-"+start.UTC().Format("20060102T150405.000000000Z"))
+	final := filepath.Join(r.dir, "bundle-"+start.UTC().Format("20060102T150405.000000000Z"))
 	tmp := final + ".tmp"
 	if err := os.MkdirAll(tmp, 0o755); err != nil {
 		return "", fmt.Errorf("flight: %w", err)
 	}
 	defer os.RemoveAll(tmp) // no-op after a successful rename
 
-	m := meta{CapturedAt: start, Reason: reason, Window: r.cfg.window().String()}
+	m := meta{CapturedAt: start, Reason: reason, Window: Window.String()}
 
 	// Trace + CPU profile over the same window, concurrently. Failures
 	// (another profiler active) degrade to notes in meta.json.
@@ -287,7 +264,7 @@ func (r *Recorder) recordWindow(dir string) []error {
 		stops = append(stops, func() { pprof.StopCPUProfile(); f.Close() })
 	}
 	if len(stops) > 0 {
-		time.Sleep(r.cfg.window())
+		time.Sleep(Window)
 	}
 	for _, stop := range stops {
 		stop()

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"sepdc/internal/obs"
 )
@@ -34,7 +33,7 @@ func testSources() Sources {
 
 func TestCaptureProducesCompleteBundle(t *testing.T) {
 	dir := t.TempDir()
-	r := New(Config{Dir: dir, Window: 10 * time.Millisecond}, testSources())
+	r := New(dir, testSources())
 	bundle, err := r.Capture("unit-test")
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +132,7 @@ func TestCaptureProducesCompleteBundle(t *testing.T) {
 
 func TestCaptureDoesNotConsumeJournal(t *testing.T) {
 	src := testSources()
-	r := New(Config{Dir: t.TempDir(), Window: time.Millisecond}, src)
+	r := New(t.TempDir(), src)
 	if _, err := r.Capture("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func TestCaptureDoesNotConsumeJournal(t *testing.T) {
 }
 
 func TestTryCaptureCooldown(t *testing.T) {
-	r := New(Config{Dir: t.TempDir(), Window: time.Millisecond, Cooldown: time.Hour}, Sources{})
+	r := New(t.TempDir(), Sources{})
 	b1, err := r.TryCapture("first")
 	if err != nil || b1 == "" {
 		t.Fatalf("first TryCapture: %q, %v", b1, err)
@@ -166,7 +165,7 @@ func TestTryCaptureCooldown(t *testing.T) {
 }
 
 func TestEmptySourcesBundleStillValid(t *testing.T) {
-	r := New(Config{Dir: t.TempDir(), Window: time.Millisecond}, Sources{})
+	r := New(t.TempDir(), Sources{})
 	bundle, err := r.Capture("bare")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +179,7 @@ func TestEmptySourcesBundleStillValid(t *testing.T) {
 }
 
 func TestCheckBundleCatchesCorruption(t *testing.T) {
-	r := New(Config{Dir: t.TempDir(), Window: time.Millisecond}, testSources())
+	r := New(t.TempDir(), testSources())
 	bundle, err := r.Capture("x")
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +226,7 @@ func TestNilRecorder(t *testing.T) {
 // meta.json, and CheckBundle holds the file to that count and to
 // well-formed trace ids.
 func TestCaptureBundleTraces(t *testing.T) {
-	sink := obs.NewTraceSink(obs.TraceSinkConfig{Ring: 8, Tail: 2})
+	sink := obs.NewTraceSink()
 	for n := uint64(0); n < 5; n++ {
 		tc := obs.GenTrace(13, n)
 		sink.Publish(obs.RequestTrace{
@@ -241,7 +240,7 @@ func TestCaptureBundleTraces(t *testing.T) {
 	src.Traces = sink.Retained
 
 	dir := t.TempDir()
-	r := New(Config{Dir: dir, Window: 10 * time.Millisecond}, src)
+	r := New(dir, src)
 	bundle, err := r.Capture("trace-test")
 	if err != nil {
 		t.Fatal(err)

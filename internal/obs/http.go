@@ -106,12 +106,12 @@ func serveMetrics(w http.ResponseWriter, req *http.Request) {
 	// mostly forgetting traffic before anyone reads it — grow the ring
 	// (QueryJournalConfig.PerStrand / knnserve -journal-ring) or drain
 	// more often. metrics_audit.sh lints this gauge into [0, 1].
-	if jNames, journals := journalList(); len(jNames) > 0 {
+	if jNames, journals := Journals.list(); len(jNames) > 0 {
 		samples := make([]promtext.GaugeSample, 0, len(jNames))
-		for _, name := range jNames {
+		for i, name := range jNames {
 			samples = append(samples, promtext.GaugeSample{
 				Labels: []promtext.Label{{Name: "engine", Value: name}},
-				Value:  journals[name].Accounting().OverwriteRate(),
+				Value:  journals[i].Accounting().OverwriteRate(),
 			})
 		}
 		pw.Gauge("sepdc_journal_overwrite_rate",
@@ -266,27 +266,27 @@ type journalLine struct {
 func serveJournal(w http.ResponseWriter, req *http.Request) {
 	consume := req.URL.Query().Get("drain") == "1"
 	filter := req.URL.Query().Get("name")
-	names, journals := journalList()
+	names, journals := Journals.list()
 	type engineDrain struct {
 		name string
 		d    JournalDrain
 	}
 	var drains []engineDrain
 	var published, dropped, drained, overwritten uint64
-	for _, name := range names {
+	for i, name := range names {
 		if filter != "" && name != filter {
 			continue
 		}
 		var d JournalDrain
 		if consume {
-			d = journals[name].Drain()
+			d = journals[i].Drain()
 		} else {
-			d = journals[name].Snapshot()
+			d = journals[i].Snapshot()
 		}
 		published += d.Published
 		dropped += d.Dropped
 		drained += uint64(len(d.Events))
-		overwritten += journals[name].Accounting().Overwritten
+		overwritten += journals[i].Accounting().Overwritten
 		drains = append(drains, engineDrain{name, d})
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -333,18 +333,18 @@ func serveTraces(w http.ResponseWriter, req *http.Request) {
 		}
 		idHi, idLo, haveID = hi, lo, true
 	}
-	names, sinks := tracesList()
+	names, sinks := TraceSinks.list()
 	type engineTraces struct {
 		name   string
 		traces []RequestTrace
 	}
 	var all []engineTraces
 	var published uint64
-	for _, name := range names {
+	for i, name := range names {
 		if filter != "" && name != filter {
 			continue
 		}
-		t := sinks[name]
+		t := sinks[i]
 		published += t.Published()
 		var trs []RequestTrace
 		switch {
@@ -374,9 +374,9 @@ func serveTraces(w http.ResponseWriter, req *http.Request) {
 		// Join the per-query descent/scan spans: every journal event
 		// stamped with this trace id belongs to the rendering.
 		var events []JournalEvent
-		jNames, journals := journalList()
-		for _, name := range jNames {
-			d := journals[name].Snapshot()
+		_, journals := Journals.list()
+		for _, j := range journals {
+			d := j.Snapshot()
 			for i := range d.Events {
 				if d.Events[i].TraceHi == idHi && d.Events[i].TraceLo == idLo {
 					events = append(events, d.Events[i])

@@ -18,8 +18,8 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		feed(s, TailSample{DescentNs: int64(200 + i), ScanNs: int64(100 + i), Nodes: 6, Scanned: 9, Reported: 2},
 			[]int32{0, 3, 7}, true)
 	}
-	RegisterServe("testengine", rec)
-	defer UnregisterServe("testengine", rec)
+	Serves.Register("testengine", rec)
+	defer Serves.Unregister("testengine", rec)
 	SetGauge(GaugeKey{Name: "sepdc_audit_pass", LabelName: "gen", LabelValue: "uniform-ball"},
 		"1 when every audit check passed.", 1)
 
@@ -61,8 +61,8 @@ func TestStatszJSON(t *testing.T) {
 	rec := NewServeRecorder(ServeConfig{SampleEvery: 1}, 1)
 	feed(rec.Strand(0), TailSample{DescentNs: 900, ScanNs: 600, Nodes: 5, Scanned: 7, Reported: 1},
 		[]int32{0, 2, 6, 14}, true)
-	RegisterServe("statszengine", rec)
-	defer UnregisterServe("statszengine", rec)
+	Serves.Register("statszengine", rec)
+	defer Serves.Unregister("statszengine", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -102,8 +102,8 @@ func TestStatszJSON(t *testing.T) {
 func TestMetricsJournalOverwriteGauge(t *testing.T) {
 	j := NewJournal(JournalConfig{PerStrand: 4}, 1)
 	j.Strand(0).Publish(mkEvents(1, 0, 8)) // half the history overwritten
-	RegisterJournal("gaugejournal", j)
-	defer UnregisterJournal("gaugejournal", j)
+	Journals.Register("gaugejournal", j)
+	defer Journals.Unregister("gaugejournal", j)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

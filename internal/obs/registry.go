@@ -19,23 +19,83 @@ type GaugeKey struct {
 	LabelValue string
 }
 
+// Registry is a first-wins name registry for one kind of telemetry
+// producer: the first value registered under a name owns it until that
+// value is unregistered. Register and Unregister are one critical
+// section each, so concurrent creators under one name all end up sharing
+// the owner, and a stale handle's Unregister never drops a newer owner.
+type Registry[T comparable] struct {
+	mu sync.Mutex
+	m  map[string]T
+}
+
+// Register publishes v under name when the name is free, and returns the
+// value that owns the slot afterwards: v when the registration won, the
+// incumbent otherwise.
+func (r *Registry[T]) Register(name string, v T) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.m[name]; ok {
+		return cur
+	}
+	if r.m == nil {
+		r.m = map[string]T{}
+	}
+	r.m[name] = v
+	return v
+}
+
+// Unregister removes name's registration only when v still owns the slot.
+func (r *Registry[T]) Unregister(name string, v T) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if cur, ok := r.m[name]; ok && cur == v {
+		delete(r.m, name)
+	}
+}
+
+// Lookup returns the value registered under name, or the zero value.
+func (r *Registry[T]) Lookup(name string) T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.m[name]
+}
+
+// list returns the registered names, sorted, and their values.
+func (r *Registry[T]) list() ([]string, []T) {
+	r.mu.Lock()
+	names := make([]string, 0, len(r.m))
+	for k := range r.m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	vals := make([]T, len(names))
+	for i, k := range names {
+		vals[i] = r.m[k]
+	}
+	r.mu.Unlock()
+	return names, vals
+}
+
+// The producer registries the endpoints walk: serve recorders feed
+// /metrics and /statsz, journals /journal, trace sinks /traces.
+var (
+	Serves     Registry[*ServeRecorder]
+	Journals   Registry[*Journal]
+	TraceSinks Registry[*TraceSink]
+)
+
 type registry struct {
-	mu       sync.Mutex
-	serves   map[string]*ServeRecorder
-	journals map[string]*Journal
-	traces   map[string]*TraceSink
-	gauges   map[GaugeKey]float64
-	help     map[string]string
-	info     map[string]string
+	mu     sync.Mutex
+	gauges map[GaugeKey]float64
+	help   map[string]string
+	info   map[string]string
 }
 
 var reg = registry{
-	serves:   map[string]*ServeRecorder{},
-	journals: map[string]*Journal{},
-	traces:   map[string]*TraceSink{},
-	gauges:   map[GaugeKey]float64{},
-	help:     map[string]string{},
-	info:     map[string]string{},
+	gauges: map[GaugeKey]float64{},
+	help:   map[string]string{},
+	info:   map[string]string{},
 }
 
 // SetInfo publishes one process-configuration string (facts with no
@@ -61,125 +121,6 @@ func infoSnapshot() map[string]string {
 		out[k] = v
 	}
 	return out
-}
-
-// RegisterServe publishes r under name (e.g. "batch") when the name is
-// free, and returns the recorder that owns the slot afterwards: r when
-// the registration won, the incumbent otherwise. The first recorder
-// registered under a name keeps its exposition slot until
-// UnregisterServe; the /metrics handler exports its snapshot per scrape.
-func RegisterServe(name string, r *ServeRecorder) *ServeRecorder {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.serves[name]; ok {
-		return cur
-	}
-	reg.serves[name] = r
-	return r
-}
-
-// UnregisterServe removes name's registration only when r still owns
-// the slot, so a handle that lost the registration race closes as a
-// no-op instead of dropping the owner's live exposition slot.
-func UnregisterServe(name string, r *ServeRecorder) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.serves[name]; ok && cur == r {
-		delete(reg.serves, name)
-	}
-}
-
-// LookupServe returns the recorder registered under name, or nil.
-func LookupServe(name string) *ServeRecorder {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.serves[name]
-}
-
-// RegisterJournal publishes a wide-event journal under name; the
-// /journal endpoint drains it per request. A nil journal unregisters.
-func RegisterJournal(name string, j *Journal) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if j == nil {
-		delete(reg.journals, name)
-		return
-	}
-	reg.journals[name] = j
-}
-
-// UnregisterJournal removes name's registration only when j still owns
-// the slot — the journal counterpart of UnregisterServe.
-func UnregisterJournal(name string, j *Journal) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.journals[name]; ok && cur == j {
-		delete(reg.journals, name)
-	}
-}
-
-// LookupJournal returns the journal registered under name, or nil.
-func LookupJournal(name string) *Journal {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.journals[name]
-}
-
-// RegisterTraces publishes a request-trace sink under name; the /traces
-// endpoint reads it per request. A nil sink unregisters.
-func RegisterTraces(name string, t *TraceSink) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if t == nil {
-		delete(reg.traces, name)
-		return
-	}
-	reg.traces[name] = t
-}
-
-// UnregisterTraces removes name's registration only when t still owns
-// the slot — the trace-sink counterpart of UnregisterServe.
-func UnregisterTraces(name string, t *TraceSink) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if cur, ok := reg.traces[name]; ok && cur == t {
-		delete(reg.traces, name)
-	}
-}
-
-// LookupTraces returns the trace sink registered under name, or nil.
-func LookupTraces(name string) *TraceSink {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	return reg.traces[name]
-}
-
-// tracesList returns the registered trace sinks, names sorted.
-func tracesList() ([]string, map[string]*TraceSink) {
-	reg.mu.Lock()
-	out := make(map[string]*TraceSink, len(reg.traces))
-	names := make([]string, 0, len(reg.traces))
-	for k, v := range reg.traces {
-		out[k] = v
-		names = append(names, k)
-	}
-	reg.mu.Unlock()
-	sort.Strings(names)
-	return names, out
-}
-
-// journalList returns the registered journals, names sorted.
-func journalList() ([]string, map[string]*Journal) {
-	reg.mu.Lock()
-	out := make(map[string]*Journal, len(reg.journals))
-	names := make([]string, 0, len(reg.journals))
-	for k, v := range reg.journals {
-		out[k] = v
-		names = append(names, k)
-	}
-	reg.mu.Unlock()
-	sort.Strings(names)
-	return names, out
 }
 
 // SetGauge publishes (or updates) one gauge series. help is recorded
@@ -218,22 +159,14 @@ func Gauges() []GaugeValue {
 	return out
 }
 
-// serveSnapshots returns name → snapshot for every registered serve
-// recorder, names sorted for deterministic exposition order.
+// serveSnapshots returns every registered serve recorder's snapshot,
+// names sorted for deterministic exposition order.
 func serveSnapshots() ([]string, map[string]*ServeSnapshot) {
-	reg.mu.Lock()
-	serves := make(map[string]*ServeRecorder, len(reg.serves))
-	for k, v := range reg.serves {
-		serves[k] = v
+	names, recs := Serves.list()
+	out := make(map[string]*ServeSnapshot, len(recs))
+	for i, r := range recs {
+		out[names[i]] = r.Snapshot()
 	}
-	reg.mu.Unlock()
-	names := make([]string, 0, len(serves))
-	out := make(map[string]*ServeSnapshot, len(serves))
-	for name, r := range serves {
-		names = append(names, name)
-		out[name] = r.Snapshot()
-	}
-	sort.Strings(names)
 	return names, out
 }
 

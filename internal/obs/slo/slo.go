@@ -11,11 +11,9 @@
 // bad) counters through a Source func and publishes sepdc_slo_* gauges
 // through obs.SetGauge. Sources over engine counters that are not
 // concurrency-safe (Batcher.Stats between Runs) stay correct because
-// the caller controls when Evaluate runs; sources over race-safe
-// telemetry (ServeRecorder snapshots) can instead drive a background
-// Start loop. When an objective's trip condition transitions to firing
-// the evaluator invokes the OnTrip hook — the flight recorder's
-// actuation seam.
+// the caller controls when Evaluate runs. When the objective's trip
+// condition transitions to firing the evaluator invokes the onTrip hook
+// — the flight recorder's actuation seam.
 package slo
 
 import (
@@ -51,59 +49,28 @@ func HistSource(h func() obs.Hist, thresholdNs int64) Source {
 	}
 }
 
-// Objective is one declarative SLO. The zero value of each tunable
-// selects the noted default; Name and Source are required.
+// The objective's fixed shape: a 99% success target, and the classic
+// page-worthy multi-window pair — the alert fires when the fast window
+// burns faster than FastBurn AND the slow window faster than SlowBurn.
+const (
+	Target     float64 = 0.99
+	FastWindow         = 5 * time.Minute
+	SlowWindow         = time.Hour
+	FastBurn   float64 = 14.4
+	SlowBurn   float64 = 6
+)
+
+// Objective is one declarative SLO; both fields are required.
 type Objective struct {
 	// Name labels the objective's gauge series (sepdc_slo_*{objective=Name}).
 	Name string
 	// Source supplies the cumulative (total, bad) counters.
 	Source Source
-	// Target is the success-ratio objective, e.g. 0.999. Default 0.99.
-	Target float64
-	// FastWindow/SlowWindow are the two burn-rate windows.
-	// Defaults: 5m / 1h.
-	FastWindow, SlowWindow time.Duration
-	// FastBurn/SlowBurn are the trip thresholds per window. The alert
-	// fires when BOTH windows exceed their threshold. Defaults: 14.4 / 6
-	// (the classic page-worthy multi-window pair).
-	FastBurn, SlowBurn float64
 }
 
-func (o Objective) target() float64 {
-	if o.Target <= 0 || o.Target >= 1 {
-		return 0.99
-	}
-	return o.Target
-}
-func (o Objective) fastWindow() time.Duration {
-	if o.FastWindow <= 0 {
-		return 5 * time.Minute
-	}
-	return o.FastWindow
-}
-func (o Objective) slowWindow() time.Duration {
-	if o.SlowWindow <= 0 {
-		return time.Hour
-	}
-	return o.SlowWindow
-}
-func (o Objective) fastBurn() float64 {
-	if o.FastBurn <= 0 {
-		return 14.4
-	}
-	return o.FastBurn
-}
-func (o Objective) slowBurn() float64 {
-	if o.SlowBurn <= 0 {
-		return 6
-	}
-	return o.SlowBurn
-}
-
-// Status is one objective's most recent evaluation.
+// Status is the objective's most recent evaluation.
 type Status struct {
 	Name     string  `json:"name"`
-	Target   float64 `json:"target"`
 	Total    int64   `json:"total"`
 	Bad      int64   `json:"bad"`
 	FastBurn float64 `json:"fast_burn"` // observed fast-window burn rate
@@ -117,167 +84,66 @@ type sample struct {
 	total, bad int64
 }
 
-type objState struct {
+// Evaluator evaluates one objective. Construct with New, then call
+// Evaluate on your own cadence.
+type Evaluator struct {
+	mu      sync.Mutex
 	obj     Objective
 	history []sample // pruned to the slow window
 	tripped bool
-	status  Status
+	now     func() time.Time // injectable clock for tests
+	onTrip  func(Status)
 }
 
-// Evaluator evaluates a set of objectives. Construct with New, then
-// call Evaluate on your own cadence (or Start a background loop — only
-// safe when every Source is itself concurrency-safe).
-type Evaluator struct {
-	mu     sync.Mutex
-	objs   []*objState
-	now    func() time.Time // injectable clock for tests
-	onTrip func(Status)
-
-	stop chan struct{}
-	done chan struct{}
-}
-
-// New returns an evaluator over the given objectives. onTrip (optional)
-// fires once per objective each time its trip condition transitions
-// from quiet to firing — the flight-recorder actuation hook. It is
-// invoked synchronously from Evaluate, without the evaluator lock held.
-func New(objectives []Objective, onTrip func(Status)) (*Evaluator, error) {
-	e := &Evaluator{now: time.Now, onTrip: onTrip}
-	seen := map[string]bool{}
-	for _, o := range objectives {
-		if o.Name == "" || o.Source == nil {
-			return nil, fmt.Errorf("slo: objective needs a name and a source: %+v", o)
-		}
-		if seen[o.Name] {
-			return nil, fmt.Errorf("slo: duplicate objective %q", o.Name)
-		}
-		seen[o.Name] = true
-		e.objs = append(e.objs, &objState{obj: o})
+// New returns an evaluator over the objective. onTrip (optional) fires
+// each time the trip condition transitions from quiet to firing — the
+// flight-recorder actuation hook. It is invoked synchronously from
+// Evaluate, without the evaluator lock held.
+func New(o Objective, onTrip func(Status)) (*Evaluator, error) {
+	if o.Name == "" || o.Source == nil {
+		return nil, fmt.Errorf("slo: objective needs a name and a source: %+v", o)
 	}
-	return e, nil
+	return &Evaluator{obj: o, now: time.Now, onTrip: onTrip}, nil
 }
 
 // SetClock replaces the evaluator's time source (tests drive synthetic
 // windows). Not safe concurrently with Evaluate.
 func (e *Evaluator) SetClock(now func() time.Time) { e.now = now }
 
-// Evaluate reads every objective's source once, updates the burn-rate
-// windows, publishes the sepdc_slo_* gauges, and fires the trip hook
-// for any objective whose condition just started firing. Returns the
-// per-objective statuses in declaration order.
-func (e *Evaluator) Evaluate() []Status {
+// Evaluate reads the objective's source once, updates the burn-rate
+// windows, publishes the sepdc_slo_* gauges, fires the trip hook if the
+// condition just started firing, and returns the objective's status.
+func (e *Evaluator) Evaluate() Status {
 	if e == nil {
-		return nil
+		return Status{}
 	}
 	e.mu.Lock()
 	now := e.now()
-	var fired []Status
-	out := make([]Status, 0, len(e.objs))
-	for _, st := range e.objs {
-		o := st.obj
-		total, bad := o.Source()
-		st.history = append(st.history, sample{at: now, total: total, bad: bad})
-		st.history = prune(st.history, now.Add(-o.slowWindow()))
+	total, bad := e.obj.Source()
+	e.history = append(e.history, sample{at: now, total: total, bad: bad})
+	e.history = prune(e.history, now.Add(-SlowWindow))
 
-		fast := burnOver(st.history, now.Add(-o.fastWindow()), o.target())
-		slow := burnOver(st.history, now.Add(-o.slowWindow()), o.target())
-		firing := fast > o.fastBurn() && slow > o.slowBurn()
-		justTripped := firing && !st.tripped
-		st.tripped = firing
+	fast := burnOver(e.history, now.Add(-FastWindow))
+	slow := burnOver(e.history, now.Add(-SlowWindow))
+	firing := fast > FastBurn && slow > SlowBurn
+	justTripped := firing && !e.tripped
+	e.tripped = firing
 
-		s := Status{
-			Name: o.Name, Target: o.target(), Total: total, Bad: bad,
-			FastBurn: fast, SlowBurn: slow, Tripped: firing,
-		}
-		st.status = s
-		out = append(out, s)
-		if justTripped {
-			fired = append(fired, s)
-		}
-
-		lbl := func(name, help string, v float64) {
-			obs.SetGauge(obs.GaugeKey{Name: name, LabelName: "objective", LabelValue: o.Name}, help, v)
-		}
-		lbl("sepdc_slo_burn_fast", "Fast-window SLO burn rate (bad fraction over budgeted fraction).", round(fast))
-		lbl("sepdc_slo_burn_slow", "Slow-window SLO burn rate (bad fraction over budgeted fraction).", round(slow))
-		lbl("sepdc_slo_tripped", "1 while both burn-rate windows exceed their thresholds.", b2f(firing))
+	s := Status{
+		Name: e.obj.Name, Total: total, Bad: bad,
+		FastBurn: fast, SlowBurn: slow, Tripped: firing,
 	}
+	lbl := func(name, help string, v float64) {
+		obs.SetGauge(obs.GaugeKey{Name: name, LabelName: "objective", LabelValue: s.Name}, help, v)
+	}
+	lbl("sepdc_slo_burn_fast", "Fast-window SLO burn rate (bad fraction over budgeted fraction).", round(fast))
+	lbl("sepdc_slo_burn_slow", "Slow-window SLO burn rate (bad fraction over budgeted fraction).", round(slow))
+	lbl("sepdc_slo_tripped", "1 while both burn-rate windows exceed their thresholds.", b2f(firing))
 	e.mu.Unlock()
-	if e.onTrip != nil {
-		for _, s := range fired {
-			e.onTrip(s)
-		}
+	if justTripped && e.onTrip != nil {
+		e.onTrip(s)
 	}
-	return out
-}
-
-// Statuses returns the most recent evaluation results without
-// re-reading the sources.
-func (e *Evaluator) Statuses() []Status {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Status, 0, len(e.objs))
-	for _, st := range e.objs {
-		out = append(out, st.status)
-	}
-	return out
-}
-
-// Start launches a background Evaluate loop at the given interval
-// (<=0 selects 10s). ONLY safe when every objective's Source is itself
-// safe to call concurrently with the traffic it observes (ServeRecorder
-// snapshots are; Batcher.Stats between Runs is not — drive that with
-// manual Evaluate calls instead). Stop with Close.
-func (e *Evaluator) Start(interval time.Duration) *Evaluator {
-	if e == nil {
-		return nil
-	}
-	if interval <= 0 {
-		interval = 10 * time.Second
-	}
-	e.mu.Lock()
-	if e.stop != nil {
-		e.mu.Unlock()
-		return e
-	}
-	e.stop = make(chan struct{})
-	e.done = make(chan struct{})
-	stop, done := e.stop, e.done
-	e.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				e.Evaluate()
-			}
-		}
-	}()
-	return e
-}
-
-// Close stops the background loop and waits for it. Safe without
-// Start, or twice.
-func (e *Evaluator) Close() {
-	if e == nil {
-		return
-	}
-	e.mu.Lock()
-	stop, done := e.stop, e.done
-	e.stop, e.done = nil, nil
-	e.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
+	return s
 }
 
 // prune drops samples older than cutoff but keeps one sample at or
@@ -295,9 +161,8 @@ func prune(h []sample, cutoff time.Time) []sample {
 
 // burnOver computes the burn rate over the window starting at cutoff:
 // the bad fraction of events observed inside the window, divided by the
-// objective's budgeted bad fraction (1 - target). Windows with no
-// traffic burn 0.
-func burnOver(h []sample, cutoff time.Time, target float64) float64 {
+// budgeted bad fraction (1 - Target). Windows with no traffic burn 0.
+func burnOver(h []sample, cutoff time.Time) float64 {
 	if len(h) == 0 {
 		return 0
 	}
@@ -315,7 +180,7 @@ func burnOver(h []sample, cutoff time.Time, target float64) float64 {
 	if total <= 0 || bad <= 0 {
 		return 0
 	}
-	return (float64(bad) / float64(total)) / (1 - target)
+	return (float64(bad) / float64(total)) / (1 - Target)
 }
 
 func b2f(b bool) float64 {

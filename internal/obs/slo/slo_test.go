@@ -17,28 +17,21 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
 func TestEvaluatorValidation(t *testing.T) {
-	if _, err := New([]Objective{{Name: "x"}}, nil); err == nil {
+	if _, err := New(Objective{Name: "x"}, nil); err == nil {
 		t.Fatal("objective without source accepted")
 	}
-	if _, err := New([]Objective{{Source: func() (int64, int64) { return 0, 0 }}}, nil); err == nil {
+	if _, err := New(Objective{Source: func() (int64, int64) { return 0, 0 }}, nil); err == nil {
 		t.Fatal("objective without name accepted")
-	}
-	src := func() (int64, int64) { return 0, 0 }
-	if _, err := New([]Objective{{Name: "a", Source: src}, {Name: "a", Source: src}}, nil); err == nil {
-		t.Fatal("duplicate objective name accepted")
 	}
 }
 
 func TestBurnRateTripsOnBothWindows(t *testing.T) {
 	var total, bad atomic.Int64
 	var trips []Status
-	ev, err := New([]Objective{{
-		Name:       "latency",
-		Source:     func() (int64, int64) { return total.Load(), bad.Load() },
-		Target:     0.99, // 1% budget
-		FastWindow: 5 * time.Minute, SlowWindow: time.Hour,
-		FastBurn: 14.4, SlowBurn: 6,
-	}}, func(s Status) { trips = append(trips, s) })
+	ev, err := New(Objective{
+		Name:   "latency",
+		Source: func() (int64, int64) { return total.Load(), bad.Load() },
+	}, func(s Status) { trips = append(trips, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +43,8 @@ func TestBurnRateTripsOnBothWindows(t *testing.T) {
 		total.Add(1000)
 		bad.Add(1)
 		clk.advance(time.Minute)
-		for _, s := range ev.Evaluate() {
-			if s.Tripped {
-				t.Fatalf("tripped during healthy traffic: %+v", s)
-			}
+		if s := ev.Evaluate(); s.Tripped {
+			t.Fatalf("tripped during healthy traffic: %+v", s)
 		}
 	}
 	if len(trips) != 0 {
@@ -68,9 +59,9 @@ func TestBurnRateTripsOnBothWindows(t *testing.T) {
 		total.Add(1000)
 		bad.Add(300)
 		clk.advance(time.Minute)
-		st := ev.Evaluate()[0]
+		st := ev.Evaluate()
 		fired = st.Tripped
-		if fired && st.FastBurn <= 14.4 {
+		if fired && st.FastBurn <= FastBurn {
 			t.Fatalf("tripped with fast burn %v <= threshold", st.FastBurn)
 		}
 	}
@@ -91,12 +82,13 @@ func TestBurnRateTripsOnBothWindows(t *testing.T) {
 
 	// Recovery: clean traffic long enough to drain both windows; the
 	// objective must quiet down, and a later outage trips it again.
+	var st Status
 	for i := 0; i < 70; i++ {
 		total.Add(1000)
 		clk.advance(time.Minute)
-		ev.Evaluate()
+		st = ev.Evaluate()
 	}
-	if st := ev.Statuses()[0]; st.Tripped {
+	if st.Tripped {
 		t.Fatalf("objective still firing after recovery: %+v", st)
 	}
 	for i := 0; i < 60; i++ {
@@ -112,11 +104,10 @@ func TestBurnRateTripsOnBothWindows(t *testing.T) {
 
 func TestFastWindowAloneDoesNotTrip(t *testing.T) {
 	var total, bad atomic.Int64
-	ev, err := New([]Objective{{
+	ev, err := New(Objective{
 		Name:   "latency",
 		Source: func() (int64, int64) { return total.Load(), bad.Load() },
-		Target: 0.99,
-	}}, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,12 +127,12 @@ func TestFastWindowAloneDoesNotTrip(t *testing.T) {
 		total.Add(10000)
 		bad.Add(5000)
 		clk.advance(time.Minute)
-		st = ev.Evaluate()[0]
+		st = ev.Evaluate()
 	}
-	if st.FastBurn <= 14.4 {
+	if st.FastBurn <= FastBurn {
 		t.Fatalf("fast burn %v did not spike", st.FastBurn)
 	}
-	if st.SlowBurn > 6 {
+	if st.SlowBurn > SlowBurn {
 		t.Fatalf("slow burn %v exceeded threshold after a two-minute blip", st.SlowBurn)
 	}
 	if st.Tripped {
@@ -153,10 +144,10 @@ func TestBurnGaugesPublished(t *testing.T) {
 	var total, bad atomic.Int64
 	total.Store(1000)
 	bad.Store(100)
-	ev, err := New([]Objective{{
+	ev, err := New(Objective{
 		Name:   "gauge-probe",
 		Source: func() (int64, int64) { return total.Load(), bad.Load() },
-	}}, nil)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,31 +199,9 @@ func TestHistSource(t *testing.T) {
 	}
 }
 
-func TestEvaluatorStartClose(t *testing.T) {
-	var total atomic.Int64
-	ev, err := New([]Objective{{
-		Name:   "bg",
-		Source: func() (int64, int64) { total.Add(1); return total.Load(), 0 },
-	}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev.Start(time.Millisecond)
-	time.Sleep(10 * time.Millisecond)
-	ev.Close()
-	ev.Close()
-	if total.Load() == 0 {
-		t.Fatal("background loop never evaluated")
-	}
-}
-
 func TestEvaluatorNilSafe(t *testing.T) {
 	var ev *Evaluator
-	if ev.Evaluate() != nil || ev.Statuses() != nil {
-		t.Fatal("nil evaluator returned statuses")
-	}
-	ev.Close()
-	if ev.Start(time.Second) != nil {
-		t.Fatal("nil Start returned non-nil")
+	if st := ev.Evaluate(); st != (Status{}) {
+		t.Fatalf("nil evaluator returned status %+v", st)
 	}
 }

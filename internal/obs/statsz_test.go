@@ -31,8 +31,8 @@ func TestStatszSchemaGolden(t *testing.T) {
 		feed(s, TailSample{DescentNs: int64(1000 + i*300), ScanNs: int64(400 + i*100),
 			Nodes: 5 + i, Scanned: 11 + i, Reported: i % 3}, path, true)
 	}
-	RegisterServe("statsz-golden", rec)
-	defer UnregisterServe("statsz-golden", rec)
+	Serves.Register("statsz-golden", rec)
+	defer Serves.Unregister("statsz-golden", rec)
 	SetGauge(GaugeKey{Name: "statsz_golden_plain"}, "", 1.5)
 	SetGauge(GaugeKey{Name: "statsz_golden_labeled", LabelName: "objective", LabelValue: "x"}, "", 2)
 	SetInfo("statsz_golden_info", "x")

@@ -94,40 +94,17 @@ func (r *requestRec) export() RequestTrace {
 	return rt
 }
 
-// TraceSinkConfig configures a TraceSink. The zero value selects the
-// defaults noted per field.
-type TraceSinkConfig struct {
-	// Ring is the recent-request ring capacity. 0 selects 1024.
-	Ring int
-	// Tail is how many of the slowest requests to retain regardless of
-	// ring overwrites — the SLO-keyed evidence tier. 0 selects 32.
-	Tail int
-}
-
 const (
-	defaultTraceRing = 1024
-	defaultTraceTail = 32
+	// traceRing is the recent-request ring capacity.
+	traceRing = 1024
+	// traceTail is how many of the slowest requests a sink retains
+	// regardless of ring overwrites — the SLO-keyed evidence tier.
+	traceTail = 32
 )
-
-func (c TraceSinkConfig) ring() int {
-	if c.Ring <= 0 {
-		return defaultTraceRing
-	}
-	return c.Ring
-}
-
-func (c TraceSinkConfig) tail() int {
-	if c.Tail <= 0 {
-		return defaultTraceTail
-	}
-	return c.Tail
-}
 
 // TraceSink is a bounded store of completed request traces. All methods
 // are nil-safe; Publish may race with Snapshot/Slowest/Retained.
 type TraceSink struct {
-	cfg TraceSinkConfig
-
 	mu        sync.Mutex
 	ring      []requestRec
 	published uint64
@@ -135,17 +112,14 @@ type TraceSink struct {
 	tailMin   int64        // smallest retained tail latency once full
 }
 
-// NewTraceSink returns a sink with pre-allocated ring and tail storage.
-func NewTraceSink(cfg TraceSinkConfig) *TraceSink {
+// NewTraceSink returns a sink with pre-allocated ring and tail storage:
+// the 1024 most recent requests and the 32 slowest.
+func NewTraceSink() *TraceSink {
 	return &TraceSink{
-		cfg:  cfg,
-		ring: make([]requestRec, cfg.ring()),
-		tail: make([]requestRec, 0, cfg.tail()),
+		ring: make([]requestRec, traceRing),
+		tail: make([]requestRec, 0, traceTail),
 	}
 }
-
-// Config returns the sink's resolved configuration.
-func (t *TraceSink) Config() TraceSinkConfig { return t.cfg }
 
 // Publish stores one completed request trace: always into the recent
 // ring, and into the slowest-N tail when it beats the admission
@@ -323,30 +297,15 @@ func WriteChromeTrace(w io.Writer, traces []RequestTrace, events []JournalEvent)
 			t0 = rt.StartUnixNs
 		}
 	}
-	us := func(ns int64) float64 { return float64(ns) / 1e3 }
-
-	doc := chromeTrace{DisplayTimeUnit: "ms"}
-	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "sepdc serve trace " + traces[0].TraceID},
-	})
-	lanes := map[int]bool{}
+	doc := newChromeTrace("sepdc serve trace " + traces[0].TraceID)
 	for _, rt := range traces {
 		lane := int(rt.Replica)
-		if !lanes[lane] {
-			lanes[lane] = true
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: 1, Tid: lane,
-				Args: map[string]any{"name": fmt.Sprintf("replica-%d requests", rt.Replica)},
-			})
-		}
+		doc.lane(lane, fmt.Sprintf("replica-%d requests", rt.Replica))
 		start := rt.StartUnixNs - t0
 		args := map[string]any{"span_id": rt.SpanID, "queries": rt.Queries, "epoch": rt.Epoch}
-		doc.TraceEvents = append(doc.TraceEvents,
-			chromeEvent{Name: "queue", Ph: "X", Ts: us(start), Dur: us(rt.QueueNs), Pid: 1, Tid: lane, Args: args},
-			chromeEvent{Name: "coalesce", Ph: "X", Ts: us(start + rt.QueueNs), Dur: us(rt.CoalesceNs), Pid: 1, Tid: lane, Args: args},
-			chromeEvent{Name: "pass", Ph: "X", Ts: us(start + rt.QueueNs + rt.CoalesceNs), Dur: us(rt.PassNs), Pid: 1, Tid: lane, Args: args},
-		)
+		doc.span("queue", lane, start, rt.QueueNs, args)
+		doc.span("coalesce", lane, start+rt.QueueNs, rt.CoalesceNs, args)
+		doc.span("pass", lane, start+rt.QueueNs+rt.CoalesceNs, rt.PassNs, args)
 	}
 	// Per-query descent/scan spans from the journal, one lane per engine
 	// strand, offset past the request lanes.
@@ -354,13 +313,7 @@ func WriteChromeTrace(w io.Writer, traces []RequestTrace, events []JournalEvent)
 	passStart := traces[0].StartUnixNs + traces[0].QueueNs + traces[0].CoalesceNs - t0
 	for _, ev := range events {
 		lane := strandLane + int(ev.Strand)
-		if !lanes[lane] {
-			lanes[lane] = true
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: 1, Tid: lane,
-				Args: map[string]any{"name": fmt.Sprintf("strand-%d", ev.Strand)},
-			})
-		}
+		doc.lane(lane, fmt.Sprintf("strand-%d", ev.Strand))
 		start := ev.StartNs - t0
 		if ev.StartNs == 0 {
 			if ev.LatencyNs == 0 {
@@ -372,17 +325,8 @@ func WriteChromeTrace(w io.Writer, traces []RequestTrace, events []JournalEvent)
 			"span_id": ev.SpanID, "query": ev.Query, "leaf": ev.Leaf,
 			"nodes": ev.Nodes, "scanned": ev.Scanned, "reported": ev.Reported,
 		}
-		doc.TraceEvents = append(doc.TraceEvents,
-			chromeEvent{Name: "descend", Ph: "X", Ts: us(start), Dur: us(ev.DescentNs), Pid: 1, Tid: lane, Args: args},
-			chromeEvent{Name: "scan", Ph: "X", Ts: us(start + ev.DescentNs), Dur: us(ev.ScanNs), Pid: 1, Tid: lane, Args: args},
-		)
+		doc.span("descend", lane, start, ev.DescentNs, args)
+		doc.span("scan", lane, start+ev.DescentNs, ev.ScanNs, args)
 	}
-	sort.SliceStable(doc.TraceEvents, func(i, j int) bool {
-		a, b := doc.TraceEvents[i], doc.TraceEvents[j]
-		if (a.Ph == "M") != (b.Ph == "M") {
-			return a.Ph == "M"
-		}
-		return a.Ts < b.Ts
-	})
-	return json.NewEncoder(w).Encode(&doc)
+	return doc.write(w)
 }

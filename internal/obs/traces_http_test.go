@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,16 +28,19 @@ func httpGet(t *testing.T, srv *httptest.Server, path string) (*http.Response, s
 }
 
 // TestTracesEndpointJSONL: /traces streams every retained request trace
-// as JSON Lines with the engine name, hex ids, and the publication count
-// in Sepdc-Traces-Published; ?id= narrows to one trace and ?slowest=1
+// as JSON Lines with the engine name, hex ids, the span split perfbench's
+// serve workloads parse, and the publication count in
+// Sepdc-Traces-Published; ?id= narrows to one trace and ?slowest=1
 // returns the slow tail, slowest first.
 func TestTracesEndpointJSONL(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
-	for n := uint64(0); n < 3; n++ {
+	// Publish past the slow tail, so ?slowest=1 has requests to leave out.
+	const published = traceTail + 8
+	s := NewTraceSink()
+	for n := uint64(0); n < published; n++ {
 		s.Publish(mkRequestTrace(n, int64(1000+n*100)))
 	}
-	RegisterTraces("httptraces", s)
-	defer UnregisterTraces("httptraces", s)
+	TraceSinks.Register("httptraces", s)
+	defer TraceSinks.Unregister("httptraces", s)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -45,25 +49,32 @@ func TestTracesEndpointJSONL(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "ndjson") {
 		t.Errorf("content type = %q", ct)
 	}
-	if got := resp.Header.Get("Sepdc-Traces-Published"); got != "3" {
-		t.Errorf("Sepdc-Traces-Published = %q, want 3", got)
+	if got, want := resp.Header.Get("Sepdc-Traces-Published"), strconv.Itoa(published); got != want {
+		t.Errorf("Sepdc-Traces-Published = %q, want %s", got, want)
 	}
 	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines, want 3:\n%s", len(lines), body)
+	if len(lines) != published {
+		t.Fatalf("%d lines, want %d:\n%s", len(lines), published, body)
 	}
-	for _, line := range lines {
+	for i, line := range lines {
 		var doc struct {
-			Engine  string `json:"engine"`
-			TraceID string `json:"trace_id"`
-			SpanID  string `json:"span_id"`
-			TotalNs int64  `json:"total_ns"`
+			Engine     string `json:"engine"`
+			TraceID    string `json:"trace_id"`
+			SpanID     string `json:"span_id"`
+			QueueNs    int64  `json:"queue_ns"`
+			CoalesceNs int64  `json:"coalesce_ns"`
+			PassNs     int64  `json:"pass_ns"`
+			TotalNs    int64  `json:"total_ns"`
 		}
 		if err := json.Unmarshal([]byte(line), &doc); err != nil {
 			t.Fatalf("bad line %q: %v", line, err)
 		}
-		if doc.Engine != "httptraces" || len(doc.TraceID) != 32 || len(doc.SpanID) != 16 || doc.TotalNs < 1000 {
-			t.Fatalf("line fields: %+v", doc)
+		// The ring lists oldest first: line i is request i.
+		want := mkRequestTrace(uint64(i), int64(1000+i*100))
+		if doc.Engine != "httptraces" || doc.TraceID != want.Trace.TraceIDString() || len(doc.SpanID) != 16 ||
+			doc.QueueNs != want.QueueNs || doc.CoalesceNs != want.CoalesceNs ||
+			doc.PassNs != want.PassNs || doc.TotalNs != want.TotalNs {
+			t.Fatalf("line %d fields: %+v, want %+v", i, doc, want)
 		}
 	}
 
@@ -88,23 +99,24 @@ func TestTracesEndpointJSONL(t *testing.T) {
 		t.Fatalf("id lookup: %+v", one)
 	}
 
-	// ?slowest=1 orders by total, slowest first.
+	// ?slowest=1 returns the tail, ordered by total, slowest first.
 	_, body = httpGet(t, srv, "/traces?name=httptraces&slowest=1")
 	lines = strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("slowest returned %d lines:\n%s", len(lines), body)
+	if len(lines) != traceTail {
+		t.Fatalf("slowest returned %d lines, want %d:\n%s", len(lines), traceTail, body)
 	}
-	var a, b struct {
-		TotalNs int64 `json:"total_ns"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalNs < b.TotalNs {
-		t.Fatalf("slowest not slowest-first: %d then %d", a.TotalNs, b.TotalNs)
+	prev := int64(math.MaxInt64)
+	for _, line := range lines {
+		var doc struct {
+			TotalNs int64 `json:"total_ns"`
+		}
+		if err := json.Unmarshal([]byte(line), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.TotalNs >= prev {
+			t.Fatalf("slowest not slowest-first: %d then %d", prev, doc.TotalNs)
+		}
+		prev = doc.TotalNs
 	}
 
 	// Malformed ids are rejected before any sink is consulted.
@@ -126,15 +138,15 @@ func TestTracesEndpointJSONL(t *testing.T) {
 // traces the sink no longer retains.
 func TestTracesChromeEndpoint(t *testing.T) {
 	tc := GenTrace(21, 0)
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
+	s := NewTraceSink()
 	req := RequestTrace{
 		Trace:       tc,
 		StartUnixNs: 5_000_000, QueueNs: 100, CoalesceNs: 200, PassNs: 300, TotalNs: 700,
 		Queries: 1, Replica: 0, Epoch: 1,
 	}
 	s.Publish(req)
-	RegisterTraces("chromeeng", s)
-	defer UnregisterTraces("chromeeng", s)
+	TraceSinks.Register("chromeeng", s)
+	defer TraceSinks.Unregister("chromeeng", s)
 
 	j := NewJournal(JournalConfig{PerStrand: 8}, 1)
 	j.Strand(0).Publish([]JournalEvent{{
@@ -143,8 +155,8 @@ func TestTracesChromeEndpoint(t *testing.T) {
 		TraceHi: tc.TraceHi, TraceLo: tc.TraceLo, Span: ChildSpan(tc.Span, 0),
 		StartNs: 5_000_350,
 	}})
-	RegisterJournal("chromeeng", j)
-	defer UnregisterJournal("chromeeng", j)
+	Journals.Register("chromeeng", j)
+	defer Journals.Unregister("chromeeng", j)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -193,8 +205,8 @@ func TestTracesChromeEndpoint(t *testing.T) {
 func TestJournalResponseHeaders(t *testing.T) {
 	j := NewJournal(JournalConfig{PerStrand: 4}, 1)
 	j.Strand(0).Publish(mkEvents(1, 0, 6)) // ring of 4: 2 already overwritten
-	RegisterJournal("hdrjournal", j)
-	defer UnregisterJournal("hdrjournal", j)
+	Journals.Register("hdrjournal", j)
+	defer Journals.Unregister("hdrjournal", j)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -245,8 +257,8 @@ func TestMetricsLatencyExemplar(t *testing.T) {
 	ev := event(TailSample{DescentNs: 400, ScanNs: 212, Nodes: 5, Scanned: 9, Reported: 2}, true)
 	ev.TraceHi, ev.TraceLo, ev.StartNs = tc.TraceHi, tc.TraceLo, 1_700_000_000_250_000_000
 	PublishChunk(nil, rec.Strand(0), []JournalEvent{ev}, [][]int32{{0, 1}})
-	RegisterServe("exemplareng", rec)
-	defer UnregisterServe("exemplareng", rec)
+	Serves.Register("exemplareng", rec)
+	defer Serves.Unregister("exemplareng", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -309,8 +321,8 @@ func TestMetricsExemplarOnEmptyHistogram(t *testing.T) {
 	forced := JournalEvent{Sampled: true, DescentNs: 700, TraceHi: tc.TraceHi, TraceLo: tc.TraceLo,
 		StartNs: 1_700_000_000_000_000_000}
 	PublishChunk(nil, rec.Strand(0), []JournalEvent{{}, forced, {}}, make([][]int32, 3))
-	RegisterServe("forcedeng", rec)
-	defer UnregisterServe("forcedeng", rec)
+	Serves.Register("forcedeng", rec)
+	defer Serves.Unregister("forcedeng", rec)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()

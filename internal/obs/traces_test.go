@@ -17,21 +17,23 @@ func mkRequestTrace(n uint64, totalNs int64) RequestTrace {
 }
 
 func TestTraceSinkRingAndTail(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 4, Tail: 2})
-	// Publish 8: ring keeps the newest 4; tail keeps the 2 slowest.
-	for n := uint64(0); n < 8; n++ {
+	s := NewTraceSink()
+	// Publish 4 past the ring: it keeps the newest traceRing; the tail
+	// keeps the traceTail slowest.
+	const published = traceRing + 4
+	for n := uint64(0); n < published; n++ {
 		total := int64(100 + n*10)
 		if n == 2 {
-			total = 9000 // the slowest request, overwritten in the ring
+			total = 1 << 40 // the slowest request, overwritten in the ring
 		}
 		s.Publish(mkRequestTrace(n, total))
 	}
-	if got := s.Published(); got != 8 {
-		t.Fatalf("published %d, want 8", got)
+	if got := s.Published(); got != published {
+		t.Fatalf("published %d, want %d", got, published)
 	}
 	snap := s.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("ring retained %d, want 4", len(snap))
+	if len(snap) != traceRing {
+		t.Fatalf("ring retained %d, want %d", len(snap), traceRing)
 	}
 	for i, rt := range snap {
 		want := GenTrace(7, uint64(4+i))
@@ -43,14 +45,20 @@ func TestTraceSinkRingAndTail(t *testing.T) {
 		}
 	}
 	slow := s.Slowest()
-	if len(slow) != 2 {
-		t.Fatalf("tail retained %d, want 2", len(slow))
+	if len(slow) != traceTail {
+		t.Fatalf("tail retained %d, want %d", len(slow), traceTail)
 	}
-	if slow[0].TotalNs != 9000 || slow[0].Trace != GenTrace(7, 2) {
-		t.Fatalf("slowest is %+v, want overwritten request 2 at 9000ns", slow[0])
+	if slow[0].TotalNs != 1<<40 || slow[0].Trace != GenTrace(7, 2) {
+		t.Fatalf("slowest is %+v, want overwritten request 2", slow[0])
 	}
-	if slow[1].TotalNs >= slow[0].TotalNs {
-		t.Fatalf("tail not slowest-first: %d then %d", slow[0].TotalNs, slow[1].TotalNs)
+	for i := 1; i < len(slow); i++ {
+		if slow[i].TotalNs >= slow[i-1].TotalNs {
+			t.Fatalf("tail not slowest-first: %d then %d", slow[i-1].TotalNs, slow[i].TotalNs)
+		}
+	}
+	// The rest of the tail is the newest requests, the slowest after 2.
+	if want := int64(100 + (published-1)*10); slow[1].TotalNs != want {
+		t.Fatalf("second slowest at %dns, want %d", slow[1].TotalNs, want)
 	}
 
 	// Retained = tail ∪ ring without duplicates; request 2 survives only
@@ -72,7 +80,7 @@ func TestTraceSinkRingAndTail(t *testing.T) {
 	// Find by 128-bit id.
 	tc := GenTrace(7, 2)
 	found := s.Find(tc.TraceHi, tc.TraceLo)
-	if len(found) != 1 || found[0].TotalNs != 9000 {
+	if len(found) != 1 || found[0].TotalNs != 1<<40 {
 		t.Fatalf("Find: %+v", found)
 	}
 	if got := s.Find(0xdead, 0xbeef); len(got) != 0 {
@@ -81,7 +89,7 @@ func TestTraceSinkRingAndTail(t *testing.T) {
 }
 
 func TestTraceSinkDropsInvalidAndNilSafe(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 4, Tail: 2})
+	s := NewTraceSink()
 	s.Publish(RequestTrace{TotalNs: 100}) // zero trace context
 	if s.Published() != 0 || len(s.Snapshot()) != 0 {
 		t.Fatal("invalid trace was stored")
@@ -95,7 +103,7 @@ func TestTraceSinkDropsInvalidAndNilSafe(t *testing.T) {
 }
 
 func TestTraceSinkPublishZeroAlloc(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 64, Tail: 8})
+	s := NewTraceSink()
 	rt := mkRequestTrace(3, 500)
 	if avg := testing.AllocsPerRun(200, func() { s.Publish(rt) }); avg != 0 {
 		t.Fatalf("%v allocs per Publish, want 0", avg)
@@ -103,7 +111,7 @@ func TestTraceSinkPublishZeroAlloc(t *testing.T) {
 }
 
 func TestWriteRequestTracesJSONL(t *testing.T) {
-	s := NewTraceSink(TraceSinkConfig{Ring: 8, Tail: 2})
+	s := NewTraceSink()
 	for n := uint64(0); n < 3; n++ {
 		s.Publish(mkRequestTrace(n, int64(100+n)))
 	}

@@ -391,31 +391,6 @@ func (t *Tree) Validate() error {
 	return nil
 }
 
-// QueryBatchClosed answers a closed-ball covering query for every point,
-// conceptually all in parallel: the returned cost has steps equal to the
-// deepest single query (plus the reporting primitive) and work equal to
-// the total nodes visited plus balls reported — the accounting of
-// Theorem 3.1's query phase. Execution parallelism follows the machine m
-// (nil for sequential).
-func (t *Tree) QueryBatchClosed(pts []vec.Vec, m *vm.Machine) ([][]int, vm.Cost) {
-	out := make([][]int, len(pts))
-	if len(pts) == 0 {
-		return out, vm.Cost{}
-	}
-	if m == nil {
-		m = vm.Sequential()
-	}
-	ctx := m.NewCtx()
-	visited := make([]int, len(pts))
-	ctx.ForkN(len(pts), func(i int, c *vm.Ctx) {
-		out[i], visited[i] = t.QueryClosed(pts[i])
-		c.Charge(vm.Cost{Steps: int64(visited[i]), Work: int64(visited[i] + len(out[i]))})
-	})
-	cost := ctx.Cost()
-	cost.Steps += 2 // distribute queries + pack results
-	return out, cost
-}
-
 // QueryClosed is Query with closed-ball membership (boundary included);
 // the divide-and-conquer correction uses closed balls so that candidate
 // neighbors at exactly the current k-th distance are not lost.

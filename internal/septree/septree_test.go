@@ -263,44 +263,6 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	_ = err // the ball-drop case is allowed to pass; see comment
 }
 
-func TestQueryBatchClosedMatchesSingle(t *testing.T) {
-	tree, pts := buildUniform(t, 1000, 2, 2, 20, nil)
-	queries := pts[:200]
-	for _, m := range []*vm.Machine{nil, vm.NewMachine(4)} {
-		results, cost := tree.QueryBatchClosed(queries, m)
-		if len(results) != len(queries) {
-			t.Fatalf("got %d results", len(results))
-		}
-		maxVisited := 0
-		for i, q := range queries {
-			want, visited := tree.QueryClosed(q)
-			if visited > maxVisited {
-				maxVisited = visited
-			}
-			if len(results[i]) != len(want) {
-				t.Fatalf("query %d: %d vs %d balls", i, len(results[i]), len(want))
-			}
-			for j := range want {
-				if results[i][j] != want[j] {
-					t.Fatalf("query %d ball %d differs", i, j)
-				}
-			}
-		}
-		// Steps equal the deepest single query plus the two batch
-		// primitives; work at least the visited total.
-		if cost.Steps != int64(maxVisited)+2 {
-			t.Errorf("batch steps = %d, want %d", cost.Steps, maxVisited+2)
-		}
-		if cost.Work <= 0 {
-			t.Error("no work charged")
-		}
-	}
-	empty, cost := tree.QueryBatchClosed(nil, nil)
-	if len(empty) != 0 || cost.Steps != 0 {
-		t.Error("empty batch charged")
-	}
-}
-
 func TestBuildRejectsBadInput(t *testing.T) {
 	if _, err := Build(&nbrsys.System{}, xrand.New(1), nil); err == nil {
 		t.Error("empty system accepted")

@@ -59,7 +59,7 @@ type ServeObserver struct {
 // config is ignored) instead of silently dropping the live one's
 // telemetry.
 func NewServeObserver(name string, cfg ServeObserverConfig) *ServeObserver {
-	rec := obs.RegisterServe(name, obs.NewServeRecorder(obs.ServeConfig{SampleEvery: cfg.SampleEvery}, 0))
+	rec := obs.Serves.Register(name, obs.NewServeRecorder(obs.ServeConfig{SampleEvery: cfg.SampleEvery}, 0))
 	return &ServeObserver{name: name, rec: rec}
 }
 
@@ -85,7 +85,7 @@ func (o *ServeObserver) Snapshot() *obs.ServeSnapshot {
 // first if the recorder should stop accumulating.
 func (o *ServeObserver) Close() {
 	if o != nil {
-		obs.UnregisterServe(o.name, o.rec)
+		obs.Serves.Unregister(o.name, o.rec)
 	}
 }
 
@@ -131,11 +131,7 @@ type QueryJournal struct {
 // under a name owns the slot; a repeat returns a handle sharing the
 // incumbent's rings.
 func NewQueryJournal(name string, cfg QueryJournalConfig) *QueryJournal {
-	if j := obs.LookupJournal(name); j != nil {
-		return &QueryJournal{name: name, j: j}
-	}
-	j := obs.NewJournal(obs.JournalConfig{PerStrand: cfg.PerStrand}, 0)
-	obs.RegisterJournal(name, j)
+	j := obs.Journals.Register(name, obs.NewJournal(obs.JournalConfig{PerStrand: cfg.PerStrand}, 0))
 	return &QueryJournal{name: name, j: j}
 }
 
@@ -167,7 +163,7 @@ func (qj *QueryJournal) Drain() obs.JournalDrain {
 // harmlessly; detach with Journal(nil) first if emission should stop.
 func (qj *QueryJournal) Close() {
 	if qj != nil {
-		obs.UnregisterJournal(qj.name, qj.j)
+		obs.Journals.Unregister(qj.name, qj.j)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"sepdc/internal/obs"
@@ -80,22 +81,55 @@ func TestStatsSnapshotJSON(t *testing.T) {
 	}
 }
 
-// TestQueryJournalCloseSwapSafe: same replace-safe teardown for the
-// /journal registry.
+// TestQueryJournalCloseSwapSafe: the /journal registry is first-wins and
+// its teardown replace-safe. A replacement registers only after the owner
+// unregisters, and the old handle's stale Close must not drop it.
 func TestQueryJournalCloseSwapSafe(t *testing.T) {
 	old := NewQueryJournal("swap-safe-j", QueryJournalConfig{})
-	// NewQueryJournal reuses an incumbent, so force a distinct journal
-	// under the same name the way a from-scratch replacement would.
+	// A from-scratch replacement under the same name, bypassing the
+	// NewQueryJournal reuse path.
 	j2 := obs.NewJournal(obs.JournalConfig{}, 0)
-	obs.RegisterJournal("swap-safe-j", j2)
-
+	if got := obs.Journals.Register("swap-safe-j", j2); got != old.j {
+		t.Fatal("a second registration displaced the owner")
+	}
+	old.Close() // the owner unregisters
+	if got := obs.Journals.Register("swap-safe-j", j2); got != j2 {
+		t.Fatal("replacement did not take the freed slot")
+	}
 	old.Close() // stale handle: must not drop j2's slot
-	if got := obs.LookupJournal("swap-safe-j"); got != j2 {
+	if got := obs.Journals.Lookup("swap-safe-j"); got != j2 {
 		t.Fatal("stale journal Close dropped the replacement's registration")
 	}
-	obs.UnregisterJournal("swap-safe-j", j2)
-	if obs.LookupJournal("swap-safe-j") != nil {
+	obs.Journals.Unregister("swap-safe-j", j2)
+	if obs.Journals.Lookup("swap-safe-j") != nil {
 		t.Fatal("owner unregister left the slot registered")
+	}
+}
+
+// TestNewQueryJournalConcurrentSameName: creators racing on one name all
+// get the one registered journal, so no handle's rings fall out of
+// /journal or flight bundles.
+func TestNewQueryJournalConcurrentSameName(t *testing.T) {
+	const creators = 64
+	start := make(chan struct{})
+	handles := make([]*QueryJournal, creators)
+	var wg sync.WaitGroup
+	for i := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			handles[i] = NewQueryJournal("concurrent-j", QueryJournalConfig{})
+		}()
+	}
+	close(start)
+	wg.Wait()
+	defer handles[0].Close()
+	owner := obs.Journals.Lookup("concurrent-j")
+	for i, h := range handles {
+		if h.j != owner {
+			t.Fatalf("creator %d holds a journal that is not the registered one", i)
+		}
 	}
 }
 

@@ -42,19 +42,8 @@ func GenerateTrace(seed, n uint64) TraceContext { return obs.GenTrace(seed, n) }
 // query of a traced request its own deterministic span.
 func ChildSpanID(parent, salt uint64) uint64 { return obs.ChildSpan(parent, salt) }
 
-// TraceLogConfig tunes a TraceLog. The zero value keeps the 1024 most
-// recent requests and the 32 slowest.
-type TraceLogConfig struct {
-	// Ring is the recent-request ring capacity. 0 selects 1024.
-	Ring int
-	// Tail is how many of the slowest requests to retain regardless of
-	// ring overwrites — the tier a burn-rate trip freezes into the
-	// flight bundle. 0 selects 32.
-	Tail int
-}
-
 // TraceLog is a bounded store of completed request traces: a ring of
-// the most recent requests plus a slowest-N tail that survives ring
+// the 1024 most recent requests plus the 32 slowest, which survive ring
 // overwrites. Publish is one mutex and zero allocations per request;
 // reads may run concurrently with publishing. Registered TraceLogs are
 // served by the /traces endpoint of MetricsHandler and folded into
@@ -68,13 +57,8 @@ type TraceLog struct {
 // /traces endpoint. Like NewQueryJournal, the first log created under a
 // name owns the slot; a repeat returns a handle sharing the incumbent's
 // storage.
-func NewTraceLog(name string, cfg TraceLogConfig) *TraceLog {
-	if t := obs.LookupTraces(name); t != nil {
-		return &TraceLog{name: name, t: t}
-	}
-	t := obs.NewTraceSink(obs.TraceSinkConfig{Ring: cfg.Ring, Tail: cfg.Tail})
-	obs.RegisterTraces(name, t)
-	return &TraceLog{name: name, t: t}
+func NewTraceLog(name string) *TraceLog {
+	return &TraceLog{name: name, t: obs.TraceSinks.Register(name, obs.NewTraceSink())}
 }
 
 // Name returns the log's registered /traces name.
@@ -117,6 +101,6 @@ func (tl *TraceLog) Retained() []RequestTrace {
 // name's slot, mirroring QueryJournal.Close.
 func (tl *TraceLog) Close() {
 	if tl != nil {
-		obs.UnregisterTraces(tl.name, tl.t)
+		obs.TraceSinks.Unregister(tl.name, tl.t)
 	}
 }
