@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve kernels-matrix verify fuzz chaos clean
+.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve kernels-matrix perfbench-check verify fuzz chaos clean
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,14 @@ kernels-matrix:
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -count=1 ./internal/vec/ ./internal/septree/ ./internal/cpufeat/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
+
+# perfbench is its own module (perfbench/go.mod) and imports internal
+# packages (septree, separator, nbrsys, pts, ...), so `go build ./...` at
+# the root never compiles it. Vet it and run its self-test so that a
+# signature change it depends on fails here rather than at benchmark time
+# (what CI's perfbench-check job runs).
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 -run TestSelf ./...
 
 # Focused race gate over the batched query-serving paths and the
 # serving telemetry they feed (concurrent Snapshot during recording,

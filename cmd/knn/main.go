@@ -279,7 +279,7 @@ func runAudit(n, d, k int, seed uint64, workers int) error {
 		if err := bt.Run(probes); err != nil {
 			return fmt.Errorf("%s: %w", gen, err)
 		}
-		rep, err := qs.Audit(probes, sepdc.AuditConfig{})
+		rep, err := qs.Audit(probes)
 		if err != nil {
 			return fmt.Errorf("%s: %w", gen, err)
 		}

@@ -70,20 +70,11 @@ func RadonPoint(pts []vec.Vec) (vec.Vec, error) {
 	return vec.ScaleTo(point, 1/posSum, point), nil
 }
 
-// Options controls the iterated-Radon approximation.
-type Options struct {
-	// SampleSize is the number of input points sampled (with replacement if
-	// the input is smaller). The default 256 keeps the computation O(1) in
-	// n while giving good empirical depth.
-	SampleSize int
-}
-
-func (o *Options) sampleSize() int {
-	if o == nil || o.SampleSize <= 0 {
-		return 256
-	}
-	return o.SampleSize
-}
+// SampleSize is the number of input points the Radon tournament samples
+// (with replacement if the input is smaller). 256 keeps the computation
+// O(1) in n while giving good empirical depth; the separator search
+// lifts a sample of the same size.
+const SampleSize = 256
 
 // scratch holds the per-call buffers of Approx: the Radon linear system,
 // its solution, and the survivor storage of the tournament. The buffers
@@ -208,16 +199,13 @@ func centroidInto(sc *scratch, dst vec.Vec, group []int32) {
 //
 // All intermediate storage comes from a pooled scratch arena; only the
 // returned point is freshly allocated (it must outlive the call).
-func Approx(pts []vec.Vec, g *xrand.RNG, opts *Options) vec.Vec {
+func Approx(pts []vec.Vec, g *xrand.RNG) vec.Vec {
 	if len(pts) == 0 {
 		panic("centerpoint: empty input")
 	}
 	d := len(pts[0])
 	groupSize := d + 2
-	ss := opts.sampleSize()
-	if ss < groupSize {
-		ss = groupSize
-	}
+	ss := max(SampleSize, groupSize)
 	sc := scratchPool.Get().(*scratch)
 	sc.ensure(d, ss)
 	// Sample with replacement: cheap, unbiased, and safe for small inputs.

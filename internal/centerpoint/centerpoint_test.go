@@ -78,7 +78,7 @@ func TestApproxCenterpointDepth(t *testing.T) {
 	for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Gaussian, pointgen.Clustered} {
 		for _, d := range []int{2, 3} {
 			pts := pointgen.MustGenerate(dist, 2000, d, g.Split())
-			c := Approx(pts, g.Split(), nil)
+			c := Approx(pts, g.Split())
 			depth := Depth(pts, c, 200, g.Split())
 			// Exact centerpoint depth is >= n/(d+1) ≈ 500–667. The iterated
 			// Radon approximation with a 512 sample should comfortably clear
@@ -100,7 +100,7 @@ func TestApproxOnSphereLiftedPoints(t *testing.T) {
 	for i, p := range pts {
 		lifted[i] = geom.Lift(p)
 	}
-	c := Approx(lifted, g, nil)
+	c := Approx(lifted, g)
 	if r := vec.Norm(c); r >= 1 {
 		t.Errorf("centerpoint of on-sphere points has norm %v >= 1", r)
 	}
@@ -110,12 +110,12 @@ func TestApproxTinyInputs(t *testing.T) {
 	g := xrand.New(4)
 	// Fewer points than d+2: sampling with replacement must still work.
 	pts := []vec.Vec{vec.Of(0, 0, 0), vec.Of(1, 0, 0)}
-	c := Approx(pts, g, nil)
+	c := Approx(pts, g)
 	if !vec.IsFinite(c) {
 		t.Fatalf("centerpoint of 2 points = %v", c)
 	}
 	// Single point: centerpoint is the point.
-	c = Approx([]vec.Vec{vec.Of(5, 5)}, g, nil)
+	c = Approx([]vec.Vec{vec.Of(5, 5)}, g)
 	if !vec.ApproxEqual(c, vec.Of(5, 5), 1e-9) {
 		t.Errorf("centerpoint of singleton = %v", c)
 	}
@@ -127,7 +127,7 @@ func TestApproxAllIdentical(t *testing.T) {
 	for i := range pts {
 		pts[i] = vec.Of(2, 3)
 	}
-	c := Approx(pts, g, nil)
+	c := Approx(pts, g)
 	if !vec.ApproxEqual(c, vec.Of(2, 3), 1e-9) {
 		t.Errorf("centerpoint of identical points = %v", c)
 	}
@@ -139,7 +139,7 @@ func TestApproxPanicsOnEmpty(t *testing.T) {
 			t.Error("Approx(empty) did not panic")
 		}
 	}()
-	Approx(nil, xrand.New(1), nil)
+	Approx(nil, xrand.New(1))
 }
 
 func TestDepthProperties(t *testing.T) {
@@ -160,14 +160,11 @@ func TestDepthProperties(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the fixed sample size the tournament and the
+// separator search's lift share.
 func TestOptionsDefaults(t *testing.T) {
-	var o *Options
-	if o.sampleSize() != 256 {
-		t.Errorf("default sample size = %d", o.sampleSize())
-	}
-	o2 := &Options{SampleSize: 64}
-	if o2.sampleSize() != 64 {
-		t.Error("explicit options ignored")
+	if SampleSize != 256 {
+		t.Errorf("SampleSize = %d, want 256", SampleSize)
 	}
 }
 

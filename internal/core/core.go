@@ -35,6 +35,12 @@ import (
 	"sepdc/internal/vm"
 )
 
+// activeFactor scales the marching abort limit C·m^{1−η}: a march aborts
+// once more than activeFactor · m^Mu · log2(m) (+16) ball–node pairs are
+// active at one level, generous enough that aborts signal genuine
+// blow-ups (Lemma 6.2).
+const activeFactor = 8
+
 // Options configures the divide and conquer.
 type Options struct {
 	// K is the number of neighbors per point. Zero selects 1 (the paper's
@@ -53,10 +59,6 @@ type Options struct {
 	// correction is attempted only when ι_{B_I}(S) + ι_{B_E}(S) < m^Mu.
 	// Zero selects 0.9 (theory: (d−1)/d + ε).
 	Mu float64
-	// ActiveFactor scales the marching abort limit C·m^{1−η}; the limit is
-	// ActiveFactor · m^Mu · log2(m), generous enough that aborts signal
-	// genuine blow-ups. Zero selects 8.
-	ActiveFactor float64
 	// CollectProfiles records the per-level active-ball profiles of every
 	// fast-correction march (experiment E8). Off by default: profiles of
 	// large runs are sizable.
@@ -109,13 +111,6 @@ func (o *Options) mu() float64 {
 		return 0.9
 	}
 	return o.Mu
-}
-
-func (o *Options) activeFactor() float64 {
-	if o == nil || o.ActiveFactor <= 0 {
-		return 8
-	}
-	return o.ActiveFactor
 }
 
 func (o *Options) rec() *obs.Recorder {

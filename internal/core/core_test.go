@@ -274,8 +274,8 @@ func TestOptionDefaults(t *testing.T) {
 	if o.mu() != 0.9 || (&Options{Mu: 1.5}).mu() != 0.9 || (&Options{Mu: 0.7}).mu() != 0.7 {
 		t.Error("mu defaulting wrong")
 	}
-	if o.activeFactor() != 8 {
-		t.Error("active factor default")
+	if activeFactor != 8 {
+		t.Error("active factor constant")
 	}
 	if got := o.baseSize(1024); got < 4 || got > 16 {
 		t.Errorf("baseSize(1024) = %d", got)

@@ -351,7 +351,7 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	// Fast Correction, each direction independently; an aborted march
 	// punts only its own direction. A chaos-forced abort skips the march
 	// entirely (as if it had flooded at level 0) and takes the same punt.
-	activeLimit := int(opts.activeFactor()*threshold*math.Log2(float64(m))) + 16
+	activeLimit := int(activeFactor*threshold*math.Log2(float64(m))) + 16
 	forceAbort := opts.chaos().ForceMarchAbort(depth)
 	if forceAbort || !fastCorrect(ps, lists, crossIn, node.Right, activeLimit, opts, ctx, tl, sh, cs) {
 		tl.add(func(s *Stats) { s.MarchAborts++ })

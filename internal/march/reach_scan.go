@@ -20,8 +20,8 @@ import (
 // run a single segmented AND-scan, and read each segment's last element.
 // On the vector model this is O(1) steps with h·2^h work — the cost
 // Lemma 6.3 claims. ReachableLeaves (the recursive walk) computes the same
-// set with O(reached) work; the two are cross-validated in tests and the
-// E10 experiment.
+// set with O(reached) work; the two are cross-validated in
+// reach_scan_test.go. The E10 experiment times the level-synchronous Down.
 
 // ReachableLeavesScan returns the reachable leaves of the tree for ball b
 // by the labeling + segmented-AND-scan formulation of Lemma 6.3.

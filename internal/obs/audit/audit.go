@@ -33,66 +33,34 @@ import (
 	"sepdc/internal/septree"
 )
 
-// Config tunes the audited constants. The paper gives asymptotics; the
-// constants here are the empirical ceilings the repo commits to (large
-// enough to be distribution-robust, small enough that a regression —
-// a degenerate separator search, a broken partition — trips them).
-type Config struct {
-	// K is the neighborhood size the structure was built with (required).
-	K int
-	// IotaC bounds ι(S) ≤ IotaC·k^{1/d}·m^{(d-1)/d} at every audited
-	// node. 0 selects 4.
-	IotaC float64
-	// SpaceC bounds Σ stored ≤ SpaceC·n. 0 selects 16^(d−1) (min 4):
-	// Lemma 6.1's linear-space constant is dimension-exponential in
-	// practice — crossing duplication multiplies stored mass by
-	// (1 + Θ((k/m₀)^{1/d})) per level near the leaves, and measured
-	// ceilings at k=4 are ≈5.5·n in d=2 but ≈160·n in d=3.
-	SpaceC float64
-	// QueryNodesC bounds mean probe nodes ≤ QueryNodesC·(log₂n + 1).
-	// 0 selects 4.
-	QueryNodesC float64
-	// QueryCandsC bounds mean probe candidates ≤ QueryCandsC·(k + log₂n).
-	// 0 selects 4.
-	QueryCandsC float64
-	// MaxPuntRate bounds punted nodes / internal nodes. 0 selects 0.25
-	// (the Punting Lemma tolerates punts; a high rate signals the
-	// separator search has stopped working, not a broken theorem).
-	MaxPuntRate float64
-	// MinIotaNodes skips the ι check at nodes smaller than this (the
-	// constant is asymptotic; tiny subsets are all boundary). 0 selects 64.
-	MinIotaNodes int
-	// Delta overrides the δ-split target. 0 selects
-	// separator.DefaultDelta(d) — what a default build enforced.
-	Delta float64
-}
+// The audited constants. The paper gives asymptotics; these are the
+// empirical ceilings the repo commits to (large enough to be
+// distribution-robust, small enough that a regression — a degenerate
+// separator search, a broken partition — trips them). The δ-split target
+// is separator.DefaultDelta(d), what the build enforced.
+const (
+	// iotaC bounds ι(S) ≤ iotaC·k^{1/d}·m^{(d-1)/d} at every audited node.
+	iotaC = 4
+	// queryNodesC bounds mean probe nodes ≤ queryNodesC·(log₂n + 1).
+	queryNodesC = 4
+	// queryCandsC bounds mean probe candidates ≤ queryCandsC·(k + log₂n).
+	queryCandsC = 4
+	// maxPuntRate bounds punted nodes / internal nodes (the Punting Lemma
+	// tolerates punts; a high rate signals the separator search has
+	// stopped working, not a broken theorem).
+	maxPuntRate = 0.25
+	// minIotaNodes skips the ι check at nodes smaller than this (the
+	// constant is asymptotic; tiny subsets are all boundary).
+	minIotaNodes = 64
+)
 
-func (c Config) iotaC() float64 { return orf(c.IotaC, 4) }
-func (c Config) spaceC(d int) float64 {
-	if c.SpaceC > 0 {
-		return c.SpaceC
-	}
-	s := math.Pow(16, float64(d-1))
-	if s < 4 {
-		s = 4
-	}
-	return s
-}
-func (c Config) nodesC() float64  { return orf(c.QueryNodesC, 4) }
-func (c Config) candsC() float64  { return orf(c.QueryCandsC, 4) }
-func (c Config) puntMax() float64 { return orf(c.MaxPuntRate, 0.25) }
-func (c Config) minIota() int {
-	if c.MinIotaNodes <= 0 {
-		return 64
-	}
-	return c.MinIotaNodes
-}
-
-func orf(v, def float64) float64 {
-	if v <= 0 {
-		return def
-	}
-	return v
+// spaceC bounds Σ stored ≤ spaceC(d)·n: 16^(d−1), at least 4. Lemma
+// 6.1's linear-space constant is dimension-exponential in practice —
+// crossing duplication multiplies stored mass by (1 + Θ((k/m₀)^{1/d}))
+// per level near the leaves, and measured ceilings at k=4 are ≈5.5·n in
+// d=2 but ≈160·n in d=3.
+func spaceC(d int) float64 {
+	return max(math.Pow(16, float64(d-1)), 4)
 }
 
 // Check is one audited invariant: Observed against Bound, Pass when
@@ -125,8 +93,6 @@ type Report struct {
 // treeWalk accumulates the per-node re-measurements.
 type treeWalk struct {
 	sys          *nbrsys.System
-	delta        float64
-	minIota      int
 	k, d         int
 	internal     int
 	punted       int
@@ -141,13 +107,13 @@ type treeWalk struct {
 // with the given queries (their answers are discarded; their traversal
 // costs are the Theorem 3.1 sample). Queries may be drawn from any
 // distribution the caller wants audited — stored points, fresh points,
-// or a mix.
-func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg Config) (*Report, error) {
+// or a mix. k is the neighborhood size the structure was built with.
+func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, k int) (*Report, error) {
 	if tree == nil || tree.Root == nil || tree.Sys == nil {
 		return nil, errors.New("audit: nil or empty tree")
 	}
-	if cfg.K < 1 {
-		return nil, fmt.Errorf("audit: Config.K must be ≥ 1, got %d", cfg.K)
+	if k < 1 {
+		return nil, fmt.Errorf("audit: k must be ≥ 1, got %d", k)
 	}
 	sys := tree.Sys
 	n := sys.Len()
@@ -155,18 +121,14 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		return nil, errors.New("audit: empty neighborhood system")
 	}
 	d := len(sys.Centers[0])
-	delta := cfg.Delta
-	if delta <= 0 {
-		delta = separator.DefaultDelta(d)
-	}
-	w := &treeWalk{sys: sys, delta: delta, minIota: cfg.minIota(), k: cfg.K, d: d}
+	w := &treeWalk{sys: sys, k: k, d: d}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	w.walk(tree.Root, idx)
 
-	rep := &Report{N: n, D: d, K: cfg.K}
+	rep := &Report{N: n, D: d, K: k}
 	logn := math.Log2(float64(n))
 	if logn < 1 {
 		logn = 1
@@ -177,9 +139,9 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		Name:     "iota",
 		Theorem:  "Thm 2.1",
 		Observed: w.worstIota,
-		Bound:    cfg.iotaC(),
+		Bound:    iotaC,
 		Detail: fmt.Sprintf("worst ι=%d at m=%d (ι ≤ C·k^{1/d}·m^{(d-1)/d}, C=%.3g)",
-			w.worstIotaRaw, w.worstIotaM, cfg.iotaC()),
+			w.worstIotaRaw, w.worstIotaM, float64(iotaC)),
 	})
 
 	// δ-split: worst non-punted center split must respect δ exactly
@@ -188,7 +150,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		Name:     "split_balance",
 		Theorem:  "Thm 2.1 (δ-split)",
 		Observed: w.worstSplit,
-		Bound:    delta,
+		Bound:    separator.DefaultDelta(d),
 		Detail:   fmt.Sprintf("worst max(side)/m over %d non-punted internal nodes", w.internal-w.punted),
 	})
 	rep.WorstSplit = w.worstSplit
@@ -210,7 +172,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		Name:     "punt_rate",
 		Theorem:  "Punting Lemma",
 		Observed: punt,
-		Bound:    cfg.puntMax(),
+		Bound:    maxPuntRate,
 		Detail:   fmt.Sprintf("%d punts / %d internal nodes", w.punted, w.internal),
 	})
 	rep.PuntRate = punt
@@ -220,9 +182,9 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		Name:     "space",
 		Theorem:  "Lemma 6.1",
 		Observed: float64(w.stored),
-		Bound:    cfg.spaceC(d) * float64(n),
+		Bound:    spaceC(d) * float64(n),
 		Detail: fmt.Sprintf("Σ stored=%d over %d leaves (≤ C·n, C=%.3g, dimension-exponential)",
-			w.stored, tree.Stats.Leaves, cfg.spaceC(d)),
+			w.stored, tree.Stats.Leaves, spaceC(d)),
 	})
 
 	// Theorem 3.1: probe traversal costs.
@@ -231,7 +193,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		buf := make([]int, 0, 64)
 		for _, q := range queries {
 			var nv, sc int
-			buf, nv, sc = coveringInto(frozen, q, buf)
+			buf, nv, sc = frozen.Covering(q, buf[:0])
 			nodes += int64(nv)
 			cands += int64(sc)
 		}
@@ -241,14 +203,14 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 			Name:     "query_nodes",
 			Theorem:  "Thm 3.1",
 			Observed: meanNodes,
-			Bound:    cfg.nodesC() * (logn + 1),
+			Bound:    queryNodesC * (logn + 1),
 			Detail:   fmt.Sprintf("mean nodes over %d probes (≤ C·(log₂n+1))", len(queries)),
 		})
 		rep.add(Check{
 			Name:     "query_cands",
 			Theorem:  "Thm 3.1",
 			Observed: meanCands,
-			Bound:    cfg.candsC() * (float64(cfg.K) + logn),
+			Bound:    queryCandsC * (float64(k) + logn),
 			Detail:   fmt.Sprintf("mean leaf candidates over %d probes (≤ C·(k+log₂n))", len(queries)),
 		})
 	}
@@ -260,11 +222,6 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, cfg 
 		}
 	}
 	return rep, nil
-}
-
-func coveringInto(f *septree.Frozen, q []float64, buf []int) ([]int, int, int) {
-	balls, nodes, scanned := f.Covering(q, buf[:0])
-	return balls, nodes, scanned
 }
 
 func (r *Report) add(c Check) {
@@ -316,7 +273,7 @@ func (w *treeWalk) walk(n *septree.Node, idx []int) {
 			w.worstSplit = ratio
 		}
 	}
-	if m >= w.minIota && w.d > 0 {
+	if m >= minIotaNodes && w.d > 0 {
 		norm := math.Pow(float64(w.k), 1/float64(w.d)) * math.Pow(float64(m), float64(w.d-1)/float64(w.d))
 		if norm > 0 {
 			if v := float64(crossing) / norm; v > w.worstIota {

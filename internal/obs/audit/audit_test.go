@@ -62,7 +62,7 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 	}
 	for _, c := range cases {
 		tree, frozen, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
-		rep, err := Audit(tree, frozen, probes(pts, c.d, 500, 43), Config{K: c.k})
+		rep, err := Audit(tree, frozen, probes(pts, c.d, 500, 43), c.k)
 		if err != nil {
 			t.Fatalf("%s d=%d k=%d: %v", c.gen, c.d, c.k, err)
 		}
@@ -86,20 +86,29 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsViolation: absurdly tight constants must fail — the
+// TestAuditDetectsViolation: a hand-built single-leaf tree scans every
+// ball on every probe, far over Theorem 3.1's candidate budget — the
 // auditor is only useful if it can say no.
 func TestAuditDetectsViolation(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.UniformBall, 2000, 2, 4, 7)
-	rep, err := Audit(tree, frozen, probes(pts, 2, 200, 8), Config{
-		K:           4,
-		IotaC:       1e-6,
-		QueryCandsC: 1e-6,
-	})
+	g := xrand.New(7)
+	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformBall, 2000, 2, g.Split()))
+	sys := nbrsys.KNeighborhood(pts, 4)
+	all := make([]int, sys.Len())
+	for i := range all {
+		all[i] = i
+	}
+	tree := &septree.Tree{Sys: sys, Root: &septree.Node{Balls: all},
+		Stats: septree.BuildStats{Height: 1, Leaves: 1, TotalStored: len(all)}}
+	frozen, err := septree.Freeze(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Audit(tree, frozen, probes(pts, 2, 200, 8), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Pass {
-		t.Fatal("audit passed with impossible constants")
+		t.Fatal("audit passed a single-leaf tree")
 	}
 	failed := map[string]bool{}
 	for _, c := range rep.Checks {
@@ -107,7 +116,7 @@ func TestAuditDetectsViolation(t *testing.T) {
 			failed[c.Name] = true
 		}
 	}
-	if !failed["iota"] || !failed["query_cands"] {
+	if len(failed) != 1 || !failed["query_cands"] {
 		t.Errorf("wrong checks failed: %v", failed)
 	}
 }
@@ -117,7 +126,7 @@ func TestAuditDetectsViolation(t *testing.T) {
 // scratch and must agree.
 func TestAuditSplitBalanceIsExact(t *testing.T) {
 	tree, frozen, pts := buildFixture(t, pointgen.Gaussian, 2500, 3, 3, 11)
-	rep, err := Audit(tree, frozen, probes(pts, 3, 100, 12), Config{K: 3})
+	rep, err := Audit(tree, frozen, probes(pts, 3, 100, 12), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +139,7 @@ func TestAuditSplitBalanceIsExact(t *testing.T) {
 
 func TestAuditTableAndPublish(t *testing.T) {
 	tree, frozen, pts := buildFixture(t, pointgen.Clustered, 1500, 2, 4, 21)
-	rep, err := Audit(tree, frozen, probes(pts, 2, 100, 22), Config{K: 4})
+	rep, err := Audit(tree, frozen, probes(pts, 2, 100, 22), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,14 +162,14 @@ func TestAuditTableAndPublish(t *testing.T) {
 }
 
 func TestAuditRejectsBadInput(t *testing.T) {
-	if _, err := Audit(nil, nil, nil, Config{K: 1}); err == nil {
+	if _, err := Audit(nil, nil, nil, 1); err == nil {
 		t.Error("nil tree accepted")
 	}
 	tree, frozen, _ := buildFixture(t, pointgen.UniformCube, 300, 2, 2, 5)
-	if _, err := Audit(tree, frozen, nil, Config{}); err == nil {
-		t.Error("K=0 accepted")
+	if _, err := Audit(tree, frozen, nil, 0); err == nil {
+		t.Error("k=0 accepted")
 	}
-	rep, err := Audit(tree, frozen, nil, Config{K: 2})
+	rep, err := Audit(tree, frozen, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,20 +47,10 @@ import (
 	"sepdc/internal/xrand"
 )
 
-// Options tunes the separator search.
+// Options tunes the separator search. The split target δ, the retry
+// budget and the centerpoint sample size are fixed (DefaultDelta,
+// maxTrials, centerpoint.SampleSize).
 type Options struct {
-	// Delta is the allowed splitting ratio: a candidate is good when both
-	// sides hold at most Delta·n points. Zero selects the theorem's
-	// (d+1)/(d+2)+ε with a small ε, floored at 0.8 so small inputs are not
-	// rejected spuriously.
-	Delta float64
-	// MaxTrials bounds the retry loop of FindGood. Zero selects 64. If no
-	// good sphere is found, FindGood falls back to a median hyperplane,
-	// which always satisfies the split bound (but may cross many balls —
-	// the event the paper's punting machinery absorbs).
-	MaxTrials int
-	// SampleSize is the centerpoint sample size (0 = package default).
-	SampleSize int
 	// Centroid replaces the iterated-Radon centerpoint with the sample
 	// centroid. Cheaper and usually adequate on benign inputs; exposed for
 	// the ablation experiment.
@@ -106,37 +96,22 @@ func (o *Options) chaos() *chaos.Injector {
 	return o.Chaos
 }
 
-func (o *Options) delta(d int) float64 {
-	if o != nil && o.Delta > 0 {
-		return o.Delta
-	}
-	return DefaultDelta(d)
-}
-
-// DefaultDelta is the split-balance target a default-configured search
-// accepts in dimension d: the paper's (d+1)/(d+2) plus a 0.05 slack,
-// clamped to [0.8, 0.95]. Exported so the paper-invariant auditor
-// (internal/obs/audit) checks observed splits against the same number
-// the build actually used.
+// DefaultDelta is the split-balance target the search accepts in
+// dimension d: a candidate is good when both sides hold at most δ·n
+// points. δ is the paper's (d+1)/(d+2) plus a 0.05 slack, clamped to
+// [0.8, 0.95] so small inputs are not rejected spuriously. Exported so
+// the paper-invariant auditor (internal/obs/audit) checks observed
+// splits against the same number the build used.
 func DefaultDelta(d int) float64 {
-	delta := float64(d+1)/float64(d+2) + 0.05
-	if delta < 0.8 {
-		delta = 0.8
-	}
-	if delta > 0.95 {
-		delta = 0.95
-	}
-	return delta
+	return min(max(float64(d+1)/float64(d+2)+0.05, 0.8), 0.95)
 }
 
-// maxTrials returns the retry budget for an input of n points. Small
-// subsets get a smaller budget: with few points the split-ratio variance
-// is high and extra candidates are poorly spent — the hyperplane fallback
-// (whose cost the punting analysis absorbs) is the better exit.
-func (o *Options) maxTrials(n int) int {
-	if o != nil && o.MaxTrials > 0 {
-		return o.MaxTrials
-	}
+// maxTrials returns FindGood's retry budget for an input of n points.
+// Small subsets get a smaller budget: with few points the split-ratio
+// variance is high and extra candidates are poorly spent — the median
+// hyperplane fallback, which always satisfies the split bound (its cost
+// is what the punting analysis absorbs), is the better exit.
+func maxTrials(n int) int {
 	if n < 256 {
 		return 16
 	}
@@ -203,17 +178,7 @@ func CandidateFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (geom.Separato
 	}
 	d := ps.Dim
 
-	cpOpts := &centerpoint.Options{}
-	if opts != nil {
-		cpOpts.SampleSize = opts.SampleSize
-	}
-	sampleN := cpOpts.SampleSize
-	if sampleN <= 0 {
-		sampleN = 256
-	}
-	if sampleN > n {
-		sampleN = n
-	}
+	sampleN := min(centerpoint.SampleSize, n)
 	sc := acquireScratch(d, sampleN)
 	defer candPool.Put(sc)
 
@@ -255,7 +220,7 @@ func CandidateFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (geom.Separato
 	if opts != nil && opts.Centroid {
 		cp = vec.Centroid(lifted)
 	} else {
-		cp = centerpoint.Approx(lifted, g.Split(), cpOpts)
+		cp = centerpoint.Approx(lifted, g.Split())
 	}
 
 	// Step 3: conformal map sending cp to the origin. Clamp the centerpoint
@@ -365,7 +330,7 @@ type Result struct {
 // FindGood repeats the Unit Time Separator Algorithm until a candidate
 // δ-splits the points, mirroring step 2 of Parallel Neighborhood Querying:
 // "Iteratively apply Unit Time Sphere Separator Algorithm until finding a
-// good sphere separator S." If MaxTrials candidates all fail (probability
+// good sphere separator S." If maxTrials candidates all fail (probability
 // exponentially small in the budget), it falls back to the median
 // hyperplane, which splits perfectly by construction. A search whose
 // Options.Done closes returns context.Canceled before its next trial.
@@ -381,8 +346,8 @@ func FindGoodFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (Result, error)
 	if ps.N() == 0 {
 		return Result{}, errors.New("separator: no points")
 	}
-	delta := opts.delta(ps.Dim)
-	budget := opts.maxTrials(ps.N())
+	delta := DefaultDelta(ps.Dim)
+	budget := maxTrials(ps.N())
 	inj := opts.chaos()
 	var res Result
 	for trial := 1; trial <= budget; trial++ {

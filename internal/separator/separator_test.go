@@ -60,7 +60,7 @@ func TestFindGoodSplitsWithinDelta(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s d=%d: %v", dist, d, err)
 			}
-			delta := (&Options{}).delta(d)
+			delta := DefaultDelta(d)
 			if !res.Punted && res.Stats.Ratio() > delta {
 				t.Errorf("%s d=%d: ratio %v exceeds delta %v without punt",
 					dist, d, res.Stats.Ratio(), delta)
@@ -229,21 +229,19 @@ func TestMedianHyperplaneAllIdentical(t *testing.T) {
 }
 
 func TestOptionsDeltaBounds(t *testing.T) {
-	var o *Options
 	for d := 1; d <= 10; d++ {
-		delta := o.delta(d)
+		delta := DefaultDelta(d)
 		if delta < 0.8 || delta > 0.95 {
 			t.Errorf("d=%d: delta %v outside [0.8, 0.95]", d, delta)
 		}
 	}
-	explicit := &Options{Delta: 0.7}
-	if explicit.delta(2) != 0.7 {
-		t.Error("explicit delta ignored")
+	if DefaultDelta(2) != 0.8 || math.Abs(DefaultDelta(3)-0.85) > 1e-12 || DefaultDelta(20) != 0.95 {
+		t.Errorf("DefaultDelta(2, 3, 20) = %v, %v, %v; want 0.8, 0.85, 0.95", DefaultDelta(2), DefaultDelta(3), DefaultDelta(20))
 	}
-	if (&Options{MaxTrials: 5}).maxTrials(1000) != 5 || o.maxTrials(1000) != 64 {
+	if maxTrials(1000) != 64 || maxTrials(256) != 64 {
 		t.Error("maxTrials wrong")
 	}
-	if o.maxTrials(100) != 16 {
+	if maxTrials(100) != 16 || maxTrials(255) != 16 {
 		t.Error("small inputs should get the reduced budget")
 	}
 }

@@ -75,15 +75,21 @@ func TestLayoutsBitIdentical(t *testing.T) {
 }
 
 // TestLayoutsBitIdenticalForcedLeaf covers the degenerate single-leaf
-// tree (LeafSize above n makes the root absorb everything) under both
+// tree (fewer points than m0 makes the root absorb everything) under both
 // orders — the blocked traversal's singleton-root unit edge case.
 func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
 	g := xrand.New(43)
-	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 200, 2, g.Split()))
+	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 30, 2, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, 2)
-	tree, err := Build(sys, g.Split(), &Options{LeafSize: 500})
+	if m0 := leafSize(2, 2, len(pts)); len(pts) >= m0 {
+		t.Fatalf("%d points do not fit one leaf of m0=%d", len(pts), m0)
+	}
+	tree, err := Build(sys, g.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !tree.Root.IsLeaf() {
+		t.Fatal("root is not a leaf")
 	}
 	blocked, err := Freeze(tree)
 	if err != nil {

@@ -7,7 +7,7 @@
 // Construction follows Parallel Neighborhood Querying (Section 3.3):
 //
 //  1. If m <= m0, emit a leaf holding all balls. m0 is fixed once per
-//     tree from d, the system's k and its size n (see Options.LeafSize).
+//     tree from d, the system's k and its size n (see leafSize).
 //  2. Otherwise iterate the Unit Time Sphere Separator Algorithm until a
 //     good separator S is found.
 //  3. B_0 = B_I(S) ∪ B_O(S), B_1 = B_E(S) ∪ B_O(S) — crossing balls are
@@ -53,21 +53,11 @@ func (n *Node) IsLeaf() bool { return n.Sep == nil }
 
 // Options configures construction.
 type Options struct {
-	// LeafSize is the paper's m0: subsets of at most this size become
-	// leaves. Zero derives it from the system: max(4·(k + bits.Len(n)),
-	// 32·2^max(0, d−3)) for a system of n balls of neighborhood size k
-	// in R^d.
-	LeafSize int
 	// Sep configures the separator search at each node.
 	Sep *separator.Options
 	// Machine runs the two recursive builds in parallel and accrues the
 	// simulated cost. Nil selects a sequential machine.
 	Machine *vm.Machine
-	// RetriesOnNoProgress is how many times a node reruns the separator
-	// search when duplication of crossing balls prevents both children
-	// from shrinking. After the budget the node becomes an oversized leaf
-	// (recorded in Stats.ForcedLeaves). Zero selects 3.
-	RetriesOnNoProgress int
 	// Done aborts the build when closed (typically a context's Done
 	// channel): the recursion stops descending and Build returns
 	// context.Canceled. Nil disables the probe.
@@ -86,29 +76,26 @@ func (o *Options) cancelled() bool {
 	}
 }
 
+// retriesOnNoProgress is how many times a node reruns the separator
+// search when duplication of crossing balls prevents both children from
+// shrinking. After the budget the node becomes an oversized leaf
+// (recorded in Stats.ForcedLeaves).
+const retriesOnNoProgress = 3
+
 // leafSize returns the paper's m0 for a system of n balls of neighborhood
-// size k in R^d. Two constraints set it:
+// size k in R^d: subsets of at most this size become leaves. Two
+// constraints set it:
 //
 //   - Theorem 3.1's query budget: a query scans one leaf whole, so a leaf
 //     may hold the O(k + log n) candidates a query is allowed; the
-//     constant is the audit's default (QueryCandsC = 4).
+//     constant is the audit's queryCandsC = 4.
 //   - Lemma 3.1's space bound: a leaf-sized subproblem's crossing set,
 //     O(k^{1/d}·m^{(d−1)/d}) by Theorem 2.1, must be a small fraction of
 //     it, so m0 grows with k. At d ≤ 3 the query budget already meets
 //     this; the floor 32·2^max(0, d−3) keeps the larger leaves that
 //     higher dimensions need.
-func (o *Options) leafSize(d, k, n int) int {
-	if o != nil && o.LeafSize > 0 {
-		return o.LeafSize
-	}
+func leafSize(d, k, n int) int {
 	return max(4*(max(k, 1)+bits.Len(uint(n))), 32<<uint(max(0, d-3)))
-}
-
-func (o *Options) retries() int {
-	if o == nil || o.RetriesOnNoProgress <= 0 {
-		return 3
-	}
-	return o.RetriesOnNoProgress
 }
 
 func (o *Options) machine() *vm.Machine {
@@ -164,7 +151,7 @@ func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Tree, error) {
 	for i := range idx {
 		idx[i] = i
 	}
-	m0 := opts.leafSize(len(sys.Centers[0]), sys.K, sys.Len())
+	m0 := leafSize(len(sys.Centers[0]), sys.K, sys.Len())
 	ctx := opts.machine().NewCtx()
 	t.Root = build(sys, idx, m0, g, opts, ctx)
 	if opts.cancelled() {
@@ -267,7 +254,7 @@ func build(sys *nbrsys.System, idx []int, m0 int, g *xrand.RNG, opts *Options, c
 			)
 			return node
 		}
-		if attempt >= opts.retries() {
+		if attempt >= retriesOnNoProgress {
 			// Crossing-ball duplication defeated the split repeatedly
 			// (legitimately possible when ball radii are huge relative to
 			// the subset's extent). An oversized leaf keeps queries correct

@@ -300,7 +300,7 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 		radii[i] = 1
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
-	tree, err := Build(sys, xrand.New(1), &Options{LeafSize: 16})
+	tree, err := Build(sys, xrand.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,17 +313,24 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 	}
 }
 
+// TestLeafSizeOption: every leaf of a default build holds at most
+// m0 = leafSize(d, k, n) balls unless it is a forced leaf.
 func TestLeafSizeOption(t *testing.T) {
-	tree, _ := buildUniform(t, 500, 2, 1, 12, &Options{LeafSize: 64})
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		if n.IsLeaf() {
-			return len(n.Balls) <= 64 || n.Trials > 0 // forced leaves may exceed
+	for _, d := range []int{2, 3} {
+		for _, k := range []int{1, 4} {
+			tree, pts := buildUniform(t, 1500, d, k, 12, nil)
+			m0 := leafSize(d, k, len(pts))
+			var walk func(n *Node) bool
+			walk = func(n *Node) bool {
+				if n.IsLeaf() {
+					return len(n.Balls) <= m0 || n.Forced
+				}
+				return walk(n.Left) && walk(n.Right)
+			}
+			if tree.Root.IsLeaf() || !walk(tree.Root) {
+				t.Errorf("d=%d k=%d: a leaf exceeds m0=%d (or the root is a leaf)", d, k, m0)
+			}
 		}
-		return walk(n.Left) && walk(n.Right)
-	}
-	if !walk(tree.Root) {
-		t.Error("leaf size constraint violated")
 	}
 }
 

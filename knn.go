@@ -65,9 +65,6 @@ type Options struct {
 	// Workers bounds goroutine parallelism of the divide-and-conquer
 	// algorithms (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// BaseSize overrides the brute-force cutoff of the recursion
-	// (0 = the paper's max(2(k+1), log₂ n)).
-	BaseSize int
 	// Observe enables the structured metrics layer: Stats().Report carries
 	// per-phase wall times, counters, and histograms of the build. Off, the
 	// instrumentation compiles down to nil-receiver no-ops.
@@ -207,7 +204,6 @@ func buildFromPointSet(ctx context.Context, ps *pts.PointSet, k int, opts *Optio
 		cOpts := &core.Options{K: k, Rec: rec, Chaos: inj}
 		workers := 0
 		if opts != nil {
-			cOpts.BaseSize = opts.BaseSize
 			workers = opts.Workers
 		}
 		if inj != nil {

@@ -193,11 +193,6 @@ func (bt *Batcher) Journal(qj *QueryJournal) {
 // it on -debug-addr.
 func MetricsHandler() http.Handler { return obs.Handler() }
 
-// AuditConfig tunes the paper-invariant audit; see the fields of
-// audit.Config for the bound constants. The zero value audits against
-// the repo's default empirical ceilings.
-type AuditConfig = audit.Config
-
 // AuditReport is the outcome of QueryStructure.Audit: one Check per
 // invariant (Theorem 2.1 ι(S) and δ-split, the Punting-Lemma depth and
 // punt rate, Lemma 6.1 space, Theorem 3.1 probe costs), each scored
@@ -210,17 +205,15 @@ type AuditReport = audit.Report
 // scratch (same classification the build used), and probes the frozen
 // serving engine with the given queries to sample Theorem 3.1's cost
 // bound. Probe queries must match the structure's dimension; pass nil to
-// skip the query-cost checks.
-func (qs *QueryStructure) Audit(probes [][]float64, cfg AuditConfig) (*AuditReport, error) {
+// skip the query-cost checks. The bounds are the audit package's fixed
+// empirical ceilings.
+func (qs *QueryStructure) Audit(probes [][]float64) (*AuditReport, error) {
 	for i, q := range probes {
 		if err := qs.validateQuery(q); err != nil {
 			return nil, fmt.Errorf("probe %d: %w", i, err)
 		}
 	}
-	if cfg.K == 0 {
-		cfg.K = qs.k
-	}
-	return audit.Audit(qs.tree, qs.frozen, probes, cfg)
+	return audit.Audit(qs.tree, qs.frozen, probes, qs.k)
 }
 
 // Snapshot returns the build statistics as machine-readable JSON —

@@ -152,7 +152,7 @@ func TestMetricsHandlerEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := qs.Audit(queries, AuditConfig{})
+	rep, err := qs.Audit(queries)
 	if err != nil {
 		t.Fatal(err)
 	}

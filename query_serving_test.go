@@ -217,7 +217,7 @@ func TestQueryStructureAudit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := qs.Audit(queryPoints(points, 200, 33), AuditConfig{})
+	rep, err := qs.Audit(queryPoints(points, 200, 33))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestQueryStructureAudit(t *testing.T) {
 	if rep.K != 4 || rep.N != len(points) || rep.D != 2 {
 		t.Fatalf("report identity = n=%d d=%d k=%d", rep.N, rep.D, rep.K)
 	}
-	if _, err := qs.Audit([][]float64{{1.0}}, AuditConfig{}); !errors.Is(err, ErrDimensionMismatch) {
+	if _, err := qs.Audit([][]float64{{1.0}}); !errors.Is(err, ErrDimensionMismatch) {
 		t.Fatalf("bad probe accepted: %v", err)
 	}
 }
