@@ -23,11 +23,11 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Regenerate the machine-readable BuildKNNGraph benchmark record
-# (includes the query-serving section: pointer vs frozen vs batch).
+# (includes the query-serving section: frozen vs batch).
 bench-json:
 	$(GO) run ./cmd/knnbench -out BENCH_knn.json
 
-# Query-serving benchmarks: the three covering-ball engines and the
+# Query-serving benchmarks: the covering-ball engines and the
 # batched adjacency accessor. CI runs these at -benchtime=1x and diffs
 # against testdata/bench-query-baseline.txt with benchstat when
 # available (informational smoke, not a gate).
@@ -49,12 +49,14 @@ bench-kernel:
 
 # Kernel-dispatch matrix: the packages that exercise distance
 # arithmetic, end to end under each KNN_KERNELS tier (answers must be
-# identical — the asm leg degrades to unrolled on CPUs without AVX2),
-# plus a purego no-assembly build-and-test leg and a non-amd64
-# cross-compile of the stub path (what CI's kernels-matrix job runs).
+# identical — the asm leg degrades to unrolled on CPUs without AVX2).
+# core's punts and the audit query separator trees, which capture their
+# tier's kernels at build time, so both packages run in each leg. Then
+# a purego no-assembly build-and-test leg and a non-amd64 cross-compile
+# of the stub path (what CI's kernels-matrix job runs).
 kernels-matrix:
-	KNN_KERNELS=generic $(GO) test -count=1 . ./internal/vec/ ./internal/septree/
-	KNN_KERNELS=asm $(GO) test -count=1 . ./internal/vec/ ./internal/septree/
+	KNN_KERNELS=generic $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/
+	KNN_KERNELS=asm $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/
 	$(GO) build -tags purego ./...
 	$(GO) test -tags purego -count=1 ./internal/vec/ ./internal/septree/ ./internal/cpufeat/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...

@@ -67,7 +67,7 @@ func BenchmarkQueryStructureBuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				steps += tree.Stats.Cost.Steps
+				steps += tree.Stats().Cost.Steps
 			}
 			b.ReportMetric(float64(steps)/float64(b.N), "simSteps/op")
 		})
@@ -86,9 +86,10 @@ func BenchmarkQueryPoint(b *testing.B) {
 				b.Fatal(err)
 			}
 			g := xrand.New(4)
+			var out []int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree.Query(pts[g.IntN(len(pts))])
+				out, _, _ = tree.Covering(pts[g.IntN(len(pts))], out[:0])
 			}
 		})
 	}
@@ -301,8 +302,8 @@ func BenchmarkBuildKNNGraph(b *testing.B) {
 	}
 }
 
-// BenchmarkCoveringBalls (E13): the three covering-ball serving engines over
-// one Section-3 structure — the pointer tree, the frozen flat layout, and the
+// BenchmarkCoveringBalls (E13): the covering-ball serving engines over one
+// Section-3 structure — the flat tree queried one point at a time, and the
 // batched zero-alloc engine at 1 and 4 strands. ns/op is per query for the
 // sequential modes and per full batch pass for batch-N (which also reports a
 // ns/query metric). `make bench-query` runs this table; CI diffs it against
@@ -327,11 +328,6 @@ func BenchmarkCoveringBalls(b *testing.B) {
 			queries[i] = g.InCube(d)
 		}
 	}
-	b.Run("pointer", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			qs.tree.Query(vec.Vec(queries[i%nq]))
-		}
-	})
 	b.Run("frozen", func(b *testing.B) {
 		var buf []int
 		for i := 0; i < b.N; i++ {

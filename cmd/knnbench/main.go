@@ -272,7 +272,7 @@ func measureAll(rep *benchfile.Report, iters, queries, queryIters int, procs, di
 		"with results on the same machine; grid matches BenchmarkBuildKNNGraph, each " +
 		"cell swept over -procs (GOMAXPROCS + Options.Workers pinned together); " +
 		"observed = one extra instrumented (Observe: true) run per DNC cell, not timed; " +
-		"query = covering-ball serving over one structure per cell — pointer vs frozen " +
+		"query = covering-ball serving over one structure per cell — frozen " +
 		"sequential, batch engine swept over procs 1/4/NumCPU with GOMAXPROCS pinned; " +
 		"query ns/query and qps are the fastest of query-iters identically-sized timed " +
 		"passes taken round-robin across modes (interleaved minimum: noise-robust on " +

@@ -66,11 +66,7 @@ func measureObsOverhead(c queryCfg, numQueries, iters int) (ObsOverhead, error) 
 	g := xrand.New(uint64(c.n*31 + c.d))
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, c.n, c.d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, c.k)
-	tree, err := septree.Build(sys, xrand.New(42), nil)
-	if err != nil {
-		return ObsOverhead{}, err
-	}
-	frozen, err := septree.Freeze(tree)
+	frozen, err := septree.Build(sys, xrand.New(42), nil)
 	if err != nil {
 		return ObsOverhead{}, err
 	}
@@ -214,11 +210,7 @@ func runJournalBench(numQueries, batches int) (*JournalBench, error) {
 	g := xrand.New(uint64(c.n*31 + c.d))
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, c.n, c.d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, c.k)
-	tree, err := septree.Build(sys, xrand.New(42), nil)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := septree.Freeze(tree)
+	frozen, err := septree.Build(sys, xrand.New(42), nil)
 	if err != nil {
 		return nil, err
 	}

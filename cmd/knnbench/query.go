@@ -11,15 +11,14 @@ import (
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/septree"
-	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
 )
 
-// QueryResult is one query-serving measurement: one engine (pointer tree,
-// frozen flat layout, or the batched engine over the frozen layout) at one
-// parallelism setting, serving the same query stream.
+// QueryResult is one query-serving measurement: one engine (the flat
+// separator tree queried one point at a time, or the batched engine over
+// it) at one parallelism setting, serving the same query stream.
 type QueryResult struct {
-	Mode          string  `json:"mode"`  // pointer | frozen | batch
+	Mode          string  `json:"mode"`  // frozen | batch
 	Procs         int     `json:"procs"` // GOMAXPROCS / batch strands (1 for the sequential modes)
 	N             int     `json:"n"`
 	D             int     `json:"d"`
@@ -34,10 +33,7 @@ type QueryResult struct {
 }
 
 // queryGrid is the serving workload: the build grid's sphere cells, plus
-// 10x-larger structures where the layouts diverge hardest — at n=10000
-// the pointer tree still mostly fits in cache, while at n=100000 its
-// scattered nodes miss on nearly every hop and the flat arrays keep
-// their locality.
+// 10x-larger structures, which no longer fit in cache.
 type queryCfg struct {
 	n, d, k int
 }
@@ -74,19 +70,15 @@ func parseProcs(spec string) ([]int, error) {
 	return out, nil
 }
 
-// measureQueries benchmarks the three serving engines over one structure.
-// The pointer and frozen modes run sequentially (procs=1); the batch
+// measureQueries benchmarks the serving engines over one structure.
+// The frozen mode runs sequentially (procs=1); the batch
 // engine is swept over the -procs settings with GOMAXPROCS pinned to
 // match, so the JSON records scaling honestly on whatever machine ran it.
 func measureQueries(c queryCfg, numQueries, iters int, procs []int) ([]QueryResult, error) {
 	g := xrand.New(uint64(c.n*31 + c.d))
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, c.n, c.d, g.Split()))
 	sys := nbrsys.KNeighborhood(pts, c.k)
-	tree, err := septree.Build(sys, xrand.New(42), nil)
-	if err != nil {
-		return nil, err
-	}
-	frozen, err := septree.Freeze(tree)
+	frozen, err := septree.Build(sys, xrand.New(42), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +108,7 @@ func measureQueries(c queryCfg, numQueries, iters int, procs []int) ([]QueryResu
 		NodesPerQuery: nodesPerQ, LeafPerQuery: leafPerQ,
 	}
 	// All modes are timed as iters independently-timed passes taken
-	// round-robin (pointer, frozen, batch…, pointer, frozen, …), and each
+	// round-robin (frozen, batch…, frozen, batch…), and each
 	// mode reports its fastest pass. Interleaving means every mode samples
 	// the same wall-clock windows, so multi-second host noise (CPU steal,
 	// thermal throttling on shared machines) cannot skew one mode's entire
@@ -134,12 +126,6 @@ func measureQueries(c queryCfg, numQueries, iters int, procs []int) ([]QueryResu
 	}
 	ambient := runtime.GOMAXPROCS(0)
 	modes := []*modeRun{
-		{name: "pointer", procs: 1, maxp: ambient, pass: func() {
-			for _, q := range queries {
-				balls, _ := tree.Query(vec.Vec(q))
-				sink += len(balls)
-			}
-		}},
 		{name: "frozen", procs: 1, maxp: ambient, pass: func() {
 			for _, q := range queries {
 				buf, _, _ = frozen.Covering(q, buf[:0])

@@ -197,13 +197,9 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		directScan(unbounded)
 	}
 
-	// Build the query structure over the finite crossing balls, and
-	// freeze it: the punt queries run on the same flat engine as serving.
+	// Build the query structure over the finite crossing balls: the punt
+	// queries run on the same flat engine as serving.
 	tree, err := septree.Build(puntSystem(ps, lists, finite, opts.k()), g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
-	var frozen *septree.Frozen
-	if err == nil {
-		frozen, err = septree.Freeze(tree)
-	}
 	if err != nil {
 		if cc.cancelled() {
 			// The structure build was cut short by cancellation; the punt
@@ -217,11 +213,12 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
-	ctx.Charge(tree.Stats.Cost)
-	tl.add(func(s *Stats) { s.SeparatorTrials += tree.Stats.SeparatorTrials })
-	sh.Count(obs.CSeparatorTrials, int64(tree.Stats.SeparatorTrials))
+	st := tree.Stats()
+	ctx.Charge(st.Cost)
+	tl.add(func(s *Stats) { s.SeparatorTrials += st.SeparatorTrials })
+	sh.Count(obs.CSeparatorTrials, int64(st.SeparatorTrials))
 	sh.Count(obs.CSeptreeBuilds, 1)
-	sh.Count(obs.CSeptreeStored, int64(tree.Stats.TotalStored))
+	sh.Count(obs.CSeptreeStored, int64(st.TotalStored))
 
 	// Query every other-side point, conceptually all in parallel (Theorem
 	// 3.1's query phase): steps = the deepest query path plus distributing
@@ -231,7 +228,7 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	deepest, work, hits := 0, 0, 0
 	for _, j := range otherPts {
 		var visited int
-		covered, visited, _ = frozen.CoveringClosed(ps.At(j), covered[:0])
+		covered, visited, _ = tree.CoveringClosed(ps.At(j), covered[:0])
 		deepest = max(deepest, visited)
 		work += visited + len(covered)
 		for _, b := range covered {

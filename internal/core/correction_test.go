@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sepdc/internal/brute"
+	"sepdc/internal/geom"
 	"sepdc/internal/pts"
 	"sepdc/internal/septree"
 	"sepdc/internal/topk"
@@ -126,7 +127,8 @@ func TestQueryCorrectUnboundedCharge(t *testing.T) {
 // Theorem 3.1's query phase over the other side, all queries in parallel:
 // steps = the deepest query path + 2 (distribute, pack), work = the nodes
 // visited plus the balls reported. The reference replays the same build
-// and queries the pointer tree one point at a time.
+// for the nodes visited and takes the balls reported from a brute-force
+// closed scan of every ball, one point at a time.
 func TestQueryCorrectQueryCharge(t *testing.T) {
 	const k = 4
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -136,26 +138,34 @@ func TestQueryCorrectQueryCharge(t *testing.T) {
 		// runPunt's options (the defaults) and its generator: queryCorrect
 		// gets g.Split() and splits it again for the build.
 		var opts *Options
-		tree, err := septree.Build(puntSystem(ps, lists, left, opts.k()), g.Split().Split(), &septree.Options{Sep: opts.sep()})
+		sys := puntSystem(ps, lists, left, opts.k())
+		tree, err := septree.Build(sys, g.Split().Split(), &septree.Options{Sep: opts.sep()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		deepest, work, hits := 0, 0, 0
 		for _, j := range right {
-			balls, visited := tree.QueryClosed(ps.At(j))
+			q := ps.At(j)
+			_, visited, _ := tree.CoveringClosed(q, nil)
+			balls := 0
+			for i, c := range sys.Centers {
+				if r := sys.Radii[i]; vec.Dist2(q, c) <= r*r+geom.Eps {
+					balls++
+				}
+			}
 			deepest = max(deepest, visited)
-			work += visited + len(balls)
-			hits += len(balls)
+			work += visited + balls
+			hits += balls
 		}
-		want := tree.Stats.Cost
+		want := tree.Stats().Cost
 		want.Steps += int64(deepest) + 2
 		want.Work += int64(work)
 		if cost != want {
 			t.Fatalf("seed %d: cost %+v, want %+v", seed, cost, want)
 		}
-		if st.CandidatePairs != hits || st.SeparatorTrials != tree.Stats.SeparatorTrials {
+		if st.CandidatePairs != hits || st.SeparatorTrials != tree.Stats().SeparatorTrials {
 			t.Fatalf("seed %d: %d candidates, %d trials; want %d, %d",
-				seed, st.CandidatePairs, st.SeparatorTrials, hits, tree.Stats.SeparatorTrials)
+				seed, st.CandidatePairs, st.SeparatorTrials, hits, tree.Stats().SeparatorTrials)
 		}
 	}
 }

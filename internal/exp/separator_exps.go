@@ -87,26 +87,23 @@ func runE2(cfg Config) []*stats.Table {
 				if err != nil {
 					continue
 				}
-				frozen, err := septree.Freeze(tree)
-				if err != nil {
-					continue
-				}
+				st := tree.Stats()
 				logN := math.Log2(float64(len(pts)))
 				visits, cands, maxV := 0, 0, 0
 				queries := 400
 				var buf []int
 				for q := 0; q < queries; q++ {
 					var visited, scanned int
-					buf, visited, scanned = frozen.Covering(pts[g.IntN(len(pts))], buf[:0])
+					buf, visited, scanned = tree.Covering(pts[g.IntN(len(pts))], buf[:0])
 					visits += visited
 					cands += scanned
 					maxV = max(maxV, visited)
 				}
 				meanCands := float64(cands) / float64(queries)
-				tb.AddRow(k, len(pts), tree.Stats.Height,
-					float64(tree.Stats.Height)/logN,
-					float64(tree.Stats.TotalStored)/float64(len(pts)),
-					tree.Stats.Leaves, tree.Stats.ForcedLeaves,
+				tb.AddRow(k, len(pts), st.Height,
+					float64(st.Height)/logN,
+					float64(st.TotalStored)/float64(len(pts)),
+					st.Leaves, st.ForcedLeaves,
 					float64(visits)/float64(queries), maxV,
 					meanCands, meanCands/(float64(k)+logN))
 			}
@@ -136,9 +133,10 @@ func runE3(cfg Config) []*stats.Table {
 			if err != nil {
 				continue
 			}
-			crit = append(crit, tree.Stats.CriticalTrials)
-			totalTrials += tree.Stats.SeparatorTrials
-			steps = tree.Stats.Cost.Steps
+			st := tree.Stats()
+			crit = append(crit, st.CriticalTrials)
+			totalTrials += st.SeparatorTrials
+			steps = st.Cost.Steps
 		}
 		if len(crit) == 0 {
 			continue

@@ -41,8 +41,9 @@ func runE15(cfg Config) []*stats.Table {
 		buildSep := time.Since(start)
 		start = time.Now()
 		sepAnswers := 0
+		var balls []int
 		for _, q := range queries {
-			balls, _ := tree.Query(pts[q])
+			balls, _, _ = tree.Covering(pts[q], balls[:0])
 			sepAnswers += len(balls)
 		}
 		querySep := time.Since(start)
@@ -65,7 +66,7 @@ func runE15(cfg Config) []*stats.Table {
 		perQ := float64(len(queries))
 		tb.AddRow(len(pts), "septree (§3)",
 			float64(buildSep.Microseconds())/1000,
-			float64(tree.Stats.TotalStored)/float64(len(pts)),
+			float64(tree.Stats().TotalStored)/float64(len(pts)),
 			float64(querySep.Microseconds())/perQ, check)
 		tb.AddRow(len(pts), "BV kd-tree",
 			float64(buildBV.Microseconds())/1000,

@@ -92,6 +92,7 @@ type Report struct {
 
 // treeWalk accumulates the per-node re-measurements.
 type treeWalk struct {
+	f            *septree.Frozen
 	sys          *nbrsys.System
 	k, d         int
 	internal     int
@@ -100,33 +101,32 @@ type treeWalk struct {
 	worstIota    float64 // max ι / (k^{1/d}·m^{(d-1)/d}) over audited nodes
 	worstIotaM   int
 	worstIotaRaw int
-	stored       int
 }
 
-// Audit re-measures the invariants on tree, probing the frozen engine
-// with the given queries (their answers are discarded; their traversal
-// costs are the Theorem 3.1 sample). Queries may be drawn from any
-// distribution the caller wants audited — stored points, fresh points,
-// or a mix. k is the neighborhood size the structure was built with.
-func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, k int) (*Report, error) {
-	if tree == nil || tree.Root == nil || tree.Sys == nil {
-		return nil, errors.New("audit: nil or empty tree")
+// Audit re-measures the invariants on the tree, re-deriving every
+// node's ball subset from the tree's neighborhood system, and probes
+// the tree with the given queries (their answers are discarded; their
+// traversal costs are the Theorem 3.1 sample). Queries may be drawn
+// from any distribution the caller wants audited — stored points, fresh
+// points, or a mix. k is the neighborhood size the structure was built
+// with.
+func Audit(tree *septree.Frozen, queries [][]float64, k int) (*Report, error) {
+	if tree == nil {
+		return nil, errors.New("audit: nil tree")
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("audit: k must be ≥ 1, got %d", k)
 	}
-	sys := tree.Sys
+	sys := tree.System()
 	n := sys.Len()
-	if n == 0 {
-		return nil, errors.New("audit: empty neighborhood system")
-	}
 	d := len(sys.Centers[0])
-	w := &treeWalk{sys: sys, k: k, d: d}
+	w := &treeWalk{f: tree, sys: sys, k: k, d: d}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	w.walk(tree.Root, idx)
+	w.walk(0, idx)
+	st := tree.Stats()
 
 	rep := &Report{N: n, D: d, K: k}
 	logn := math.Log2(float64(n))
@@ -159,9 +159,9 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, k in
 	rep.add(Check{
 		Name:     "depth",
 		Theorem:  "Punting Lemma",
-		Observed: float64(tree.Stats.Height),
+		Observed: float64(st.Height),
 		Bound:    2*logn + 2,
-		Detail:   fmt.Sprintf("height %d vs 2·log₂n+2", tree.Stats.Height),
+		Detail:   fmt.Sprintf("height %d vs 2·log₂n+2", st.Height),
 	})
 	// ...and punts stay rare enough not to dominate.
 	punt := 0.0
@@ -181,10 +181,10 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, k in
 	rep.add(Check{
 		Name:     "space",
 		Theorem:  "Lemma 6.1",
-		Observed: float64(w.stored),
+		Observed: float64(tree.StoredBalls()),
 		Bound:    spaceC(d) * float64(n),
 		Detail: fmt.Sprintf("Σ stored=%d over %d leaves (≤ C·n, C=%.3g, dimension-exponential)",
-			w.stored, tree.Stats.Leaves, spaceC(d)),
+			tree.StoredBalls(), tree.NumLeaves(), spaceC(d)),
 	})
 
 	// Theorem 3.1: probe traversal costs.
@@ -193,7 +193,7 @@ func Audit(tree *septree.Tree, frozen *septree.Frozen, queries [][]float64, k in
 		buf := make([]int, 0, 64)
 		for _, q := range queries {
 			var nv, sc int
-			buf, nv, sc = frozen.Covering(q, buf[:0])
+			buf, nv, sc = tree.Covering(q, buf[:0])
 			nodes += int64(nv)
 			cands += int64(sc)
 		}
@@ -232,39 +232,38 @@ func (r *Report) add(c Check) {
 	r.Checks = append(r.Checks, c)
 }
 
-func (w *treeWalk) walk(n *septree.Node, idx []int) {
-	if n == nil {
-		return
-	}
-	if n.IsLeaf() {
-		w.stored += len(n.Balls)
+// walk re-measures the subtree at node nd over the balls idx, the ones
+// its ancestors' separators admit.
+func (w *treeWalk) walk(nd int32, idx []int) {
+	sep, left, punted := w.f.Node(nd)
+	if sep == nil {
 		return
 	}
 	w.internal++
-	if n.Punted {
+	if punted {
 		w.punted++
 	}
 	m := len(idx)
-	var left, right []int
+	var l, r []int
 	crossing := 0
 	inside := 0
 	for _, i := range idx {
 		c, rad := w.sys.Centers[i], w.sys.Radii[i]
-		switch n.Sep.ClassifyBall(c, rad) {
+		switch sep.ClassifyBall(c, rad) {
 		case geom.Interior:
-			left = append(left, i)
+			l = append(l, i)
 		case geom.Exterior:
-			right = append(right, i)
+			r = append(r, i)
 		default:
 			crossing++
-			left = append(left, i)
-			right = append(right, i)
+			l = append(l, i)
+			r = append(r, i)
 		}
-		if n.Sep.Side(c) <= 0 {
+		if sep.Side(c) <= 0 {
 			inside++
 		}
 	}
-	if !n.Punted && m > 0 {
+	if !punted && m > 0 {
 		side := inside
 		if m-inside > side {
 			side = m - inside
@@ -281,8 +280,8 @@ func (w *treeWalk) walk(n *septree.Node, idx []int) {
 			}
 		}
 	}
-	w.walk(n.Left, left)
-	w.walk(n.Right, right)
+	w.walk(left, l)
+	w.walk(left+1, r)
 }
 
 // Publish exports the report as /metrics gauges, one series per check

@@ -13,7 +13,7 @@ import (
 	"sepdc/internal/xrand"
 )
 
-func buildFixture(t *testing.T, dist pointgen.Dist, n, d, k int, seed uint64) (*septree.Tree, *septree.Frozen, []vec.Vec) {
+func buildFixture(t *testing.T, dist pointgen.Dist, n, d, k int, seed uint64) (*septree.Frozen, []vec.Vec) {
 	t.Helper()
 	g := xrand.New(seed)
 	pts := pointgen.Dedup(pointgen.MustGenerate(dist, n, d, g.Split()))
@@ -22,11 +22,7 @@ func buildFixture(t *testing.T, dist pointgen.Dist, n, d, k int, seed uint64) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := septree.Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree, frozen, pts
+	return tree, pts
 }
 
 func probes(pts []vec.Vec, d, n int, seed uint64) [][]float64 {
@@ -61,8 +57,8 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 		{pointgen.Clustered, 3, 8},
 	}
 	for _, c := range cases {
-		tree, frozen, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
-		rep, err := Audit(tree, frozen, probes(pts, c.d, 500, 43), c.k)
+		tree, pts := buildFixture(t, c.gen, 3000, c.d, c.k, 42)
+		rep, err := Audit(tree, probes(pts, c.d, 500, 43), c.k)
 		if err != nil {
 			t.Fatalf("%s d=%d k=%d: %v", c.gen, c.d, c.k, err)
 		}
@@ -86,24 +82,27 @@ func TestAuditPassesOnPaperGenerators(t *testing.T) {
 	}
 }
 
-// TestAuditDetectsViolation: a hand-built single-leaf tree scans every
-// ball on every probe, far over Theorem 3.1's candidate budget — the
-// auditor is only useful if it can say no.
+// TestAuditDetectsViolation: a single-leaf tree scans every ball on
+// every probe, far over Theorem 3.1's candidate budget — the auditor is
+// only useful if it can say no. 2,000 identical centers admit no
+// separator, so the build makes the root a forced leaf.
 func TestAuditDetectsViolation(t *testing.T) {
 	g := xrand.New(7)
-	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformBall, 2000, 2, g.Split()))
-	sys := nbrsys.KNeighborhood(pts, 4)
-	all := make([]int, sys.Len())
-	for i := range all {
-		all[i] = i
+	centers := make([]vec.Vec, 2000)
+	radii := make([]float64, len(centers))
+	for i := range centers {
+		centers[i] = vec.Of(0.25, -0.5)
+		radii[i] = 0.5
 	}
-	tree := &septree.Tree{Sys: sys, Root: &septree.Node{Balls: all},
-		Stats: septree.BuildStats{Height: 1, Leaves: 1, TotalStored: len(all)}}
-	frozen, err := septree.Freeze(tree)
+	tree, err := septree.Build(&nbrsys.System{Centers: centers, Radii: radii, K: 4}, g.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Audit(tree, frozen, probes(pts, 2, 200, 8), 4)
+	if st := tree.Stats(); tree.NumNodes() != 1 || st.ForcedLeaves != 1 || st.TotalStored != len(centers) {
+		t.Fatalf("want one forced root leaf of %d balls, got %d nodes and stats %+v", len(centers), tree.NumNodes(), st)
+	}
+	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformBall, 2000, 2, g.Split()))
+	rep, err := Audit(tree, probes(pts, 2, 200, 8), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +124,8 @@ func TestAuditDetectsViolation(t *testing.T) {
 // the build at ratio ≤ δ; the audit recomputes the same quantity from
 // scratch and must agree.
 func TestAuditSplitBalanceIsExact(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.Gaussian, 2500, 3, 3, 11)
-	rep, err := Audit(tree, frozen, probes(pts, 3, 100, 12), 3)
+	tree, pts := buildFixture(t, pointgen.Gaussian, 2500, 3, 3, 11)
+	rep, err := Audit(tree, probes(pts, 3, 100, 12), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +137,8 @@ func TestAuditSplitBalanceIsExact(t *testing.T) {
 }
 
 func TestAuditTableAndPublish(t *testing.T) {
-	tree, frozen, pts := buildFixture(t, pointgen.Clustered, 1500, 2, 4, 21)
-	rep, err := Audit(tree, frozen, probes(pts, 2, 100, 22), 4)
+	tree, pts := buildFixture(t, pointgen.Clustered, 1500, 2, 4, 21)
+	rep, err := Audit(tree, probes(pts, 2, 100, 22), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +161,14 @@ func TestAuditTableAndPublish(t *testing.T) {
 }
 
 func TestAuditRejectsBadInput(t *testing.T) {
-	if _, err := Audit(nil, nil, nil, 1); err == nil {
+	if _, err := Audit(nil, nil, 1); err == nil {
 		t.Error("nil tree accepted")
 	}
-	tree, frozen, _ := buildFixture(t, pointgen.UniformCube, 300, 2, 2, 5)
-	if _, err := Audit(tree, frozen, nil, 0); err == nil {
+	tree, _ := buildFixture(t, pointgen.UniformCube, 300, 2, 2, 5)
+	if _, err := Audit(tree, nil, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	rep, err := Audit(tree, frozen, nil, 2)
+	rep, err := Audit(tree, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

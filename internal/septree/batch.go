@@ -165,12 +165,12 @@ func (sh *batchShard) allocPaths() {
 func (b *Batch) Chaos(inj *chaos.Injector) { b.inj = inj }
 
 // Run answers an open-ball covering query for every element of queries
-// (the Tree.Query predicate). Results are read back with Result; they
+// (the Covering predicate). Results are read back with Result; they
 // remain valid until the next Run. Queries must match the tree's
 // dimension — the engine does not validate (the public API layer does).
 func (b *Batch) Run(queries [][]float64) { b.runTraced(queries, nil, false) }
 
-// RunClosed is Run with closed-ball membership (Tree.QueryClosed).
+// RunClosed is Run with closed-ball membership (the CoveringClosed predicate).
 func (b *Batch) RunClosed(queries [][]float64) { b.runTraced(queries, nil, true) }
 
 // RunTraced is Run with per-query trace contexts: traces[i] is query

@@ -33,11 +33,7 @@ func mkTraces(n, reqSize int, seed uint64, sampleEvery, untracedEvery int) []obs
 // exemplar — the recorder's deterministic 1-in-SampleEvery aggregates
 // must be untouched by who traces what.)
 func TestTracedBatchIdenticalResults(t *testing.T) {
-	tree, pts := buildUniform(t, 1200, 3, 3, 29, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 1200, 3, 3, 29, nil)
 	queries := queryMix(pts, 3, 333, 31)
 	traces := mkTraces(len(queries), 8, 77, 4, 5)
 	for _, workers := range []int{1, 4} {
@@ -88,11 +84,7 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 // span, and (for sampled traces) an absolute start timestamp; untraced
 // queries publish zero trace fields and no hex strings.
 func TestTracedBatchJournalStamps(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 2, 3, 7, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 1500, 2, 3, 7, nil)
 	queries := queryMix(pts, 2, 300, 13)
 	traces := mkTraces(len(queries), 8, 99, 4, 5)
 	b := NewBatch(f, 4)
@@ -149,11 +141,7 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 // serve warm batches with zero allocations, the same bar the untraced
 // journaled path holds.
 func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	traces := mkTraces(len(queries), 8, 55, 4, 0)
 	for _, workers := range []int{1, 4} {

@@ -6,7 +6,6 @@ import (
 
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
-	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
@@ -31,27 +30,16 @@ func BenchmarkBuildSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkBuildParallel(b *testing.B) {
-	sys := benchSystem(b, 1<<14)
-	g := xrand.New(2)
-	opts := &Options{Machine: vm.NewMachine(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Build(sys, g.Split(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkQuery(b *testing.B) {
 	sys := benchSystem(b, 1<<16)
-	tree, err := Build(sys, xrand.New(3), nil)
+	f, err := Build(sys, xrand.New(3), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	g := xrand.New(4)
+	var out []int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tree.Query(sys.Centers[g.IntN(sys.Len())])
+		out, _, _ = f.Covering(sys.Centers[g.IntN(sys.Len())], out[:0])
 	}
 }

@@ -37,31 +37,29 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestFrozenMatchesTree is the layout-correctness contract: the frozen
-// traversal returns exactly the ids, in exactly the order, of the
-// pointer traversal — for both the open and closed predicates, across
-// dimensions, distributions, and degenerate (forced-leaf) trees.
+// TestFrozenMatchesTree is the layout-correctness contract: the tree's
+// traversal returns exactly the ids, in exactly the order, of a
+// brute-force scan of every ball — for both the open and closed
+// predicates, across dimensions and distributions — and its node count
+// is the length of the route DescendPath records.
 func TestFrozenMatchesTree(t *testing.T) {
 	g := xrand.New(7)
 	for d := 1; d <= 9; d++ {
 		for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Clustered, pointgen.Annulus} {
 			pts := pointgen.Dedup(pointgen.MustGenerate(dist, 900, d, g.Split()))
 			sys := nbrsys.KNeighborhood(pts, 3)
-			tree, err := Build(sys, g.Split(), nil)
+			f, err := Build(sys, g.Split(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			f, err := Freeze(tree)
-			if err != nil {
-				t.Fatalf("freeze d=%d %s: %v", d, dist, err)
+			if f.StoredBalls() != f.Stats().TotalStored {
+				t.Fatalf("stored balls %d, want %d", f.StoredBalls(), f.Stats().TotalStored)
 			}
-			if f.StoredBalls() != tree.Stats.TotalStored {
-				t.Fatalf("stored balls %d, want %d", f.StoredBalls(), tree.Stats.TotalStored)
-			}
-			if f.NumLeaves() != tree.Stats.Leaves {
-				t.Fatalf("leaves %d, want %d", f.NumLeaves(), tree.Stats.Leaves)
+			if f.NumLeaves() != f.Stats().Leaves {
+				t.Fatalf("leaves %d, want %d", f.NumLeaves(), f.Stats().Leaves)
 			}
 			var buf []int
+			var path []int32
 			for trial := 0; trial < 150; trial++ {
 				var q vec.Vec
 				if trial%2 == 0 {
@@ -69,19 +67,17 @@ func TestFrozenMatchesTree(t *testing.T) {
 				} else {
 					q = vec.Vec(g.InCube(d))
 				}
-				want, wantVisited := tree.Query(q)
 				var visited int
 				buf, visited, _ = f.Covering(q, buf[:0])
-				if !equalInts(buf, want) {
-					t.Fatalf("d=%d %s trial %d: frozen %v, tree %v", d, dist, trial, buf, want)
+				if want := coveringBrute(sys, q, false); !equalInts(buf, want) {
+					t.Fatalf("d=%d %s trial %d: frozen %v, brute %v", d, dist, trial, buf, want)
 				}
-				if visited != wantVisited {
-					t.Fatalf("d=%d trial %d: frozen visited %d, tree %d", d, trial, visited, wantVisited)
+				if _, path = f.DescendPath(q, path[:0]); visited != len(path) {
+					t.Fatalf("d=%d trial %d: frozen visited %d, route has %d nodes", d, trial, visited, len(path))
 				}
-				wantC, _ := tree.QueryClosed(q)
 				buf, _, _ = f.CoveringClosed(q, buf[:0])
-				if !equalInts(buf, wantC) {
-					t.Fatalf("d=%d %s trial %d closed: frozen %v, tree %v", d, dist, trial, buf, wantC)
+				if want := coveringBrute(sys, q, true); !equalInts(buf, want) {
+					t.Fatalf("d=%d %s trial %d closed: frozen %v, brute %v", d, dist, trial, buf, want)
 				}
 			}
 		}
@@ -98,11 +94,7 @@ func TestFrozenForcedLeaf(t *testing.T) {
 		radii[i] = 0.5
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
-	tree, err := Build(sys, xrand.New(3), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := Freeze(tree)
+	f, err := Build(sys, xrand.New(3), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +110,9 @@ func TestFrozenForcedLeaf(t *testing.T) {
 
 // TestBatchMatchesSequential checks the engine at several strand counts:
 // per query, Result(i) must be byte-identical to a sequential frozen (and
-// pointer-tree) answer, for both predicates.
+// brute-force) answer, for both predicates.
 func TestBatchMatchesSequential(t *testing.T) {
-	tree, pts := buildUniform(t, 1500, 2, 3, 11, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 1500, 2, 3, 11, nil)
 	queries := queryMix(pts, 2, 501, 23)
 	for _, workers := range []int{1, 2, 4, 7} {
 		b := NewBatch(f, workers)
@@ -139,17 +127,15 @@ func TestBatchMatchesSequential(t *testing.T) {
 			}
 			var buf []int
 			for i, q := range queries {
-				var want []int
+				want := coveringBrute(f.System(), q, closed)
 				if closed {
-					want, _ = tree.QueryClosed(q)
 					buf, _, _ = f.CoveringClosed(q, buf[:0])
 				} else {
-					want, _ = tree.Query(q)
 					buf, _, _ = f.Covering(q, buf[:0])
 				}
 				got := b.Result(i)
 				if !equalInts(got, want) {
-					t.Fatalf("workers=%d closed=%v query %d: batch %v, tree %v", workers, closed, i, got, want)
+					t.Fatalf("workers=%d closed=%v query %d: batch %v, brute %v", workers, closed, i, got, want)
 				}
 				if !equalInts(got, buf) {
 					t.Fatalf("workers=%d closed=%v query %d: batch %v, frozen %v", workers, closed, i, got, buf)
@@ -169,11 +155,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 // TestBatchZeroAllocSteadyState is the zero-alloc contract at the engine
 // layer: once arenas are warm, a Run performs no heap allocation.
 func TestBatchZeroAllocSteadyState(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 3, 5, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 2000, 2, 3, 5, nil)
 	queries := queryMix(pts, 2, 256, 9)
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
@@ -189,15 +171,11 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 // TestBatchEnginesConcurrent runs independent engines over one shared
 // Frozen from many goroutines — the immutability contract under -race.
 func TestBatchEnginesConcurrent(t *testing.T) {
-	tree, pts := buildUniform(t, 1200, 3, 2, 17, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 1200, 3, 2, 17, nil)
 	queries := queryMix(pts, 3, 300, 41)
 	want := make([][]int, len(queries))
 	for i, q := range queries {
-		want[i], _ = tree.Query(q)
+		want[i] = coveringBrute(f.System(), q, false)
 	}
 	done := make(chan error, 4)
 	for g := 0; g < 4; g++ {
@@ -225,11 +203,7 @@ func TestBatchEnginesConcurrent(t *testing.T) {
 // TestBatchTinyAndEmpty covers the edge sizes: zero queries, one query,
 // fewer queries than strands.
 func TestBatchTinyAndEmpty(t *testing.T) {
-	tree, pts := buildUniform(t, 300, 2, 2, 29, nil)
-	f, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, pts := buildUniform(t, 300, 2, 2, 29, nil)
 	b := NewBatch(f, 8)
 	b.Run(nil)
 	if b.Len() != 0 {
@@ -237,7 +211,7 @@ func TestBatchTinyAndEmpty(t *testing.T) {
 	}
 	q := [][]float64{pts[0]}
 	b.Run(q)
-	want, _ := tree.Query(vec.Vec(q[0]))
+	want := coveringBrute(f.System(), q[0], false)
 	if !equalInts(b.Result(0), want) {
 		t.Fatalf("single-query batch %v, want %v", b.Result(0), want)
 	}

@@ -9,21 +9,21 @@ import (
 	"sepdc/internal/xrand"
 )
 
-// breadthFirst returns the tree's nodes in breadth-first order: a second
+// breadthFirst returns f's node ids in breadth-first order: a second
 // sibling-adjacent ordering, distinct from blockedOrder, for checking
-// that the frozen node order is a pure permutation of storage.
-func breadthFirst(root *Node) []*Node {
-	order := []*Node{root}
+// that the node order is a pure permutation of storage.
+func breadthFirst(f *Frozen) []int32 {
+	order := []int32{0}
 	for i := 0; i < len(order); i++ {
-		if nd := order[i]; !nd.IsLeaf() {
-			order = append(order, nd.Left, nd.Right)
+		if nd := order[i]; f.kind[nd] != kindLeaf {
+			order = append(order, f.child[nd], f.child[nd]+1)
 		}
 	}
 	return order
 }
 
-// TestLayoutsBitIdentical freezes the same tree under the pair-blocked
-// order Freeze emits and under a breadth-first order, and checks every
+// TestLayoutsBitIdentical lays the same tree out in the pair-blocked
+// order Build emits and in a breadth-first order, and checks every
 // query observable — ids, order, nodes visited, candidates scanned — is
 // identical. The node order is a pure permutation of storage; any
 // divergence here means the descent is following a child pointer to the
@@ -33,16 +33,12 @@ func TestLayoutsBitIdentical(t *testing.T) {
 	for _, d := range []int{1, 2, 3, 4, 5} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Clustered, 1100, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 3)
-		tree, err := Build(sys, g.Split(), nil)
+		blocked, err := Build(sys, g.Split(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blocked, err := Freeze(tree)
-		if err != nil {
-			t.Fatalf("d=%d blocked: %v", d, err)
-		}
-		bfs, err := freezeOrder(tree, breadthFirst(tree.Root))
-		if err != nil {
+		bfs := blocked.permute(breadthFirst(blocked))
+		if err := bfs.Validate(); err != nil {
 			t.Fatalf("d=%d bfs: %v", d, err)
 		}
 		if blocked.NumNodes() != bfs.NumNodes() || blocked.NumLeaves() != bfs.NumLeaves() ||
@@ -84,21 +80,14 @@ func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
 	if m0 := leafSize(2, 2, len(pts)); len(pts) >= m0 {
 		t.Fatalf("%d points do not fit one leaf of m0=%d", len(pts), m0)
 	}
-	tree, err := Build(sys, g.Split(), nil)
+	blocked, err := Build(sys, g.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tree.Root.IsLeaf() {
+	if blocked.kind[0] != kindLeaf {
 		t.Fatal("root is not a leaf")
 	}
-	blocked, err := Freeze(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs, err := freezeOrder(tree, breadthFirst(tree.Root))
-	if err != nil {
-		t.Fatal(err)
-	}
+	bfs := blocked.permute(breadthFirst(blocked))
 	var bOut, fOut []int
 	for _, q := range queryMix(pts, 2, 100, 77) {
 		bOut, _, _ = blocked.Covering(q, bOut[:0])
@@ -109,74 +98,78 @@ func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
 	}
 }
 
-// TestBlockedOrderPermutation checks blockedOrder visits every node of
-// the tree exactly once — it is a permutation of a recursive walk of the
-// pointer tree, nothing dropped, nothing doubled — with the root first
-// and every sibling pair adjacent, the invariant the frozen descent's
-// right = left+1 branch relies on.
+// TestBlockedOrderPermutation lays a built tree out breadth-first and
+// checks that blockedOrder over it visits every node exactly once — a
+// permutation, nothing dropped, nothing doubled — with the root first
+// and every sibling pair adjacent, the invariant the descent's
+// right = left+1 branch relies on; that permuting by it restores
+// exactly the tree Build returns; and that Build's tree is already in
+// blocked order.
 func TestBlockedOrderPermutation(t *testing.T) {
-	tree, _ := buildUniform(t, 1500, 3, 3, 19, nil)
-	var walk []*Node
-	var visit func(nd *Node)
-	visit = func(nd *Node) {
-		walk = append(walk, nd)
-		if !nd.IsLeaf() {
-			visit(nd.Left)
-			visit(nd.Right)
-		}
+	f, _ := buildUniform(t, 1500, 3, 3, 19, nil)
+	bfs := f.permute(breadthFirst(f))
+	order := blockedOrder(bfs)
+	if len(order) != bfs.NumNodes() {
+		t.Fatalf("blocked order has %d nodes, tree %d", len(order), bfs.NumNodes())
 	}
-	visit(tree.Root)
-	blocked := blockedOrder(tree.Root)
-	if len(walk) != len(blocked) {
-		t.Fatalf("blocked order has %d nodes, tree walk %d", len(blocked), len(walk))
+	pos := make([]int, bfs.NumNodes())
+	for i := range pos {
+		pos[i] = -1
 	}
-	pos := make(map[*Node]int, len(blocked))
-	for i, nd := range blocked {
-		if _, dup := pos[nd]; dup {
+	for i, nd := range order {
+		if pos[nd] >= 0 {
 			t.Fatal("blocked order visits a node twice")
 		}
 		pos[nd] = i
 	}
-	for _, nd := range walk {
-		i, ok := pos[nd]
-		if !ok {
+	for nd, i := range pos {
+		if i < 0 {
 			t.Fatal("blocked order drops a node")
 		}
-		if !nd.IsLeaf() && pos[nd.Right] != pos[nd.Left]+1 {
-			t.Fatalf("node %d: children at %d and %d, not adjacent", i, pos[nd.Left], pos[nd.Right])
+		if c := bfs.child[nd]; bfs.kind[nd] != kindLeaf && pos[c+1] != pos[c]+1 {
+			t.Fatalf("node %d: children at %d and %d, not adjacent", i, pos[c], pos[c+1])
 		}
 	}
-	if blocked[0] != tree.Root {
+	if order[0] != 0 {
 		t.Fatal("root is not node 0 in blocked order")
+	}
+	if frozenHash(bfs.permute(order)) != frozenHash(f) {
+		t.Fatal("permuting the breadth-first tree into blocked order does not give Build's tree")
+	}
+	for i, nd := range blockedOrder(f) {
+		if nd != int32(i) {
+			t.Fatalf("Build's tree is not in blocked order: position %d holds node %d", i, nd)
+		}
 	}
 }
 
-// TestUseGenericKernels pins the generic-kernel freeze: a tree frozen
+// TestUseGenericKernels pins the generic-kernel build: a tree built
 // under vec.TierGeneric (no batch or strided kernels captured, so every
-// leaf candidate goes through the single-pair loop) changes no answer
-// and no counter against the same tree frozen under the active tier, at
-// the specialized dimensions and above the dispatch table.
+// leaf candidate goes through the single-pair loop) has the same layout
+// and changes no answer and no counter against the same tree built
+// under the active tier, at the specialized dimensions and above the
+// dispatch table.
 func TestUseGenericKernels(t *testing.T) {
 	g := xrand.New(47)
 	for _, d := range []int{4, 6, 9} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 800, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 3)
-		tree, err := Build(sys, g.Split(), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt, err := Freeze(tree)
+		seed := g.Uint64()
+		opt, err := Build(sys, xrand.New(seed), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		prev := vec.SetActiveTier(vec.TierGeneric)
-		ref, err := Freeze(tree)
+		ref, err := Build(sys, xrand.New(seed), nil)
 		vec.SetActiveTier(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ref.batch4 != nil || ref.strided8 != nil {
-			t.Fatalf("d=%d: generic-tier freeze captured batch kernels", d)
+			t.Fatalf("d=%d: generic-tier build captured batch kernels", d)
+		}
+		if frozenHash(ref) != frozenHash(opt) {
+			t.Fatalf("d=%d: generic-tier build laid the tree out differently", d)
 		}
 		var a, b []int
 		for qi, q := range queryMix(pts, d, 200, uint64(90+d)) {

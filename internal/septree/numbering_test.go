@@ -1,0 +1,119 @@
+package septree
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"sepdc/internal/chaos"
+	"sepdc/internal/nbrsys"
+	"sepdc/internal/pointgen"
+	"sepdc/internal/separator"
+	"sepdc/internal/vm"
+	"sepdc/internal/xrand"
+)
+
+// frozenHash is an FNV-1a digest of every array a query reads: node
+// kinds, child ids, separator records, leaf offsets, leaf ball ids and
+// the inlined leaf records (float bits). Node ids leak out through
+// journal events and DescendPath routes, so the layout is pinned, not
+// just the answers.
+func frozenHash(f *Frozen) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(len(f.kind)))
+	h.Write(f.kind)
+	for _, v := range [][]int32{f.child, f.leafOff, f.leafBalls} {
+		put(uint64(len(v)))
+		for _, x := range v {
+			put(uint64(uint32(x)))
+		}
+	}
+	for _, v := range [][]float64{f.sep, f.leafRecs} {
+		put(uint64(len(v)))
+		for _, x := range v {
+			put(math.Float64bits(x))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestNodeNumberingPinned pins the layout, the punted flags and the
+// build statistics of fixed-seed builds, two of them under
+// separator-fault profiles so that punted (hyperplane) nodes occur: at
+// every node, and at the nodes below 256 balls. The digests were
+// recorded from the build-then-freeze implementation that preceded the
+// direct flat build; any change to node ids, leaf slots, leaf order or
+// record bits fails here.
+func TestNodeNumberingPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		n, d   int
+		k      int
+		seed   uint64
+		chaos  string
+		hash   uint64 // frozenHash of the tree
+		punted uint64 // FNV-1a of the per-node punted flags, one byte each
+		stats  BuildStats
+	}{
+		{name: "d2", n: 3000, d: 2, k: 4, seed: 101, hash: 0x136c7dcea3502ff5, punted: 0x65e470c6723efcaf,
+			stats: BuildStats{Height: 10, Leaves: 151, TotalStored: 7572, SeparatorTrials: 150, CriticalTrials: 9,
+				Cost: vm.Cost{Steps: 28, Work: 94626}}},
+		{name: "d3", n: 3000, d: 3, k: 4, seed: 102, hash: 0x6ebf084f06bbce76, punted: 0x45b767e700b65887,
+			stats: BuildStats{Height: 13, Leaves: 680, TotalStored: 36939, SeparatorTrials: 680, CriticalTrials: 12,
+				Cost: vm.Cost{Steps: 37, Work: 297609}}},
+		{name: "d5", n: 1200, d: 5, k: 3, seed: 103, hash: 0x98a2837f6fa4dda, punted: 0xe2a65b6102354897,
+			stats: BuildStats{Height: 15, Leaves: 1158, TotalStored: 132183, SeparatorTrials: 1199, CriticalTrials: 14,
+				Cost: vm.Cost{Steps: 43, Work: 763575}}},
+		{name: "d3-sep-fail-all", n: 3000, d: 3, k: 4, seed: 104, chaos: "sep-fail=all",
+			hash: 0x251e87db7be62ca4, punted: 0xda702e0241acbee8,
+			stats: BuildStats{Height: 11, Leaves: 386, TotalStored: 20568, SeparatorTrials: 7648, CriticalTrials: 400,
+				Punts: 385, Cost: vm.Cost{Steps: 421, Work: 2000454}}},
+		{name: "d2-sep-fail-16", n: 3000, d: 2, k: 4, seed: 105, chaos: "sep-fail=16",
+			hash: 0x35f1bca61cda2cf6, punted: 0x66a67ce77e921bfa,
+			stats: BuildStats{Height: 9, Leaves: 132, TotalStored: 6550, SeparatorTrials: 2120, CriticalTrials: 133,
+				Punts: 107, Cost: vm.Cost{Steps: 150, Work: 512757}}},
+	}
+	for _, c := range cases {
+		g := xrand.New(c.seed)
+		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Clustered, c.n, c.d, g.Split()))
+		sys := nbrsys.KNeighborhood(pts, c.k)
+		var opts *Options
+		if c.chaos != "" {
+			inj, err := chaos.Parse(c.chaos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts = &Options{Sep: &separator.Options{Chaos: inj}}
+		}
+		f, err := Build(sys, g.Split(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if h := frozenHash(f); h != c.hash {
+			t.Errorf("%s: layout digest %#x, want %#x", c.name, h, c.hash)
+		}
+		ph := fnv.New64a()
+		for _, p := range f.punted {
+			if p {
+				ph.Write([]byte{1})
+			} else {
+				ph.Write([]byte{0})
+			}
+		}
+		if h := ph.Sum64(); h != c.punted {
+			t.Errorf("%s: punted-flag digest %#x, want %#x", c.name, h, c.punted)
+		}
+		if f.Stats() != c.stats {
+			t.Errorf("%s: stats %+v, want %+v", c.name, f.Stats(), c.stats)
+		}
+		if err := f.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}

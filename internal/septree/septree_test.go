@@ -5,28 +5,48 @@ import (
 	"testing"
 
 	"sepdc/internal/brute"
+	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/vec"
-	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
-func buildUniform(t testing.TB, n, d, k int, seed uint64, opts *Options) (*Tree, []vec.Vec) {
+func buildUniform(t testing.TB, n, d, k int, seed uint64, opts *Options) (*Frozen, []vec.Vec) {
 	t.Helper()
 	g := xrand.New(seed)
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, n, d, g))
 	sys := nbrsys.KNeighborhood(pts, k)
-	tree, err := Build(sys, g.Split(), opts)
+	f, err := Build(sys, g.Split(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tree, pts
+	return f, pts
+}
+
+// coveringBrute is the reference every query path is checked against: a
+// scan of all n balls, in ascending id order, with the open predicate
+// d² < r² or the closed predicate d² ≤ r² + geom.Eps.
+func coveringBrute(sys *nbrsys.System, q []float64, closed bool) []int {
+	var out []int
+	for i, c := range sys.Centers {
+		r := sys.Radii[i]
+		d2 := vec.Dist2(q, c)
+		in := d2 < r*r
+		if closed {
+			in = d2 <= r*r+geom.Eps
+		}
+		if in {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 func TestQueryMatchesBrute(t *testing.T) {
-	tree, pts := buildUniform(t, 2000, 2, 2, 1, nil)
+	f, pts := buildUniform(t, 2000, 2, 2, 1, nil)
 	g := xrand.New(99)
+	var got []int
 	for trial := 0; trial < 200; trial++ {
 		var q vec.Vec
 		if trial%2 == 0 {
@@ -34,16 +54,15 @@ func TestQueryMatchesBrute(t *testing.T) {
 		} else {
 			q = vec.Vec(g.InCube(2))
 		}
-		got, _ := tree.Query(q)
-		want := 0
-		for i := range pts {
-			r := tree.Sys.Radii[i]
-			if vec.Dist2(q, tree.Sys.Centers[i]) < r*r {
-				want++
+		for _, closed := range []bool{false, true} {
+			if closed {
+				got, _, _ = f.CoveringClosed(q, got[:0])
+			} else {
+				got, _, _ = f.Covering(q, got[:0])
 			}
-		}
-		if len(got) != want {
-			t.Fatalf("trial %d: Query found %d balls, brute %d", trial, len(got), want)
+			if want := coveringBrute(f.System(), q, closed); !equalInts(got, want) {
+				t.Fatalf("trial %d closed=%v: query found %v, brute %v", trial, closed, got, want)
+			}
 		}
 	}
 }
@@ -54,16 +73,20 @@ func TestQueryAcrossDistributionsAndDims(t *testing.T) {
 		for _, d := range []int{2, 3} {
 			pts := pointgen.Dedup(pointgen.MustGenerate(dist, 800, d, g.Split()))
 			sys := nbrsys.KNeighborhood(pts, 3)
-			tree, err := Build(sys, g.Split(), nil)
+			f, err := Build(sys, g.Split(), nil)
 			if err != nil {
 				t.Fatalf("%s d=%d: %v", dist, d, err)
 			}
+			var got []int
 			for trial := 0; trial < 40; trial++ {
 				q := pts[g.IntN(len(pts))]
-				got, _ := tree.Query(q)
-				want := brute.CountCoveringBalls(sys.Centers, sys.Radii, q)
-				if len(got) != want {
-					t.Fatalf("%s d=%d trial %d: %d vs brute %d", dist, d, trial, len(got), want)
+				got, _, _ = f.Covering(q, got[:0])
+				want := coveringBrute(sys, q, false)
+				if !equalInts(got, want) {
+					t.Fatalf("%s d=%d trial %d: %v vs brute %v", dist, d, trial, got, want)
+				}
+				if len(want) != brute.CountCoveringBalls(sys.Centers, sys.Radii, q) {
+					t.Fatalf("%s d=%d trial %d: reference scans disagree", dist, d, trial)
 				}
 			}
 		}
@@ -75,15 +98,21 @@ func TestQueryClosedIncludesBoundary(t *testing.T) {
 		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(10, 10)},
 		Radii:   []float64{1, 1},
 	}
-	tree := &Tree{Sys: sys, Root: &Node{Balls: []int{0, 1}}}
+	f, err := Build(sys, xrand.New(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	onBoundary := vec.Of(1, 0)
-	open, _ := tree.Query(onBoundary)
-	closed, _ := tree.QueryClosed(onBoundary)
+	open, _, _ := f.Covering(onBoundary, nil)
+	closed, _, _ := f.CoveringClosed(onBoundary, nil)
 	if len(open) != 0 {
 		t.Errorf("open query returned %v for boundary point", open)
 	}
 	if len(closed) != 1 || closed[0] != 0 {
 		t.Errorf("closed query = %v", closed)
+	}
+	if !equalInts(open, coveringBrute(sys, onBoundary, false)) || !equalInts(closed, coveringBrute(sys, onBoundary, true)) {
+		t.Errorf("boundary query disagrees with the brute-force scan: open %v, closed %v", open, closed)
 	}
 }
 
@@ -92,7 +121,7 @@ func TestHeightLogarithmic(t *testing.T) {
 	// add roughly 2/log2(1/δ') levels, not multiply the height.
 	tree1, _ := buildUniform(t, 1000, 2, 1, 3, nil)
 	tree2, _ := buildUniform(t, 4000, 2, 1, 4, nil)
-	h1, h2 := tree1.Stats.Height, tree2.Stats.Height
+	h1, h2 := tree1.Stats().Height, tree2.Stats().Height
 	if h2 > h1+14 {
 		t.Errorf("height grew from %d to %d on 4x points; not logarithmic", h1, h2)
 	}
@@ -104,12 +133,16 @@ func TestHeightLogarithmic(t *testing.T) {
 
 func TestSpaceLinear(t *testing.T) {
 	// Lemma 3.1: total stored balls O(n) despite crossing-ball duplication.
-	tree, pts := buildUniform(t, 4000, 2, 1, 5, nil)
-	if tree.Stats.TotalStored > 4*len(pts) {
-		t.Errorf("stored %d balls for n=%d; space not linear", tree.Stats.TotalStored, len(pts))
+	f, pts := buildUniform(t, 4000, 2, 1, 5, nil)
+	stored := f.Stats().TotalStored
+	if stored != f.StoredBalls() {
+		t.Errorf("stats count %d stored balls, the leaf arrays hold %d", stored, f.StoredBalls())
 	}
-	if tree.Stats.TotalStored < len(pts) {
-		t.Errorf("stored %d balls < n=%d; balls lost", tree.Stats.TotalStored, len(pts))
+	if stored > 4*len(pts) {
+		t.Errorf("stored %d balls for n=%d; space not linear", stored, len(pts))
+	}
+	if stored < len(pts) {
+		t.Errorf("stored %d balls < n=%d; balls lost", stored, len(pts))
 	}
 }
 
@@ -117,21 +150,12 @@ func TestEveryBallReachable(t *testing.T) {
 	// Each ball must be stored in at least one leaf, and the leaf reached
 	// by querying its center must contain it (it covers its own center
 	// only if radius > 0; we check storage membership instead).
-	tree, _ := buildUniform(t, 1500, 3, 2, 6, nil)
-	seen := make(map[int]bool)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.IsLeaf() {
-			for _, j := range n.Balls {
-				seen[j] = true
-			}
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
+	f, _ := buildUniform(t, 1500, 3, 2, 6, nil)
+	seen := make(map[int32]bool)
+	for _, j := range f.leafBalls {
+		seen[j] = true
 	}
-	walk(tree.Root)
-	for i := 0; i < tree.Sys.Len(); i++ {
+	for i := int32(0); i < int32(f.System().Len()); i++ {
 		if !seen[i] {
 			t.Fatalf("ball %d not stored in any leaf", i)
 		}
@@ -141,65 +165,33 @@ func TestEveryBallReachable(t *testing.T) {
 func TestCriticalTrialsLogarithmic(t *testing.T) {
 	// Theorem 3.1: the separator-call sequence along any root-leaf path is
 	// O(log n) with high probability.
-	tree, pts := buildUniform(t, 8000, 2, 1, 7, nil)
+	f, pts := buildUniform(t, 8000, 2, 1, 7, nil)
+	st := f.Stats()
 	logN := math.Log2(float64(len(pts)))
-	if float64(tree.Stats.CriticalTrials) > 12*logN {
-		t.Errorf("critical trials %d >> O(log n) = %v", tree.Stats.CriticalTrials, logN)
+	if float64(st.CriticalTrials) > 12*logN {
+		t.Errorf("critical trials %d >> O(log n) = %v", st.CriticalTrials, logN)
 	}
 	// Every internal node on the deepest path consumes at least one trial;
 	// the leaf consumes none.
-	if tree.Stats.CriticalTrials < tree.Stats.Height-1-tree.Stats.ForcedLeaves {
+	if st.CriticalTrials < st.Height-1-st.ForcedLeaves {
 		t.Errorf("critical trials %d below height %d minus leaf; accounting broken",
-			tree.Stats.CriticalTrials, tree.Stats.Height)
-	}
-}
-
-func TestParallelBuildMatchesCostModel(t *testing.T) {
-	// The same seed must give identical simulated cost on sequential and
-	// parallel machines (accounting is execution-independent), and the
-	// parallel build must produce a correct tree.
-	g1 := xrand.New(8)
-	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 2000, 2, g1))
-	sys := nbrsys.KNeighborhood(pts, 1)
-
-	seq, err := Build(sys, xrand.New(42), &Options{Machine: vm.Sequential()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(sys, xrand.New(42), &Options{Machine: vm.NewMachine(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NOTE: RNG splitting order differs between sequential and parallel
-	// execution only if the build consumed the RNG concurrently; the build
-	// splits the stream before forking, so trees must be identical.
-	if seq.Stats.Height != par.Stats.Height || seq.Stats.Leaves != par.Stats.Leaves {
-		t.Errorf("parallel build shape differs: %+v vs %+v", seq.Stats, par.Stats)
-	}
-	if seq.Stats.Cost != par.Stats.Cost {
-		t.Errorf("cost model depends on execution: %v vs %v", seq.Stats.Cost, par.Stats.Cost)
-	}
-	// Verify correctness of the parallel tree.
-	gq := xrand.New(9)
-	for trial := 0; trial < 50; trial++ {
-		q := pts[gq.IntN(len(pts))]
-		got, _ := par.Query(q)
-		want := brute.CountCoveringBalls(sys.Centers, sys.Radii, q)
-		if len(got) != want {
-			t.Fatalf("parallel tree query wrong: %d vs %d", len(got), want)
-		}
+			st.CriticalTrials, st.Height)
 	}
 }
 
 func TestQueryCostLogarithmic(t *testing.T) {
-	tree, pts := buildUniform(t, 8000, 2, 1, 10, nil)
+	f, pts := buildUniform(t, 8000, 2, 1, 10, nil)
 	g := xrand.New(11)
 	maxVisited := 0
+	var got []int
 	for trial := 0; trial < 100; trial++ {
-		_, visited := tree.Query(pts[g.IntN(len(pts))])
-		if visited > maxVisited {
-			maxVisited = visited
+		q := pts[g.IntN(len(pts))]
+		var visited int
+		got, visited, _ = f.Covering(q, got[:0])
+		if want := coveringBrute(f.System(), q, false); !equalInts(got, want) {
+			t.Fatalf("trial %d: query found %v, brute %v", trial, got, want)
 		}
+		maxVisited = max(maxVisited, visited)
 	}
 	if float64(maxVisited) > 6*math.Log2(float64(len(pts))) {
 		t.Errorf("max nodes visited %d; query not logarithmic", maxVisited)
@@ -211,56 +203,73 @@ func TestValidateOnBuiltTrees(t *testing.T) {
 	for _, dist := range []pointgen.Dist{pointgen.UniformCube, pointgen.Clustered, pointgen.Annulus} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(dist, 1200, 2, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 2)
-		tree, err := Build(sys, g.Split(), nil)
+		f, err := Build(sys, g.Split(), nil)
 		if err != nil {
 			t.Fatalf("%s: %v", dist, err)
 		}
-		if err := tree.Validate(); err != nil {
+		if err := f.Validate(); err != nil {
 			t.Errorf("%s: %v", dist, err)
 		}
 	}
 }
 
+// TestValidateDetectsCorruption corrupts copies of a built tree's flat
+// arrays and requires Validate to reject every one.
 func TestValidateDetectsCorruption(t *testing.T) {
-	tree, _ := buildUniform(t, 500, 2, 1, 56, nil)
-	if err := tree.Validate(); err != nil {
+	f, _ := buildUniform(t, 500, 2, 1, 56, nil)
+	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt: drop a ball from the first leaf found.
-	var leaf *Node
-	var find func(n *Node)
-	find = func(n *Node) {
-		if leaf != nil {
-			return
+	if f.kind[0] == kindLeaf {
+		t.Fatal("tree degenerated to a leaf")
+	}
+	// Permuting by the identity order copies the tree into fresh arrays.
+	fresh := func() *Frozen { return f.permute(allBalls(f.NumNodes())) }
+	if err := fresh().Validate(); err != nil {
+		t.Fatalf("identity copy: %v", err)
+	}
+	// The first leaf slot holding at least two ids.
+	s := 0
+	for f.leafOff[s+1]-f.leafOff[s] < 2 {
+		s++
+	}
+	lo := int(f.leafOff[s])
+
+	// Drop a leaf id (and its record): the ball is missing from a leaf
+	// its region admits.
+	c := fresh()
+	c.leafBalls = append(c.leafBalls[:lo], c.leafBalls[lo+1:]...)
+	c.leafRecs = append(c.leafRecs[:lo*c.stride], c.leafRecs[(lo+1)*c.stride:]...)
+	for i := s + 1; i < len(c.leafOff); i++ {
+		c.leafOff[i]--
+	}
+	if c.Validate() == nil {
+		t.Error("dropped leaf id not detected")
+	}
+
+	// Shift a child id by one: the descent would branch to the wrong node.
+	for i := range f.NumNodes() {
+		if f.kind[i] == kindLeaf {
+			continue
 		}
-		if n.IsLeaf() {
-			if len(n.Balls) > 0 {
-				leaf = n
-			}
-			return
+		c = fresh()
+		c.child[i]++
+		if c.Validate() == nil {
+			t.Errorf("child id of node %d shifted by one not detected", i)
 		}
-		find(n.Left)
-		find(n.Right)
 	}
-	find(tree.Root)
-	saved := leaf.Balls
-	leaf.Balls = leaf.Balls[1:]
-	err := tree.Validate()
-	leaf.Balls = saved
-	// Removing one copy may or may not orphan the ball (it can live in a
-	// sibling via crossing duplication) — but corrupting an internal node
-	// must always be caught:
-	inner := tree.Root
-	if inner.IsLeaf() {
-		t.Skip("tree degenerated to a leaf")
+
+	// Swap two leaf ids, records included: the leaf is no longer
+	// ascending.
+	c = fresh()
+	c.leafBalls[lo], c.leafBalls[lo+1] = c.leafBalls[lo+1], c.leafBalls[lo]
+	a, b := c.leafRecs[lo*c.stride:(lo+1)*c.stride], c.leafRecs[(lo+1)*c.stride:(lo+2)*c.stride]
+	for k := range a {
+		a[k], b[k] = b[k], a[k]
 	}
-	savedChild := inner.Left
-	inner.Left = nil
-	if verr := tree.Validate(); verr == nil {
-		t.Error("nil child not detected")
+	if c.Validate() == nil {
+		t.Error("swapped leaf ids not detected")
 	}
-	inner.Left = savedChild
-	_ = err // the ball-drop case is allowed to pass; see comment
 }
 
 func TestBuildRejectsBadInput(t *testing.T) {
@@ -278,14 +287,14 @@ func TestBuildTinySystemIsLeaf(t *testing.T) {
 		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(1, 1)},
 		Radii:   []float64{0.5, 0.5},
 	}
-	tree, err := Build(sys, xrand.New(1), nil)
+	f, err := Build(sys, xrand.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tree.Root.IsLeaf() {
+	if f.NumNodes() != 1 || f.kind[0] != kindLeaf {
 		t.Error("tiny system should be a single leaf")
 	}
-	got, _ := tree.Query(vec.Of(0, 0))
+	got, _, _ := f.Covering(vec.Of(0, 0), nil)
 	if len(got) != 1 || got[0] != 0 {
 		t.Errorf("tiny query = %v", got)
 	}
@@ -300,15 +309,15 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 		radii[i] = 1
 	}
 	sys := &nbrsys.System{Centers: centers, Radii: radii}
-	tree, err := Build(sys, xrand.New(1), nil)
+	f, err := Build(sys, xrand.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := tree.Query(vec.Of(1, 1))
+	got, _, _ := f.Covering(vec.Of(1, 1), nil)
 	if len(got) != n {
 		t.Errorf("identical-center query = %d, want %d", len(got), n)
 	}
-	if tree.Stats.ForcedLeaves == 0 {
+	if f.Stats().ForcedLeaves == 0 {
 		t.Log("note: identical centers resolved without forced leaves")
 	}
 }
@@ -318,17 +327,17 @@ func TestBuildIdenticalCentersTerminates(t *testing.T) {
 func TestLeafSizeOption(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		for _, k := range []int{1, 4} {
-			tree, pts := buildUniform(t, 1500, d, k, 12, nil)
+			f, pts := buildUniform(t, 1500, d, k, 12, nil)
 			m0 := leafSize(d, k, len(pts))
-			var walk func(n *Node) bool
-			walk = func(n *Node) bool {
-				if n.IsLeaf() {
-					return len(n.Balls) <= m0 || n.Forced
+			oversized := 0
+			for s := range f.NumLeaves() {
+				if int(f.leafOff[s+1]-f.leafOff[s]) > m0 {
+					oversized++
 				}
-				return walk(n.Left) && walk(n.Right)
 			}
-			if tree.Root.IsLeaf() || !walk(tree.Root) {
-				t.Errorf("d=%d k=%d: a leaf exceeds m0=%d (or the root is a leaf)", d, k, m0)
+			if f.kind[0] == kindLeaf || oversized > f.Stats().ForcedLeaves {
+				t.Errorf("d=%d k=%d: %d leaves exceed m0=%d with %d forced (or the root is a leaf)",
+					d, k, oversized, m0, f.Stats().ForcedLeaves)
 			}
 		}
 	}
@@ -347,13 +356,9 @@ func TestSpaceAndLeafBudget(t *testing.T) {
 	maxStoredPerN := map[int]float64{2: 4.5, 3: 43}
 	for _, d := range []int{2, 3} {
 		for _, k := range []int{1, 4, 8} {
-			tree, pts := buildUniform(t, n, d, k, 7, nil)
-			st := tree.Stats
+			frozen, pts := buildUniform(t, n, d, k, 7, nil)
+			st := frozen.Stats()
 			perN := float64(st.TotalStored) / float64(len(pts))
-			frozen, err := Freeze(tree)
-			if err != nil {
-				t.Fatal(err)
-			}
 			g := xrand.New(8)
 			cands := 0
 			const probes = 400

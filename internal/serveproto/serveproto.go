@@ -79,7 +79,7 @@ const (
 	reqHeaderLen  = 12
 	respHeaderLen = 20
 
-	// FlagClosed selects closed-ball membership (Tree.QueryClosed
+	// FlagClosed selects closed-ball membership (Frozen.CoveringClosed
 	// semantics) for every query in the frame.
 	FlagClosed = 1 << 0
 )

@@ -202,7 +202,7 @@ type AuditReport = audit.Report
 
 // Audit re-measures the paper's invariants on the built structure:
 // it re-walks the separator tree re-deriving every node's subset from
-// scratch (same classification the build used), and probes the frozen
+// scratch (same classification the build used), and probes the
 // serving engine with the given queries to sample Theorem 3.1's cost
 // bound. Probe queries must match the structure's dimension; pass nil to
 // skip the query-cost checks. The bounds are the audit package's fixed
@@ -213,7 +213,7 @@ func (qs *QueryStructure) Audit(probes [][]float64) (*AuditReport, error) {
 			return nil, fmt.Errorf("probe %d: %w", i, err)
 		}
 	}
-	return audit.Audit(qs.tree, qs.frozen, probes, qs.k)
+	return audit.Audit(qs.frozen, probes, qs.k)
 }
 
 // Snapshot returns the build statistics as machine-readable JSON —

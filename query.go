@@ -19,14 +19,14 @@ import (
 // points' k-neighborhood balls contain q" in O(k + log n) time with O(n)
 // space.
 //
-// Queries are served from a frozen flat-array layout (children-adjacent
+// The structure is one flat-array separator tree (children-adjacent
 // nodes, CSR-packed leaf ball ids, pre-squared radii) built once at
-// construction; the pointer tree is kept for statistics and validation.
-// For query-heavy workloads use CoveringBallsBatch or a Batcher, which
-// fan batches across the worker pool and reuse result arenas so
-// steady-state serving performs zero allocations per batch.
+// construction; it also carries the build statistics Stats reports and
+// the separators Audit re-walks. For query-heavy workloads use
+// CoveringBallsBatch or a Batcher, which fan batches across the worker
+// pool and reuse result arenas so steady-state serving performs zero
+// allocations per batch.
 type QueryStructure struct {
-	tree   *septree.Tree
 	frozen *septree.Frozen
 	dim    int
 	k      int
@@ -84,15 +84,11 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 		opts = &septree.Options{Sep: &separator.Options{Chaos: inj}}
 	}
 	sys := nbrsys.KNeighborhood(ps.Vecs(), k)
-	tree, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
+	frozen, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
 	if err != nil {
 		return nil, err
 	}
-	frozen, err := septree.Freeze(tree)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryStructure{tree: tree, frozen: frozen, dim: ps.Dim, k: k}, nil
+	return &QueryStructure{frozen: frozen, dim: ps.Dim, k: k}, nil
 }
 
 // validateQuery rejects dimension-mismatched or non-finite query
@@ -208,8 +204,8 @@ func (bt *Batcher) Run(queries [][]float64) error {
 }
 
 // RunClosed is Run with closed-ball membership (a point on a ball's
-// boundary counts as covered — Tree.QueryClosed semantics). The serving
-// front end maps the wire format's closed flag here.
+// boundary counts as covered, within geom.Eps on the squared radius).
+// The serving front end maps the wire format's closed flag here.
 func (bt *Batcher) RunClosed(queries [][]float64) error {
 	for i, q := range queries {
 		if err := bt.qs.validateQuery(q); err != nil {
@@ -287,7 +283,7 @@ func (bt *Batcher) Stats() BatchQueryStats {
 
 // Stats returns the structure's shape statistics.
 func (qs *QueryStructure) Stats() QueryStructureStats {
-	st := qs.tree.Stats
+	st := qs.frozen.Stats()
 	return QueryStructureStats{
 		Height:         st.Height,
 		Leaves:         st.Leaves,
