@@ -27,12 +27,13 @@ bench:
 bench-json:
 	$(GO) run ./cmd/knnbench -out BENCH_knn.json
 
-# Query-serving benchmarks: the covering-ball engines and the
-# batched adjacency accessor. CI runs these at -benchtime=1x and diffs
-# against testdata/bench-query-baseline.txt with benchstat when
-# available (informational smoke, not a gate).
+# Query-serving benchmarks: the covering-ball engines, the batched
+# adjacency accessor and the query-structure set-up they serve from.
+# CI runs these at -benchtime=1x and diffs against
+# testdata/bench-query-baseline.txt with benchstat when available
+# (informational smoke, not a gate).
 bench-query:
-	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch' -benchmem .
+	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch|NewQueryStructure' -benchmem .
 
 # Distance-kernel benchmarks: the d=2..8 dispatch table (unrolled
 # single-pair and four-point forms, plus the AVX2 assembly four-lane

@@ -353,6 +353,24 @@ func BenchmarkCoveringBalls(b *testing.B) {
 	}
 }
 
+// BenchmarkNewQueryStructure: the whole public set-up at n=2¹⁶, d=2, k=4
+// — the k-neighborhood radii, then the separator tree. `make bench-query`
+// runs it beside the serving engines it builds for.
+func BenchmarkNewQueryStructure(b *testing.B) {
+	pts := benchPoints(b, 1<<16, 2, pointgen.UniformCube)
+	points := make([][]float64, len(pts))
+	for i, p := range pts {
+		points[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewQueryStructure(points, 4, 42); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkNeighborsBatch: the batched adjacency accessor against the
 // one-vertex-at-a-time loop it replaces.
 func BenchmarkNeighborsBatch(b *testing.B) {

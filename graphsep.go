@@ -44,15 +44,14 @@ func FindGraphSeparator(points [][]float64, k int, seed uint64) (*GraphSeparator
 	if err != nil {
 		return nil, err
 	}
-	vecs := ps.Vecs()
-	sys := nbrsys.KNeighborhood(vecs, k)
+	sys := nbrsys.KNeighborhoodFlat(ps, k)
 	// Reuse the flat point set already built above instead of converting
 	// the [][]float64 rows a second time.
 	graph, err := buildFromPointSet(context.Background(), ps, k, &Options{Algorithm: KDTree})
 	if err != nil {
 		return nil, err
 	}
-	vs := knngraph.InducedVertexSeparator(graph.csr, vecs, sys, res.Sep)
+	vs := knngraph.InducedVertexSeparator(graph.csr, sys.Centers, sys, res.Sep)
 
 	out := &GraphSeparator{
 		Separator:     toSeparatorResult(res),
@@ -63,7 +62,7 @@ func FindGraphSeparator(points [][]float64, k int, seed uint64) (*GraphSeparator
 	for _, w := range vs.W {
 		inW[w] = true
 	}
-	for i, p := range vecs {
+	for i, p := range sys.Centers {
 		if inW[i] {
 			continue
 		}

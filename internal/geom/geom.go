@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"sepdc/internal/pts"
 	"sepdc/internal/vec"
 )
 
@@ -219,28 +218,6 @@ func NewBounds(pts []vec.Vec) Bounds {
 	hi := pts[0].Clone()
 	for _, p := range pts[1:] {
 		for i, x := range p {
-			if x < lo[i] {
-				lo[i] = x
-			}
-			if x > hi[i] {
-				hi[i] = x
-			}
-		}
-	}
-	return Bounds{Lo: lo, Hi: hi}
-}
-
-// NewBoundsIdx computes the bounding box of the points of ps selected by
-// idx, without materializing the subset. Semantics match NewBounds over
-// the gathered points.
-func NewBoundsIdx(ps *pts.PointSet, idx []int) Bounds {
-	if len(idx) == 0 {
-		panic("geom: bounds of empty point set")
-	}
-	lo := ps.At(idx[0]).Clone()
-	hi := ps.At(idx[0]).Clone()
-	for _, j := range idx[1:] {
-		for i, x := range ps.At(j) {
 			if x < lo[i] {
 				lo[i] = x
 			}

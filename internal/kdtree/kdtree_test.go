@@ -1,6 +1,7 @@
 package kdtree
 
 import (
+	"math"
 	"testing"
 
 	"sepdc/internal/brute"
@@ -38,35 +39,6 @@ func TestAllKNNMatchesPerQuery(t *testing.T) {
 		if !topk.Equal(all[q], tree.KNN(pts[q], 4, q)) {
 			t.Fatalf("AllKNN diverges at %d", q)
 		}
-	}
-}
-
-func TestInBallMatchesBrute(t *testing.T) {
-	g := xrand.New(3)
-	pts := pointgen.MustGenerate(pointgen.Clustered, 400, 2, g)
-	tree := Build(pts)
-	for trial := 0; trial < 50; trial++ {
-		center := pts[g.IntN(len(pts))]
-		r := g.Float64() * 3
-		got := tree.InBall(center, r, -1)
-		want := brute.PointsInBall(pts, center, r, -1)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d vs %d points", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: %v vs %v", trial, got, want)
-			}
-		}
-	}
-}
-
-func TestInBallExcludesSelf(t *testing.T) {
-	pts := []vec.Vec{vec.Of(0, 0), vec.Of(0.1, 0)}
-	tree := Build(pts)
-	got := tree.InBall(pts[0], 1, 0)
-	if len(got) != 1 || got[0] != 1 {
-		t.Errorf("InBall with self exclusion = %v", got)
 	}
 }
 
@@ -131,5 +103,94 @@ func TestKNNWithKLargerThanN(t *testing.T) {
 	l := tree.KNN(pts[0], 10, 0)
 	if l.Len() != 4 {
 		t.Errorf("k>n query returned %d neighbors, want 4", l.Len())
+	}
+}
+
+// TestFlatTreeLayout checks the flat layout's invariants on spread-out and
+// tie-heavy inputs: the leaves tile perm, perm is a permutation, every box
+// holds its range, every split separates its children by coordinate, and
+// the count-halving split keeps the tree balanced. Searches over the tree
+// must still match brute force exactly, ties in distance included.
+func TestFlatTreeLayout(t *testing.T) {
+	g := xrand.New(7)
+	line := make([]vec.Vec, 500) // all on x = 3, ties in dimension 0
+	for i := range line {
+		line[i] = vec.Of(3, g.Float64())
+	}
+	same := make([]vec.Vec, 50) // coincident copies
+	for i := range same {
+		same[i] = vec.Of(1, -2, 0.5)
+	}
+	var lattice []vec.Vec // many ties in every dimension
+	for x := 0; x < 20; x++ {
+		for y := 0; y < 20; y++ {
+			lattice = append(lattice, vec.Of(float64(x), float64(y)))
+		}
+	}
+	inputs := map[string][]vec.Vec{"line": line, "coincident": same, "lattice": lattice}
+	for _, dist := range pointgen.All {
+		inputs[string(dist)] = pointgen.Dedup(pointgen.MustGenerate(dist, 700, 3, g.Split()))
+	}
+	for name, pv := range inputs {
+		distinct := name != "coincident"
+		for _, leafC := range []int{1, 4, DefaultLeafSize} {
+			tree := BuildLeaf(pv, leafC)
+			n := len(pv)
+			seen := make([]bool, n)
+			for _, j := range tree.Order() {
+				if seen[j] {
+					t.Fatalf("%s leaf=%d: index %d twice in perm", name, leafC, j)
+				}
+				seen[j] = true
+			}
+			next := 0 // leaves reached in preorder must tile perm left to right
+			var walk func(id int32)
+			walk = func(id int32) {
+				nd := tree.nodes[id]
+				d := tree.ps.Dim
+				box := tree.box[2*int(id)*d : 2*int(id+1)*d]
+				for _, j := range tree.perm[nd.lo:nd.hi] {
+					for c, x := range tree.ps.At(j) {
+						if x < box[c] || x > box[d+c] {
+							t.Fatalf("%s leaf=%d: node %d box misses point %d", name, leafC, id, j)
+						}
+					}
+				}
+				if nd.left < 0 {
+					if int(nd.lo) != next || nd.hi <= nd.lo || int(nd.hi-nd.lo) > leafC {
+						t.Fatalf("%s leaf=%d: leaf %d covers [%d,%d), want start %d, at most %d points",
+							name, leafC, id, nd.lo, nd.hi, next, leafC)
+					}
+					next = int(nd.hi)
+					return
+				}
+				l, r := tree.nodes[nd.left], tree.nodes[nd.right]
+				if l.lo != nd.lo || l.hi != r.lo || r.hi != nd.hi || l.hi-l.lo != (nd.hi-nd.lo)/2 {
+					t.Fatalf("%s leaf=%d: node %d [%d,%d) splits into [%d,%d) [%d,%d)",
+						name, leafC, id, nd.lo, nd.hi, l.lo, l.hi, r.lo, r.hi)
+				}
+				for i, j := range tree.perm[nd.lo:nd.hi] {
+					x := tree.ps.At(j)[nd.dim]
+					if i < int(l.hi-l.lo) && x > nd.split || i >= int(l.hi-l.lo) && x < nd.split {
+						t.Fatalf("%s leaf=%d: point %d on the wrong side of node %d's split", name, leafC, j, id)
+					}
+				}
+				walk(nd.left)
+				walk(nd.right)
+			}
+			walk(0)
+			if next != n {
+				t.Fatalf("%s leaf=%d: leaves cover %d of %d points", name, leafC, next, n)
+			}
+			if bound := 2*int(math.Ceil(math.Log2(float64(n)/float64(leafC)))) + 2; distinct && tree.Height() > bound {
+				t.Errorf("%s leaf=%d: height %d > %d", name, leafC, tree.Height(), bound)
+			}
+			want := brute.AllKNN(pv, 4)
+			for i, got := range tree.AllKNN(4) {
+				if !topk.Equal(got, want[i]) {
+					t.Fatalf("%s leaf=%d: point %d: kdtree %v != brute %v", name, leafC, i, got.Items(), want[i].Items())
+				}
+			}
+		}
 	}
 }

@@ -10,9 +10,12 @@ package nbrsys
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/kdtree"
+	"sepdc/internal/pts"
+	"sepdc/internal/topk"
 	"sepdc/internal/vec"
 )
 
@@ -49,19 +52,39 @@ func (s *System) Validate() error {
 	return nil
 }
 
-// KNeighborhood builds the k-neighborhood system of pts: each B_i has
+// KNeighborhood builds the k-neighborhood system of points: each B_i has
 // radius equal to the distance from p_i to its k-th nearest neighbor, so
 // the open interior contains at most k−1 points (exactly k−1 in general
 // position). Points with fewer than k other points get the distance to
-// their farthest neighbor.
-func KNeighborhood(pts []vec.Vec, k int) *System {
-	tree := kdtree.Build(pts)
-	radii := make([]float64, len(pts))
-	for i := range pts {
-		r2, _ := tree.KNN(pts[i], k, i).Radius2()
+// their farthest neighbor. The centers alias points.
+func KNeighborhood(points []vec.Vec, k int) *System {
+	radii := []float64{}
+	if len(points) > 0 {
+		radii = kRadii(pts.FromVecs(points), k)
+	}
+	return &System{Centers: points, Radii: radii, K: k}
+}
+
+// KNeighborhoodFlat is KNeighborhood over flat point storage; the centers
+// are views into ps.
+func KNeighborhoodFlat(ps *pts.PointSet, k int) *System {
+	return &System{Centers: ps.Vecs(), Radii: kRadii(ps, k), K: k}
+}
+
+// kRadii returns each point's distance to its k-th nearest neighbor. The
+// searches run in the kd-tree's leaf order, so consecutive ones walk
+// nearby paths, and share one top-k list.
+func kRadii(ps *pts.PointSet, k int) []float64 {
+	tree := kdtree.BuildFlat(ps, kdtree.DefaultLeafSize)
+	radii := make([]float64, ps.N())
+	l := topk.New(k)
+	for _, i := range tree.Order() {
+		l.Reset()
+		tree.KNNInto(ps.At(i), i, l)
+		r2, _ := l.Radius2()
 		radii[i] = math.Sqrt(r2)
 	}
-	return &System{Centers: pts, Radii: radii, K: k}
+	return radii
 }
 
 // Partition classifies every ball against sep, returning index sets for
@@ -153,108 +176,54 @@ func KissingNumber(d int) int {
 }
 
 // BallIndex answers "which balls cover point p" queries. It is a kd-tree
-// over ball centers whose nodes carry the maximum ball radius in their
-// subtree, pruning subtrees that cannot reach p. For k-ply systems the
-// query cost is close to that of a point location.
+// over ball centers, annotated with the maximum ball radius under each
+// node, pruning subtrees that cannot reach p. For k-ply systems the query
+// cost is close to that of a point location.
 type BallIndex struct {
 	sys  *System
-	root *biNode
+	tree *kdtree.Tree
+	maxR []float64 // per tree node: the largest radius of its balls
 }
-
-type biNode struct {
-	bounds    geom.Bounds
-	maxRadius float64
-	idx       []int // leaf
-	left      *biNode
-	right     *biNode
-}
-
-const ballIndexLeaf = 16
 
 // NewBallIndex builds the index in O(n log n).
 func NewBallIndex(s *System) *BallIndex {
-	bi := &BallIndex{sys: s}
-	if s.Len() == 0 {
-		return bi
+	bi := &BallIndex{sys: s, tree: kdtree.Build(s.Centers)}
+	bi.maxR = make([]float64, bi.tree.NumNodes())
+	for id := range bi.maxR {
+		_, points, _, _ := bi.tree.Node(id)
+		for _, j := range points {
+			bi.maxR[id] = max(bi.maxR[id], s.Radii[j])
+		}
 	}
-	idx := make([]int, s.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	bi.root = bi.build(idx)
 	return bi
-}
-
-func (bi *BallIndex) build(idx []int) *biNode {
-	pts := make([]vec.Vec, len(idx))
-	maxR := 0.0
-	for i, j := range idx {
-		pts[i] = bi.sys.Centers[j]
-		if bi.sys.Radii[j] > maxR {
-			maxR = bi.sys.Radii[j]
-		}
-	}
-	n := &biNode{bounds: geom.NewBounds(pts), maxRadius: maxR}
-	if len(idx) <= ballIndexLeaf {
-		n.idx = idx
-		return n
-	}
-	dim := n.bounds.WidestDim()
-	// Partition around the midpoint of the widest dimension; guaranteed to
-	// make progress unless all coordinates coincide, in which case leaf out.
-	mid := (n.bounds.Lo[dim] + n.bounds.Hi[dim]) / 2
-	var lo, hi []int
-	for _, j := range idx {
-		if bi.sys.Centers[j][dim] <= mid {
-			lo = append(lo, j)
-		} else {
-			hi = append(hi, j)
-		}
-	}
-	if len(lo) == 0 || len(hi) == 0 {
-		n.idx = idx
-		return n
-	}
-	n.left = bi.build(lo)
-	n.right = bi.build(hi)
-	return n
 }
 
 // Covering returns the indices of balls whose open interior contains p,
 // in ascending order of index.
 func (bi *BallIndex) Covering(p vec.Vec) []int {
 	var out []int
-	var walk func(n *biNode)
-	walk = func(n *biNode) {
-		if n == nil {
+	var walk func(id int)
+	walk = func(id int) {
+		box, points, left, right := bi.tree.Node(id)
+		if r := bi.maxR[id]; box.Dist2ToPoint(p) >= r*r {
 			return
 		}
-		r := n.maxRadius
-		if n.bounds.Dist2ToPoint(p) >= r*r {
+		if left >= 0 {
+			walk(left)
+			walk(right)
 			return
 		}
-		if n.idx != nil {
-			for _, j := range n.idx {
-				rj := bi.sys.Radii[j]
-				if vec.Dist2(p, bi.sys.Centers[j]) < rj*rj {
-					out = append(out, j)
-				}
+		for _, j := range points {
+			rj := bi.sys.Radii[j]
+			if vec.Dist2(p, bi.sys.Centers[j]) < rj*rj {
+				out = append(out, j)
 			}
-			return
 		}
-		walk(n.left)
-		walk(n.right)
 	}
-	walk(bi.root)
-	// The tree can emit out-of-order leaves; sort for deterministic output.
-	insertionSortInts(out)
+	if bi.tree.NumNodes() > 0 {
+		walk(0)
+	}
+	// Leaves hold indices in tree order; sort for deterministic output.
+	slices.Sort(out)
 	return out
-}
-
-func insertionSortInts(xs []int) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

@@ -1,12 +1,14 @@
 package nbrsys
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"sepdc/internal/brute"
 	"sepdc/internal/geom"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/pts"
 	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
 )
@@ -199,5 +201,51 @@ func TestPlyAt(t *testing.T) {
 	}
 	if got := sys.PlyAt(vec.Of(10, 0), idx); got != 0 {
 		t.Errorf("PlyAt far = %d, want 0", got)
+	}
+}
+
+// TestKNeighborhoodFlatMatchesBrute requires every radius to equal, bit for
+// bit, the brute-force distance to the k-th canonical neighbor. The
+// tie-heavy inputs (one vertical line, coincident copies, an integer
+// lattice) drive the kd-tree's equal-coordinate partitioning.
+func TestKNeighborhoodFlatMatchesBrute(t *testing.T) {
+	g := xrand.New(11)
+	inputs := map[string][]vec.Vec{}
+	for _, d := range []int{1, 2, 3, 4} {
+		for _, dist := range pointgen.All {
+			inputs[fmt.Sprintf("%s/d=%d", dist, d)] = pointgen.MustGenerate(dist, 300, d, g.Split())
+		}
+	}
+	var line, same, lattice []vec.Vec
+	for i := 0; i < 200; i++ {
+		line = append(line, vec.Of(2.5, g.Float64()))
+	}
+	for i := 0; i < 50; i++ {
+		same = append(same, vec.Of(-1, 4, 0.25))
+	}
+	for x := 0; x < 15; x++ {
+		for y := 0; y < 15; y++ {
+			lattice = append(lattice, vec.Of(float64(x), float64(y)))
+		}
+	}
+	inputs["line"], inputs["coincident"], inputs["lattice"] = line, same, lattice
+	for name, points := range inputs {
+		for _, k := range []int{1, 4, 8} {
+			sys := KNeighborhoodFlat(pts.FromVecs(points), k)
+			wrapped := KNeighborhood(points, k)
+			for i := range points {
+				r2, _ := brute.KNN(points, i, k).Radius2()
+				want := math.Float64bits(math.Sqrt(r2))
+				if got := math.Float64bits(sys.Radii[i]); got != want {
+					t.Fatalf("%s k=%d: radius %d = %v, brute force %v", name, k, i, sys.Radii[i], math.Sqrt(r2))
+				}
+				if math.Float64bits(wrapped.Radii[i]) != want {
+					t.Fatalf("%s k=%d: KNeighborhood radius %d = %v, KNeighborhoodFlat %v", name, k, i, wrapped.Radii[i], sys.Radii[i])
+				}
+				if !vec.Equal(sys.Centers[i], points[i]) {
+					t.Fatalf("%s k=%d: center %d = %v, want %v", name, k, i, sys.Centers[i], points[i])
+				}
+			}
+		}
 	}
 }

@@ -89,6 +89,9 @@ func (l *List) Insert(idx int, d2 float64) {
 	l.items[pos] = cand
 }
 
+// Reset empties the list for reuse; its capacity is retained.
+func (l *List) Reset() { l.items = l.items[:0] }
+
 // Items returns the held neighbors in ascending canonical order. The
 // returned slice aliases internal storage; callers must not modify it.
 func (l *List) Items() []Neighbor { return l.items }

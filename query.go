@@ -83,7 +83,7 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 	if inj != nil {
 		opts = &septree.Options{Sep: &separator.Options{Chaos: inj}}
 	}
-	sys := nbrsys.KNeighborhood(ps.Vecs(), k)
+	sys := nbrsys.KNeighborhoodFlat(ps, k)
 	frozen, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
 	if err != nil {
 		return nil, err

@@ -61,7 +61,7 @@ func FindSeparator(points [][]float64, k int, seed uint64) (*SeparatorResult, er
 	}
 	out := toSeparatorResult(res)
 	if k >= 1 {
-		sys := nbrsys.KNeighborhood(ps.Vecs(), k)
+		sys := nbrsys.KNeighborhoodFlat(ps, k)
 		out.CrossingBalls = sys.IntersectionNumber(res.Sep)
 	}
 	return out, nil
