@@ -28,12 +28,14 @@ bench-json:
 	$(GO) run ./cmd/knnbench -out BENCH_knn.json
 
 # Query-serving benchmarks: the covering-ball engines, the batched
-# adjacency accessor and the query-structure set-up they serve from.
+# adjacency accessor and the query-structure set-up they serve from,
+# the set-up on one CPU and on two, since it builds on every worker.
 # CI runs these at -benchtime=1x and diffs against
 # testdata/bench-query-baseline.txt with benchstat when available
 # (informational smoke, not a gate).
 bench-query:
-	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch|NewQueryStructure' -benchmem .
+	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch' -benchmem .
+	$(GO) test -run '^$$' -bench 'NewQueryStructure' -cpu 1,2 -benchmem .
 
 # Distance-kernel benchmarks: the d=2..8 dispatch table (unrolled
 # single-pair and four-point forms, plus the AVX2 assembly four-lane
@@ -123,13 +125,14 @@ fuzz:
 
 # Chaos matrix: the identity/degeneracy tests under every fault-injection
 # profile (see DESIGN.md §10). The graph is exact, so no profile may change
-# any test's outcome.
+# any test's outcome. ParallelQueryStructure compares a forked query-structure
+# build with a sequential one; the stall profile reorders its forks.
 chaos:
-	KNN_CHAOS="sep-fail=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
-	KNN_CHAOS="punt=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
-	KNN_CHAOS="march-abort=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
-	KNN_CHAOS="march-level=1" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
-	KNN_CHAOS="sep-fail=all;punt=all;march-level=1;stall=200us" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute' .
+	KNN_CHAOS="sep-fail=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
+	KNN_CHAOS="punt=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
+	KNN_CHAOS="march-abort=all" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
+	KNN_CHAOS="march-level=1" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
+	KNN_CHAOS="sep-fail=all;punt=all;march-level=1;stall=200us" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
 
 verify: build test vet test-race
 

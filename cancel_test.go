@@ -3,10 +3,13 @@ package sepdc
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"sepdc/internal/chaos"
+	"sepdc/internal/obs"
 )
 
 // TestCancelBeforeStart: an already-cancelled context aborts every
@@ -140,4 +143,119 @@ func TestQueryStructureContextCancel(t *testing.T) {
 	if _, err := NewQueryStructureContext(pre, points, 4, 31); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
 	}
+}
+
+// TestQueryStructureParallelBuildReturns drives a query-structure build
+// large enough that the separator tree forks onto the worker pool
+// through each of its exits: success, a deadline and a cancel once the
+// separator tree has started. The cancelled build must return
+// context.Canceled well before the tree would have been finished, and
+// after every exit the goroutine count must come back to where it was,
+// so the build's worker pool is always closed.
+func TestQueryStructureParallelBuildReturns(t *testing.T) {
+	points := genPoints(20000, 2, 33)
+	// A first build creates whatever process-wide pools the build uses,
+	// so the baseline below counts them.
+	if _, err := NewQueryStructure(points, 4, 33); err != nil {
+		t.Fatal(err)
+	}
+	base := goroutineBase()
+	settled := func(exit string) { t.Helper(); waitGoroutines(t, base, exit) }
+
+	// whole is the fastest of three builds, so a slow run on a busy host
+	// cannot shrink the deadline below what a build needs.
+	whole := time.Duration(math.MaxInt64)
+	for range 3 {
+		start := time.Now()
+		if _, err := NewQueryStructureContext(context.Background(), points, 4, 33); err != nil {
+			t.Fatal(err)
+		}
+		whole = min(whole, time.Since(start))
+		settled("success")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), whole/4)
+	_, err := NewQueryStructureContext(ctx, points, 4, 33)
+	cancel()
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("deadline at a quarter of a build: err = %v, want context.DeadlineExceeded", err)
+	}
+	settled("deadline")
+
+	// The cancel waits for the separator tree's first separator
+	// candidate, which the process-wide counters see while a recorder is
+	// open, so it lands after the k-NN radii, which do not poll the
+	// context, and inside the recursion, which does.
+	rec := obs.New(obs.Config{})
+	defer rec.Finish(0)
+	candidates := func() int64 { return obs.GlobalSnapshot()["separator_candidates"] }
+	before := candidates()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewQueryStructureContext(ctx, points, 4, 33)
+		done <- err
+	}()
+	for candidates() == before {
+		select {
+		case err := <-done:
+			t.Fatalf("build returned (err = %v) before its separator tree started", err)
+		case <-time.After(50 * time.Microsecond):
+		}
+	}
+	cancelled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel in the separator tree: err = %v, want context.Canceled", err)
+		}
+		if lat := time.Since(cancelled); lat > whole/4 {
+			t.Fatalf("build took %v after cancel, more than a quarter of a build (%v)", lat, whole/4)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("build did not return within 5s of cancellation")
+	}
+	settled("cancel")
+}
+
+// goroutineBase returns the goroutine count once a collection has run
+// the cleanup of any unreferenced machine, closing its pool, and the
+// workers of closed pools have exited. Without the collection a leaked
+// pool from an earlier build would count in the baseline and hide a
+// leak from the next one.
+func goroutineBase() int {
+	runtime.GC()
+	time.Sleep(50 * time.Millisecond)
+	return runtime.NumGoroutine()
+}
+
+// waitGoroutines waits up to 5 s for the goroutine count to fall back
+// to base, failing the test if it does not.
+func waitGoroutines(t *testing.T, base int, exit string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("after %s: %d goroutines, %d before the build", exit, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBuildKNNGraphClosesMachine checks that a separator build's worker
+// pool is closed when BuildKNNGraph returns, rather than left parked
+// until a garbage collection reclaims it.
+func TestBuildKNNGraphClosesMachine(t *testing.T) {
+	points := genPoints(3000, 2, 34)
+	// As above, a first build creates the process-wide pools.
+	if _, err := BuildKNNGraph(points, 4, &Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	base := goroutineBase()
+	if _, err := BuildKNNGraph(points, 4, &Options{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base, "BuildKNNGraph")
 }

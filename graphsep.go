@@ -44,7 +44,7 @@ func FindGraphSeparator(points [][]float64, k int, seed uint64) (*GraphSeparator
 	if err != nil {
 		return nil, err
 	}
-	sys := nbrsys.KNeighborhoodFlat(ps, k)
+	sys := nbrsys.KNeighborhoodFlat(ps, k, nil)
 	// Reuse the flat point set already built above instead of converting
 	// the [][]float64 rows a second time.
 	graph, err := buildFromPointSet(context.Background(), ps, k, &Options{Algorithm: KDTree})

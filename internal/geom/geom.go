@@ -6,9 +6,9 @@
 //
 // Conventions:
 //
-//   - A Sphere is the (d-1)-dimensional boundary surface; a Ball is the
-//     solid region. The paper's separator S is a Sphere; the neighborhood
-//     system's B_i are Balls.
+//   - A Sphere is the (d-1)-dimensional boundary surface; a ball is the
+//     solid region, passed as a center and a radius. The paper's
+//     separator S is a Sphere; the neighborhood system's B_i are balls.
 //   - Side returns -1 for the interior / negative halfspace, +1 for the
 //     exterior / positive halfspace, and 0 for points within Eps of the
 //     surface. The paper sends on-sphere points to the interior subtree, so
@@ -123,9 +123,6 @@ func (s Sphere) String() string {
 	return fmt.Sprintf("Sphere(center=%v, r=%.6g)", []float64(s.Center), s.Radius)
 }
 
-// Contains reports whether p lies in the closed ball bounded by s.
-func (s Sphere) Contains(p vec.Vec) bool { return s.Side(p) <= 0 }
-
 // Halfspace is the region {x : Normal·x <= Offset} (its negative side),
 // bounded by the hyperplane {x : Normal·x = Offset}. Normal is unit length.
 type Halfspace struct {
@@ -173,34 +170,6 @@ func (h Halfspace) Dim() int { return len(h.Normal) }
 
 func (h Halfspace) String() string {
 	return fmt.Sprintf("Halfspace(n=%v, b=%.6g)", []float64(h.Normal), h.Offset)
-}
-
-// Ball is the closed solid region {x : |x - Center| <= Radius}. Radius 0 is
-// legal and denotes the degenerate single-point ball (a point whose
-// k-neighborhood has not been corrected yet, or k-th neighbor at distance 0).
-type Ball struct {
-	Center vec.Vec
-	Radius float64
-}
-
-// Contains reports whether p lies in the closed ball.
-func (b Ball) Contains(p vec.Vec) bool {
-	return vec.Dist2(p, b.Center) <= b.Radius*b.Radius+Eps
-}
-
-// ContainsStrict reports whether p lies in the open interior of the ball.
-func (b Ball) ContainsStrict(p vec.Vec) bool {
-	return vec.Dist2(p, b.Center) < b.Radius*b.Radius-Eps
-}
-
-// Intersects reports whether two closed balls intersect.
-func (b Ball) Intersects(o Ball) bool {
-	r := b.Radius + o.Radius
-	return vec.Dist2(b.Center, o.Center) <= r*r+Eps
-}
-
-func (b Ball) String() string {
-	return fmt.Sprintf("Ball(center=%v, r=%.6g)", []float64(b.Center), b.Radius)
 }
 
 // Bounds is an axis-aligned box, used by the kd-tree baseline and the
@@ -253,14 +222,4 @@ func (b Bounds) WidestDim() int {
 		}
 	}
 	return best
-}
-
-// Contains reports whether p lies in the closed box.
-func (b Bounds) Contains(p vec.Vec) bool {
-	for i, x := range p {
-		if x < b.Lo[i]-Eps || x > b.Hi[i]+Eps {
-			return false
-		}
-	}
-	return true
 }

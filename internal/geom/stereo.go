@@ -181,35 +181,3 @@ func SectionToSeparator(p PlaneSection) (Separator, error) {
 	}
 	return NewSphere(center, math.Sqrt(r2))
 }
-
-// Circumsphere returns the unique sphere through d+1 affinely independent
-// points in R^d, by solving the linear system obtained from differencing
-// the quadratic on-sphere conditions. It is used to cross-validate the
-// closed-form section algebra and by tests.
-func Circumsphere(pts []vec.Vec) (Sphere, error) {
-	if len(pts) == 0 {
-		return Sphere{}, errors.New("geom: circumsphere of empty set")
-	}
-	d := len(pts[0])
-	if len(pts) != d+1 {
-		return Sphere{}, errors.New("geom: circumsphere needs exactly d+1 points")
-	}
-	// |p_i - c|² = |p_0 - c|²  ⇒  2(p_i − p_0)·c = |p_i|² − |p_0|².
-	A := make([][]float64, d)
-	b := make([]float64, d)
-	n0 := vec.Norm2(pts[0])
-	for i := 1; i <= d; i++ {
-		row := make([]float64, d)
-		for j := 0; j < d; j++ {
-			row[j] = 2 * (pts[i][j] - pts[0][j])
-		}
-		A[i-1] = row
-		b[i-1] = vec.Norm2(pts[i]) - n0
-	}
-	x, err := vec.SolveLinear(A, b)
-	if err != nil {
-		return Sphere{}, err
-	}
-	center := vec.Vec(x)
-	return NewSphere(center, vec.Dist(center, pts[0]))
-}

@@ -217,52 +217,6 @@ func TestSectionToSeparatorConsistent(t *testing.T) {
 	}
 }
 
-func TestCircumsphere2D(t *testing.T) {
-	// Unit circle through three known points.
-	pts := []vec.Vec{vec.Of(1, 0), vec.Of(-1, 0), vec.Of(0, 1)}
-	s, err := Circumsphere(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.ApproxEqual(s.Center, vec.Of(0, 0), 1e-12) || math.Abs(s.Radius-1) > 1e-12 {
-		t.Errorf("Circumsphere = %v", s)
-	}
-}
-
-func TestCircumsphereRandom(t *testing.T) {
-	g := xrand.New(8)
-	for trial := 0; trial < 300; trial++ {
-		d := g.IntN(4) + 2
-		// Generate a random sphere and sample d+1 points on it.
-		center := vec.Scale(4, vec.Vec(g.UnitVector(d)))
-		radius := 0.5 + 2*g.Float64()
-		pts := make([]vec.Vec, d+1)
-		for i := range pts {
-			pts[i] = vec.Add(center, vec.Scale(radius, vec.Vec(g.UnitVector(d))))
-		}
-		s, err := Circumsphere(pts)
-		if err != nil {
-			continue // the random points may be nearly degenerate
-		}
-		if !vec.ApproxEqual(s.Center, center, 1e-6) || math.Abs(s.Radius-radius) > 1e-6 {
-			t.Fatalf("trial %d: got %v, want center %v r %v", trial, s, center, radius)
-		}
-	}
-}
-
-func TestCircumsphereErrors(t *testing.T) {
-	if _, err := Circumsphere(nil); err == nil {
-		t.Error("empty input accepted")
-	}
-	if _, err := Circumsphere([]vec.Vec{vec.Of(0, 0), vec.Of(1, 0)}); err == nil {
-		t.Error("wrong count accepted")
-	}
-	collinear := []vec.Vec{vec.Of(0, 0), vec.Of(1, 0), vec.Of(2, 0)}
-	if _, err := Circumsphere(collinear); err == nil {
-		t.Error("collinear points accepted")
-	}
-}
-
 // End-to-end pipeline identity: lift points, apply reflection+dilation, cut
 // with a random great circle, pull the section back, project to R^d — the
 // resulting separator must classify original points exactly as the great

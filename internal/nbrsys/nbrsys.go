@@ -17,6 +17,7 @@ import (
 	"sepdc/internal/pts"
 	"sepdc/internal/topk"
 	"sepdc/internal/vec"
+	"sepdc/internal/vm"
 )
 
 // System is a neighborhood system: parallel slices of centers and radii.
@@ -30,11 +31,6 @@ type System struct {
 
 // Len returns the number of balls.
 func (s *System) Len() int { return len(s.Centers) }
-
-// Ball returns the i-th ball.
-func (s *System) Ball(i int) geom.Ball {
-	return geom.Ball{Center: s.Centers[i], Radius: s.Radii[i]}
-}
 
 // Validate checks structural invariants.
 func (s *System) Validate() error {
@@ -60,30 +56,38 @@ func (s *System) Validate() error {
 func KNeighborhood(points []vec.Vec, k int) *System {
 	radii := []float64{}
 	if len(points) > 0 {
-		radii = kRadii(pts.FromVecs(points), k)
+		radii = kRadii(pts.FromVecs(points), k, nil)
 	}
 	return &System{Centers: points, Radii: radii, K: k}
 }
 
 // KNeighborhoodFlat is KNeighborhood over flat point storage; the centers
-// are views into ps.
-func KNeighborhoodFlat(ps *pts.PointSet, k int) *System {
-	return &System{Centers: ps.Vecs(), Radii: kRadii(ps, k), K: k}
+// are views into ps. The k-NN searches run on m's workers; a nil m runs
+// them on the calling goroutine. The radii are the same either way.
+func KNeighborhoodFlat(ps *pts.PointSet, k int, m *vm.Machine) *System {
+	return &System{Centers: ps.Vecs(), Radii: kRadii(ps, k, m), K: k}
 }
+
+// radiiChunk is how many consecutive leaf-order k-NN searches share one
+// top-k list; ForkN spreads the chunks over the machine's workers.
+const radiiChunk = 1 << 12
 
 // kRadii returns each point's distance to its k-th nearest neighbor. The
 // searches run in the kd-tree's leaf order, so consecutive ones walk
-// nearby paths, and share one top-k list.
-func kRadii(ps *pts.PointSet, k int) []float64 {
+// nearby paths, cut into contiguous chunks that run in parallel on m.
+func kRadii(ps *pts.PointSet, k int, m *vm.Machine) []float64 {
 	tree := kdtree.BuildFlat(ps, kdtree.DefaultLeafSize)
-	radii := make([]float64, ps.N())
-	l := topk.New(k)
-	for _, i := range tree.Order() {
-		l.Reset()
-		tree.KNNInto(ps.At(i), i, l)
-		r2, _ := l.Radius2()
-		radii[i] = math.Sqrt(r2)
-	}
+	order := tree.Order()
+	radii := make([]float64, len(order))
+	m.NewCtx().ForkN((len(order)+radiiChunk-1)/radiiChunk, func(c int, _ *vm.Ctx) {
+		l := topk.New(k)
+		for _, i := range order[c*radiiChunk : min((c+1)*radiiChunk, len(order))] {
+			l.Reset()
+			tree.KNNInto(ps.At(i), i, l)
+			r2, _ := l.Radius2()
+			radii[i] = math.Sqrt(r2)
+		}
+	})
 	return radii
 }
 
@@ -113,26 +117,6 @@ func (s *System) IntersectionNumber(sep geom.Separator) int {
 		}
 	}
 	return count
-}
-
-// SplitPoints classifies the ball centers (not the balls) against sep: the
-// paper's separator algorithm splits by centers, with on-surface points
-// assigned to the interior (Section 3.2, query case 3).
-func SplitPoints(pts []vec.Vec, sep geom.Separator) (interior, exterior []int) {
-	for i, p := range pts {
-		if sep.Side(p) <= 0 {
-			interior = append(interior, i)
-		} else {
-			exterior = append(exterior, i)
-		}
-	}
-	return interior, exterior
-}
-
-// PlyAt returns the number of balls whose open interior contains p,
-// using a radius-annotated kd-tree over the centers for pruning.
-func (s *System) PlyAt(p vec.Vec, idx *BallIndex) int {
-	return len(idx.Covering(p))
 }
 
 // MaxPlyAtCenters returns max over all ball centers of the ply at that

@@ -10,6 +10,7 @@ import (
 	"sepdc/internal/pointgen"
 	"sepdc/internal/pts"
 	"sepdc/internal/vec"
+	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
@@ -82,23 +83,10 @@ func TestPartitionSeparationInvariant(t *testing.T) {
 	in, out, _ := sys.Partition(sep)
 	for _, i := range in {
 		for _, j := range out {
-			if sys.Ball(i).Intersects(sys.Ball(j)) {
+			if r := sys.Radii[i] + sys.Radii[j]; vec.Dist2(sys.Centers[i], sys.Centers[j]) <= r*r+geom.Eps {
 				t.Fatalf("interior ball %d intersects exterior ball %d", i, j)
 			}
 		}
-	}
-}
-
-func TestSplitPoints(t *testing.T) {
-	pts := []vec.Vec{vec.Of(0, 0), vec.Of(2, 0), vec.Of(1, 0)}
-	sep := geom.Sphere{Center: vec.Of(0, 0), Radius: 1}
-	in, out := SplitPoints(pts, sep)
-	// On-sphere point (1,0) goes to the interior per the paper's rule.
-	if len(in) != 2 || in[0] != 0 || in[1] != 2 {
-		t.Errorf("interior = %v", in)
-	}
-	if len(out) != 1 || out[0] != 1 {
-		t.Errorf("exterior = %v", out)
 	}
 }
 
@@ -190,20 +178,6 @@ func TestKissingNumberValues(t *testing.T) {
 	}
 }
 
-func TestPlyAt(t *testing.T) {
-	sys := &System{
-		Centers: []vec.Vec{vec.Of(0, 0), vec.Of(1, 0)},
-		Radii:   []float64{2, 2},
-	}
-	idx := NewBallIndex(sys)
-	if got := sys.PlyAt(vec.Of(0.5, 0), idx); got != 2 {
-		t.Errorf("PlyAt = %d, want 2", got)
-	}
-	if got := sys.PlyAt(vec.Of(10, 0), idx); got != 0 {
-		t.Errorf("PlyAt far = %d, want 0", got)
-	}
-}
-
 // TestKNeighborhoodFlatMatchesBrute requires every radius to equal, bit for
 // bit, the brute-force distance to the k-th canonical neighbor. The
 // tie-heavy inputs (one vertical line, coincident copies, an integer
@@ -231,7 +205,7 @@ func TestKNeighborhoodFlatMatchesBrute(t *testing.T) {
 	inputs["line"], inputs["coincident"], inputs["lattice"] = line, same, lattice
 	for name, points := range inputs {
 		for _, k := range []int{1, 4, 8} {
-			sys := KNeighborhoodFlat(pts.FromVecs(points), k)
+			sys := KNeighborhoodFlat(pts.FromVecs(points), k, nil)
 			wrapped := KNeighborhood(points, k)
 			for i := range points {
 				r2, _ := brute.KNN(points, i, k).Radius2()
@@ -245,6 +219,24 @@ func TestKNeighborhoodFlatMatchesBrute(t *testing.T) {
 				if !vec.Equal(sys.Centers[i], points[i]) {
 					t.Fatalf("%s k=%d: center %d = %v, want %v", name, k, i, sys.Centers[i], points[i])
 				}
+			}
+		}
+	}
+}
+
+// TestKNeighborhoodFlatParallel requires the radii computed in chunks on
+// a four-worker machine to equal, bit for bit, those computed on the
+// calling goroutine, over enough points to span several chunks.
+func TestKNeighborhoodFlatParallel(t *testing.T) {
+	m := vm.NewMachine(4)
+	defer m.Close()
+	n := 3*radiiChunk + 123
+	for _, d := range []int{2, 3} {
+		ps := pts.FromVecs(pointgen.MustGenerate(pointgen.Clustered, n, d, xrand.New(uint64(d))))
+		seq, par := KNeighborhoodFlat(ps, 4, nil), KNeighborhoodFlat(ps, 4, m)
+		for i, r := range seq.Radii {
+			if math.Float64bits(par.Radii[i]) != math.Float64bits(r) {
+				t.Fatalf("d=%d: radius %d = %v in parallel, %v sequential", d, i, par.Radii[i], r)
 			}
 		}
 	}

@@ -35,7 +35,6 @@ package obs
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -415,10 +414,3 @@ func (r *BuildReport) PhaseSeconds(name string) float64 {
 
 // PhaseNames lists the phase keys in recursion order.
 func PhaseNames() []string { return append([]string(nil), phaseNames[:]...) }
-
-// CounterNames lists the deterministic counter keys, sorted.
-func CounterNames() []string {
-	out := append([]string(nil), counterNames[:]...)
-	sort.Strings(out)
-	return out
-}

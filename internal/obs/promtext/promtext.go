@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -335,9 +334,4 @@ func formatValue(v float64) string {
 		return "NaN"
 	}
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortLabels orders labels by name, the conventional exposition order.
-func SortLabels(labels []Label) {
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
 }

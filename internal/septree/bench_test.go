@@ -6,6 +6,7 @@ import (
 
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
@@ -23,6 +24,30 @@ func BenchmarkBuildSequential(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := Build(sys, g.Split(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuild times one build of n = 2^16 balls (d = 2, k = 4) on
+// the sequential machine and on GOMAXPROCS workers; run it at -cpu 1,2
+// to see the fork-join's gain and its cost on one core.
+func BenchmarkBuild(b *testing.B) {
+	g := xrand.New(5)
+	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformBall, 1<<16, 2, g))
+	sys := nbrsys.KNeighborhood(pts, 4)
+	for _, c := range []struct {
+		name string
+		m    func() *vm.Machine
+	}{{"seq", vm.Sequential}, {"par", func() *vm.Machine { return vm.NewMachine(0) }}} {
+		b.Run(c.name, func(b *testing.B) {
+			m := c.m()
+			defer m.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(sys, g.Split(), &Options{Machine: m}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // Frozen is the separator tree: a structure-of-arrays layout with no
-// per-node pointers on the descent path. Build writes it directly and
-// it is immutable afterwards, so any number of goroutines may query one
+// per-node pointers on the descent path. Build lays it out once and it
+// is immutable afterwards, so any number of goroutines may query one
 // Frozen concurrently:
 //
 //   - Nodes are stored with sibling pairs adjacent, so an internal node
@@ -91,8 +91,8 @@ const (
 // enough that the top of every subtree stays resident across queries.
 const blockLevels = 3
 
-// blockedOrder returns f's node ids in pair-blocked van Emde Boas-ish
-// order. The traversal unit is a sibling pair (the root is a singleton
+// blockedOrder returns the node ids of the tree that kind and child
+// describe in pair-blocked van Emde Boas-ish order. The traversal unit is a sibling pair (the root is a singleton
 // unit): each unit is expanded breadth-first for blockLevels levels —
 // that prefix is the block, stored contiguously — and the sibling pairs
 // left on the frontier become child units, pushed so the leftmost
@@ -100,8 +100,8 @@ const blockLevels = 3
 // Sibling adjacency holds everywhere: within a block children are
 // appended in left,right pairs, and across blocks a pair enters as one
 // unit and opens its block together.
-func blockedOrder(f *Frozen) []int32 {
-	order := make([]int32, 0, len(f.kind))
+func blockedOrder(kind []uint8, child []int32) []int32 {
+	order := make([]int32, 0, len(kind))
 	var stack []int32 // left ids of the sibling pairs whose blocks are pending
 	level := []int32{0}
 	var next []int32
@@ -110,8 +110,8 @@ func blockedOrder(f *Frozen) []int32 {
 			order = append(order, level...)
 			next = next[:0]
 			for _, nd := range level {
-				if f.kind[nd] != kindLeaf {
-					next = append(next, f.child[nd], f.child[nd]+1)
+				if kind[nd] != kindLeaf {
+					next = append(next, child[nd], child[nd]+1)
 				}
 			}
 			level, next = next, level
@@ -130,53 +130,56 @@ func blockedOrder(f *Frozen) []int32 {
 	}
 }
 
-// permute returns f renumbered so that node order[i] becomes node i.
-// order must list every node once, root first, with every sibling pair
-// adjacent. Leaf slots are renumbered in the order their leaves appear,
-// and the leaf ids and inlined records are laid out at their exact
-// size. The dispatch kernels are captured from the active tier
-// (KNN_KERNELS / vec.SetActiveTier). The strided form is nil on tiers
-// or builds without assembly, which ScanLeaf treats as "use the
-// four-wide path". The generic tier captures no batch kernels at all,
-// so a KNN_KERNELS=generic run exercises the pre-dispatch arithmetic
-// end to end.
-func (f *Frozen) permute(order []int32) *Frozen {
-	nn, ns := len(order), f.nstride
+// layout returns the Frozen tree over sys that t makes when node
+// order[i] becomes node i. order must list every node once, root first,
+// with every sibling pair adjacent. Leaf slots are renumbered in the
+// order their leaves appear, and the leaf ids and inlined records are
+// laid out at their exact size. The dispatch kernels are captured from
+// the active tier (KNN_KERNELS / vec.SetActiveTier). The strided form
+// is nil on tiers or builds without assembly, which ScanLeaf treats as
+// "use the four-wide path". The generic tier captures no batch kernels
+// at all, so a KNN_KERNELS=generic run exercises the pre-dispatch
+// arithmetic end to end.
+func (t *draft) layout(sys *nbrsys.System, dim int, order []int32) *Frozen {
+	nn, ns := len(order), t.nstride
 	pos := make([]int32, nn)
 	for i, b := range order {
 		pos[b] = int32(i)
 	}
+	stored := 0
+	for _, ids := range t.leaves {
+		stored += len(ids)
+	}
 	p := &Frozen{
-		dim: f.dim, stride: f.stride, nstride: ns,
+		dim: dim, stride: dim + 1, nstride: ns,
 		kind:      make([]uint8, nn),
 		child:     make([]int32, nn),
 		sep:       make([]float64, nn*ns),
 		punted:    make([]bool, nn),
-		leafOff:   make([]int32, 1, len(f.leafOff)),
-		leafBalls: make([]int32, 0, len(f.leafBalls)),
-		leafRecs:  make([]float64, 0, len(f.leafBalls)*f.stride),
-		sys:       f.sys,
-		stats:     f.stats,
-		dist2:     vec.Dist2Kernel(f.dim),
-		dot:       vec.DotKernel(f.dim),
+		leafOff:   make([]int32, 1, len(t.leaves)+1),
+		leafBalls: make([]int32, 0, stored),
+		leafRecs:  make([]float64, 0, stored*(dim+1)),
+		sys:       sys,
+		stats:     t.stats,
+		dist2:     vec.Dist2Kernel(dim),
+		dot:       vec.DotKernel(dim),
 	}
 	if vec.ActiveTier() != vec.TierGeneric {
-		p.batch4 = vec.Dist2Batch4Kernel(f.dim)
-		p.strided8 = vec.Dist2Strided8Kernel(f.dim)
+		p.batch4 = vec.Dist2Batch4Kernel(dim)
+		p.strided8 = vec.Dist2Strided8Kernel(dim)
 	}
 	for i, b := range order {
-		p.kind[i], p.punted[i] = f.kind[b], f.punted[b]
-		copy(p.sep[i*ns:(i+1)*ns], f.sep[int(b)*ns:])
-		if f.kind[b] != kindLeaf {
-			p.child[i] = pos[f.child[b]]
+		p.kind[i], p.punted[i] = t.kind[b], t.punted[b]
+		copy(p.sep[i*ns:(i+1)*ns], t.sep[int(b)*ns:])
+		if t.kind[b] != kindLeaf {
+			p.child[i] = pos[t.child[b]]
 			continue
 		}
 		p.child[i] = int32(len(p.leafOff) - 1)
-		slot := f.child[b]
-		for _, id := range f.leafBalls[f.leafOff[slot]:f.leafOff[slot+1]] {
-			r := f.sys.Radii[id]
+		for _, id := range t.leaves[t.child[b]] {
+			r := sys.Radii[id]
 			p.leafBalls = append(p.leafBalls, id)
-			p.leafRecs = append(append(p.leafRecs, f.sys.Centers[id]...), r*r)
+			p.leafRecs = append(append(p.leafRecs, sys.Centers[id]...), r*r)
 		}
 		p.leafOff = append(p.leafOff, int32(len(p.leafBalls)))
 	}

@@ -22,6 +22,15 @@ func breadthFirst(f *Frozen) []int32 {
 	return order
 }
 
+// permute lays f out again with node order[i] as node i.
+func permute(f *Frozen, order []int32) *Frozen {
+	t := &draft{nstride: f.nstride, kind: f.kind, child: f.child, sep: f.sep, punted: f.punted, stats: f.stats}
+	for s := range f.NumLeaves() {
+		t.leaves = append(t.leaves, f.leafBalls[f.leafOff[s]:f.leafOff[s+1]])
+	}
+	return t.layout(f.sys, f.dim, order)
+}
+
 // TestLayoutsBitIdentical lays the same tree out in the pair-blocked
 // order Build emits and in a breadth-first order, and checks every
 // query observable — ids, order, nodes visited, candidates scanned — is
@@ -37,7 +46,7 @@ func TestLayoutsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bfs := blocked.permute(breadthFirst(blocked))
+		bfs := permute(blocked, breadthFirst(blocked))
 		if err := bfs.Validate(); err != nil {
 			t.Fatalf("d=%d bfs: %v", d, err)
 		}
@@ -87,7 +96,7 @@ func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
 	if blocked.kind[0] != kindLeaf {
 		t.Fatal("root is not a leaf")
 	}
-	bfs := blocked.permute(breadthFirst(blocked))
+	bfs := permute(blocked, breadthFirst(blocked))
 	var bOut, fOut []int
 	for _, q := range queryMix(pts, 2, 100, 77) {
 		bOut, _, _ = blocked.Covering(q, bOut[:0])
@@ -107,8 +116,8 @@ func TestLayoutsBitIdenticalForcedLeaf(t *testing.T) {
 // blocked order.
 func TestBlockedOrderPermutation(t *testing.T) {
 	f, _ := buildUniform(t, 1500, 3, 3, 19, nil)
-	bfs := f.permute(breadthFirst(f))
-	order := blockedOrder(bfs)
+	bfs := permute(f, breadthFirst(f))
+	order := blockedOrder(bfs.kind, bfs.child)
 	if len(order) != bfs.NumNodes() {
 		t.Fatalf("blocked order has %d nodes, tree %d", len(order), bfs.NumNodes())
 	}
@@ -133,10 +142,10 @@ func TestBlockedOrderPermutation(t *testing.T) {
 	if order[0] != 0 {
 		t.Fatal("root is not node 0 in blocked order")
 	}
-	if frozenHash(bfs.permute(order)) != frozenHash(f) {
+	if frozenHash(permute(bfs, order)) != frozenHash(f) {
 		t.Fatal("permuting the breadth-first tree into blocked order does not give Build's tree")
 	}
-	for i, nd := range blockedOrder(f) {
+	for i, nd := range blockedOrder(f.kind, f.child) {
 		if nd != int32(i) {
 			t.Fatalf("Build's tree is not in blocked order: position %d holds node %d", i, nd)
 		}

@@ -43,6 +43,20 @@ func frozenHash(f *Frozen) uint64 {
 	return h.Sum64()
 }
 
+// puntedHash is an FNV-1a digest of the per-node punted flags, one
+// byte each.
+func puntedHash(f *Frozen) uint64 {
+	h := fnv.New64a()
+	for _, p := range f.punted {
+		if p {
+			h.Write([]byte{1})
+		} else {
+			h.Write([]byte{0})
+		}
+	}
+	return h.Sum64()
+}
+
 // TestNodeNumberingPinned pins the layout, the punted flags and the
 // build statistics of fixed-seed builds, two of them under
 // separator-fault profiles so that punted (hyperplane) nodes occur: at
@@ -98,21 +112,71 @@ func TestNodeNumberingPinned(t *testing.T) {
 		if h := frozenHash(f); h != c.hash {
 			t.Errorf("%s: layout digest %#x, want %#x", c.name, h, c.hash)
 		}
-		ph := fnv.New64a()
-		for _, p := range f.punted {
-			if p {
-				ph.Write([]byte{1})
-			} else {
-				ph.Write([]byte{0})
-			}
-		}
-		if h := ph.Sum64(); h != c.punted {
+		if h := puntedHash(f); h != c.punted {
 			t.Errorf("%s: punted-flag digest %#x, want %#x", c.name, h, c.punted)
 		}
 		if f.Stats() != c.stats {
 			t.Errorf("%s: stats %+v, want %+v", c.name, f.Stats(), c.stats)
 		}
 		if err := f.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// TestParallelBuildIdentical builds inputs large enough that many
+// splits fork onto other workers, once on the sequential machine and
+// once on four workers, and requires the same layout, punted flags and
+// statistics, simulated cost included. Which worker built which
+// subtree, and so the draft's build-order ids, must not show in the
+// result.
+func TestParallelBuildIdentical(t *testing.T) {
+	cases := []struct {
+		name  string
+		n, d  int
+		chaos string
+	}{
+		{name: "d2", n: 20000, d: 2},
+		{name: "d3", n: 20000, d: 3},
+		{name: "d2-sep-fail-16", n: 20000, d: 2, chaos: "sep-fail=16"},
+	}
+	par := vm.NewMachine(4)
+	defer par.Close()
+	for i, c := range cases {
+		g := xrand.New(uint64(200 + i))
+		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Clustered, c.n, c.d, g.Split()))
+		sys := nbrsys.KNeighborhood(pts, 4)
+		var sep *separator.Options
+		if c.chaos != "" {
+			inj, err := chaos.Parse(c.chaos)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sep = &separator.Options{Chaos: inj}
+		}
+		seed := g.Uint64()
+		var trees [2]*Frozen
+		for j, m := range []*vm.Machine{vm.Sequential(), par} {
+			f, err := Build(sys, xrand.New(seed), &Options{Sep: sep, Machine: m})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			trees[j] = f
+		}
+		seq, got := trees[0], trees[1]
+		if seq.NumNodes() < 3 {
+			t.Fatalf("%s: %d balls built %d nodes, too few to fork", c.name, sys.Len(), seq.NumNodes())
+		}
+		if a, b := frozenHash(seq), frozenHash(got); a != b {
+			t.Errorf("%s: layout digest %#x sequential, %#x parallel", c.name, a, b)
+		}
+		if a, b := puntedHash(seq), puntedHash(got); a != b {
+			t.Errorf("%s: punted-flag digest %#x sequential, %#x parallel", c.name, a, b)
+		}
+		if seq.Stats() != got.Stats() {
+			t.Errorf("%s: stats %+v sequential, %+v parallel", c.name, seq.Stats(), got.Stats())
+		}
+		if err := got.Validate(); err != nil {
 			t.Errorf("%s: %v", c.name, err)
 		}
 	}

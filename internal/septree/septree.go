@@ -15,13 +15,16 @@
 //  4. Recurse on B_0 and B_1 in parallel.
 //
 // The tree has one representation, the flat Frozen layout. The build
-// writes its node, separator and leaf arrays directly, reserving each
-// split's two children as adjacent slots, and one permutation then
-// renumbers the nodes into the cache-blocked order queries descend.
-// The recursion runs on one goroutine; each split still forks a
-// vm.Ctx, so the build accrues the simulated vector-model cost of the
-// paper's parallel recursion. The number of separator trials on the
-// deepest root–leaf path is the quantity Theorem 3.1 bounds by O(log n).
+// writes a draft in build order, reserving each split's two children as
+// adjacent slots, and one permutation then lays it out in the
+// cache-blocked order queries descend. Every split forks a vm.Ctx, so
+// the build accrues the simulated vector-model cost of the paper's
+// parallel recursion. On a parallel Options.Machine the forks also run
+// in parallel: the left subtree is built on a worker when one is free,
+// appending to the same draft under its lock. The tree, its statistics
+// and its simulated cost do not depend on the machine. The number of
+// separator trials on the deepest root–leaf path is the quantity
+// Theorem 3.1 bounds by O(log n).
 package septree
 
 import (
@@ -29,13 +32,13 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/obs"
 	"sepdc/internal/pts"
 	"sepdc/internal/separator"
-	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
@@ -48,6 +51,9 @@ type Options struct {
 	// channel): the recursion stops descending and Build returns
 	// context.Canceled. Nil disables the probe.
 	Done <-chan struct{}
+	// Machine runs the recursion's forks on its worker pool. Nil builds
+	// on the calling goroutine alone.
+	Machine *vm.Machine
 }
 
 func (o *Options) cancelled() bool {
@@ -104,10 +110,13 @@ type BuildStats struct {
 }
 
 // Build constructs the search structure over sys. The recursion writes
-// the tree in build order, with sibling pairs adjacent and leaf slots
-// numbered in creation order, and permute then lays it out in blocked
-// order. A build whose Options.Done channel closes mid-recursion is
-// abandoned and returns context.Canceled.
+// a draft in build order, with sibling pairs adjacent and leaf slots
+// numbered in creation order, and layout then lays it out in blocked
+// order, which depends on the tree's shape alone; so does every
+// statistic, and each branch draws from an RNG split before the fork,
+// so the result is the same on any Options.Machine. A build whose
+// Options.Done channel closes mid-recursion is abandoned and returns
+// context.Canceled.
 func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
 	if err := sys.Validate(); err != nil {
 		return nil, err
@@ -123,50 +132,36 @@ func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
 		opts = &o
 	}
 	d := len(sys.Centers[0])
-	b := &builder{
-		f: &Frozen{dim: d, stride: d + 1, nstride: d + 3, sys: sys,
-			kind: []uint8{kindLeaf}, child: []int32{0}, punted: []bool{false},
-			sep: make([]float64, d+3), leafOff: []int32{0}},
-		m0:   leafSize(d, sys.K, n),
-		opts: opts,
-		ps:   pts.PointSet{Data: make([]float64, n*d), Dim: d},
-		rel:  make([]geom.Relation, n),
+	m := vm.Sequential()
+	if opts != nil && opts.Machine != nil {
+		m = opts.Machine
 	}
-	ctx := vm.Sequential().NewCtx()
+	// The draft's root is an unwritten slot.
+	t := &draft{nstride: d + 3, kind: []uint8{kindLeaf}, child: []int32{0},
+		punted: []bool{false}, sep: make([]float64, d+3)}
+	b := &builder{t: t, sys: sys, dim: d, m0: leafSize(d, sys.K, n), opts: opts,
+		scr: &scratchPool{}}
+	ctx := m.NewCtx()
 	b.build(0, allBalls(n), g, ctx, 1, 0)
 	if opts.cancelled() {
 		// Cancellation leaves subtrees unbuilt; the partial tree is
 		// unusable, so report the abort.
 		return nil, context.Canceled
 	}
-	st := &b.f.stats
-	st.Leaves, st.TotalStored, st.Cost = b.f.NumLeaves(), b.f.StoredBalls(), ctx.Cost()
+	f := t.layout(sys, d, blockedOrder(t.kind, t.child))
+	st := &f.stats
+	st.Leaves, st.TotalStored, st.Cost = f.NumLeaves(), f.StoredBalls(), ctx.Cost()
 	if obs.On() {
 		obs.Add(obs.GSeptreeBuilds, 1)
 		obs.Add(obs.GSeptreeForced, int64(st.ForcedLeaves))
 	}
-	return b.f.permute(blockedOrder(b.f)), nil
+	return f, nil
 }
 
 // Freeze returns f unchanged. Build already returns the flat query
 // layout; Freeze exists only so that the perfbench module, which times
 // a build-then-freeze sequence, keeps compiling.
 func Freeze(f *Frozen) (*Frozen, error) { return f, nil }
-
-// BuildContext is Build under a context: the context's Done channel is
-// installed as Options.Done and a cancelled build returns ctx.Err().
-func BuildContext(cx context.Context, sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
-	o := Options{}
-	if opts != nil {
-		o = *opts
-	}
-	o.Done = cx.Done()
-	f, err := Build(sys, g, &o)
-	if err != nil && cx.Err() != nil {
-		return nil, cx.Err()
-	}
-	return f, err
-}
 
 // allBalls returns the ids 0..n-1, the root's ball list.
 func allBalls(n int) []int32 {
@@ -181,59 +176,120 @@ func allBalls(n int) []int32 {
 // outside s, r those not wholly inside, so crossing balls go to both
 // (Section 3.2). Both keep idx's order and are allocated at their exact
 // size; rel is scratch of at least len(idx).
-func partition(sys *nbrsys.System, s geom.Separator, idx []int32, rel []geom.Relation) (l, r []int32) {
+func partition(sys *nbrsys.System, s geom.Separator, idx []int32, rel []int8) (l, r []int32) {
 	nl, nr := 0, 0
 	for i, j := range idx {
-		rel[i] = s.ClassifyBall(sys.Centers[j], sys.Radii[j])
-		if rel[i] != geom.Exterior {
+		c := s.ClassifyBall(sys.Centers[j], sys.Radii[j])
+		rel[i] = int8(c)
+		if c != geom.Exterior {
 			nl++
 		}
-		if rel[i] != geom.Interior {
+		if c != geom.Interior {
 			nr++
 		}
 	}
 	l, r = make([]int32, 0, nl), make([]int32, 0, nr)
 	for i, j := range idx {
-		if rel[i] != geom.Exterior {
+		if rel[i] != int8(geom.Exterior) {
 			l = append(l, j)
 		}
-		if rel[i] != geom.Interior {
+		if rel[i] != int8(geom.Interior) {
 			r = append(r, j)
 		}
 	}
 	return l, r
 }
 
-// builder holds one build's output and its per-node scratch. The
-// recursion is sequential, so a node's scratch is free again by the
-// time its children run.
-type builder struct {
-	f    *Frozen // the tree in build order, stats accumulated as it grows
-	m0   int
-	opts *Options
-	ps   pts.PointSet    // the node's centers, the separator search's input
-	rel  []geom.Relation // the node's ball classifications
+// scratch is one node's working memory while it is split: its centers,
+// the separator search's input, and its balls' classifications.
+type scratch struct {
+	ps  []float64
+	rel []int8
 }
 
-// count folds node id into the build statistics.
+// scratchPool lends node scratch to one build. A node holds its
+// scratch only through its separator search and partition, so a build
+// keeps about one buffer per strand. A node no free buffer can hold
+// replaces one with a buffer of exactly its size, so a strand's scratch
+// is sized to its own subproblem. The pool dies with the build, before
+// layout.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+func (p *scratchPool) get(m, dim int) *scratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, s := range p.free {
+		if len(s.rel) >= m && (best < 0 || len(s.rel) < len(p.free[best].rel)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		if len(p.free) > 0 {
+			p.free = p.free[1:]
+		}
+		return &scratch{ps: make([]float64, m*dim), rel: make([]int8, m)}
+	}
+	s := p.free[best]
+	p.free = append(p.free[:best], p.free[best+1:]...)
+	return s
+}
+
+func (p *scratchPool) put(s *scratch) {
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
+
+// draft is a tree as the recursion writes it, in build order: each
+// split appends its two children as adjacent slots, and each leaf keeps
+// the ball-id slice its parent's partition allocated, so no id is
+// copied until layout. Strands append under mu, so on a parallel
+// machine the ids interleave by schedule; layout renumbers by shape.
+type draft struct {
+	mu      sync.Mutex
+	nstride int
+	kind    []uint8
+	child   []int32   // internal: left child id; leaf: index into leaves
+	sep     []float64 // per node: nstride floats of separator geometry
+	punted  []bool
+	leaves  [][]int32 // per leaf slot, its ascending ball ids
+	stats   BuildStats
+}
+
+// builder runs the recursion, writing into the draft t.
+type builder struct {
+	t    *draft
+	sys  *nbrsys.System
+	dim  int
+	m0   int
+	opts *Options
+	scr  *scratchPool
+}
+
+// count folds node id into the build statistics; t.mu is held.
 func (b *builder) count(id int32, depth, trials int, punted bool) {
-	st := &b.f.stats
+	st := &b.t.stats
 	st.Height = max(st.Height, depth)
 	st.SeparatorTrials += trials
 	if punted {
 		st.Punts++
-		b.f.punted[id] = true
+		b.t.punted[id] = true
 	}
 }
 
 // leaf writes node id as a leaf holding idx, whose ids are ascending.
 func (b *builder) leaf(id int32, idx []int32, depth, trials, trialSum int, punted, forced bool) {
+	t := b.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	b.count(id, depth, trials, punted)
-	f := b.f
-	f.child[id] = int32(len(f.leafOff) - 1)
-	f.leafBalls = append(f.leafBalls, idx...)
-	f.leafOff = append(f.leafOff, int32(len(f.leafBalls)))
-	st := &f.stats
+	t.child[id] = int32(len(t.leaves))
+	t.leaves = append(t.leaves, idx)
+	st := &t.stats
 	st.CriticalTrials = max(st.CriticalTrials, trialSum+trials)
 	if forced {
 		st.ForcedLeaves++
@@ -244,25 +300,27 @@ func (b *builder) leaf(id int32, idx []int32, depth, trials, trialSum int, punte
 // appends its two children as adjacent unwritten slots, returning the
 // left one's id.
 func (b *builder) split(id int32, s geom.Separator, depth, trials int, punted bool) (left int32) {
+	t, dim, ns := b.t, b.dim, b.t.nstride
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	b.count(id, depth, trials, punted)
-	f := b.f
-	left = int32(len(f.kind))
-	f.kind = append(f.kind, kindLeaf, kindLeaf)
-	f.child = append(f.child, 0, 0)
-	f.punted = append(f.punted, false, false)
-	f.sep = append(f.sep, make([]float64, 2*f.nstride)...)
-	f.child[id] = left
-	rec := f.sep[int(id)*f.nstride : int(id+1)*f.nstride]
+	left = int32(len(t.kind))
+	t.kind = append(t.kind, kindLeaf, kindLeaf)
+	t.child = append(t.child, 0, 0)
+	t.punted = append(t.punted, false, false)
+	t.sep = append(t.sep, make([]float64, 2*ns)...)
+	t.child[id] = left
+	rec := t.sep[int(id)*ns : int(id+1)*ns]
 	switch s := s.(type) {
 	case geom.Sphere:
-		f.kind[id] = kindSphere
+		t.kind[id] = kindSphere
 		copy(rec, s.Center)
-		rec[f.dim] = s.Radius
-		rec[f.dim+1], rec[f.dim+2] = sqrtFreeBand(s.Radius)
+		rec[dim] = s.Radius
+		rec[dim+1], rec[dim+2] = sqrtFreeBand(s.Radius)
 	case geom.Halfspace:
-		f.kind[id] = kindHalf
+		t.kind[id] = kindHalf
 		copy(rec, s.Normal)
-		rec[f.dim] = s.Offset
+		rec[dim] = s.Offset
 	default:
 		panic(fmt.Sprintf("septree: unsupported separator type %T", s))
 	}
@@ -282,8 +340,9 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 		b.leaf(id, idx, depth, 0, trialSum, false, false)
 		return
 	}
-	sys, dim := b.f.sys, b.f.dim
-	ps := &pts.PointSet{Data: b.ps.Data[:m*dim], Dim: dim}
+	sys, dim := b.sys, b.dim
+	scr := b.scr.get(m, dim)
+	ps := &pts.PointSet{Data: scr.ps[:m*dim], Dim: dim}
 	for i, j := range idx {
 		copy(ps.Data[i*dim:], sys.Centers[j])
 	}
@@ -291,6 +350,7 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 	for attempt := 0; ; attempt++ {
 		res, err := separator.FindGoodFlat(ps, g.Split(), b.opts.sep())
 		if err != nil {
+			b.scr.put(scr)
 			if b.opts.cancelled() {
 				return
 			}
@@ -306,7 +366,7 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 
 		// Classify the node's balls against the separator; crossing balls
 		// are duplicated into both children.
-		l, r := partition(sys, res.Sep, idx, b.rel)
+		l, r := partition(sys, res.Sep, idx, scr.rel)
 		ctx.PrimK(2, m) // classify + pack
 
 		// Progress guard: crossing-ball duplication must not be allowed to
@@ -323,13 +383,8 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 		}
 		if len(l) <= limit && len(r) <= limit && len(l) > 0 && len(r) > 0 {
 			left := b.split(id, res.Sep, depth, trials, punted)
-			// Split the RNG before forking so the stream handed to each
-			// branch does not depend on execution order.
-			gl, gr := g.Split(), g.Split()
-			ctx.Fork(
-				func(c *vm.Ctx) { b.build(left, l, gl, c, depth+1, trialSum+trials) },
-				func(c *vm.Ctx) { b.build(left+1, r, gr, c, depth+1, trialSum+trials) },
-			)
+			b.scr.put(scr)
+			b.fork(left, l, r, g, ctx, depth+1, trialSum+trials)
 			return
 		}
 		if attempt >= retriesOnNoProgress {
@@ -337,6 +392,7 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 			// (legitimately possible when ball radii are huge relative to
 			// the subset's extent). An oversized leaf keeps queries correct
 			// at O(m) leaf-scan cost.
+			b.scr.put(scr)
 			ctx.Prim(m)
 			b.leaf(id, idx, depth, trials, trialSum, punted, true)
 			return
@@ -344,88 +400,23 @@ func (b *builder) build(id int32, idx []int32, g *xrand.RNG, ctx *vm.Ctx, depth,
 	}
 }
 
-// Validate checks the structural invariants the correctness proof and
-// the flat descent rely on, for tests and debugging:
-//
-//  1. shape: every node is reached from the root 0 exactly once, so
-//     sibling pairs neither overlap nor share; every internal node's
-//     children left, left+1 are in range; every leaf slot belongs to
-//     exactly one leaf;
-//  2. leaf order: every leaf's ball ids are strictly ascending, and its
-//     inlined records hold each ball's center and r² bit for bit;
-//  3. containment and completeness: every leaf stores exactly the balls
-//     its ancestors' separators admit (the interior side for left
-//     subtrees, the exterior side for right, crossing balls on both), so
-//     no ball is stored outside its region and none is missing from a
-//     leaf its geometry reaches; every ball is stored somewhere.
-func (f *Frozen) Validate() error {
-	nn, sys := len(f.kind), f.sys
-	if nn == 0 || len(f.child) != nn || len(f.punted) != nn || len(f.sep) != nn*f.nstride ||
-		len(f.leafRecs) != len(f.leafBalls)*f.stride {
-		return errors.New("septree: arrays disagree in length")
-	}
-	seen, slots, stored := make([]bool, nn), make([]bool, f.NumLeaves()), make([]bool, sys.Len())
-	rel := make([]geom.Relation, sys.Len())
-	leaves := 0
-	// walk checks that the subtree at node i stores exactly the balls
-	// idx, the ones its ancestors admit.
-	var walk func(i int32, idx []int32) error
-	walk = func(i int32, idx []int32) error {
-		if seen[i] {
-			return fmt.Errorf("septree: node %d reached twice", i)
-		}
-		seen[i] = true
-		c := f.child[i]
-		if f.kind[i] != kindLeaf {
-			if c <= 0 || int(c)+1 >= nn {
-				return fmt.Errorf("septree: node %d has children %d,%d out of range", i, c, c+1)
-			}
-			sep, _, _ := f.Node(i)
-			l, r := partition(sys, sep, idx, rel)
-			if err := walk(c, l); err != nil {
-				return err
-			}
-			return walk(c+1, r)
-		}
-		if c < 0 || int(c) >= len(slots) || slots[c] {
-			return fmt.Errorf("septree: leaf %d has slot %d out of range or shared", i, c)
-		}
-		slots[c] = true
-		leaves++
-		lo, hi := f.leafOff[c], f.leafOff[c+1]
-		if lo > hi || int(hi) > len(f.leafBalls) || int(hi-lo) != len(idx) {
-			return fmt.Errorf("septree: leaf %d stores balls [%d,%d), its region admits %d", i, lo, hi, len(idx))
-		}
-		for k, b := range f.leafBalls[lo:hi] {
-			if k > 0 && f.leafBalls[int(lo)+k-1] >= b {
-				return fmt.Errorf("septree: leaf %d ids not ascending at %d", i, k)
-			}
-			if b != idx[k] {
-				return fmt.Errorf("septree: leaf %d stores ball %d where its region admits ball %d", i, b, idx[k])
-			}
-			rec, r := f.leafRecs[(int(lo)+k)*f.stride:][:f.stride], sys.Radii[b]
-			if !vec.Equal(rec[:f.dim], sys.Centers[b]) || rec[f.dim] != r*r {
-				return fmt.Errorf("septree: leaf %d record of ball %d disagrees with the system", i, b)
-			}
-			stored[b] = true
-		}
-		return nil
-	}
-	if err := walk(0, allBalls(sys.Len())); err != nil {
-		return err
-	}
-	for i, ok := range seen {
-		if !ok {
-			return fmt.Errorf("septree: node %d unreachable from the root", i)
-		}
-	}
-	if leaves != len(slots) {
-		return fmt.Errorf("septree: %d leaves for %d leaf slots", leaves, len(slots))
-	}
-	for i, ok := range stored {
-		if !ok {
-			return fmt.Errorf("septree: ball %d not stored in any leaf", i)
-		}
-	}
-	return nil
+// fork builds the sibling pair left, left+1 over the balls l and r.
+func (b *builder) fork(left int32, l, r []int32, g *xrand.RNG, ctx *vm.Ctx, depth, trialSum int) {
+	// Split the RNG before forking so the stream handed to each branch
+	// does not depend on execution order. Each branch takes its list out
+	// of the closure, so the list dies once its node is partitioned
+	// rather than when the fork returns.
+	gl, gr := g.Split(), g.Split()
+	ctx.Fork(
+		func(c *vm.Ctx) {
+			idx := l
+			l = nil
+			b.build(left, idx, gl, c, depth, trialSum)
+		},
+		func(c *vm.Ctx) {
+			idx := r
+			r = nil
+			b.build(left+1, idx, gr, c, depth, trialSum)
+		},
+	)
 }

@@ -224,7 +224,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal("tree degenerated to a leaf")
 	}
 	// Permuting by the identity order copies the tree into fresh arrays.
-	fresh := func() *Frozen { return f.permute(allBalls(f.NumNodes())) }
+	fresh := func() *Frozen { return permute(f, allBalls(f.NumNodes())) }
 	if err := fresh().Validate(); err != nil {
 		t.Fatalf("identity copy: %v", err)
 	}

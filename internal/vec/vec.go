@@ -168,15 +168,6 @@ func DotFlat(a, b []float64) float64 {
 	return s
 }
 
-// Norm2Flat is Norm2 on a raw coordinate slice.
-func Norm2Flat(a []float64) float64 {
-	var s float64
-	for _, x := range a {
-		s += x * x
-	}
-	return s
-}
-
 // Normalize returns v/|v| as a new vector. It panics when v is (numerically)
 // the zero vector because a direction cannot be derived from it.
 func Normalize(v Vec) Vec {

@@ -174,6 +174,16 @@ func BuildKNNGraphContext(ctx context.Context, points [][]float64, k int, opts *
 	return buildFromPointSet(ctx, ps, k, opts)
 }
 
+// newMachine returns a machine of the given workers (0 = GOMAXPROCS).
+// A chaos worker stall rides on its pool as a pre-task hook, cut short
+// when done closes, so a stalled build still cancels promptly.
+func newMachine(workers int, inj *chaos.Injector, done <-chan struct{}) *vm.Machine {
+	if inj.StallDuration() > 0 {
+		return vm.NewMachineHooked(workers, func() { inj.Stall(done) })
+	}
+	return vm.NewMachine(workers)
+}
+
 // buildFromPointSet is the flat-storage core of BuildKNNGraph, shared with
 // FindGraphSeparator so a caller that already holds a PointSet does not pay
 // a second [][]float64 round trip.
@@ -214,15 +224,9 @@ func buildFromPointSet(ctx context.Context, ps *pts.PointSet, k int, opts *Optio
 		// Workers == 1 gets the same Machine code path as every other
 		// setting (NewMachine(1) is the sequential executor), so the cost
 		// accounting in Stats is produced identically regardless of the
-		// parallelism setting. A chaos worker stall rides on the machine's
-		// pool as a pre-task hook; the build's context cuts it short so a
-		// stalled build still cancels promptly.
-		if d := inj.StallDuration(); d > 0 {
-			done := ctx.Done()
-			cOpts.Machine = vm.NewMachineHooked(workers, func() { inj.Stall(done) })
-		} else {
-			cOpts.Machine = vm.NewMachine(workers)
-		}
+		// parallelism setting.
+		cOpts.Machine = newMachine(workers, inj, ctx.Done())
+		defer cOpts.Machine.Close()
 		g := xrand.New(opts.seed())
 		var res *core.Result
 		var err error

@@ -61,9 +61,12 @@ func NewQueryStructure(points [][]float64, k int, seed uint64) (*QueryStructure,
 // separator-tree construction observes cancellation at every node,
 // abandons the partial structure, and returns ctx.Err().
 //
-// Like BuildKNNGraph, the build honors the KNN_CHAOS environment spec:
-// separator-trial fault injection reroutes construction onto its punt
-// paths without changing any query answer.
+// The k-NN radii and the separator tree are computed on GOMAXPROCS
+// workers, as BuildKNNGraph's default is; the structure is the same for
+// any worker count. Like BuildKNNGraph, the build honors the KNN_CHAOS
+// environment spec: separator-trial fault injection reroutes
+// construction onto its punt paths, and a worker stall delays the
+// parallel tasks, without changing any query answer.
 func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, seed uint64) (*QueryStructure, error) {
 	ps, err := convert(points)
 	if err != nil {
@@ -79,13 +82,21 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var opts *septree.Options
+	// The machine starts before the k-NN radii's kd-tree is built, so
+	// its workers are parked and accept tasks by the time the searches
+	// are handed out.
+	m := newMachine(0, inj, ctx.Done())
+	defer m.Close()
+	opts := &septree.Options{Done: ctx.Done(), Machine: m}
 	if inj != nil {
-		opts = &septree.Options{Sep: &separator.Options{Chaos: inj}}
+		opts.Sep = &separator.Options{Chaos: inj}
 	}
-	sys := nbrsys.KNeighborhoodFlat(ps, k)
-	frozen, err := septree.BuildContext(ctx, sys, xrand.New(seed), opts)
+	sys := nbrsys.KNeighborhoodFlat(ps, k, m)
+	frozen, err := septree.Build(sys, xrand.New(seed), opts)
 	if err != nil {
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
 		return nil, err
 	}
 	return &QueryStructure{frozen: frozen, dim: ps.Dim, k: k}, nil

@@ -4,9 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"sepdc/internal/chaos"
+	"sepdc/internal/nbrsys"
+	"sepdc/internal/separator"
+	"sepdc/internal/septree"
 	"sepdc/internal/xrand"
 )
 
@@ -82,6 +87,56 @@ func TestGoldenCoveringBallsBatch(t *testing.T) {
 				t.Fatalf("Batcher stats not populated: %+v", st)
 			}
 		})
+	}
+}
+
+// TestParallelQueryStructureIdentical builds a query structure large
+// enough that its separator tree forks onto the worker pool and requires
+// it to equal a sequential build of the same system under the same
+// KNN_CHAOS spec: the same statistics, simulated cost included, and for
+// every query the same descent path and the same answer. Under `make
+// chaos` the stall profile delays the forked subtrees, so they finish in
+// another order.
+func TestParallelQueryStructureIdentical(t *testing.T) {
+	const n, k, seed = 12000, 4, 71
+	points := genPoints(n, 2, seed)
+	qs, err := NewQueryStructure(points, k, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := chaos.FromEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opts *septree.Options
+	if inj != nil {
+		opts = &septree.Options{Sep: &separator.Options{Chaos: inj}}
+	}
+	ps, err := convert(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := septree.Build(nbrsys.KNeighborhoodFlat(ps, k, nil), xrand.New(seed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := qs.frozen.Stats(), ref.Stats(); got != want || qs.frozen.NumNodes() != ref.NumNodes() {
+		t.Fatalf("parallel build: %d nodes, %+v; sequential: %d nodes, %+v",
+			qs.frozen.NumNodes(), got, ref.NumNodes(), want)
+	}
+	var gotPath, wantPath []int32
+	for i, q := range queryPoints(points, 1000, seed) {
+		var gotLeaf, wantLeaf int32
+		gotLeaf, gotPath = qs.frozen.DescendPath(q, gotPath[:0])
+		wantLeaf, wantPath = ref.DescendPath(q, wantPath[:0])
+		if gotLeaf != wantLeaf || !slices.Equal(gotPath, wantPath) {
+			t.Fatalf("query %d: descent %v in parallel, %v sequential", i, gotPath, wantPath)
+		}
+		got, _, _ := qs.frozen.Covering(q, nil)
+		want, _, _ := ref.Covering(q, nil)
+		if !sameInts(got, want) {
+			t.Fatalf("query %d: covering %v in parallel, %v sequential", i, got, want)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func FindSeparator(points [][]float64, k int, seed uint64) (*SeparatorResult, er
 	}
 	out := toSeparatorResult(res)
 	if k >= 1 {
-		sys := nbrsys.KNeighborhoodFlat(ps, k)
+		sys := nbrsys.KNeighborhoodFlat(ps, k, nil)
 		out.CrossingBalls = sys.IntersectionNumber(res.Sep)
 	}
 	return out, nil
