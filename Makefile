@@ -22,10 +22,23 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Regenerate the machine-readable BuildKNNGraph benchmark record
-# (includes the query-serving section: frozen vs batch).
+# Regenerate BENCH_knn.json, every section at the checked-out commit:
+# each perfbench workload for seeds 1-5 untraced plus one traced run, at
+# the 20 s BENCHMARK.json runs them for (captures kept in .bench_runs/),
+# then knnload's serve section, then knnbench, which ingests the
+# captures and measures kernels and journal. knnbench is built first so
+# its commit stamp predates the record's rewrite. Takes about half an hour.
 bench-json:
-	$(GO) run ./cmd/knnbench -out BENCH_knn.json
+	rm -rf .bench_runs && mkdir -p .bench_runs
+	$(GO) build -o .bench_runs/knnbench ./cmd/knnbench
+	for w in build query serve serve-swap; do \
+		for s in 1 2 3 4 5; do \
+			bash perfbench/run.sh --workload $$w --seed $$s --seconds 20 --trace 0 >.bench_runs/$$w-$$s.txt || exit 1; \
+		done; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 20 --trace 1 >.bench_runs/$$w-traced.txt || exit 1; \
+	done
+	./scripts/bench_serve.sh
+	.bench_runs/knnbench -out BENCH_knn.json .bench_runs/*.txt
 
 # Query-serving benchmarks: the covering-ball engines, the batched
 # adjacency accessor and the query-structure set-up they serve from,

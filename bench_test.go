@@ -269,9 +269,9 @@ func BenchmarkDensityPly(b *testing.B) {
 	}
 }
 
-// BenchmarkBuildKNNGraph is the perf-trajectory benchmark: the public entry
-// point per algorithm × n × d × k. cmd/knnbench runs the same grid and
-// writes the machine-readable BENCH_knn.json.
+// BenchmarkBuildKNNGraph times the public entry point per algorithm × n ×
+// d × k. The recorded build numbers come from perfbench's build workload
+// (BENCH_knn.json's perfbench.build section), not from this grid.
 func BenchmarkBuildKNNGraph(b *testing.B) {
 	for _, cfg := range []struct {
 		algo    Algorithm

@@ -25,7 +25,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -70,17 +69,22 @@ type ShapeResult struct {
 
 // ServeSection is the whole "serve" document.
 type ServeSection struct {
-	Generated string        `json:"generated"`
-	GoVersion string        `json:"go_version"`
-	Addr      string        `json:"addr"`
-	N         int           `json:"n"`
-	D         int           `json:"d"`
-	K         int           `json:"k"`
-	Seed      uint64        `json:"seed"`
-	Golden    bool          `json:"golden_checked"`
-	Note      string        `json:"note"`
-	Shapes    []ShapeResult `json:"shapes"`
+	benchfile.Header
+	Addr   string        `json:"addr"`
+	N      int           `json:"n"`
+	D      int           `json:"d"`
+	K      int           `json:"k"`
+	Seed   uint64        `json:"seed"`
+	Golden bool          `json:"golden_checked"`
+	Shapes []ShapeResult `json:"shapes"`
 }
+
+// serveProtocol is the serve section's protocol.
+const serveProtocol = "knnload against a local knnserve: binary wire protocol, per-request wall-time " +
+	"percentiles under concurrent load; rejected = 503 admission sheds (not errors); swap shape issues " +
+	"POST /swap on a fixed cadence during load and runs past its request budget until the first swap " +
+	"returns — golden_failures counts answers differing from a locally built reference structure over " +
+	"the same point set"
 
 type loadConfig struct {
 	addr    string
@@ -430,7 +434,7 @@ func hashShape(s string) uint64 {
 // record's one writer, leaving every other section byte-identical (this
 // tool owns only the "serve" key).
 func mergeBench(path string, sec *ServeSection) error {
-	return benchfile.Update(path, false, func(rep *benchfile.Report) error {
+	return benchfile.Update(path, func(rep *benchfile.Report) error {
 		var err error
 		rep.Serve, err = json.Marshal(sec)
 		return err
@@ -468,16 +472,16 @@ func main() {
 	}
 
 	sec := &ServeSection{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Addr:      *addr,
-		N:         *n, D: *d, K: *k, Seed: *seed,
+		Addr: *addr,
+		N:    *n, D: *d, K: *k, Seed: *seed,
 		Golden: *golden,
-		Note: "binary wire protocol, per-request wall-time percentiles under concurrent load; " +
-			"rejected = 503 admission sheds (not errors); swap shape issues POST /swap on a fixed " +
-			"cadence during load and runs past its request budget until the first swap returns — " +
-			"golden_failures counts answers differing from a locally built reference structure " +
-			"over the same point set",
+	}
+	if *bench != "" {
+		if sec.Header, err = benchfile.Capture(); err != nil {
+			fmt.Fprintln(os.Stderr, "knnload:", err)
+			os.Exit(1)
+		}
+		sec.Protocol = serveProtocol
 	}
 	failed := false
 	for _, shape := range strings.Split(*shapes, ",") {

@@ -26,17 +26,6 @@ var feats featureSet = detect()
 // AVX2 and the OS saves/restores ymm state.
 func HasAVX2() bool { return feats.avx2 }
 
-// HasFMA reports whether the CPU advertises FMA3 (with usable AVX
-// state). The vec kernels deliberately do NOT use FMA — contraction
-// changes rounding and would break the bit-identity contract — but the
-// bit is recorded so benchmark headers can show what the hardware
-// would have offered.
-func HasFMA() bool { return feats.fma }
-
-// HasAVX512F reports AVX-512 foundation support (with OS opmask/zmm
-// state enabled). Unused by the kernels today; recorded for headers.
-func HasAVX512F() bool { return feats.avx512f }
-
 // Features returns the detected feature set as a stable comma-joined
 // list (subset of "avx,avx2,fma,avx512f"), or "none" when nothing
 // relevant is available — the string benchmark env headers and startup

@@ -181,31 +181,3 @@ func (g *Graph) Components() (labels []int, count int) {
 	}
 	return labels, count
 }
-
-// DegreeStats summarizes the degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// Degrees computes degree statistics. The density lemma implies max degree
-// is O(k) for fixed dimension, which the experiments verify.
-func (g *Graph) Degrees() DegreeStats {
-	if g.N == 0 {
-		return DegreeStats{}
-	}
-	st := DegreeStats{Min: g.Degree(0), Max: g.Degree(0)}
-	total := 0
-	for v := 0; v < g.N; v++ {
-		d := g.Degree(v)
-		total += d
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-	}
-	st.Mean = float64(total) / float64(g.N)
-	return st
-}

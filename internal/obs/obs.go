@@ -173,9 +173,6 @@ func New(cfg Config) *Recorder {
 	return r
 }
 
-// Tracing reports whether trace events are being collected.
-func (r *Recorder) Tracing() bool { return r != nil && r.tracing }
-
 // Root returns the recorder's root shard (lane 0). Nil-safe: a nil
 // recorder hands out a nil shard, whose methods all no-op.
 func (r *Recorder) Root() *Shard {

@@ -104,17 +104,3 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 	}
 	return trace.write(w)
 }
-
-// EventCount returns the number of buffered trace events (for tests).
-func (r *Recorder) EventCount() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.shards {
-		n += len(s.events)
-	}
-	return n
-}

@@ -150,12 +150,6 @@ func (p *PointSet) Scatter(dst *PointSet, idx []int) {
 	}
 }
 
-// View returns the contiguous sub-PointSet of points [lo, hi) sharing p's
-// backing array.
-func (p *PointSet) View(lo, hi int) *PointSet {
-	return &PointSet{Data: p.Data[lo*p.Dim : hi*p.Dim : hi*p.Dim], Dim: p.Dim}
-}
-
 // Clone returns a deep copy.
 func (p *PointSet) Clone() *PointSet {
 	return &PointSet{Data: append([]float64(nil), p.Data...), Dim: p.Dim}

@@ -62,6 +62,3 @@ func (h Householder) ApplyTo(dst, v Vec) Vec {
 // Inverse returns the inverse transform. Reflections are involutions, so the
 // inverse is the reflection itself; the method exists for call-site clarity.
 func (h Householder) Inverse() Householder { return h }
-
-// IsIdentity reports whether the transform is the identity map.
-func (h Householder) IsIdentity() bool { return h.identity }

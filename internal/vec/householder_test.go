@@ -59,7 +59,7 @@ func TestHouseholderInvolution(t *testing.T) {
 func TestHouseholderIdentity(t *testing.T) {
 	u := Of(1, 0, 0)
 	h := NewHouseholder(u, u)
-	if !h.IsIdentity() {
+	if !h.identity {
 		t.Fatal("expected identity transform")
 	}
 	v := Of(3, 4, 5)
@@ -134,7 +134,7 @@ func TestHouseholderNearCoincidentHighDim(t *testing.T) {
 		t.Fatalf("fixture drifted out of the regression window: |from-to|² = %g", n2)
 	}
 	h := NewHouseholder(from, to)
-	if h.IsIdentity() {
+	if h.identity {
 		t.Fatalf("resolvable |from-to|² = %g at d=%d collapsed to the identity", n2, d)
 	}
 	if got := Dist(h.Apply(from), to); got >= Dist(from, to) || got > 4e-16 {
@@ -145,7 +145,7 @@ func TestHouseholderNearCoincidentHighDim(t *testing.T) {
 	// that difference is pure rounding noise at every dimension.
 	same := from.Clone()
 	same[d-1] = math.Nextafter(same[d-1], 2)
-	if !NewHouseholder(from, Normalize(same)).IsIdentity() {
+	if !NewHouseholder(from, Normalize(same)).identity {
 		t.Fatal("one-ulp perturbation no longer treated as coincident")
 	}
 }

@@ -5,67 +5,10 @@ import (
 	"math"
 )
 
-// ErrSingular is returned by SolveLinear when the system matrix is singular
-// or so ill-conditioned that elimination finds no usable pivot.
+// ErrSingular is returned by NullVector when elimination finds no usable
+// null vector: the system has full column rank, or the solution
+// overflows or vanishes.
 var ErrSingular = errors.New("vec: singular linear system")
-
-// SolveLinear solves the dense n×n system A x = b by Gaussian elimination
-// with partial pivoting, destroying neither input. It is intended for the
-// tiny systems that arise in circumsphere and Radon-point computations
-// (n = d+2 at most), where a general linear-algebra dependency would be
-// overkill.
-func SolveLinear(A [][]float64, b []float64) ([]float64, error) {
-	n := len(A)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("vec: malformed linear system")
-	}
-	// Work on copies: callers reuse their matrices across retries.
-	m := make([][]float64, n)
-	for i := range A {
-		if len(A[i]) != n {
-			return nil, errors.New("vec: non-square linear system")
-		}
-		m[i] = append([]float64(nil), A[i]...)
-		m[i] = append(m[i], b[i]) // augmented column
-	}
-	for col := 0; col < n; col++ {
-		// Partial pivot: pick the row with the largest magnitude in col.
-		piv, best := -1, 0.0
-		for r := col; r < n; r++ {
-			if a := math.Abs(m[r][col]); a > best {
-				piv, best = r, a
-			}
-		}
-		if piv < 0 || best < 1e-300 {
-			return nil, ErrSingular
-		}
-		m[col], m[piv] = m[piv], m[col]
-		inv := 1 / m[col][col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c <= n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-		}
-	}
-	x := make([]float64, n)
-	for r := n - 1; r >= 0; r-- {
-		s := m[r][n]
-		for c := r + 1; c < n; c++ {
-			s -= m[r][c] * x[c]
-		}
-		x[r] = s / m[r][r]
-	}
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, ErrSingular
-		}
-	}
-	return x, nil
-}
 
 // NullVector returns a nontrivial solution of the homogeneous system
 // A x = 0 for an m×n matrix with m < n (more unknowns than equations),

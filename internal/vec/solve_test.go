@@ -6,81 +6,6 @@ import (
 	"testing"
 )
 
-func TestSolveLinearKnown(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(A, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2x+y=5, x+3y=10 -> x=1, y=3
-	if !almostEq(x[0], 1, 1e-12) || !almostEq(x[1], 3, 1e-12) {
-		t.Errorf("x = %v", x)
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	A := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(A, []float64{1, 2}); err == nil {
-		t.Error("expected singular-matrix error")
-	}
-}
-
-func TestSolveLinearMalformed(t *testing.T) {
-	if _, err := SolveLinear(nil, nil); err == nil {
-		t.Error("expected error for empty system")
-	}
-	if _, err := SolveLinear([][]float64{{1, 2}}, []float64{1}); err == nil {
-		t.Error("expected error for non-square system")
-	}
-	if _, err := SolveLinear([][]float64{{1}}, []float64{1, 2}); err == nil {
-		t.Error("expected error for mismatched b")
-	}
-}
-
-func TestSolveLinearDoesNotMutateInputs(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	if _, err := SolveLinear(A, b); err != nil {
-		t.Fatal(err)
-	}
-	if A[0][0] != 2 || A[1][1] != 3 || b[0] != 5 {
-		t.Error("SolveLinear mutated its inputs")
-	}
-}
-
-func TestSolveLinearRandomRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewPCG(21, 22))
-	for trial := 0; trial < 300; trial++ {
-		n := r.IntN(6) + 1
-		A := make([][]float64, n)
-		xTrue := make([]float64, n)
-		for i := range A {
-			A[i] = make([]float64, n)
-			for j := range A[i] {
-				A[i][j] = r.Float64()*4 - 2
-			}
-			A[i][i] += float64(n) // diagonally dominant => well conditioned
-			xTrue[i] = r.Float64()*10 - 5
-		}
-		b := make([]float64, n)
-		for i := range b {
-			for j := range xTrue {
-				b[i] += A[i][j] * xTrue[j]
-			}
-		}
-		x, err := SolveLinear(A, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i := range x {
-			if !almostEq(x[i], xTrue[i], 1e-8) {
-				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, x[i], xTrue[i])
-			}
-		}
-	}
-}
-
 func TestNullVectorSatisfiesSystem(t *testing.T) {
 	r := rand.New(rand.NewPCG(23, 24))
 	for trial := 0; trial < 300; trial++ {
