@@ -27,7 +27,7 @@ bench:
 # the 20 s BENCHMARK.json runs them for (captures kept in .bench_runs/),
 # then knnload's serve section, then knnbench, which ingests the
 # captures and measures kernels and journal. knnbench is built first so
-# its commit stamp predates the record's rewrite. Takes about half an hour.
+# its commit stamp predates the record's rewrite. Takes about 15 minutes.
 bench-json:
 	rm -rf .bench_runs && mkdir -p .bench_runs
 	$(GO) build -o .bench_runs/knnbench ./cmd/knnbench

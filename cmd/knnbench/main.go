@@ -4,9 +4,11 @@
 // measurements perfbench does not take: the distance kernels per
 // dimension and the wide-event journal's drain throughput. knnload
 // writes the serve section. `make bench-json` runs the whole
-// regeneration:
+// regeneration. knnbench takes its commit from its build stamp, so it
+// is built with go build (go run stamps none):
 //
-//	go run ./cmd/knnbench -out BENCH_knn.json .bench_runs/*.txt
+//	go build -o .bench_runs/knnbench ./cmd/knnbench
+//	.bench_runs/knnbench -out BENCH_knn.json .bench_runs/*.txt
 package main
 
 import (

@@ -196,8 +196,8 @@ func TestJournalDetach(t *testing.T) {
 
 // BenchmarkJournaledBatch times steady-state serving with and without
 // the journal attached — the per-query cost of wide-event emission in
-// isolation (the BENCH_knn.json obs_overhead section measures the same
-// thing end-to-end with the observer also attached).
+// isolation (perfbench's obs.overhead_pct measures it end to end, with
+// the observer and trace contexts also attached).
 func BenchmarkJournaledBatch(b *testing.B) {
 	f, pts := buildUniform(b, 100000, 2, 4, 1, nil)
 	queries := queryMix(pts, 2, 4096, 99)

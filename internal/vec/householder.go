@@ -48,17 +48,6 @@ func (h Householder) Apply(v Vec) Vec {
 	return AXPY(w, -s, h.u)
 }
 
-// ApplyTo sets dst = H·v and returns dst. dst may alias v.
-func (h Householder) ApplyTo(dst, v Vec) Vec {
-	if h.identity {
-		copy(dst, v)
-		return dst
-	}
-	s := 2 * Dot(h.u, v)
-	copy(dst, v)
-	return AXPY(dst, -s, h.u)
-}
-
 // Inverse returns the inverse transform. Reflections are involutions, so the
 // inverse is the reflection itself; the method exists for call-site clarity.
 func (h Householder) Inverse() Householder { return h }
