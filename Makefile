@@ -51,30 +51,31 @@ bench-query:
 	$(GO) test -run '^$$' -bench 'NewQueryStructure' -cpu 1,2 -benchmem .
 
 # Distance-kernel benchmarks: the d=2..8 dispatch table (unrolled
-# single-pair and four-point forms, plus the AVX2 assembly four-lane
-# and eight-lane strided forms on CPUs that have them) against the generic
-# fallback. CI runs these at -benchtime=1x and diffs against
-# testdata/bench-kernel-baseline.txt — deliberately the PR-6 record,
-# taken before the assembly tier existed, so on an AVX2 host the
-# benchstat delta reads as asm's gain over the unrolled kernels —
-# with benchstat when available (informational smoke, not a gate).
-# NullVector times the fixed-size Radon null-vector solves (D=3, D=4)
-# against the generic elimination.
+# single-pair and four-point forms, with the AVX2 assembly four-lane
+# form at d=5..8 and eight-lane strided form at d=4..8 on CPUs that
+# have them) against the generic fallback. CI runs these at
+# -benchtime=1x and diffs against testdata/bench-kernel-baseline.txt —
+# deliberately a record taken before any assembly existed, so on
+# an AVX2 host the benchstat delta reads as the dispatch's gain over the
+# unrolled kernels — with benchstat when available (informational
+# smoke, not a gate). NullVector times the fixed-size Radon null-vector
+# solves (D=3, D=4) against the generic elimination.
 bench-kernel:
 	$(GO) test -run '^$$' -bench 'Dist2Kernel|Dist2Generic|Dist2Batch4|Dist2Strided8|DotKernel|NullVector' -benchmem ./internal/vec/
 
 # Kernel-dispatch matrix: the packages that exercise distance
-# arithmetic, end to end under each KNN_KERNELS tier (answers must be
-# identical — the asm leg degrades to unrolled on CPUs without AVX2).
-# core's punts and the audit query separator trees, which capture their
-# tier's kernels at build time, so both packages run in each leg. Then
-# a purego no-assembly build-and-test leg and a non-amd64 cross-compile
-# of the stub path (what CI's kernels-matrix job runs).
+# arithmetic, end to end once under the default dispatch (the AVX2
+# assembly bodies on CPUs that have them) and once built purego, where
+# every batch form is Go and the strided form is absent, so both
+# dispatches stay exact against the brute-force and golden references.
+# core's punts and the audit query separator trees capture their
+# kernels at build time, so both packages run in each leg. Then a
+# non-amd64 cross-compile of the stub path (what CI's kernels-matrix
+# job runs).
 kernels-matrix:
-	KNN_KERNELS=generic $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/
-	KNN_KERNELS=asm $(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/
+	$(GO) test -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/
 	$(GO) build -tags purego ./...
-	$(GO) test -tags purego -count=1 ./internal/vec/ ./internal/septree/ ./internal/cpufeat/
+	$(GO) test -tags purego -count=1 . ./internal/vec/ ./internal/septree/ ./internal/core/ ./internal/obs/audit/ ./internal/cpufeat/
 	GOOS=linux GOARCH=arm64 $(GO) build ./...
 
 # perfbench is its own module (perfbench/go.mod) and imports internal

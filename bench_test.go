@@ -216,7 +216,7 @@ func BenchmarkReachability(b *testing.B) {
 	ball := march.NewBall(0, pts[0], r2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if leaves := march.ReachableLeaves(res.Tree, ball); len(leaves) == 0 {
+		if leaves := march.ReachableLeavesScan(res.Tree, ball); len(leaves) == 0 {
 			b.Fatal("no reachable leaves")
 		}
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // capture is one saved perfbench run: its standard output, of which
-// ingest reads the "# perfbench" line, the "# provenance k=v" lines and
-// the final JSON result line.
+// ingest reads the "# perfbench" line, the "# provenance k=v" lines, the
+// untraced run's "end-to-end" report lines and the final JSON result
+// line.
 type capture struct {
 	file     string
 	workload string
@@ -23,14 +24,16 @@ type capture struct {
 	traced   bool
 	prov     map[string]string
 	result   struct {
-		Correct   bool  `json:"correct"`
-		Attempted int64 `json:"attempted"`
-		Failed    int64 `json:"failed"`
-		Metrics   map[string]struct {
-			Value float64 `json:"value"`
-			Unit  string  `json:"unit"`
-		} `json:"metrics"`
+		Correct   bool              `json:"correct"`
+		Attempted int64             `json:"attempted"`
+		Failed    int64             `json:"failed"`
+		Metrics   map[string]metric `json:"metrics"`
 	}
+}
+
+type metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
 // parseCapture reads one perfbench run and refuses a run that answered
@@ -41,8 +44,19 @@ func parseCapture(file string) (*capture, error) {
 		return nil, err
 	}
 	c := &capture{file: file, prov: map[string]string{}}
+	c.result.Metrics = map[string]metric{}
 	var last []byte
 	for _, line := range strings.Split(string(data), "\n") {
+		// "<workload> end-to-end <name> <value> <unit>": the end-to-end
+		// metrics perfbench reports beside the gated ones in the result
+		// line (p99_ms, qps, build_s, swap_s, ...). The result line,
+		// decoded last, wins where both name a metric.
+		if f := strings.Fields(line); len(f) == 5 && f[1] == "end-to-end" {
+			if v, err := strconv.ParseFloat(f[3], 64); err == nil {
+				c.result.Metrics[f[2]] = metric{Value: v, Unit: f[4]}
+			}
+			continue
+		}
 		if rest, ok := strings.CutPrefix(line, "# perfbench "); ok {
 			for _, field := range strings.Fields(rest) {
 				k, v, _ := strings.Cut(field, "=")

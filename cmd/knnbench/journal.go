@@ -22,10 +22,9 @@ type JournalBench struct {
 	benchfile.Header
 
 	// Drained leg: a consumer drains continuously while batches serve.
-	DrainedEvents   uint64  `json:"drained_events"`
-	DrainedPerSec   float64 `json:"drained_events_per_sec"`
-	DrainedDropped  uint64  `json:"drained_dropped"` // overwritten before the drainer got there
-	DrainedDropRate float64 `json:"drained_drop_rate"`
+	DrainedEvents  uint64  `json:"drained_events"`
+	DrainedPerSec  float64 `json:"drained_events_per_sec"`
+	DrainedDropped uint64  `json:"drained_dropped"` // overwritten before the drainer got there
 
 	// Saturated leg: nobody drains; the ring overwrites freely and one
 	// final drain accounts for everything lost.
@@ -97,9 +96,6 @@ func runJournalBench() (*JournalBench, error) {
 	res.DrainedEvents = drained
 	res.DrainedDropped = dropped
 	res.DrainedPerSec = float64(drained) / el.Seconds()
-	if total := drained + dropped; total > 0 {
-		res.DrainedDropRate = float64(dropped) / float64(total)
-	}
 
 	// Saturated leg: same engine, nobody drains until the end.
 	jour2 := obs.NewJournal(obs.JournalConfig{PerStrand: perStrand}, 1)
@@ -113,8 +109,8 @@ func runJournalBench() (*JournalBench, error) {
 	if snap.Published > 0 {
 		res.OverwriteRate = float64(snap.Dropped) / float64(snap.Published)
 	}
-	fmt.Fprintf(os.Stderr, "journal n=%-6d d=%d ring=%d  drained %.0f ev/s (drop rate %.3f)  saturated overwrite rate %.3f (%d/%d)\n",
-		n, d, perStrand, res.DrainedPerSec, res.DrainedDropRate,
+	fmt.Fprintf(os.Stderr, "journal n=%-6d d=%d ring=%d  drained %.0f ev/s (%d dropped)  saturated overwrite rate %.3f (%d/%d)\n",
+		n, d, perStrand, res.DrainedPerSec, res.DrainedDropped,
 		res.OverwriteRate, res.SaturatedDropped, res.SaturatedPublished)
 	return res, nil
 }

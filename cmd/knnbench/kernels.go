@@ -19,16 +19,16 @@ type Kernels struct {
 // KernelResult is one dimension's distance-kernel timings in ns per
 // distance, by form: "generic" (Dist2Flat through an indirect call),
 // "unrolled" (the single-pair kernel), "batch4" (the unrolled four-point
-// kernel) and, on CPUs with the assembly tier, "asm_batch4" and
-// "asm_strided8" (the AVX2 four-lane form and the eight-record strided
-// form the leaf scan feeds).
+// kernel) and, on AVX2 CPUs at the dimensions that have them,
+// "asm_batch4" and "asm_strided8" (the AVX2 four-lane form and the
+// eight-record strided form the leaf scan feeds).
 type KernelResult struct {
 	D         int                `json:"d"`
 	NsPerDist map[string]float64 `json:"ns_per_dist"`
 }
 
 const kernelsProtocol = "knnbench: every distance-kernel form per dimension over one 512-point operand " +
-	"table, the unrolled and asm forms captured under an explicitly pinned dispatch tier; one warm " +
+	"table, the Go and asm four-point bodies taken side by side from vec.Batch4Bodies; one warm " +
 	"round, then the fastest of 7 interleaved rounds of 2^20 distances per form"
 
 // kernelForms lists the forms in the order each round runs them.
@@ -87,27 +87,27 @@ func runKernelBench() []KernelResult {
 				}
 			}
 		}
-		prev := vec.SetActiveTier(vec.TierUnrolled)
+		goBatch4, asmBatch4 := vec.Batch4Bodies(d)
 		run := map[string]func(){
 			"generic":  one(vec.Dist2Flat),
 			"unrolled": one(vec.Dist2Kernel(d)),
-			"batch4":   four(vec.Dist2Batch4Kernel(d)),
+			"batch4":   four(goBatch4),
 		}
-		// The asm tier covers d = 2..8 on AVX2 hosts; elsewhere its forms
-		// are absent and do not run.
-		if vec.SetActiveTier(vec.TierAsm); vec.ActiveTier() == vec.TierAsm {
-			if s8 := vec.Dist2Strided8Kernel(d); s8 != nil {
-				run["asm_batch4"] = four(vec.Dist2Batch4Kernel(d))
-				run["asm_strided8"] = func() {
-					for i := 0; i < passDists/8; i++ {
-						r := i & (tablePts - 9)
-						d0, d1, d2, d3, d4, d5, d6, d7 := s8(pts[r], recs[r*stride:], stride)
-						sink += d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7
-					}
+		// The assembly bodies exist only where they win (batch4 at
+		// d = 5..8, strided8 at d = 4..8) and only on AVX2 hosts;
+		// elsewhere their forms are absent and do not run.
+		if asmBatch4 != nil {
+			run["asm_batch4"] = four(asmBatch4)
+		}
+		if s8 := vec.Dist2Strided8Kernel(d); s8 != nil {
+			run["asm_strided8"] = func() {
+				for i := 0; i < passDists/8; i++ {
+					r := i & (tablePts - 9)
+					d0, d1, d2, d3, d4, d5, d6, d7 := s8(pts[r], recs[r*stride:], stride)
+					sink += d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7
 				}
 			}
 		}
-		vec.SetActiveTier(prev)
 		best := map[string]time.Duration{}
 		for round := -1; round < rounds; round++ { // round -1 warms up
 			for _, name := range kernelForms {

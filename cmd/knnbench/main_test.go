@@ -44,7 +44,7 @@ const fixtureReport = `{
   },
   "journal": {
     "commit": "ffffffffffffffffffffffffffffffffffffffff",
-    "drained_drop_rate": 0.9655172413793104
+    "drained_dropped": 28
   },
   "serve": {
     "commit": "ffffffffffffffffffffffffffffffffffffffff",
@@ -125,7 +125,8 @@ func fixtureRuns(t *testing.T, edit func(file, text string) string) ([]*capture,
 
 // TestIngestSummarizesRuns checks the build section made from the
 // fixture: nearest-rank median and quartiles over the untraced runs,
-// the traced run's per-layer metrics, and the header.
+// both of the result line's metrics and of the report-only end-to-end
+// text lines, the traced run's per-layer metrics, and the header.
 func TestIngestSummarizesRuns(t *testing.T) {
 	runs, err := fixtureRuns(t, nil)
 	if err != nil {
@@ -144,6 +145,10 @@ func TestIngestSummarizesRuns(t *testing.T) {
 		"setup_s":     {Median: 1.3, Q1: 1.2, Q3: 1.4, Runs: 5, Unit: "s"},
 		"p50_ms":      {Median: 870, Q1: 860, Q3: 880, Runs: 5, Unit: "ms"},
 		"peak_rss_mb": {Median: 68, Q1: 67, Q3: 69, Runs: 5, Unit: "MB"},
+		// Report-only end-to-end metrics come from the runs' text lines.
+		"p99_ms":  {Median: 950, Q1: 930, Q3: 970, Runs: 5, Unit: "ms"},
+		"qps":     {Median: 122000, Q1: 120000, Q3: 125000, Runs: 5, Unit: "1/s"},
+		"build_s": {Median: 0.87, Q1: 0.86, Q3: 0.88, Runs: 5, Unit: "s"},
 		// Per-layer metrics come from the one traced run.
 		"core.divide_ms":         {Median: 310.5, Q1: 310.5, Q3: 310.5, Runs: 1, Unit: "ms"},
 		"separator.trials":       {Median: 41, Q1: 41, Q3: 41, Runs: 1, Unit: "count"},

@@ -412,9 +412,7 @@ func TestServeRaceHammer(t *testing.T) {
 		defer wg.Done()
 		defer close(obsDone)
 		for i := 0; i < 200; i++ {
-			if rec := obs.Serves.Lookup(observerName(0)); rec != nil {
-				rec.Snapshot()
-			}
+			srv.observers[0].Snapshot()
 			for _, j := range srv.journals {
 				j.Snapshot()
 			}

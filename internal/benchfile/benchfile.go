@@ -16,8 +16,7 @@ import (
 	"strings"
 	"time"
 
-	"sepdc/internal/cpufeat"
-	"sepdc/internal/vec"
+	"sepdc"
 )
 
 // Host records the machine and toolchain a section's numbers were taken on.
@@ -29,9 +28,9 @@ type Host struct {
 	GOARCH     string `json:"goarch,omitempty"`
 	CPUModel   string `json:"cpu_model,omitempty"`
 	// CPUFeatures and KernelTier pin which distance-kernel dispatch the
-	// numbers were taken under: the detected vector features
-	// ("avx,avx2,fma,..." or "none") and the tier the process resolved
-	// ("asm", "unrolled", or "generic" — KNN_KERNELS overrides).
+	// numbers were taken under, as sepdc.KernelInfo reports it: the
+	// detected vector features ("avx,avx2,fma,..." or "none") and "asm"
+	// or "unrolled".
 	CPUFeatures string `json:"cpu_features,omitempty"`
 	KernelTier  string `json:"kernel_tier,omitempty"`
 }
@@ -52,6 +51,7 @@ type Header struct {
 // which `go build` stamps inside a git checkout (`go run` and `go test`
 // do not); a binary that names no commit has nothing to record under.
 func Capture() (Header, error) {
+	tier, feats := sepdc.KernelInfo()
 	h := Header{
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		Host: Host{
@@ -61,8 +61,8 @@ func Capture() (Header, error) {
 			GOOS:        runtime.GOOS,
 			GOARCH:      runtime.GOARCH,
 			CPUModel:    cpuModel(),
-			CPUFeatures: cpufeat.Features(),
-			KernelTier:  vec.ActiveTier().String(),
+			CPUFeatures: feats,
+			KernelTier:  tier,
 		},
 	}
 	if info, ok := debug.ReadBuildInfo(); ok {

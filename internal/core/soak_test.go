@@ -44,7 +44,8 @@ func TestSoakLargeSphereDNC(t *testing.T) {
 	tree := kdtree.Build(pts)
 	for trial := 0; trial < 500; trial++ {
 		i := g.IntN(len(pts))
-		want := tree.KNN(pts[i], k, i)
+		want := topk.New(k)
+		tree.KNNInto(pts[i], i, want)
 		if !topk.Equal(res.Lists[i], want) {
 			t.Fatalf("point %d: sphere %v != kdtree %v", i, res.Lists[i].Items(), want.Items())
 		}

@@ -65,10 +65,9 @@ func FuzzSectionToSeparator(f *testing.F) {
 			return
 		}
 		// Orientation may be globally flipped (documented); check the same
-		// point twice through a slight perturbation to detect any genuine
-		// inconsistency: a point and its midpoint toward itself must land
-		// on the same side of both representations.
-		q := vec.Lerp(p, p, 0.5) // same point; structural no-op
+		// point twice, through a fresh copy, to detect any genuine
+		// inconsistency: both must land on the same side.
+		q := p.Clone()
 		if sep.Side(q) != side {
 			t.Fatalf("Side not deterministic for %v", p)
 		}

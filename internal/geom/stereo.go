@@ -107,11 +107,6 @@ func (d ConformalDilation) Apply(z vec.Vec) vec.Vec {
 	return Lift(vec.Scale(d.A, x))
 }
 
-// Inverse returns the dilation undoing d.
-func (d ConformalDilation) Inverse() ConformalDilation {
-	return ConformalDilation{A: 1 / d.A}
-}
-
 // PullBackSection returns the plane section P' such that z ∈ P' iff
 // D(z) ∈ P. Derivation: write z = (z', h) ∈ S^d; then D(z) = Π(a z'/(1−h))
 // and the condition u·D(z) = c becomes, after clearing the positive

@@ -28,7 +28,7 @@ func BenchmarkKNNQuery(b *testing.B) {
 			g := xrand.New(3)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tree.KNN(pts[g.IntN(len(pts))], k, -1)
+				knnOf(tree, pts[g.IntN(len(pts))], k, -1)
 			}
 		})
 	}

@@ -177,14 +177,6 @@ func (t *Tree) Len() int { return t.ps.N() }
 // after another. The slice aliases the tree; callers must not modify it.
 func (t *Tree) Order() []int { return t.perm }
 
-// KNN returns the k nearest neighbors of query q, excluding the optional
-// self index (pass −1 to exclude nothing), in canonical order.
-func (t *Tree) KNN(q vec.Vec, k, self int) *topk.List {
-	l := topk.New(k)
-	t.KNNInto(q, self, l)
-	return l
-}
-
 // KNNInto offers l the points nearest q, excluding self (pass −1 to
 // exclude nothing). Afterwards l holds the l.K nearest of them together
 // with whatever it held before, so pass an empty list for plain k-NN.

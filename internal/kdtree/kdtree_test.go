@@ -11,6 +11,14 @@ import (
 	"sepdc/internal/xrand"
 )
 
+// knnOf returns the k nearest neighbors of q, excluding self (−1
+// excludes nothing), through KNNInto on an empty list.
+func knnOf(t *Tree, q vec.Vec, k, self int) *topk.List {
+	l := topk.New(k)
+	t.KNNInto(q, self, l)
+	return l
+}
+
 func TestKNNMatchesBruteAcrossDistributions(t *testing.T) {
 	g := xrand.New(1)
 	for _, dist := range pointgen.All {
@@ -20,7 +28,7 @@ func TestKNNMatchesBruteAcrossDistributions(t *testing.T) {
 			k := 3
 			want := brute.AllKNN(pts, k)
 			for q := range pts {
-				got := tree.KNN(pts[q], k, q)
+				got := knnOf(tree, pts[q], k, q)
 				if !topk.Equal(got, want[q]) {
 					t.Fatalf("%s d=%d q=%d: kdtree %v != brute %v",
 						dist, d, q, got.Items(), want[q].Items())
@@ -36,7 +44,7 @@ func TestAllKNNMatchesPerQuery(t *testing.T) {
 	tree := Build(pts)
 	all := tree.AllKNN(4)
 	for q := range pts {
-		if !topk.Equal(all[q], tree.KNN(pts[q], 4, q)) {
+		if !topk.Equal(all[q], knnOf(tree, pts[q], 4, q)) {
 			t.Fatalf("AllKNN diverges at %d", q)
 		}
 	}
@@ -47,11 +55,11 @@ func TestEmptyAndTinyTrees(t *testing.T) {
 	if empty.Len() != 0 || empty.Height() != 0 {
 		t.Error("empty tree wrong shape")
 	}
-	if l := empty.KNN(vec.Of(0, 0), 3, -1); l.Len() != 0 {
+	if l := knnOf(empty, vec.Of(0, 0), 3, -1); l.Len() != 0 {
 		t.Error("empty tree returned neighbors")
 	}
 	one := Build([]vec.Vec{vec.Of(1, 2)})
-	if l := one.KNN(vec.Of(0, 0), 3, -1); l.Len() != 1 {
+	if l := knnOf(one, vec.Of(0, 0), 3, -1); l.Len() != 1 {
 		t.Error("single-point tree query failed")
 	}
 }
@@ -63,7 +71,7 @@ func TestDuplicatePointsDoNotLoop(t *testing.T) {
 		pts[i] = vec.Of(1, 1)
 	}
 	tree := BuildLeaf(pts, 4)
-	l := tree.KNN(vec.Of(1, 1), 5, 0)
+	l := knnOf(tree, vec.Of(1, 1), 5, 0)
 	if l.Len() != 5 {
 		t.Fatalf("duplicate-point query returned %d neighbors", l.Len())
 	}
@@ -92,7 +100,7 @@ func TestBuildLeafClampsLeafSize(t *testing.T) {
 		t.Error("tree lost points")
 	}
 	want := brute.KNN(pts, 0, 3)
-	if !topk.Equal(tree.KNN(pts[0], 3, 0), want) {
+	if !topk.Equal(knnOf(tree, pts[0], 3, 0), want) {
 		t.Error("leaf-size-1 tree wrong")
 	}
 }
@@ -100,7 +108,7 @@ func TestBuildLeafClampsLeafSize(t *testing.T) {
 func TestKNNWithKLargerThanN(t *testing.T) {
 	pts := pointgen.MustGenerate(pointgen.Gaussian, 5, 2, xrand.New(6))
 	tree := Build(pts)
-	l := tree.KNN(pts[0], 10, 0)
+	l := knnOf(tree, pts[0], 10, 0)
 	if l.Len() != 4 {
 		t.Errorf("k>n query returned %d neighbors, want 4", l.Len())
 	}

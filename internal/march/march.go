@@ -294,31 +294,3 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 	}
 	return hits, st
 }
-
-// ReachableLeaves computes, for a single ball, the set of reachable leaves
-// of the tree by the labeling formulation of Lemma 6.3: every node is
-// labeled 1 when the parent's separator admits the ball on that side, and
-// a leaf is reachable iff the AND over its root path is 1. It exists to
-// cross-validate Down (the two formulations must agree) and to measure the
-// kernel in isolation for experiment E10.
-func ReachableLeaves(root *PNode, b Ball) []*PNode {
-	if root == nil {
-		return nil
-	}
-	var out []*PNode
-	var walk func(n *PNode, pathOK bool)
-	walk = func(n *PNode, pathOK bool) {
-		if !pathOK {
-			return
-		}
-		if n.IsLeaf() {
-			out = append(out, n)
-			return
-		}
-		rel := n.Sep.ClassifyBall(b.Center, b.Radius)
-		walk(n.Left, rel != geom.Exterior)
-		walk(n.Right, rel != geom.Interior)
-	}
-	walk(root, true)
-	return out
-}

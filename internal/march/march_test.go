@@ -149,7 +149,7 @@ func TestDownMatchesReachableLeaves(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		br := g.Float64() * 0.5
 		b := NewBall(trial, pts[g.IntN(len(pts))], br*br)
-		leaves := ReachableLeaves(tree, b)
+		leaves := ReachableLeavesScan(tree, b)
 		wantPts := map[int]bool{}
 		r2 := b.Radius * b.Radius
 		for _, leaf := range leaves {
@@ -165,7 +165,7 @@ func TestDownMatchesReachableLeaves(t *testing.T) {
 			gotPts[h.Point] = true
 		}
 		if len(gotPts) != len(wantPts) {
-			t.Fatalf("trial %d: Down found %d, ReachableLeaves %d", trial, len(gotPts), len(wantPts))
+			t.Fatalf("trial %d: Down found %d, ReachableLeavesScan %d", trial, len(gotPts), len(wantPts))
 		}
 		for p := range wantPts {
 			if !gotPts[p] {

@@ -7,6 +7,7 @@ import (
 	"sepdc/internal/geom"
 	"sepdc/internal/pointgen"
 	"sepdc/internal/pts"
+	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
@@ -46,7 +47,7 @@ func referenceDown(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 			n := it.node
 			if n.IsLeaf() {
 				for _, p := range n.Pts {
-					if ps.Dist2To(p, b.Center) <= b.Radius2 {
+					if vec.Dist2Flat(ps.At(p), b.Center) <= b.Radius2 {
 						hits = append(hits, Hit{BallID: b.ID, Point: p})
 					}
 				}

@@ -19,9 +19,10 @@ import (
 // segmented vector of labels (one segment per leaf, h·2^h entries total),
 // run a single segmented AND-scan, and read each segment's last element.
 // On the vector model this is O(1) steps with h·2^h work — the cost
-// Lemma 6.3 claims. ReachableLeaves (the recursive walk) computes the same
-// set with O(reached) work; the two are cross-validated in
-// reach_scan_test.go. The E10 experiment times the level-synchronous Down.
+// Lemma 6.3 claims. It is the oracle the level-synchronous Down is
+// checked against (march_test.go); reach_scan_test.go checks it against
+// a recursive walk that computes the same set with O(reached) work. The
+// E10 experiment times Down.
 
 // ReachableLeavesScan returns the reachable leaves of the tree for ball b
 // by the labeling + segmented-AND-scan formulation of Lemma 6.3.

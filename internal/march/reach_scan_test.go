@@ -9,6 +9,29 @@ import (
 	"sepdc/internal/xrand"
 )
 
+// reachableLeavesWalk computes the reachable leaves of the tree for
+// ball b by a recursive walk: a child is entered when its parent's
+// separator admits the ball on that side.
+func reachableLeavesWalk(root *PNode, b Ball) []*PNode {
+	var out []*PNode
+	var walk func(n *PNode)
+	walk = func(n *PNode) {
+		if n.IsLeaf() {
+			out = append(out, n)
+			return
+		}
+		rel := n.Sep.ClassifyBall(b.Center, b.Radius)
+		if rel != geom.Exterior {
+			walk(n.Left)
+		}
+		if rel != geom.Interior {
+			walk(n.Right)
+		}
+	}
+	walk(root)
+	return out
+}
+
 // The recursive walk and the literal scan formulation of Lemma 6.3 must
 // produce identical leaf sets on random trees and balls.
 func TestScanReachabilityMatchesRecursive(t *testing.T) {
@@ -18,7 +41,7 @@ func TestScanReachabilityMatchesRecursive(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		r := g.Float64()
 		b := NewBall(trial, pts[g.IntN(len(pts))], r*r)
-		rec := ReachableLeaves(tree, b)
+		rec := reachableLeavesWalk(tree, b)
 		scn := ReachableLeavesScan(tree, b)
 		if len(rec) != len(scn) {
 			t.Fatalf("trial %d: recursive %d leaves, scan %d", trial, len(rec), len(scn))

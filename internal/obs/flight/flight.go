@@ -77,22 +77,11 @@ type Recorder struct {
 	mu        sync.Mutex
 	capturing bool
 	last      time.Time
-	captures  int64
 }
 
 // New returns a recorder writing bundles under dir.
 func New(dir string, src Sources) *Recorder {
 	return &Recorder{dir: dir, src: src}
-}
-
-// Captures returns how many bundles this recorder has written.
-func (r *Recorder) Captures() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.captures
 }
 
 // TryCapture captures a bundle unless one is already being captured or
@@ -134,9 +123,6 @@ func (r *Recorder) finishCapture(reason string) (string, error) {
 	r.mu.Lock()
 	r.capturing = false
 	r.last = time.Now()
-	if err == nil {
-		r.captures++
-	}
 	r.mu.Unlock()
 	return dir, err
 }

@@ -54,13 +54,6 @@ func (r *Registry[T]) Unregister(name string, v T) {
 	}
 }
 
-// Lookup returns the value registered under name, or the zero value.
-func (r *Registry[T]) Lookup(name string) T {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.m[name]
-}
-
 // list returns the registered names, sorted, and their values.
 func (r *Registry[T]) list() ([]string, []T) {
 	r.mu.Lock()

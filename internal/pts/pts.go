@@ -111,22 +111,9 @@ func (p *PointSet) Dist2(i, j int) float64 {
 	return vec.Dist2Flat(p.Data[i*p.Dim:(i+1)*p.Dim], p.Data[j*p.Dim:(j+1)*p.Dim])
 }
 
-// Dist2To returns the squared Euclidean distance from point i to q.
-func (p *PointSet) Dist2To(i int, q []float64) float64 {
-	return vec.Dist2Flat(p.Data[i*p.Dim:(i+1)*p.Dim], q)
-}
-
-// Gather copies the points selected by idx, in order, into a fresh
-// contiguous PointSet — the divide step's subset materialization.
-func (p *PointSet) Gather(idx []int) *PointSet {
-	out := &PointSet{Data: make([]float64, len(idx)*p.Dim), Dim: p.Dim}
-	p.GatherInto(out.Data, idx)
-	return out
-}
-
 // GatherInto copies the points selected by idx, in order, into dst, which
-// must have length len(idx)*Dim. It is the allocation-free form of Gather
-// for scratch-arena reuse.
+// must have length len(idx)*Dim — the divide step's subset
+// materialization, into caller scratch so arenas can be reused.
 func (p *PointSet) GatherInto(dst []float64, idx []int) {
 	d := p.Dim
 	if len(dst) != len(idx)*d {
@@ -134,19 +121,6 @@ func (p *PointSet) GatherInto(dst []float64, idx []int) {
 	}
 	for i, j := range idx {
 		copy(dst[i*d:(i+1)*d], p.Data[j*d:(j+1)*d])
-	}
-}
-
-// Scatter writes the points of p into dst at the given destination
-// indices: dst point idx[i] = p point i. Inverse of Gather over the same
-// index vector. Destinations must be in range; duplicates overwrite.
-func (p *PointSet) Scatter(dst *PointSet, idx []int) {
-	if dst.Dim != p.Dim {
-		panic("pts: scatter dimension mismatch")
-	}
-	d := p.Dim
-	for i, j := range idx {
-		copy(dst.Data[j*d:(j+1)*d], p.Data[i*d:(i+1)*d])
 	}
 }
 

@@ -70,40 +70,19 @@ func TestDist2MatchesVec(t *testing.T) {
 			if got := ps.Dist2(i, j); got != want {
 				t.Fatalf("Dist2(%d,%d) = %v, want %v", i, j, got, want)
 			}
-			if got := ps.Dist2To(i, rows[j]); got != want {
-				t.Fatalf("Dist2To(%d,%d) = %v, want %v", i, j, got, want)
-			}
 		}
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
+func TestGatherInto(t *testing.T) {
 	g := xrand.New(3)
 	ps, _ := FromSlices(randomSlices(20, 2, g))
 	idx := []int{7, 0, 19, 3, 3}
-	sub := ps.Gather(idx)
-	if sub.N() != len(idx) {
-		t.Fatalf("gather size %d, want %d", sub.N(), len(idx))
-	}
-	for i, j := range idx {
-		if !vec.Equal(sub.At(i), ps.At(j)) {
-			t.Fatalf("gathered point %d != source point %d", i, j)
-		}
-	}
-	// Scatter back: round-trips the gathered rows.
-	dst := New(20, 2)
-	sub.Scatter(dst, idx)
-	for _, j := range idx {
-		if !vec.Equal(dst.At(j), ps.At(j)) {
-			t.Fatalf("scattered point %d mismatch", j)
-		}
-	}
-	// GatherInto writes into caller scratch without allocating.
 	scratch := make([]float64, len(idx)*2)
 	ps.GatherInto(scratch, idx)
-	for i := range scratch {
-		if scratch[i] != sub.Data[i] {
-			t.Fatal("GatherInto disagrees with Gather")
+	for i, j := range idx {
+		if !vec.Equal(scratch[i*2:(i+1)*2], ps.At(j)) {
+			t.Fatalf("gathered point %d != source point %d", i, j)
 		}
 	}
 }

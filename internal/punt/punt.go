@@ -128,15 +128,3 @@ func LemmaBound(levels int, c float64) float64 {
 	}
 	return b
 }
-
-// ExpectedUnluckyNodes returns the expected number of unlucky (weight-b)
-// nodes on a single root–leaf path of a tree with the given number of
-// levels: Σ_{h=1..levels} 2^{−h} < 1. The smallness of this sum is the
-// heart of why punting costs only a constant factor.
-func ExpectedUnluckyNodes(levels int) float64 {
-	s := 0.0
-	for h := 1; h <= levels; h++ {
-		s += 1 / float64(int(1)<<uint(h))
-	}
-	return s
-}

@@ -154,18 +154,6 @@ func TestConstants(t *testing.T) {
 	}
 }
 
-func TestExpectedUnluckyNodes(t *testing.T) {
-	if got := ExpectedUnluckyNodes(1); got != 0.5 {
-		t.Errorf("1 level = %v", got)
-	}
-	if got := ExpectedUnluckyNodes(30); got >= 1 {
-		t.Errorf("expected unlucky nodes %v must stay below 1", got)
-	}
-	if ExpectedUnluckyNodes(0) != 0 {
-		t.Error("0 levels nonzero")
-	}
-}
-
 func TestSimulateSortedAndSized(t *testing.T) {
 	g := xrand.New(5)
 	s := Simulate(6, 50, ZeroLog(), g)

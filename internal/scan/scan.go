@@ -1,195 +1,32 @@
-// Package scan implements the vector primitives of Blelloch's parallel
-// vector model, the machine model the paper assumes ("a unit time scan or
-// prefix sum operation", Section 1). It provides exclusive and inclusive
-// scans, segmented scans, pack/split, and a split-radix sort, each with a
-// sequential implementation and a two-pass chunked parallel implementation
-// with identical semantics.
+// Package scan implements the vector-model primitive the paper's
+// reachability step rests on: "a unit time scan or prefix sum
+// operation" (Section 1), here in its segmented form. Lemma 6.3 decides
+// every leaf's reachability with one segmented AND-scan, and
+// march.ReachableLeavesScan runs it literally with SegmentedInclusive.
 //
-// On the simulated machine (package vm) each of these primitives is charged
-// one time step and O(n) work regardless of which execution strategy is
-// used, matching the paper's accounting.
+// On the simulated machine (package vm) a scan is charged one time step
+// and O(n) work, matching the paper's accounting.
 package scan
 
-import (
-	"math"
-	"runtime"
-	"sync"
-
-	"sepdc/internal/obs"
-	"sepdc/internal/pool"
-)
-
-// parallelThreshold is the input size below which the parallel variants
-// fall back to the sequential code; goroutine fan-out below this size costs
-// more than it saves.
-const parallelThreshold = 4096
-
-// Exclusive computes the exclusive scan (prefix reduction) of xs under the
-// associative operation op with identity id: out[i] = op(id, xs[0], …,
-// xs[i-1]). The input is not modified.
-func Exclusive[T any](xs []T, op func(T, T) T, id T) []T {
+// SegmentedInclusive computes an inclusive op-scan within each segment.
+// The vector is partitioned into segments by flags (flags[i] true ⇒
+// position i starts a new segment), and the scan restarts with id at
+// each segment head. Segmented scans are the key primitive that lets a
+// flat data-parallel machine run all nodes of a recursion level
+// simultaneously — exactly how the paper's divide and conquer executes
+// all subproblems of one level in O(1) SCAN steps.
+func SegmentedInclusive[T any](xs []T, flags []bool, op func(T, T) T, id T) []T {
+	if len(flags) != len(xs) {
+		panic("scan: flags length mismatch")
+	}
 	out := make([]T, len(xs))
 	acc := id
 	for i, x := range xs {
-		out[i] = acc
-		acc = op(acc, x)
-	}
-	return out
-}
-
-// Inclusive computes the inclusive scan: out[i] = op(xs[0], …, xs[i]).
-func Inclusive[T any](xs []T, op func(T, T) T, id T) []T {
-	out := make([]T, len(xs))
-	acc := id
-	for i, x := range xs {
+		if flags[i] {
+			acc = id
+		}
 		acc = op(acc, x)
 		out[i] = acc
-	}
-	return out
-}
-
-// Reduce combines all elements with op starting from id.
-func Reduce[T any](xs []T, op func(T, T) T, id T) T {
-	acc := id
-	for _, x := range xs {
-		acc = op(acc, x)
-	}
-	return acc
-}
-
-// ExclusiveParallel is Exclusive with a two-pass chunked parallel execution:
-// pass 1 reduces each chunk, a serial scan combines chunk sums, and pass 2
-// scans each chunk seeded with its offset. Results are bit-identical to the
-// sequential scan whenever op is associative over the inputs.
-//
-// Both passes run on the process-wide persistent worker pool
-// (pool.Shared()) rather than freshly spawned goroutines, so repeated
-// scans — the common case inside the divide and conquer — pay one channel
-// send per chunk instead of a goroutine spawn.
-func ExclusiveParallel[T any](xs []T, op func(T, T) T, id T) []T {
-	n := len(xs)
-	if n < parallelThreshold {
-		if obs.On() {
-			obs.Add(obs.GScanSequential, 1)
-		}
-		return Exclusive(xs, op, id)
-	}
-	if obs.On() {
-		obs.Add(obs.GScanParallel, 1)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	sums := make([]T, workers)
-	for w := range sums {
-		sums[w] = id // tail chunks may be empty; their sum is the identity
-	}
-	runChunks(workers, chunk, n, func(w, lo, hi int) {
-		acc := id
-		for _, x := range xs[lo:hi] {
-			acc = op(acc, x)
-		}
-		sums[w] = acc
-	})
-	offsets := Exclusive(sums, op, id)
-	out := make([]T, n)
-	runChunks(workers, chunk, n, func(w, lo, hi int) {
-		acc := offsets[w]
-		for i := lo; i < hi; i++ {
-			out[i] = acc
-			acc = op(acc, xs[i])
-		}
-	})
-	return out
-}
-
-// runChunks executes fn(w, lo, hi) for each of the workers' chunk ranges,
-// offering every chunk but the last to the shared pool and running the
-// rest inline. It returns when all chunks are done.
-func runChunks(workers, chunk, n int, fn func(w, lo, hi int)) {
-	p := pool.Shared()
-	var wg sync.WaitGroup
-	for w := 0; w < workers-1; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, n)
-		if lo >= hi {
-			continue
-		}
-		w := w
-		wg.Add(1)
-		task := func() {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}
-		if !p.TrySubmit(task) {
-			task()
-		}
-	}
-	if lo, hi := (workers-1)*chunk, n; lo < hi {
-		fn(workers-1, lo, hi)
-	}
-	wg.Wait()
-}
-
-// PlusScanInt is the workhorse +‑scan on ints (exclusive).
-func PlusScanInt(xs []int) []int {
-	return Exclusive(xs, func(a, b int) int { return a + b }, 0)
-}
-
-// PlusScanFloat64 is the exclusive +‑scan on float64.
-func PlusScanFloat64(xs []float64) []float64 {
-	return Exclusive(xs, func(a, b float64) float64 { return a + b }, 0)
-}
-
-// MaxScanFloat64 is the inclusive max‑scan on float64 (running maximum).
-func MaxScanFloat64(xs []float64) []float64 {
-	return Inclusive(xs, func(a, b float64) float64 {
-		if a > b {
-			return a
-		}
-		return b
-	}, negInf)
-}
-
-// MinScanFloat64 is the inclusive min‑scan on float64 (running minimum).
-func MinScanFloat64(xs []float64) []float64 {
-	return Inclusive(xs, func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}, posInf)
-}
-
-var (
-	negInf = math.Inf(-1)
-	posInf = math.Inf(1)
-)
-
-// AndScanBool is the inclusive AND-scan used by the reachability kernel of
-// Lemma 6.3: out[i] is true iff xs[0..i] are all true. On the vector model
-// this is the single SCAN the paper uses to test "all nodes on the path are
-// labeled 1".
-func AndScanBool(xs []bool) []bool {
-	out := make([]bool, len(xs))
-	acc := true
-	for i, x := range xs {
-		acc = acc && x
-		out[i] = acc
-	}
-	return out
-}
-
-// CopyScan distributes the first element of the vector to every position
-// (Blelloch's copy-scan / distribute primitive).
-func CopyScan[T any](xs []T) []T {
-	out := make([]T, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	for i := range out {
-		out[i] = xs[0]
 	}
 	return out
 }

@@ -5,16 +5,18 @@ import (
 	"testing/quick"
 )
 
-func TestSegmentedExclusive(t *testing.T) {
-	xs := []int{1, 2, 3, 4, 5}
-	flags := []bool{true, false, true, false, false}
-	got := SegmentedExclusive(xs, flags, addInt, 0)
-	want := []int{0, 1, 0, 3, 7}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SegmentedExclusive = %v, want %v", got, want)
-		}
+func addInt(a, b int) int { return a + b }
+
+// prefixSums is the plain sequential inclusive sum the segmented scan
+// is checked against.
+func prefixSums(xs []int) []int {
+	out := make([]int, len(xs))
+	acc := 0
+	for i, x := range xs {
+		acc += x
+		out[i] = acc
 	}
+	return out
 }
 
 func TestSegmentedInclusive(t *testing.T) {
@@ -29,72 +31,13 @@ func TestSegmentedInclusive(t *testing.T) {
 	}
 }
 
-func TestSegmentedCopy(t *testing.T) {
-	xs := []string{"a", "b", "c", "d"}
-	flags := []bool{false, false, true, false} // first segment starts implicitly
-	got := SegmentedCopy(xs, flags)
-	want := []string{"a", "a", "c", "c"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SegmentedCopy = %v", got)
-		}
-	}
-}
-
-func TestSegmentedReduce(t *testing.T) {
-	xs := []int{1, 2, 3, 4, 5, 6}
-	flags := []bool{true, false, true, true, false, false}
-	got := SegmentedReduce(xs, flags, addInt, 0)
-	want := []int{3, 3, 15}
-	if len(got) != len(want) {
-		t.Fatalf("SegmentedReduce = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SegmentedReduce = %v, want %v", got, want)
-		}
-	}
-	if len(SegmentedReduce(nil, nil, addInt, 0)) != 0 {
-		t.Error("SegmentedReduce(nil) not empty")
-	}
-}
-
-func TestSegmentHeads(t *testing.T) {
-	flags := SegmentHeads([]int{2, 0, 3}, 5)
-	want := []bool{true, false, true, false, false}
-	for i := range want {
-		if flags[i] != want[i] {
-			t.Fatalf("SegmentHeads = %v", flags)
-		}
-	}
-}
-
-func TestSegmentHeadsPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"negative": func() { SegmentHeads([]int{-1}, 0) },
-		"overflow": func() { SegmentHeads([]int{3, 3}, 5) },
-		"shortfall": func() {
-			SegmentHeads([]int{1}, 5)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestSegmentedMismatchedFlagsPanic(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for mismatched flags")
 		}
 	}()
-	SegmentedExclusive([]int{1, 2}, []bool{true}, addInt, 0)
+	SegmentedInclusive([]int{1, 2}, []bool{true}, addInt, 0)
 }
 
 // Property: a segmented scan over a single segment equals the plain scan.
@@ -109,8 +52,8 @@ func TestPropertySingleSegmentEqualsPlain(t *testing.T) {
 		}
 		flags := make([]bool, len(xs))
 		flags[0] = true
-		seg := SegmentedExclusive(xs, flags, addInt, 0)
-		plain := Exclusive(xs, addInt, 0)
+		seg := SegmentedInclusive(xs, flags, addInt, 0)
+		plain := prefixSums(xs)
 		for i := range xs {
 			if seg[i] != plain[i] {
 				return false
@@ -130,28 +73,22 @@ func TestPropertySegmentedIsPerSegmentScan(t *testing.T) {
 		for i, x := range raw {
 			xs[i] = int(x)
 		}
-		// Build segment lengths covering len(xs).
+		// Cut xs into segments of fuzzed lengths, flagging each head.
+		flags := make([]bool, len(xs))
 		var lengths []int
-		rem := len(xs)
-		for _, l := range lens {
-			if rem == 0 {
-				break
+		for pos, li := 0, 0; pos < len(xs); li++ {
+			take := len(xs) - pos
+			if li < len(lens) {
+				take = int(lens[li])%take + 1
 			}
-			take := int(l)%rem + 1
+			flags[pos] = true
 			lengths = append(lengths, take)
-			rem -= take
+			pos += take
 		}
-		if rem > 0 {
-			lengths = append(lengths, rem)
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		flags := SegmentHeads(lengths, len(xs))
 		seg := SegmentedInclusive(xs, flags, addInt, 0)
 		pos := 0
 		for _, l := range lengths {
-			plain := Inclusive(xs[pos:pos+l], addInt, 0)
+			plain := prefixSums(xs[pos : pos+l])
 			for i := range plain {
 				if seg[pos+i] != plain[i] {
 					return false

@@ -18,7 +18,7 @@ func BenchmarkCandidate(b *testing.B) {
 			g := xrand.New(2)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Candidate(pts, g, nil); err != nil {
+				if _, err := candidate(pts, g, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,7 +34,7 @@ func BenchmarkCandidateCentroid(b *testing.B) {
 	opts := &Options{Centroid: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Candidate(pts, g, opts); err != nil {
+		if _, err := candidate(pts, g, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,7 +43,7 @@ func BenchmarkCandidateCentroid(b *testing.B) {
 func BenchmarkEvaluate(b *testing.B) {
 	pts := pointgen.MustGenerate(pointgen.UniformCube, 1<<16, 3, xrand.New(3))
 	g := xrand.New(4)
-	sep, err := Candidate(pts, g, nil)
+	sep, err := candidate(pts, g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

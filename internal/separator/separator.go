@@ -155,19 +155,12 @@ func acquireScratch(d, sampleN int) *candScratch {
 	return sc
 }
 
-// Candidate runs one trial of the Unit Time Separator Algorithm and
-// returns the produced separator without judging its quality.
-func Candidate(pv []vec.Vec, g *xrand.RNG, opts *Options) (geom.Separator, error) {
-	if len(pv) == 0 {
-		return nil, errors.New("separator: no points")
-	}
-	return CandidateFlat(pts.FromVecs(pv), g, opts)
-}
-
-// CandidateFlat is Candidate on flat contiguous point storage — the form
-// the divide and conquer calls with each node's gathered subset. The
-// sample normalization and lift run in a pooled scratch arena, so a trial
-// performs no per-point heap allocation.
+// CandidateFlat runs one trial of the Unit Time Separator Algorithm on
+// flat contiguous point storage — the form the divide and conquer calls
+// with each node's gathered subset — and returns the produced separator
+// without judging its quality. The sample normalization and lift run in
+// a pooled scratch arena, so a trial performs no per-point heap
+// allocation.
 func CandidateFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (geom.Separator, error) {
 	n := ps.N()
 	if n == 0 {

@@ -7,15 +7,21 @@ import (
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/pts"
 	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
 )
+
+// candidate runs one CandidateFlat trial over pv.
+func candidate(pv []vec.Vec, g *xrand.RNG, opts *Options) (geom.Separator, error) {
+	return CandidateFlat(pts.FromVecs(pv), g, opts)
+}
 
 func TestCandidateProducesValidSeparator(t *testing.T) {
 	g := xrand.New(1)
 	pts := pointgen.MustGenerate(pointgen.UniformCube, 1000, 3, g)
 	for trial := 0; trial < 20; trial++ {
-		sep, err := Candidate(pts, g.Split(), nil)
+		sep, err := candidate(pts, g.Split(), nil)
 		if err != nil {
 			continue // rare degenerate candidates are allowed
 		}
@@ -30,7 +36,7 @@ func TestCandidateProducesValidSeparator(t *testing.T) {
 }
 
 func TestCandidateEmptyInput(t *testing.T) {
-	if _, err := Candidate(nil, xrand.New(1), nil); err == nil {
+	if _, err := CandidateFlat(&pts.PointSet{Dim: 2}, xrand.New(1), nil); err == nil {
 		t.Error("empty input accepted")
 	}
 }

@@ -70,7 +70,7 @@ type Frozen struct {
 
 	dist2    vec.Dist2Func
 	dot      vec.DotFunc
-	batch4   vec.Dist2Batch4Func   // four-wide scan kernel; nil disables batching
+	batch4   vec.Dist2Batch4Func   // four-wide scan kernel
 	strided8 vec.Dist2Strided8Func // eight-record stream kernel; nil falls back to batch4
 }
 
@@ -134,12 +134,10 @@ func blockedOrder(kind []uint8, child []int32) []int32 {
 // order[i] becomes node i. order must list every node once, root first,
 // with every sibling pair adjacent. Leaf slots are renumbered in the
 // order their leaves appear, and the leaf ids and inlined records are
-// laid out at their exact size. The dispatch kernels are captured from
-// the active tier (KNN_KERNELS / vec.SetActiveTier). The strided form
-// is nil on tiers or builds without assembly, which ScanLeaf treats as
-// "use the four-wide path". The generic tier captures no batch kernels
-// at all, so a KNN_KERNELS=generic run exercises the pre-dispatch
-// arithmetic end to end.
+// laid out at their exact size. The dispatch kernels are captured here.
+// The strided form is nil where vec has no assembly body for the
+// dimension, build or CPU, which ScanLeaf treats as "use the four-wide
+// path".
 func (t *draft) layout(sys *nbrsys.System, dim int, order []int32) *Frozen {
 	nn, ns := len(order), t.nstride
 	pos := make([]int32, nn)
@@ -163,10 +161,8 @@ func (t *draft) layout(sys *nbrsys.System, dim int, order []int32) *Frozen {
 		stats:     t.stats,
 		dist2:     vec.Dist2Kernel(dim),
 		dot:       vec.DotKernel(dim),
-	}
-	if vec.ActiveTier() != vec.TierGeneric {
-		p.batch4 = vec.Dist2Batch4Kernel(dim)
-		p.strided8 = vec.Dist2Strided8Kernel(dim)
+		batch4:    vec.Dist2Batch4Kernel(dim),
+		strided8:  vec.Dist2Strided8Kernel(dim),
 	}
 	for i, b := range order {
 		p.kind[i], p.punted[i] = t.kind[b], t.punted[b]
@@ -315,7 +311,7 @@ func (f *Frozen) ScanLeaf(leaf int32, q []float64, closed bool, out []int) (res 
 	slot := f.child[leaf]
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
-	dist2, stride := f.dist2, f.stride
+	dist2, batch4, stride := f.dist2, f.batch4, f.stride
 	recs := f.leafRecs[int(lo)*stride : int(hi)*stride]
 	n := len(balls)
 	k := 0
@@ -393,40 +389,38 @@ func (f *Frozen) ScanLeaf(leaf int32, q []float64, closed bool, out []int) (res 
 	// batched and remainder candidates admit the same set of ids. The
 	// kernels index only [0, dim) of each operand, so handing them the
 	// full stride-wide record (center ‖ r²) is safe and skips a subslice.
-	if batch4 := f.batch4; batch4 != nil {
-		if closed {
-			for ; k+4 <= n; k += 4 {
-				m := k * stride
-				da, db, dc, dd := batch4(q, recs[m:], recs[m+stride:], recs[m+2*stride:], recs[m+3*stride:])
-				if da <= recs[m+stride-1]+geom.Eps {
-					out = append(out, int(balls[k]))
-				}
-				if db <= recs[m+2*stride-1]+geom.Eps {
-					out = append(out, int(balls[k+1]))
-				}
-				if dc <= recs[m+3*stride-1]+geom.Eps {
-					out = append(out, int(balls[k+2]))
-				}
-				if dd <= recs[m+4*stride-1]+geom.Eps {
-					out = append(out, int(balls[k+3]))
-				}
+	if closed {
+		for ; k+4 <= n; k += 4 {
+			m := k * stride
+			da, db, dc, dd := batch4(q, recs[m:], recs[m+stride:], recs[m+2*stride:], recs[m+3*stride:])
+			if da <= recs[m+stride-1]+geom.Eps {
+				out = append(out, int(balls[k]))
 			}
-		} else {
-			for ; k+4 <= n; k += 4 {
-				m := k * stride
-				da, db, dc, dd := batch4(q, recs[m:], recs[m+stride:], recs[m+2*stride:], recs[m+3*stride:])
-				if da < recs[m+stride-1] {
-					out = append(out, int(balls[k]))
-				}
-				if db < recs[m+2*stride-1] {
-					out = append(out, int(balls[k+1]))
-				}
-				if dc < recs[m+3*stride-1] {
-					out = append(out, int(balls[k+2]))
-				}
-				if dd < recs[m+4*stride-1] {
-					out = append(out, int(balls[k+3]))
-				}
+			if db <= recs[m+2*stride-1]+geom.Eps {
+				out = append(out, int(balls[k+1]))
+			}
+			if dc <= recs[m+3*stride-1]+geom.Eps {
+				out = append(out, int(balls[k+2]))
+			}
+			if dd <= recs[m+4*stride-1]+geom.Eps {
+				out = append(out, int(balls[k+3]))
+			}
+		}
+	} else {
+		for ; k+4 <= n; k += 4 {
+			m := k * stride
+			da, db, dc, dd := batch4(q, recs[m:], recs[m+stride:], recs[m+2*stride:], recs[m+3*stride:])
+			if da < recs[m+stride-1] {
+				out = append(out, int(balls[k]))
+			}
+			if db < recs[m+2*stride-1] {
+				out = append(out, int(balls[k+1]))
+			}
+			if dc < recs[m+3*stride-1] {
+				out = append(out, int(balls[k+2]))
+			}
+			if dd < recs[m+4*stride-1] {
+				out = append(out, int(balls[k+3]))
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
-	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
 )
 
@@ -152,42 +151,29 @@ func TestBlockedOrderPermutation(t *testing.T) {
 	}
 }
 
-// TestUseGenericKernels pins the generic-kernel build: a tree built
-// under vec.TierGeneric (no batch or strided kernels captured, so every
-// leaf candidate goes through the single-pair loop) has the same layout
-// and changes no answer and no counter against the same tree built
-// under the active tier, at the specialized dimensions and above the
-// dispatch table.
+// TestUseGenericKernels pins the dispatch kernels a tree captures at
+// the specialized dimensions and above the dispatch table: every
+// answer, open and closed, equals the brute-force Dist2Flat covering
+// scan, whichever of the strided, four-wide and single-pair leaf paths
+// served it.
 func TestUseGenericKernels(t *testing.T) {
 	g := xrand.New(47)
 	for _, d := range []int{4, 6, 9} {
 		pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.UniformCube, 800, d, g.Split()))
 		sys := nbrsys.KNeighborhood(pts, 3)
-		seed := g.Uint64()
-		opt, err := Build(sys, xrand.New(seed), nil)
+		f, err := Build(sys, xrand.New(g.Uint64()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev := vec.SetActiveTier(vec.TierGeneric)
-		ref, err := Build(sys, xrand.New(seed), nil)
-		vec.SetActiveTier(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.batch4 != nil || ref.strided8 != nil {
-			t.Fatalf("d=%d: generic-tier build captured batch kernels", d)
-		}
-		if frozenHash(ref) != frozenHash(opt) {
-			t.Fatalf("d=%d: generic-tier build laid the tree out differently", d)
-		}
-		var a, b []int
+		var got []int
 		for qi, q := range queryMix(pts, d, 200, uint64(90+d)) {
-			var av, as, bv, bs int
-			a, av, as = opt.CoveringClosed(q, a[:0])
-			b, bv, bs = ref.CoveringClosed(q, b[:0])
-			if !equalInts(a, b) || av != bv || as != bs {
-				t.Fatalf("d=%d q=%d: kernels %v (%d,%d), generic %v (%d,%d)",
-					d, qi, a, av, as, b, bv, bs)
+			got, _, _ = f.Covering(q, got[:0])
+			if want := coveringBrute(sys, q, false); !equalInts(got, want) {
+				t.Fatalf("d=%d q=%d: open %v, brute %v", d, qi, got, want)
+			}
+			got, _, _ = f.CoveringClosed(q, got[:0])
+			if want := coveringBrute(sys, q, true); !equalInts(got, want) {
+				t.Fatalf("d=%d q=%d: closed %v, brute %v", d, qi, got, want)
 			}
 		}
 	}

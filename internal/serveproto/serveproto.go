@@ -118,15 +118,6 @@ func AppendRequest(dst []byte, queries [][]float64, dim int, closed bool) []byte
 	return dst
 }
 
-// DecodeRequest decodes a request frame into a fresh Request.
-func DecodeRequest(buf []byte) (*Request, error) {
-	var req Request
-	if err := DecodeRequestInto(buf, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
 // DecodeRequestInto decodes a request frame into req, reusing req's
 // Flat arena and Queries headers when their capacity suffices — the
 // zero-allocation steady-state path of the serving handler. On error

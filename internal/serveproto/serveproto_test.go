@@ -18,8 +18,8 @@ func sampleQueries() [][]float64 {
 func TestRequestRoundTrip(t *testing.T) {
 	for _, closed := range []bool{false, true} {
 		buf := AppendRequest(nil, sampleQueries(), 3, closed)
-		req, err := DecodeRequest(buf)
-		if err != nil {
+		var req Request
+		if err := DecodeRequestInto(buf, &req); err != nil {
 			t.Fatalf("closed=%v: %v", closed, err)
 		}
 		if req.Closed != closed || req.Dim != 3 || len(req.Queries) != 3 {
@@ -37,8 +37,8 @@ func TestRequestRoundTrip(t *testing.T) {
 
 func TestRequestEmptyBatch(t *testing.T) {
 	buf := AppendRequest(nil, nil, 2, false)
-	req, err := DecodeRequest(buf)
-	if err != nil {
+	var req Request
+	if err := DecodeRequestInto(buf, &req); err != nil {
 		t.Fatal(err)
 	}
 	if len(req.Queries) != 0 || req.Dim != 2 {
@@ -107,7 +107,8 @@ func TestRequestDecodeErrors(t *testing.T) {
 		}), ErrNonFinite},
 	}
 	for _, tc := range cases {
-		if _, err := DecodeRequest(tc.buf); !errors.Is(err, tc.want) {
+		var req Request
+		if err := DecodeRequestInto(tc.buf, &req); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}

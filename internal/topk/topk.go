@@ -6,11 +6,7 @@
 // exact graph-equality testing between algorithms possible.
 package topk
 
-import (
-	"sort"
-
-	"sepdc/internal/obs"
-)
+import "sepdc/internal/obs"
 
 // Neighbor is a candidate neighbor: the point's index and squared distance.
 type Neighbor struct {
@@ -59,15 +55,6 @@ func (l *List) WorstDist2() (float64, bool) {
 	return l.items[len(l.items)-1].Dist2, true
 }
 
-// Accepts reports whether a candidate at squared distance d2 would enter
-// the list (without inserting it).
-func (l *List) Accepts(d2 float64, idx int) bool {
-	if !l.Full() {
-		return true
-	}
-	return Less(Neighbor{Idx: idx, Dist2: d2}, l.items[len(l.items)-1])
-}
-
 // Insert offers a candidate; it is stored only if it is among the k best.
 // Duplicate indices are the caller's responsibility to avoid (the divide
 // and conquer never produces them because candidate sets are disjoint).
@@ -110,13 +97,6 @@ func (l *List) Radius2() (float64, bool) {
 		return 0, false
 	}
 	return l.items[len(l.items)-1].Dist2, l.Full()
-}
-
-// Merge inserts every neighbor of other into l.
-func (l *List) Merge(other *List) {
-	for _, nb := range other.items {
-		l.Insert(nb.Idx, nb.Dist2)
-	}
 }
 
 // Arena bulk-allocates n lists of capacity k in three heap objects (the
@@ -165,12 +145,6 @@ func (a *Arena) Reset() {
 	if obs.On() {
 		obs.Add(obs.GArenaResets, 1)
 	}
-}
-
-// SortNeighbors sorts a plain neighbor slice into canonical order; used by
-// reference implementations and tests.
-func SortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(i, j int) bool { return Less(ns[i], ns[j]) })
 }
 
 // Equal reports whether two lists hold identical neighbor sequences.

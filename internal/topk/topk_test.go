@@ -70,26 +70,6 @@ func TestWorstAndRadius(t *testing.T) {
 	}
 }
 
-func TestAccepts(t *testing.T) {
-	l := New(1)
-	if !l.Accepts(100, 5) {
-		t.Error("non-full list must accept anything")
-	}
-	l.Insert(5, 10)
-	if !l.Accepts(9, 99) {
-		t.Error("smaller distance rejected")
-	}
-	if l.Accepts(11, 0) {
-		t.Error("larger distance accepted")
-	}
-	if l.Accepts(10, 6) {
-		t.Error("equal distance, larger index accepted")
-	}
-	if !l.Accepts(10, 4) {
-		t.Error("equal distance, smaller index rejected")
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	l := New(2)
 	l.Insert(0, 1)
@@ -103,19 +83,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 	if Equal(l, c) {
 		t.Error("diverged clone still equal")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a, b := New(2), New(2)
-	a.Insert(0, 5)
-	a.Insert(1, 7)
-	b.Insert(2, 1)
-	b.Insert(3, 6)
-	a.Merge(b)
-	items := a.Items()
-	if items[0].Idx != 2 || items[1].Idx != 0 {
-		t.Errorf("Merge = %v", items)
 	}
 }
 
@@ -150,36 +117,6 @@ func TestPropertyMatchesSort(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: merge of two lists equals a list fed both streams.
-func TestPropertyMergeEquivalent(t *testing.T) {
-	f := func(xs, ys []uint16, kRaw uint8) bool {
-		k := int(kRaw)%6 + 1
-		a, b, ref := New(k), New(k), New(k)
-		for i, x := range xs {
-			a.Insert(i, float64(x))
-			ref.Insert(i, float64(x))
-		}
-		off := len(xs)
-		for i, y := range ys {
-			b.Insert(off+i, float64(y))
-			ref.Insert(off+i, float64(y))
-		}
-		a.Merge(b)
-		return Equal(a, ref)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSortNeighbors(t *testing.T) {
-	ns := []Neighbor{{Idx: 2, Dist2: 1}, {Idx: 1, Dist2: 1}, {Idx: 0, Dist2: 0.5}}
-	SortNeighbors(ns)
-	if ns[0].Idx != 0 || ns[1].Idx != 1 || ns[2].Idx != 2 {
-		t.Errorf("SortNeighbors = %v", ns)
 	}
 }
 

@@ -47,7 +47,3 @@ func (h Householder) Apply(v Vec) Vec {
 	w := v.Clone()
 	return AXPY(w, -s, h.u)
 }
-
-// Inverse returns the inverse transform. Reflections are involutions, so the
-// inverse is the reflection itself; the method exists for call-site clarity.
-func (h Householder) Inverse() Householder { return h }

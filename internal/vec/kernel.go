@@ -49,18 +49,23 @@ type Dist2Batch4Func func(q, a, b, c, d []float64) (da, db, dc, dd float64)
 // eight candidate headers per group.
 type Dist2Strided8Func func(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
 
+// Dispatch. Each selector picks its body by dimension and by what the
+// platform can run, nothing else: the unrolled Go bodies at d = 2..8,
+// the AVX2 assembly bodies where kernel_amd64.s has one and the CPU
+// runs it, and the flat loops outside 2..8. Assembly serves only the
+// forms the kernels record shows it winning, batch4 at d = 5..8 and
+// strided8 at d = 4..8; at d = 2..4 the unrolled four-point body is
+// faster than the AVX2 one.
+
 // Dist2Kernel returns the squared-distance kernel specialized for
 // dimension d. The returned function is bit-identical to Dist2Flat on
 // inputs of that dimension. Callers hoist the selection out of their
 // per-point loops.
 //
-// Single-pair calls stay on the unrolled Go bodies even under TierAsm:
-// at one distance per indirect call the ABI0 spill cost of an assembly
-// callee would eat any SIMD gain, so only the batch forms go to asm.
+// Single-pair calls stay on the unrolled Go bodies even with assembly
+// available: at one distance per indirect call the ABI0 spill cost of
+// an assembly callee would eat any SIMD gain.
 func Dist2Kernel(d int) Dist2Func {
-	if activeTier == TierGeneric {
-		return Dist2Flat
-	}
 	switch d {
 	case 2:
 		return dist2Dim2
@@ -83,12 +88,8 @@ func Dist2Kernel(d int) Dist2Func {
 
 // DotKernel returns the inner-product kernel specialized for dimension d,
 // bit-identical to DotFlat on inputs of that dimension. Like
-// Dist2Kernel, dot products are single-pair and stay in Go under
-// TierAsm.
+// Dist2Kernel, dot products are single-pair and stay in Go.
 func DotKernel(d int) DotFunc {
-	if activeTier == TierGeneric {
-		return DotFlat
-	}
 	switch d {
 	case 2:
 		return dotDim2
@@ -110,47 +111,50 @@ func DotKernel(d int) DotFunc {
 }
 
 // Dist2Batch4Kernel returns the four-point squared-distance kernel
-// specialized for dimension d. Every lane is bit-identical to
+// specialized for dimension d: the AVX2 body where one exists and runs,
+// otherwise the unrolled Go body. Every lane is bit-identical to
 // Dist2Flat — and therefore to Dist2Kernel(d) — on the same operands.
-// Under TierAsm and d=2..8 the returned function is the AVX2 assembly
-// body; four distances per call is enough to amortize its ABI0 spill.
 func Dist2Batch4Kernel(d int) Dist2Batch4Func {
-	if activeTier == TierGeneric {
-		return dist2Batch4Flat
+	goBody, asmBody := Batch4Bodies(d)
+	if asmBody != nil {
+		return asmBody
 	}
-	if activeTier == TierAsm && d >= 2 && d <= 8 {
-		if k := asmBatch4[d]; k != nil {
-			return k
-		}
+	return goBody
+}
+
+// batch4Go holds the unrolled four-point bodies by dimension.
+var batch4Go = [9]Dist2Batch4Func{
+	2: dist2Batch4Dim2,
+	3: dist2Batch4Dim3,
+	4: dist2Batch4Dim4,
+	5: dist2Batch4Dim5,
+	6: dist2Batch4Dim6,
+	7: dist2Batch4Dim7,
+	8: dist2Batch4Dim8,
+}
+
+// Batch4Bodies returns both four-point bodies for dimension d: the Go
+// one, and the assembly one or nil where this build, CPU or dimension
+// has none. Dist2Batch4Kernel serves the assembly body when there is
+// one; benchmarks use this to time the Go body beside it.
+func Batch4Bodies(d int) (goBody, asmBody Dist2Batch4Func) {
+	if d < 2 || d > 8 {
+		return dist2Batch4Flat, nil
 	}
-	switch d {
-	case 2:
-		return dist2Batch4Dim2
-	case 3:
-		return dist2Batch4Dim3
-	case 4:
-		return dist2Batch4Dim4
-	case 5:
-		return dist2Batch4Dim5
-	case 6:
-		return dist2Batch4Dim6
-	case 7:
-		return dist2Batch4Dim7
-	case 8:
-		return dist2Batch4Dim8
-	default:
-		return dist2Batch4Flat
+	if asmSupported {
+		asmBody = asmBatch4[d]
 	}
+	return batch4Go[d], asmBody
 }
 
 // Dist2Strided8Kernel returns the eight-record strided squared-distance
 // kernel for dimension d, or nil when no assembly body exists for this
-// tier, build, or dimension. The eight-lane form only exists in
+// build, CPU or dimension. The eight-lane form only exists in
 // assembly — a Go version would neither vectorize reliably nor beat two
 // unrolled four-lane calls — so nil means "scan records with the batch-4
 // kernel", which is exactly what the septree leaf scan does.
 func Dist2Strided8Kernel(d int) Dist2Strided8Func {
-	if activeTier != TierAsm || d < 2 || d > 8 {
+	if !asmSupported || d < 2 || d > 8 {
 		return nil
 	}
 	return asmStrided8[d]

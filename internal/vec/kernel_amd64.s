@@ -2,7 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 point-parallel squared-distance kernels.
+// AVX2 point-parallel squared-distance kernels. Only the bodies that
+// beat the unrolled Go forms are kept: four-lane batch at d = 5..8 and
+// eight-lane strided at d = 4..8.
 //
 // Layout: one ymm register holds the same coordinate of four candidate
 // points, one candidate per 64-bit lane. For each dimension i the
@@ -102,30 +104,6 @@
 	VZEROUPPER; \
 	RET
 
-// func dist2Batch4Asm2(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm2(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm3(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm3(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	BATCH4_TAIL
-
-// func dist2Batch4Asm4(q, a, b, c, d []float64) (da, db, dc, dd float64)
-TEXT ·dist2Batch4Asm4(SB), NOSPLIT, $0-152
-	BATCH4_HEAD
-	STEP4(0)
-	STEP4(1)
-	STEP4(2)
-	STEP4(3)
-	BATCH4_TAIL
-
 // func dist2Batch4Asm5(q, a, b, c, d []float64) (da, db, dc, dd float64)
 TEXT ·dist2Batch4Asm5(SB), NOSPLIT, $0-152
 	BATCH4_HEAD
@@ -171,21 +149,6 @@ TEXT ·dist2Batch4Asm8(SB), NOSPLIT, $0-152
 	STEP4(6)
 	STEP4(7)
 	BATCH4_TAIL
-
-// func dist2Strided8Asm2(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Strided8Asm2(SB), NOSPLIT, $0-120
-	STRIDED8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STRIDED8_TAIL
-
-// func dist2Strided8Asm3(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
-TEXT ·dist2Strided8Asm3(SB), NOSPLIT, $0-120
-	STRIDED8_HEAD
-	STEP8(0)
-	STEP8(1)
-	STEP8(2)
-	STRIDED8_TAIL
 
 // func dist2Strided8Asm4(q, recs []float64, stride int) (d0, d1, d2, d3, d4, d5, d6, d7 float64)
 TEXT ·dist2Strided8Asm4(SB), NOSPLIT, $0-120

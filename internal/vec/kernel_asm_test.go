@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// These tests exercise the assembly tier through the same adversarial
-// table as the unrolled kernels (kernel_test.go). They are portable:
-// the dispatch tables exist on every build (empty without asm), and
-// every asm-specific assertion gates on AsmSupported(), so the file
-// compiles and passes under !amd64 and purego too — the selector-level
-// checks still run there against the Go tiers.
+// These tests pin the dispatch table and run every assembly body
+// through the same adversarial table as the unrolled kernels
+// (kernel_test.go). They are portable: the assembly tables exist on
+// every build (empty without asm), and every asm-specific assertion
+// gates on asmSupported, so the file compiles and passes under !amd64
+// and purego too, where the selector checks run against the Go bodies.
 
 func fnEq(a, b interface{}) bool {
 	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
@@ -36,10 +36,10 @@ func bitsEq(a, b float64) bool {
 // the generic left-to-right reference over the adversarial table,
 // checking exact bit patterns lane by lane and in both orientations.
 func TestAsmBatch4BitIdentity(t *testing.T) {
-	if !AsmSupported() {
+	if !asmSupported {
 		t.Skip("assembly kernels not available on this build/CPU")
 	}
-	for d := 2; d <= 8; d++ {
+	for d := 5; d <= 8; d++ {
 		kern := asmBatch4[d]
 		if kern == nil {
 			t.Fatalf("d=%d: asmBatch4 entry missing", d)
@@ -73,10 +73,10 @@ func TestAsmBatch4BitIdentity(t *testing.T) {
 // slots hold NaN to prove the kernel never reads past the first d
 // coordinates of a record.
 func TestAsmStrided8BitIdentity(t *testing.T) {
-	if !AsmSupported() {
+	if !asmSupported {
 		t.Skip("assembly kernels not available on this build/CPU")
 	}
-	for d := 2; d <= 8; d++ {
+	for d := 4; d <= 8; d++ {
 		kern := asmStrided8[d]
 		if kern == nil {
 			t.Fatalf("d=%d: asmStrided8 entry missing", d)
@@ -107,105 +107,64 @@ func TestAsmStrided8BitIdentity(t *testing.T) {
 	}
 }
 
-// TestTierDispatch pins the dispatch-priority table: which concrete
-// function each selector serves under each tier, that the single-pair
-// forms stay unrolled under asm, and that the 8-lane selector is nil
-// everywhere the assembly bodies don't exist.
+// TestTierDispatch pins the dispatch table: the unrolled Go bodies at
+// d = 2..8, assembly exactly at batch4 d = 5..8 and strided8 d = 4..8
+// when the build and CPU run it, and the flat loops outside 2..8.
 func TestTierDispatch(t *testing.T) {
-	prev := ActiveTier()
-	defer SetActiveTier(prev)
-
-	SetActiveTier(TierGeneric)
-	if !fnEq(Dist2Kernel(4), Dist2Flat) || !fnEq(DotKernel(4), DotFlat) {
-		t.Fatal("TierGeneric: single-pair selectors must serve the flat loops")
-	}
-	if !fnEq(Dist2Batch4Kernel(4), dist2Batch4Flat) {
-		t.Fatal("TierGeneric: batch4 selector must serve dist2Batch4Flat")
-	}
-	if Dist2Strided8Kernel(4) != nil {
-		t.Fatal("TierGeneric: 8-lane selector must be nil")
-	}
-
-	SetActiveTier(TierUnrolled)
-	if !fnEq(Dist2Kernel(4), dist2Dim4) || !fnEq(Dist2Batch4Kernel(4), dist2Batch4Dim4) {
-		t.Fatal("TierUnrolled: selectors must serve the unrolled bodies")
-	}
-	if Dist2Strided8Kernel(4) != nil {
-		t.Fatal("TierUnrolled: 8-lane selector must be nil")
-	}
-	if !fnEq(Dist2Kernel(9), Dist2Flat) {
-		t.Fatal("TierUnrolled: out-of-range dimension must fall back to flat")
-	}
-
-	got := SetActiveTier(TierAsm)
-	if got != TierUnrolled {
-		t.Fatalf("SetActiveTier returned %v, want TierUnrolled", got)
-	}
-	if !AsmSupported() {
-		if ActiveTier() != TierUnrolled {
-			t.Fatal("TierAsm request without asm support must degrade to TierUnrolled")
-		}
-		return
-	}
-	if ActiveTier() != TierAsm {
-		t.Fatal("TierAsm request with asm support must stick")
-	}
-	if !fnEq(Dist2Kernel(4), dist2Dim4) || !fnEq(DotKernel(4), dotDim4) {
-		t.Fatal("TierAsm: single-pair selectors must stay on the unrolled bodies")
-	}
+	dist2 := [9]Dist2Func{2: dist2Dim2, 3: dist2Dim3, 4: dist2Dim4, 5: dist2Dim5, 6: dist2Dim6, 7: dist2Dim7, 8: dist2Dim8}
+	dot := [9]DotFunc{2: dotDim2, 3: dotDim3, 4: dotDim4, 5: dotDim5, 6: dotDim6, 7: dotDim7, 8: dotDim8}
 	for d := 2; d <= 8; d++ {
-		if !fnEq(Dist2Batch4Kernel(d), asmBatch4[d]) {
-			t.Fatalf("TierAsm d=%d: batch4 selector must serve the asm body", d)
+		if !fnEq(Dist2Kernel(d), dist2[d]) || !fnEq(DotKernel(d), dot[d]) {
+			t.Fatalf("d=%d: single-pair selectors must serve the unrolled bodies", d)
 		}
-		if Dist2Strided8Kernel(d) == nil {
-			t.Fatalf("TierAsm d=%d: 8-lane selector must be non-nil", d)
+		goBody, asmBody := Batch4Bodies(d)
+		if !fnEq(goBody, batch4Go[d]) {
+			t.Fatalf("d=%d: Batch4Bodies must return the unrolled Go body", d)
+		}
+		wantAsm := asmSupported && d >= 5
+		if (asmBody != nil) != wantAsm {
+			t.Fatalf("d=%d: asm batch4 body present=%v, want %v", d, asmBody != nil, wantAsm)
+		}
+		if wantAsm && !fnEq(Dist2Batch4Kernel(d), asmBatch4[d]) {
+			t.Fatalf("d=%d: batch4 selector must serve the asm body", d)
+		}
+		if !wantAsm && !fnEq(Dist2Batch4Kernel(d), batch4Go[d]) {
+			t.Fatalf("d=%d: batch4 selector must serve the unrolled body", d)
+		}
+		if want := asmSupported && d >= 4; (Dist2Strided8Kernel(d) != nil) != want {
+			t.Fatalf("d=%d: strided8 selector present=%v, want %v", d, Dist2Strided8Kernel(d) != nil, want)
 		}
 	}
 	for _, d := range []int{1, 9, 16} {
-		if Dist2Strided8Kernel(d) != nil {
-			t.Fatalf("TierAsm d=%d: 8-lane selector must be nil outside 2..8", d)
+		if !fnEq(Dist2Kernel(d), Dist2Flat) || !fnEq(DotKernel(d), DotFlat) {
+			t.Fatalf("d=%d: single-pair selectors must fall back to the flat loops", d)
+		}
+		if goBody, asmBody := Batch4Bodies(d); !fnEq(goBody, dist2Batch4Flat) || asmBody != nil {
+			t.Fatalf("d=%d: Batch4Bodies must return only the flat body", d)
 		}
 		if !fnEq(Dist2Batch4Kernel(d), dist2Batch4Flat) {
-			t.Fatalf("TierAsm d=%d: batch4 must fall back to flat outside 2..8", d)
+			t.Fatalf("d=%d: batch4 must fall back to flat outside 2..8", d)
+		}
+		if Dist2Strided8Kernel(d) != nil {
+			t.Fatalf("d=%d: 8-lane selector must be nil outside 2..8", d)
 		}
 	}
 }
 
-// TestParseTier pins the env-override vocabulary.
-func TestParseTier(t *testing.T) {
-	for s, want := range map[string]KernelTier{
-		"generic": TierGeneric, "unrolled": TierUnrolled, "asm": TierAsm,
-	} {
-		got, ok := ParseTier(s)
-		if !ok || got != want {
-			t.Fatalf("ParseTier(%q) = %v,%v; want %v,true", s, got, ok, want)
-		}
-		if got.String() != s {
-			t.Fatalf("KernelTier(%v).String() = %q, want %q", got, got.String(), s)
-		}
-	}
-	if _, ok := ParseTier("avx512"); ok {
-		t.Fatal("ParseTier accepted an unknown tier")
-	}
-}
-
-// TestBatchKernelsBitIdenticalAllTiers sweeps the selector output of
-// every available tier over the adversarial table, so whichever tier a
-// platform defaults to is proven against the flat reference.
+// TestBatchKernelsBitIdenticalAllTiers sweeps both four-point bodies
+// (Go and, where present, assembly) and the strided selector over the
+// adversarial table, so every body a platform can serve is proven
+// against the flat reference.
 func TestBatchKernelsBitIdenticalAllTiers(t *testing.T) {
-	prev := ActiveTier()
-	defer SetActiveTier(prev)
-	tiers := []KernelTier{TierGeneric, TierUnrolled}
-	if AsmSupported() {
-		tiers = append(tiers, TierAsm)
-	}
-	for _, tier := range tiers {
-		SetActiveTier(tier)
-		for d := 1; d <= 16; d++ {
-			kern := Dist2Batch4Kernel(d)
-			s8 := Dist2Strided8Kernel(d)
-			cases := kernelCases(d)
-			for i := 0; i+8 < len(cases); i += 4 {
+	for d := 1; d <= 16; d++ {
+		goBody, asmBody := Batch4Bodies(d)
+		s8 := Dist2Strided8Kernel(d)
+		cases := kernelCases(d)
+		for name, kern := range map[string]Dist2Batch4Func{"go": goBody, "asm": asmBody} {
+			if kern == nil {
+				continue
+			}
+			for i := 0; i+4 < len(cases); i += 4 {
 				q := cases[i][0]
 				a, b, c, dd := cases[i+1][0], cases[i+2][1], cases[i+3][0], cases[i+4][1]
 				la, lb, lc, ld := kern(q, a, b, c, dd)
@@ -214,30 +173,35 @@ func TestBatchKernelsBitIdenticalAllTiers(t *testing.T) {
 					{lc, Dist2Flat(q, c)}, {ld, Dist2Flat(q, dd)},
 				} {
 					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
-						t.Fatalf("tier=%v d=%d case %d lane %d: batch4 mismatch", tier, d, i, lane)
+						t.Fatalf("%s d=%d case %d lane %d: batch4 mismatch", name, d, i, lane)
 					}
 				}
-				if s8 != nil {
-					stride := d + 1
-					recs := make([]float64, 8*stride)
-					for k, op := range [][]float64{a, b, c, dd, cases[i+5][0], cases[i+6][1], cases[i+7][0], cases[i+8][1]} {
-						copy(recs[k*stride:], op[:d])
-					}
-					r := make([]float64, 8)
-					r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = s8(q, recs, stride)
-					for lane := 0; lane < 8; lane++ {
-						want := Dist2Flat(q, recs[lane*stride:lane*stride+d])
-						if math.Float64bits(r[lane]) != math.Float64bits(want) {
-							t.Fatalf("tier=%v d=%d case %d lane %d: strided8 mismatch", tier, d, i, lane)
-						}
-					}
+			}
+		}
+		if s8 == nil {
+			continue
+		}
+		stride := d + 1
+		for i := 0; i+8 < len(cases); i += 4 {
+			q := cases[i][0]
+			recs := make([]float64, 8*stride)
+			for k, op := range [][]float64{cases[i+1][0], cases[i+2][1], cases[i+3][0], cases[i+4][1],
+				cases[i+5][0], cases[i+6][1], cases[i+7][0], cases[i+8][1]} {
+				copy(recs[k*stride:], op[:d])
+			}
+			r := make([]float64, 8)
+			r[0], r[1], r[2], r[3], r[4], r[5], r[6], r[7] = s8(q, recs, stride)
+			for lane := 0; lane < 8; lane++ {
+				want := Dist2Flat(q, recs[lane*stride:lane*stride+d])
+				if math.Float64bits(r[lane]) != math.Float64bits(want) {
+					t.Fatalf("d=%d case %d lane %d: strided8 mismatch", d, i, lane)
 				}
 			}
 		}
 	}
 }
 
-// FuzzKernelParity cross-checks every kernel tier on fuzzer-chosen raw
+// FuzzKernelParity cross-checks every kernel body on fuzzer-chosen raw
 // float64 bit patterns — including NaNs, infinities, and subnormals —
 // against the flat reference. Wired into `make fuzz`.
 func FuzzKernelParity(f *testing.F) {
@@ -272,38 +236,35 @@ func FuzzKernelParity(f *testing.F) {
 		}
 		wantDot := DotFlat(q, ops[0])
 
-		prev := ActiveTier()
-		defer SetActiveTier(prev)
-		tiers := []KernelTier{TierGeneric, TierUnrolled}
-		if AsmSupported() {
-			tiers = append(tiers, TierAsm)
+		if got := Dist2Kernel(d)(q, ops[0]); !bitsEq(got, want[0]) {
+			t.Fatalf("d=%d: Dist2Kernel %x, flat %x", d, math.Float64bits(got), math.Float64bits(want[0]))
 		}
-		for _, tier := range tiers {
-			SetActiveTier(tier)
-			if got := Dist2Kernel(d)(q, ops[0]); !bitsEq(got, want[0]) {
-				t.Fatalf("tier=%v d=%d: Dist2Kernel %x, flat %x", tier, d, math.Float64bits(got), math.Float64bits(want[0]))
+		if got := DotKernel(d)(q, ops[0]); !bitsEq(got, wantDot) {
+			t.Fatalf("d=%d: DotKernel %x, flat %x", d, math.Float64bits(got), math.Float64bits(wantDot))
+		}
+		var got [8]float64
+		goBody, asmBody := Batch4Bodies(d)
+		for _, kern := range []Dist2Batch4Func{goBody, asmBody} {
+			if kern == nil {
+				continue
 			}
-			if got := DotKernel(d)(q, ops[0]); !bitsEq(got, wantDot) {
-				t.Fatalf("tier=%v d=%d: DotKernel %x, flat %x", tier, d, math.Float64bits(got), math.Float64bits(wantDot))
-			}
-			var got [8]float64
-			got[0], got[1], got[2], got[3] = Dist2Batch4Kernel(d)(q, ops[0], ops[1], ops[2], ops[3])
+			got[0], got[1], got[2], got[3] = kern(q, ops[0], ops[1], ops[2], ops[3])
 			for lane := 0; lane < 4; lane++ {
 				if !bitsEq(got[lane], want[lane]) {
-					t.Fatalf("tier=%v d=%d lane %d: batch4 %x, flat %x", tier, d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
+					t.Fatalf("d=%d lane %d: batch4 %x, flat %x", d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
 				}
 			}
-			if s8 := Dist2Strided8Kernel(d); s8 != nil {
-				stride := d + 1
-				recs := make([]float64, 8*stride)
-				for k := range ops {
-					copy(recs[k*stride:], ops[k])
-				}
-				got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = s8(q, recs, stride)
-				for lane := 0; lane < 8; lane++ {
-					if !bitsEq(got[lane], want[lane]) {
-						t.Fatalf("tier=%v d=%d lane %d: strided8 %x, flat %x", tier, d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
-					}
+		}
+		if s8 := Dist2Strided8Kernel(d); s8 != nil {
+			stride := d + 1
+			recs := make([]float64, 8*stride)
+			for k := range ops {
+				copy(recs[k*stride:], ops[k])
+			}
+			got[0], got[1], got[2], got[3], got[4], got[5], got[6], got[7] = s8(q, recs, stride)
+			for lane := 0; lane < 8; lane++ {
+				if !bitsEq(got[lane], want[lane]) {
+					t.Fatalf("d=%d lane %d: strided8 %x, flat %x", d, lane, math.Float64bits(got[lane]), math.Float64bits(want[lane]))
 				}
 			}
 		}
@@ -316,7 +277,7 @@ func BenchmarkDist2Strided8(b *testing.B) {
 	for _, d := range kernelBenchDims {
 		kern := Dist2Strided8Kernel(d)
 		if kern == nil {
-			b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { b.Skip("no asm strided8 on this tier/build") })
+			b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { b.Skip("no asm strided8 for this dimension, build or CPU") })
 			continue
 		}
 		stride := d + 1

@@ -168,26 +168,6 @@ func DotFlat(a, b []float64) float64 {
 	return s
 }
 
-// Normalize returns v/|v| as a new vector. It panics when v is (numerically)
-// the zero vector because a direction cannot be derived from it.
-func Normalize(v Vec) Vec {
-	n := Norm(v)
-	if n == 0 || math.IsNaN(n) || math.IsInf(n, 0) {
-		panic("vec: cannot normalize zero or non-finite vector")
-	}
-	return Scale(1/n, v)
-}
-
-// Lerp returns (1-t)*a + t*b.
-func Lerp(a, b Vec, t float64) Vec {
-	assertSameDim(a, b)
-	c := make(Vec, len(a))
-	for i := range a {
-		c[i] = (1-t)*a[i] + t*b[i]
-	}
-	return c
-}
-
 // Equal reports whether a and b agree exactly in every coordinate.
 func Equal(a, b Vec) bool {
 	if len(a) != len(b) {
@@ -253,22 +233,4 @@ func Basis(d, i int) Vec {
 	e := make(Vec, d)
 	e[i] = 1
 	return e
-}
-
-// Append returns the (d+1)-dimensional vector (v, x).
-func Append(v Vec, x float64) Vec {
-	w := make(Vec, len(v)+1)
-	copy(w, v)
-	w[len(v)] = x
-	return w
-}
-
-// Drop returns the d-dimensional prefix of a (d+1)-dimensional vector.
-func Drop(v Vec) Vec {
-	if len(v) == 0 {
-		panic("vec: cannot drop coordinate of empty vector")
-	}
-	w := make(Vec, len(v)-1)
-	copy(w, v[:len(v)-1])
-	return w
 }

@@ -76,32 +76,6 @@ func TestDotNormDist(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	v := Normalize(Of(0, 3, 0))
-	if !Equal(v, Of(0, 1, 0)) {
-		t.Errorf("Normalize = %v", v)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Normalize(0) did not panic")
-		}
-	}()
-	Normalize(Of(0, 0))
-}
-
-func TestLerp(t *testing.T) {
-	a, b := Of(0, 0), Of(10, 20)
-	if got := Lerp(a, b, 0.5); !Equal(got, Of(5, 10)) {
-		t.Errorf("Lerp = %v", got)
-	}
-	if got := Lerp(a, b, 0); !Equal(got, a) {
-		t.Errorf("Lerp(0) = %v", got)
-	}
-	if got := Lerp(a, b, 1); !Equal(got, b) {
-		t.Errorf("Lerp(1) = %v", got)
-	}
-}
-
 func TestDimensionMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -124,17 +98,10 @@ func TestCentroid(t *testing.T) {
 	Centroid(nil)
 }
 
-func TestBasisAppendDrop(t *testing.T) {
+func TestBasis(t *testing.T) {
 	e := Basis(3, 1)
 	if !Equal(e, Of(0, 1, 0)) {
 		t.Errorf("Basis = %v", e)
-	}
-	v := Append(Of(1, 2), 3)
-	if !Equal(v, Of(1, 2, 3)) {
-		t.Errorf("Append = %v", v)
-	}
-	if got := Drop(v); !Equal(got, Of(1, 2)) {
-		t.Errorf("Drop = %v", got)
 	}
 }
 
@@ -198,19 +165,5 @@ func TestPropertyCauchySchwarz(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPropertyNormalizeUnit(t *testing.T) {
-	r := rand.New(rand.NewPCG(7, 8))
-	for i := 0; i < 200; i++ {
-		d := r.IntN(7) + 1
-		v := randVec(r, d)
-		if Norm(v) < 1e-9 {
-			continue
-		}
-		if !almostEq(Norm(Normalize(v)), 1, 1e-12) {
-			t.Fatalf("Normalize(%v) has norm %v", v, Norm(Normalize(v)))
-		}
 	}
 }

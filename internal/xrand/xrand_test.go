@@ -181,15 +181,3 @@ func TestBernoulliExtremes(t *testing.T) {
 		}
 	}
 }
-
-func TestPermIsPermutation(t *testing.T) {
-	g := New(9)
-	p := g.Perm(20)
-	seen := make([]bool, 20)
-	for _, x := range p {
-		if seen[x] {
-			t.Fatal("Perm repeated a value")
-		}
-		seen[x] = true
-	}
-}

@@ -11,16 +11,19 @@ import (
 	"sepdc/internal/vec"
 )
 
-// KernelInfo reports the distance-kernel dispatch configuration this
-// process resolved at startup: the active tier ("asm", "unrolled", or
-// "generic" — KNN_KERNELS overrides, otherwise the best the build and
-// CPU support) and the detected CPU vector features ("none" when the
-// build or architecture has no kernel assembly). Serving binaries log
-// it at startup and publish it on /statsz (info.kernel_tier,
-// info.cpu_features) so production can confirm the assembly kernels
-// are actually engaged.
+// KernelInfo reports the distance-kernel dispatch this process runs:
+// "asm" when the AVX2 assembly bodies are engaged (amd64 build without
+// purego, on a CPU with AVX2), "unrolled" otherwise, and the detected
+// CPU vector features ("none" when the build or architecture has no
+// kernel assembly). Serving binaries log it at startup and publish it
+// on /statsz (info.kernel_tier, info.cpu_features) so production can
+// confirm the assembly kernels are actually engaged.
 func KernelInfo() (tier, cpuFeatures string) {
-	return vec.ActiveTier().String(), cpufeat.Features()
+	tier = "unrolled"
+	if vec.Dist2Strided8Kernel(4) != nil {
+		tier = "asm"
+	}
+	return tier, cpufeat.Features()
 }
 
 // This file is the public face of the serving-grade observability layer:

@@ -97,13 +97,15 @@ func TestQueryJournalCloseSwapSafe(t *testing.T) {
 		t.Fatal("replacement did not take the freed slot")
 	}
 	old.Close() // stale handle: must not drop j2's slot
-	if got := obs.Journals.Lookup("swap-safe-j"); got != j2 {
+	probe := obs.NewJournal(obs.JournalConfig{}, 0)
+	if got := obs.Journals.Register("swap-safe-j", probe); got != j2 {
 		t.Fatal("stale journal Close dropped the replacement's registration")
 	}
 	obs.Journals.Unregister("swap-safe-j", j2)
-	if obs.Journals.Lookup("swap-safe-j") != nil {
+	if got := obs.Journals.Register("swap-safe-j", probe); got != probe {
 		t.Fatal("owner unregister left the slot registered")
 	}
+	obs.Journals.Unregister("swap-safe-j", probe)
 }
 
 // TestNewQueryJournalConcurrentSameName: creators racing on one name all
@@ -125,7 +127,7 @@ func TestNewQueryJournalConcurrentSameName(t *testing.T) {
 	close(start)
 	wg.Wait()
 	defer handles[0].Close()
-	owner := obs.Journals.Lookup("concurrent-j")
+	owner := obs.Journals.Register("concurrent-j", obs.NewJournal(obs.JournalConfig{}, 0))
 	for i, h := range handles {
 		if h.j != owner {
 			t.Fatalf("creator %d holds a journal that is not the registered one", i)
