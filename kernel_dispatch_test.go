@@ -10,24 +10,27 @@ import (
 
 // bruteCovering answers every query by the definition: a Dist2Flat scan
 // of all k-neighborhood balls, in ascending id order, with the open
-// predicate d² < r² or the closed predicate d² ≤ r² + geom.Eps.
-func bruteCovering(points, queries [][]float64, k int, closed bool) [][]int {
+// predicate d² < r² and the closed predicate d² ≤ r² + geom.Eps.
+func bruteCovering(points, queries [][]float64, k int) (open, closed [][]int) {
 	centers := make([]vec.Vec, len(points))
 	for i, p := range points {
 		centers[i] = p
 	}
 	sys := nbrsys.KNeighborhood(centers, k)
-	out := make([][]int, len(queries))
+	open, closed = make([][]int, len(queries)), make([][]int, len(queries))
 	for qi, q := range queries {
 		for i, c := range sys.Centers {
 			r2 := sys.Radii[i] * sys.Radii[i]
 			d2 := vec.Dist2Flat(q, c)
-			if d2 < r2 || closed && d2 <= r2+geom.Eps {
-				out[qi] = append(out[qi], i)
+			if d2 < r2 {
+				open[qi] = append(open[qi], i)
+			}
+			if d2 <= r2+geom.Eps {
+				closed[qi] = append(closed[qi], i)
 			}
 		}
 	}
-	return out
+	return open, closed
 }
 
 // checkAgainstBrute requires every answer of a query structure over
@@ -35,8 +38,7 @@ func bruteCovering(points, queries [][]float64, k int, closed bool) [][]int {
 // brute-force covering scan.
 func checkAgainstBrute(t *testing.T, points, queries [][]float64, k int, seed uint64) {
 	t.Helper()
-	wantOpen := bruteCovering(points, queries, k, false)
-	wantClosed := bruteCovering(points, queries, k, true)
+	wantOpen, wantClosed := bruteCovering(points, queries, k)
 	qs, err := NewQueryStructure(points, k, seed)
 	if err != nil {
 		t.Fatal(err)
