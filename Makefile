@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve kernels-matrix perfbench-check verify fuzz chaos clean
+.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve ab-perfbench kernels-matrix perfbench-check verify fuzz chaos clean
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,17 @@ serve-smoke:
 # knnload at a fixed seed; other report sections are preserved.
 bench-serve:
 	./scripts/bench_serve.sh
+
+# Interleaved perfbench A/B of the working tree against PARENT, the
+# protocol behind a performance claim: PAIRS pairs of WORKLOAD runs,
+# RUN_SECONDS each, alternating which side runs first, then each side's
+# median and quartiles and the pairs in which the tree read lower.
+PARENT ?= HEAD
+WORKLOAD ?= build
+PAIRS ?= 10
+RUN_SECONDS ?= 20
+ab-perfbench:
+	./scripts/ab_perfbench.sh $(PARENT) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # Fuzz smoke: each target gets FUZZTIME (default 60s) of coverage-guided
 # input generation on top of the committed seed corpora in testdata/fuzz.

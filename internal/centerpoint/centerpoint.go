@@ -70,10 +70,11 @@ func RadonPoint(pts []vec.Vec) (vec.Vec, error) {
 	return vec.ScaleTo(point, 1/posSum, point), nil
 }
 
-// SampleSize is the number of input points the Radon tournament samples
-// (with replacement if the input is smaller). 256 keeps the computation
-// O(1) in n while giving good empirical depth; the separator search
-// lifts a sample of the same size.
+// SampleSize caps the Radon tournament, which draws min(SampleSize,
+// 2·|input|) entries (at least D+2) with replacement: O(1) in n, with good
+// empirical depth. Inputs of SampleSize/2 points or more all run the same
+// tournament; a smaller one gets twice its size (DESIGN §7). The separator
+// search lifts at most SampleSize points.
 const SampleSize = 256
 
 // scratch holds the per-call buffers of Approx: the Radon linear system,
@@ -189,13 +190,13 @@ func centroidInto(sc *scratch, dst vec.Vec, group []int32) {
 }
 
 // Approx returns an approximate centerpoint of pts by a Radon tournament
-// (Clarkson–Eppstein–Miller–Sturtivant–Teng): a random sample is shuffled
-// and partitioned into groups of d+2, each group is replaced by its Radon
-// point, and the process repeats on the survivors until few remain; the
-// depth of the survivors ratchets up geometrically per level. Degenerate
-// groups fall back to their centroid, so the function always returns a
-// finite point; for fully degenerate inputs (all points equal) that is the
-// exact centerpoint.
+// (Clarkson–Eppstein–Miller–Sturtivant–Teng): a random sample (see
+// SampleSize) is shuffled and partitioned into groups of d+2, each group
+// is replaced by its Radon point, and the process repeats on the survivors
+// until few remain; the depth of the survivors ratchets up geometrically
+// per level. Degenerate groups fall back to their centroid, so the
+// function always returns a finite point; for fully degenerate inputs
+// (all points equal) that is the exact centerpoint.
 //
 // All intermediate storage comes from a pooled scratch arena; only the
 // returned point is freshly allocated (it must outlive the call).
@@ -205,7 +206,7 @@ func Approx(pts []vec.Vec, g *xrand.RNG) vec.Vec {
 	}
 	d := len(pts[0])
 	groupSize := d + 2
-	ss := max(SampleSize, groupSize)
+	ss := max(min(SampleSize, 2*len(pts)), groupSize)
 	sc := scratchPool.Get().(*scratch)
 	sc.ensure(d, ss)
 	// Sample with replacement: cheap, unbiased, and safe for small inputs.

@@ -1,6 +1,8 @@
 package centerpoint
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -202,6 +204,68 @@ func TestRadonPointIntoMatchesRadonPoint(t *testing.T) {
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("D=%d trial %d: coordinate %d = %v, RadonPoint %v", D, trial, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// An input of at least SampleSize/2 points runs the full SampleSize-entry
+// tournament, so Approx must return the very points it returned when the
+// tournament was SampleSize entries for every input. The digest was
+// recorded with that rule, over seeds 1–5, D ∈ {3, 4, 5} and
+// n ∈ {128, 200, 1000}; the fixed-size D=4 Radon solve and the generic
+// one both take part.
+func TestApproxLargeInputsUnchanged(t *testing.T) {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, D := range []int{3, 4, 5} {
+		for _, n := range []int{SampleSize / 2, 200, 1000} {
+			for seed := uint64(1); seed <= 5; seed++ {
+				g := xrand.New(seed)
+				c := Approx(pointgen.MustGenerate(pointgen.UniformCube, n, D, g), g)
+				for _, x := range c {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+					h.Write(b[:])
+				}
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x9972f6f3a4c6294e); got != want {
+		t.Errorf("digest %#x, want %#x", got, want)
+	}
+}
+
+// On inputs smaller than SampleSize/2 the tournament shrinks to twice
+// the input. The package's guarantee is depth Ω(n/(D+1)²) with constant
+// probability, so at least three in four seeds must reach n/(D+1)²
+// (rounded up, and at least 1: a point of depth 1 lies in the input's
+// hull, where every Radon point does). Inputs are uniform in the cube
+// and, as the separator search feeds them, lifted onto the sphere.
+func TestApproxSmallInputsKeepDepth(t *testing.T) {
+	const seeds = 200
+	for _, D := range []int{3, 4} {
+		floor := func(n int) int { return max(1, (n+(D+1)*(D+1)-1)/((D+1)*(D+1))) }
+		for _, n := range []int{D + 2, 10, 40, 127} {
+			for _, lifted := range []bool{false, true} {
+				reached := 0
+				for seed := uint64(1); seed <= seeds; seed++ {
+					g := xrand.New(seed)
+					var pts []vec.Vec
+					if lifted {
+						pts = pointgen.MustGenerate(pointgen.UniformCube, n, D-1, g)
+						for i, p := range pts {
+							pts[i] = geom.Lift(p)
+						}
+					} else {
+						pts = pointgen.MustGenerate(pointgen.UniformCube, n, D, g)
+					}
+					if Depth(pts, Approx(pts, g), 200, g) >= floor(n) {
+						reached++
+					}
+				}
+				if 4*reached < 3*seeds {
+					t.Errorf("D=%d n=%d lifted=%v: %d of %d seeds reach depth %d", D, n, lifted, reached, seeds, floor(n))
 				}
 			}
 		}

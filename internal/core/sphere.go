@@ -99,12 +99,13 @@ func validate(pv []vec.Vec) (*pts.PointSet, error) {
 
 // splitFunc produces a separator for a subproblem, reporting the trial
 // count and whether corrections must always take the query path. sub is
-// the node's gathered (contiguous) subset; depth is the recursion depth,
+// the node's gathered (contiguous) subset, and interior receives the
+// separator's side of each of its points; depth is the recursion depth,
 // which Bentley's rule uses to cycle dimensions.
-type splitFunc func(sub *pts.PointSet, depth int, g *xrand.RNG, opts *Options) (sep separator.Result, alwaysQuery bool, err error)
+type splitFunc func(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG, opts *Options) (sep separator.Result, alwaysQuery bool, err error)
 
-func sphereSplit(sub *pts.PointSet, _ int, g *xrand.RNG, opts *Options) (separator.Result, bool, error) {
-	res, err := separator.FindGoodFlat(sub, g, opts.sep())
+func sphereSplit(sub *pts.PointSet, interior []bool, _ int, g *xrand.RNG, opts *Options) (separator.Result, bool, error) {
+	res, err := separator.FindGoodSides(sub, interior, g, opts.sep())
 	return res, false, err
 }
 
@@ -114,7 +115,7 @@ func sphereSplit(sub *pts.PointSet, _ int, g *xrand.RNG, opts *Options) (separat
 // baseline can be forced to cross Ω(n) balls by inputs concentrated along
 // a cutting hyperplane. When the cycled dimension has zero spread the
 // widest-dimension median is used so the recursion still progresses.
-func hyperplaneSplit(sub *pts.PointSet, depth int, g *xrand.RNG, opts *Options) (separator.Result, bool, error) {
+func hyperplaneSplit(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG, opts *Options) (separator.Result, bool, error) {
 	d := sub.Dim
 	sep, err := separator.FixedHyperplaneFlat(sub, depth%d)
 	if err != nil {
@@ -123,7 +124,7 @@ func hyperplaneSplit(sub *pts.PointSet, depth int, g *xrand.RNG, opts *Options) 
 			return separator.Result{}, true, err
 		}
 	}
-	res := separator.Result{Sep: sep, Stats: separator.EvaluateFlat(sep, sub), Trials: 1}
+	res := separator.Result{Sep: sep, Stats: separator.EvaluateFlat(sep, sub, interior), Trials: 1}
 	return res, true, nil
 }
 
@@ -209,18 +210,16 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	// The divide step materializes the node's subset contiguously: one
 	// gather into pooled scratch, after which every separator trial
 	// streams cache-friendly. No separator keeps a reference to the
-	// subset, so the scratch goes back as soon as the search returns.
-	sub := gatherPool.Get().(*pts.PointSet)
-	if need := m * ps.Dim; cap(sub.Data) < need {
-		sub.Data = make([]float64, need)
-	} else {
-		sub.Data = sub.Data[:need]
-	}
-	sub.Dim = ps.Dim
-	ps.GatherInto(sub.Data, idx)
-	res, alwaysQuery, err := split(sub, depth, g.Split(), opts)
-	gatherPool.Put(sub)
+	// subset, so the scratch goes back once the partition below has read
+	// the accepted separator's sides.
+	ds := divPool.Get().(*divScratch)
+	ds.sub.Data = slices.Grow(ds.sub.Data[:0], m*ps.Dim)[:m*ps.Dim]
+	ds.sub.Dim = ps.Dim
+	ds.interior = slices.Grow(ds.interior[:0], m)[:m]
+	ps.GatherInto(ds.sub.Data, idx)
+	res, alwaysQuery, err := split(&ds.sub, ds.interior, depth, g.Split(), opts)
 	if err != nil {
+		divPool.Put(ds)
 		if cc.cancelled() {
 			// The separator search stopped on cancellation, not on an
 			// unsplittable subset: abandon the node like any other.
@@ -249,13 +248,13 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	}
 	ctx.PrimK(res.Trials, m) // each Unit Time Separator trial: O(1) steps over m points
 
-	// Partition the points into one exact-size slice: interior side
+	// Partition by the search's sides into one exact-size slice: interior
 	// (Side <= 0) from the front, exterior from the back. Reversing the
 	// exterior part restores idx order on both sides.
 	part := make([]int, m)
 	lo, hi := 0, m
-	for _, j := range idx {
-		if res.Sep.Side(ps.At(j)) <= 0 {
+	for i, j := range idx {
+		if ds.interior[i] {
 			part[lo] = j
 			lo++
 		} else {
@@ -263,6 +262,7 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 			part[hi] = j
 		}
 	}
+	divPool.Put(ds)
 	inIdx, exIdx := part[:lo:lo], part[lo:]
 	slices.Reverse(exIdx)
 	ctx.PrimK(2, m) // classify + pack
@@ -367,5 +367,11 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	return node
 }
 
-// gatherPool recycles the divide step's contiguous node subsets.
-var gatherPool = sync.Pool{New: func() any { return new(pts.PointSet) }}
+// divScratch is the divide step's pooled scratch: the node's contiguous
+// subset and the accepted separator's side of each of its points.
+type divScratch struct {
+	sub      pts.PointSet
+	interior []bool
+}
+
+var divPool = sync.Pool{New: func() any { return new(divScratch) }}

@@ -8,10 +8,10 @@ import (
 
 // The process-wide counters cover components that are shared across
 // builds and cannot carry a per-build Shard: the persistent worker pool,
-// the scan primitives, the topk arenas, and the vector-machine fork
-// sites. They are off unless at least one Recorder is live (or
-// EnableGlobal was called), so the disabled hot-path cost at every site
-// is a single atomic load and a predictable branch.
+// the topk arenas, the vector-machine fork sites, the separator search
+// and the query structures. They are off unless at least one Recorder is
+// live (or EnableGlobal was called), so the disabled hot-path cost at
+// every site is a single atomic load and a predictable branch.
 
 // Global identifies one process-wide counter.
 type Global uint8
@@ -19,8 +19,6 @@ type Global uint8
 const (
 	GPoolSubmitted   Global = iota // tasks accepted by an idle pool worker
 	GPoolInline                    // tasks run inline because the pool was saturated
-	GScanParallel                  // scan primitives executed on the chunked parallel path
-	GScanSequential                // scan primitives that fell back to sequential
 	GArenaAllocs                   // topk arenas allocated
 	GArenaLists                    // topk lists served from arenas
 	GArenaResets                   // arena reuse events (Reset calls)
@@ -42,8 +40,6 @@ const (
 var globalNames = [numGlobals]string{
 	GPoolSubmitted:   "pool_submitted",
 	GPoolInline:      "pool_inline",
-	GScanParallel:    "scan_parallel",
-	GScanSequential:  "scan_sequential",
 	GArenaAllocs:     "arena_allocs",
 	GArenaLists:      "arena_lists",
 	GArenaResets:     "arena_resets",

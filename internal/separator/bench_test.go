@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sepdc/internal/pointgen"
+	"sepdc/internal/pts"
 	"sepdc/internal/xrand"
 )
 
@@ -41,15 +42,16 @@ func BenchmarkCandidateCentroid(b *testing.B) {
 }
 
 func BenchmarkEvaluate(b *testing.B) {
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 1<<16, 3, xrand.New(3))
+	pv := pointgen.MustGenerate(pointgen.UniformCube, 1<<16, 3, xrand.New(3))
 	g := xrand.New(4)
-	sep, err := candidate(pts, g, nil)
+	sep, err := candidate(pv, g, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ps := pts.FromVecs(pv)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Evaluate(sep, pts)
+		EvaluateFlat(sep, ps, nil)
 	}
 }
 

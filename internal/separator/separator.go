@@ -48,8 +48,8 @@ import (
 )
 
 // Options tunes the separator search. The split target δ, the retry
-// budget and the centerpoint sample size are fixed (DefaultDelta,
-// maxTrials, centerpoint.SampleSize).
+// budget and the centerpoint sample are fixed (DefaultDelta, maxTrials,
+// and min(centerpoint.SampleSize, n) lifted points for centerpoint.Approx).
 type Options struct {
 	// Centroid replaces the iterated-Radon centerpoint with the sample
 	// centroid. Cheaper and usually adequate on benign inputs; exposed for
@@ -284,31 +284,22 @@ func (s SplitStats) Ratio() float64 {
 	return float64(m) / float64(total)
 }
 
-// Evaluate classifies the points against sep.
-func Evaluate(sep geom.Separator, pv []vec.Vec) SplitStats {
-	var st SplitStats
-	for _, p := range pv {
-		if sep.Side(p) <= 0 {
-			st.Interior++
-		} else {
-			st.Exterior++
-		}
-	}
-	return st
-}
-
 // EvaluateFlat classifies the points of a flat PointSet against sep,
-// streaming through the contiguous backing array.
-func EvaluateFlat(sep geom.Separator, ps *pts.PointSet) SplitStats {
+// streaming through the contiguous backing array. A non-nil interior
+// receives each point's side: interior[i] is sep.Side(ps.At(i)) <= 0.
+func EvaluateFlat(sep geom.Separator, ps *pts.PointSet, interior []bool) SplitStats {
 	var st SplitStats
 	n := ps.N()
 	for i := 0; i < n; i++ {
-		if sep.Side(ps.At(i)) <= 0 {
+		in := sep.Side(ps.At(i)) <= 0
+		if in {
 			st.Interior++
-		} else {
-			st.Exterior++
+		}
+		if interior != nil {
+			interior[i] = in
 		}
 	}
+	st.Exterior = n - st.Interior
 	return st
 }
 
@@ -336,6 +327,12 @@ func FindGood(pv []vec.Vec, g *xrand.RNG, opts *Options) (Result, error) {
 
 // FindGoodFlat is FindGood on flat contiguous point storage.
 func FindGoodFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (Result, error) {
+	return FindGoodSides(ps, nil, g, opts)
+}
+
+// FindGoodSides is FindGoodFlat that also leaves the returned separator's
+// sides in interior (see EvaluateFlat), sparing a partition a second pass.
+func FindGoodSides(ps *pts.PointSet, interior []bool, g *xrand.RNG, opts *Options) (Result, error) {
 	if ps.N() == 0 {
 		return Result{}, errors.New("separator: no points")
 	}
@@ -352,7 +349,7 @@ func FindGoodFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (Result, error)
 			res.Trials = trial
 			continue // a degenerate candidate costs a trial, like a bad split
 		}
-		st := EvaluateFlat(sep, ps)
+		st := EvaluateFlat(sep, ps, interior)
 		res.Trials = trial
 		if inj.TrialFails(trial) {
 			continue // chaos: the candidate is judged unlucky regardless of its ratio
@@ -370,7 +367,7 @@ func FindGoodFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (Result, error)
 		return res, err
 	}
 	res.Sep = sep
-	res.Stats = EvaluateFlat(sep, ps)
+	res.Stats = EvaluateFlat(sep, ps, interior)
 	res.Punted = true
 	return res, nil
 }

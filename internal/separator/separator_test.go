@@ -17,6 +17,10 @@ func candidate(pv []vec.Vec, g *xrand.RNG, opts *Options) (geom.Separator, error
 	return CandidateFlat(pts.FromVecs(pv), g, opts)
 }
 
+func evaluate(sep geom.Separator, pv []vec.Vec) SplitStats {
+	return EvaluateFlat(sep, pts.FromVecs(pv), nil)
+}
+
 func TestCandidateProducesValidSeparator(t *testing.T) {
 	g := xrand.New(1)
 	pts := pointgen.MustGenerate(pointgen.UniformCube, 1000, 3, g)
@@ -28,7 +32,7 @@ func TestCandidateProducesValidSeparator(t *testing.T) {
 		if sep.Dim() != 3 {
 			t.Fatalf("separator dimension %d", sep.Dim())
 		}
-		st := Evaluate(sep, pts)
+		st := evaluate(sep, pts)
 		if st.Interior+st.Exterior != len(pts) {
 			t.Fatalf("classification lost points: %+v", st)
 		}
@@ -44,10 +48,10 @@ func TestCandidateEmptyInput(t *testing.T) {
 func TestEvaluateAndRatio(t *testing.T) {
 	sep := geom.Sphere{Center: vec.Of(0, 0), Radius: 1}
 	pts := []vec.Vec{vec.Of(0, 0), vec.Of(0.5, 0), vec.Of(2, 0), vec.Of(1, 0)}
-	st := Evaluate(sep, pts)
+	st := evaluate(sep, pts)
 	// On-sphere point (1,0) counts interior.
 	if st.Interior != 3 || st.Exterior != 1 {
-		t.Errorf("Evaluate = %+v", st)
+		t.Errorf("EvaluateFlat = %+v", st)
 	}
 	if math.Abs(st.Ratio()-0.75) > 1e-12 {
 		t.Errorf("Ratio = %v", st.Ratio())
@@ -204,7 +208,7 @@ func TestMedianHyperplane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Evaluate(sep, pts)
+	st := evaluate(sep, pts)
 	if st.Interior != 3 || st.Exterior != 2 {
 		t.Errorf("median split = %+v", st)
 	}
@@ -218,7 +222,7 @@ func TestMedianHyperplaneSkewedDuplicates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Evaluate(sep, pts)
+	st := evaluate(sep, pts)
 	if st.Interior == 0 || st.Exterior == 0 {
 		t.Errorf("degenerate split = %+v", st)
 	}

@@ -62,8 +62,9 @@ func puntedHash(f *Frozen) uint64 {
 // separator-fault profiles so that punted (hyperplane) nodes occur: at
 // every node, and at the nodes below 256 balls. The digests were
 // recorded from the build-then-freeze implementation that preceded the
-// direct flat build; any change to node ids, leaf slots, leaf order or
-// record bits fails here.
+// direct flat build, except d2 and d3, re-recorded when the centerpoint
+// tournament was sized to inputs under 128 points; any change to node
+// ids, leaf slots, leaf order or record bits fails here.
 func TestNodeNumberingPinned(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -75,12 +76,12 @@ func TestNodeNumberingPinned(t *testing.T) {
 		punted uint64 // FNV-1a of the per-node punted flags, one byte each
 		stats  BuildStats
 	}{
-		{name: "d2", n: 3000, d: 2, k: 4, seed: 101, hash: 0x136c7dcea3502ff5, punted: 0x65e470c6723efcaf,
-			stats: BuildStats{Height: 10, Leaves: 151, TotalStored: 7572, SeparatorTrials: 150, CriticalTrials: 9,
-				Cost: vm.Cost{Steps: 28, Work: 94626}}},
-		{name: "d3", n: 3000, d: 3, k: 4, seed: 102, hash: 0x6ebf084f06bbce76, punted: 0x45b767e700b65887,
-			stats: BuildStats{Height: 13, Leaves: 680, TotalStored: 36939, SeparatorTrials: 680, CriticalTrials: 12,
-				Cost: vm.Cost{Steps: 37, Work: 297609}}},
+		{name: "d2", n: 3000, d: 2, k: 4, seed: 101, hash: 0xa9d4863ccb6acdfe, punted: 0xd1dda5941f83a507,
+			stats: BuildStats{Height: 10, Leaves: 152, TotalStored: 7697, SeparatorTrials: 151, CriticalTrials: 9,
+				Cost: vm.Cost{Steps: 28, Work: 95180}}},
+		{name: "d3", n: 3000, d: 3, k: 4, seed: 102, hash: 0xafe7604c84658d7d, punted: 0x4c2a450d7ec1e29f,
+			stats: BuildStats{Height: 13, Leaves: 681, TotalStored: 36900, SeparatorTrials: 682, CriticalTrials: 12,
+				Cost: vm.Cost{Steps: 37, Work: 298554}}},
 		{name: "d5", n: 1200, d: 5, k: 3, seed: 103, hash: 0x98a2837f6fa4dda, punted: 0xe2a65b6102354897,
 			stats: BuildStats{Height: 15, Leaves: 1158, TotalStored: 132183, SeparatorTrials: 1199, CriticalTrials: 14,
 				Cost: vm.Cost{Steps: 43, Work: 763575}}},
