@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/pointgen"
@@ -310,5 +311,39 @@ func TestFindGoodNearDegenerateInput(t *testing.T) {
 	}
 	if res.Stats.Ratio() > 0.95 {
 		t.Errorf("line input split ratio %v", res.Stats.Ratio())
+	}
+}
+
+// FindGoodSides must leave exactly the returned separator's sides, for an
+// accepted candidate and for the median-hyperplane fallback (every
+// candidate failed by the chaos injector), so the divide step can
+// partition from them.
+func TestFindGoodSidesMatchesSide(t *testing.T) {
+	inj, err := chaos.Parse("sep-fail=all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pts.FromVecs(pointgen.MustGenerate(pointgen.UniformCube, 500, 3, xrand.New(21)))
+	for _, opts := range []*Options{nil, {Chaos: inj}} {
+		interior := make([]bool, ps.N())
+		res, err := FindGoodSides(ps, interior, xrand.New(22), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Punted != (opts != nil) {
+			t.Fatalf("punted = %v with options %+v", res.Punted, opts)
+		}
+		in := 0
+		for i, got := range interior {
+			if want := res.Sep.Side(ps.At(i)) <= 0; got != want {
+				t.Fatalf("punted=%v: point %d interior %v, Side says %v", res.Punted, i, got, want)
+			}
+			if got {
+				in++
+			}
+		}
+		if in != res.Stats.Interior || ps.N()-in != res.Stats.Exterior {
+			t.Errorf("punted=%v: %d interior sides, stats %+v", res.Punted, in, res.Stats)
+		}
 	}
 }
