@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet test test-race race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve ab-perfbench kernels-matrix perfbench-check verify fuzz chaos clean
+.PHONY: build vet test test-race race-build race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve ab-perfbench kernels-matrix perfbench-check verify fuzz chaos clean
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,15 @@ kernels-matrix:
 # (what CI's perfbench-check job runs).
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 -run TestSelf ./...
+
+# Focused race gate over the build: sibling strands of one build write
+# disjoint ranges of one shared working copy of the points and of its
+# lists. Runs without -short (unlike test-race), so the golden, worker-
+# invariance, chaos, cancellation, parallel, pin and soak builds all fork
+# across workers under the detector.
+race-build:
+	$(GO) test -race -count=1 -run 'Golden|Workers|Deterministic|Chaos|Cancel|ContextBuild' .
+	$(GO) test -race -count=1 -run 'Parallel|Chaos|PuntingLemma|Pinned|Soak' ./internal/core/
 
 # Focused race gate over the batched query-serving paths and the
 # serving telemetry they feed (concurrent Snapshot during recording,

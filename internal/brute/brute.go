@@ -74,57 +74,34 @@ func AllKNNFlat(ps *pts.PointSet, k int) []*topk.List {
 	return lists
 }
 
-// AllKNNSubset computes k-NN lists restricted to the sub-point-set
-// identified by idx (indices into pts). The returned lists are indexed
-// positionally like idx and contain *global* point indices, which is the
-// form the divide and conquer's base case needs.
-func AllKNNSubset(pv []vec.Vec, idx []int, k int) []*topk.List {
-	lists := make([]*topk.List, len(idx))
-	for i := range idx {
-		lists[i] = topk.New(k)
-	}
-	if len(idx) > 0 {
-		dist2 := vec.Dist2Kernel(len(pv[idx[0]]))
-		for a := 0; a < len(idx); a++ {
-			for b := a + 1; b < len(idx); b++ {
-				d2 := dist2(pv[idx[a]], pv[idx[b]])
-				lists[a].Insert(idx[b], d2)
-				lists[b].Insert(idx[a], d2)
-			}
-		}
-	}
-	return lists
-}
-
-// AllKNNSubsetInto tests all pairs of the subset identified by idx and
-// offers each pair to the points' existing global lists: the divide and
-// conquer's base case, writing directly into the arena-allocated lists
-// instead of allocating fresh ones. Pair order matches AllKNNSubset, so
-// the resulting list contents are identical.
-func AllKNNSubsetInto(ps *pts.PointSet, idx []int, lists []*topk.List) {
-	dist2 := vec.Dist2Kernel(ps.Dim)
-	batch4 := vec.Dist2Batch4Kernel(ps.Dim)
-	for a := 0; a < len(idx); a++ {
-		pa := ps.At(idx[a])
-		la := lists[idx[a]]
+// AllKNNInto tests all pairs of rows and offers each pair to the rows'
+// existing lists — the divide and conquer's base case over a node's
+// contiguous range. Row a's list is lists[a], and it is offered as
+// neighbor ids[a], so the lists hold the caller's point indices.
+func AllKNNInto(rows *pts.PointSet, ids []int, lists []*topk.List) {
+	dist2 := vec.Dist2Kernel(rows.Dim)
+	batch4 := vec.Dist2Batch4Kernel(rows.Dim)
+	n := rows.N()
+	for a := 0; a < n; a++ {
+		pa := rows.At(a)
+		la, ia := lists[a], ids[a]
 		b := a + 1
-		// Four subset rows per kernel call, offered in scalar pair order.
-		for ; b+4 <= len(idx); b += 4 {
-			j0, j1, j2, j3 := idx[b], idx[b+1], idx[b+2], idx[b+3]
-			da, db, dc, dd := batch4(pa, ps.At(j0), ps.At(j1), ps.At(j2), ps.At(j3))
-			la.Insert(j0, da)
-			lists[j0].Insert(idx[a], da)
-			la.Insert(j1, db)
-			lists[j1].Insert(idx[a], db)
-			la.Insert(j2, dc)
-			lists[j2].Insert(idx[a], dc)
-			la.Insert(j3, dd)
-			lists[j3].Insert(idx[a], dd)
+		// Four rows per kernel call, offered in scalar pair order.
+		for ; b+4 <= n; b += 4 {
+			da, db, dc, dd := batch4(pa, rows.At(b), rows.At(b+1), rows.At(b+2), rows.At(b+3))
+			la.Insert(ids[b], da)
+			lists[b].Insert(ia, da)
+			la.Insert(ids[b+1], db)
+			lists[b+1].Insert(ia, db)
+			la.Insert(ids[b+2], dc)
+			lists[b+2].Insert(ia, dc)
+			la.Insert(ids[b+3], dd)
+			lists[b+3].Insert(ia, dd)
 		}
-		for ; b < len(idx); b++ {
-			d2 := dist2(pa, ps.At(idx[b]))
-			la.Insert(idx[b], d2)
-			lists[idx[b]].Insert(idx[a], d2)
+		for ; b < n; b++ {
+			d2 := dist2(pa, rows.At(b))
+			la.Insert(ids[b], d2)
+			lists[b].Insert(ia, d2)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sepdc/internal/pointgen"
+	"sepdc/internal/pts"
 	"sepdc/internal/topk"
 	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
@@ -47,17 +48,19 @@ func TestAllKNNMatchesPerPoint(t *testing.T) {
 	}
 }
 
-func TestAllKNNSubset(t *testing.T) {
+// AllKNNInto over a subset's rows, reporting the subset's ids, equals
+// brute force over the extracted subset with its indices remapped.
+func TestAllKNNInto(t *testing.T) {
 	g := xrand.New(2)
-	pts := pointgen.MustGenerate(pointgen.Gaussian, 40, 2, g)
+	pv := pointgen.MustGenerate(pointgen.Gaussian, 40, 2, g)
 	idx := []int{3, 7, 11, 19, 23, 31}
 	k := 2
-	lists := AllKNNSubset(pts, idx, k)
-	// Reference: brute force over the extracted sub-point-set, then remap.
 	sub := make([]vec.Vec, len(idx))
 	for i, j := range idx {
-		sub[i] = pts[j]
+		sub[i] = pv[j]
 	}
+	lists := topk.NewArena(len(idx), k).Lists()
+	AllKNNInto(pts.FromVecs(sub), idx, lists)
 	ref := AllKNN(sub, k)
 	for i := range idx {
 		got := lists[i].Items()

@@ -241,29 +241,3 @@ func Approx(pts []vec.Vec, g *xrand.RNG) vec.Vec {
 	scratchPool.Put(sc)
 	return out
 }
-
-// Depth returns the Tukey depth of c in pts along nDirs random directions:
-// the minimum, over sampled unit directions u, of the number of points p
-// with u·(p−c) ≥ 0. An exact centerpoint has depth ≥ n/(D+1); this
-// randomized lower estimate is used by tests and the separator quality
-// experiment.
-func Depth(pts []vec.Vec, c vec.Vec, nDirs int, g *xrand.RNG) int {
-	if len(pts) == 0 {
-		return 0
-	}
-	d := len(c)
-	minCount := len(pts)
-	for t := 0; t < nDirs; t++ {
-		u := vec.Vec(g.UnitVector(d))
-		count := 0
-		for _, p := range pts {
-			if vec.Dot(u, vec.Sub(p, c)) >= 0 {
-				count++
-			}
-		}
-		if count < minCount {
-			minCount = count
-		}
-	}
-	return minCount
-}

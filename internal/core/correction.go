@@ -1,16 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/march"
 	"sepdc/internal/nbrsys"
 	"sepdc/internal/obs"
-	"sepdc/internal/pts"
 	"sepdc/internal/septree"
-	"sepdc/internal/topk"
 	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
@@ -36,14 +36,14 @@ type corrScratch struct {
 
 var corrPool = sync.Pool{New: func() any { return new(corrScratch) }}
 
-// crossing appends to dst the members of side whose current
+// crossing appends to dst the positions in [lo, hi) whose current
 // k-neighborhood ball crosses sep. A point whose list is not yet full
 // (fewer than k neighbors exist on its side) has a conceptually unbounded
 // ball and is always included. By Lemma 6.1 these are exactly the balls
 // that can gain a neighbor from the other side.
-func crossing(dst []int, ps *pts.PointSet, lists []*topk.List, side []int, sep geom.Separator, ctx *vm.Ctx) []int {
-	for _, i := range side {
-		r2, full := lists[i].Radius2()
+func (b *builder) crossing(dst []int, lo, hi int, sep geom.Separator, ctx *vm.Ctx) []int {
+	for i := lo; i < hi; i++ {
+		r2, full := b.lists[i].Radius2()
 		if !full {
 			dst = append(dst, i)
 			continue
@@ -53,26 +53,26 @@ func crossing(dst []int, ps *pts.PointSet, lists []*topk.List, side []int, sep g
 		// The Nextafter bump handles squared-distance underflow — r2 == 0
 		// still admits ties out to sqrt(minSubnormal) ≈ 1.5e-162.
 		r := math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
-		if sep.ClassifyBall(ps.At(i), r) == geom.Crossing {
+		if sep.ClassifyBall(b.ps.At(i), r) == geom.Crossing {
 			dst = append(dst, i)
 		}
 	}
-	ctx.Prim(len(side)) // classify all balls: one vector primitive
+	ctx.Prim(hi - lo) // classify all balls: one vector primitive
 	return dst
 }
 
-// ballsOf appends the marching balls of the crossing indices to dst.
+// ballsOf appends the marching balls of the crossing positions to dst.
 // Not-yet-full lists produce balls with an effectively infinite radius,
 // which the march classifies as crossing everywhere and whose leaf test
 // accepts every point — precisely the needed semantics.
-func ballsOf(dst []march.Ball, ps *pts.PointSet, lists []*topk.List, idx []int) []march.Ball {
-	for _, i := range idx {
-		r2, full := lists[i].Radius2()
+func (b *builder) ballsOf(dst []march.Ball, cross []int) []march.Ball {
+	for _, i := range cross {
+		r2, full := b.lists[i].Radius2()
 		if !full {
-			dst = append(dst, march.Ball{ID: i, Center: ps.At(i), Radius: math.Inf(1), Radius2: math.Inf(1)})
+			dst = append(dst, march.Ball{ID: i, Center: b.ps.At(i), Radius: math.Inf(1), Radius2: math.Inf(1)})
 			continue
 		}
-		dst = append(dst, march.NewBall(i, ps.At(i), r2))
+		dst = append(dst, march.NewBall(i, b.ps.At(i), r2))
 	}
 	return dst
 }
@@ -82,23 +82,23 @@ func ballsOf(dst []march.Ball, ps *pts.PointSet, lists []*topk.List, idx []int) 
 // offer every discovered (ball, point) pair to the ball's k-NN list.
 // Returns false when the march aborted on the active-ball limit, in which
 // case no list was modified and the caller must punt.
-func fastCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherTree *march.PNode,
-	activeLimit int, opts *Options, ctx *vm.Ctx, tl *tally, sh *obs.Shard, cs *corrScratch) bool {
+func (b *builder) fastCorrect(cross []int, otherTree *march.PNode, activeLimit int,
+	ctx *vm.Ctx, sh *obs.Shard, cs *corrScratch) bool {
 
 	if len(cross) == 0 || otherTree == nil {
 		return true
 	}
 	sp := sh.Begin()
-	cs.balls = ballsOf(cs.balls[:0], ps, lists, cross)
-	hits, st := march.DownFlatChaos(otherTree, ps, cs.balls, activeLimit, ctx, opts.chaos())
+	cs.balls = b.ballsOf(cs.balls[:0], cross)
+	hits, st := march.DownFlatChaos(otherTree, b.ps, cs.balls, activeLimit, ctx, b.opts.chaos())
 	defer st.Release()
-	clear(cs.balls) // drop the center views so the pool does not pin ps
-	tl.add(func(s *Stats) {
+	clear(cs.balls) // drop the center views so the pool does not pin the points
+	b.tl.add(func(s *Stats) {
 		s.Duplications += st.Duplications
 		if st.MaxActive > s.MaxMarchActive {
 			s.MaxMarchActive = st.MaxActive
 		}
-		if opts != nil && opts.CollectProfiles {
+		if b.opts != nil && b.opts.CollectProfiles {
 			s.Profiles = append(s.Profiles, append([]int(nil), st.ActivePerLvl...))
 		}
 	})
@@ -112,15 +112,15 @@ func fastCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherTree *m
 	}
 	// Candidate insertion is a pure distance loop; resolve the d-specialized
 	// kernel once (bit-identical to ps.Dist2).
-	dist2 := vec.Dist2Kernel(ps.Dim)
+	dist2 := vec.Dist2Kernel(b.ps.Dim)
 	for _, h := range hits {
-		lists[h.BallID].Insert(h.Point, dist2(ps.At(h.BallID), ps.At(h.Point)))
+		b.lists[h.BallID].Insert(b.id[h.Point], dist2(b.ps.At(h.BallID), b.ps.At(h.Point)))
 	}
 	// k-selection of the discovered candidates: one primitive over the hits
 	// (the paper's SCAN-based closest-point selection; O(log log k) steps
 	// for k > 1, absorbed into the constant here and noted in DESIGN.md).
 	ctx.PrimK(2, len(hits))
-	tl.add(func(s *Stats) {
+	b.tl.add(func(s *Stats) {
 		s.CandidatePairs += len(hits)
 		s.FastCorrections++
 	})
@@ -131,21 +131,21 @@ func fastCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherTree *m
 
 // queryCorrect is the punt path (and the Section-5 baseline's only path):
 // build the Section-3 search structure over the crossing balls of one side
-// and query every point of the other side against it, offering each
-// covering (ball, point) pair to the ball's list.
+// and query every point of the other side, the positions [lo, hi),
+// against it, offering each covering (ball, point) pair to the ball's
+// list.
 //
 // Two kinds of ball are corrected by direct scan over the other side
 // instead: unbounded balls (points whose lists are not full), which the
 // search structure cannot hold, and every ball of a punt with at most
 // directScanPairs (ball, point) pairs, which the structure cannot pay for.
-func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []int,
-	g *xrand.RNG, opts *Options, ctx *vm.Ctx, tl *tally, sh *obs.Shard, cc canceller, cs *corrScratch) {
-
-	if len(cross) == 0 || len(otherPts) == 0 || cc.cancelled() {
+func (b *builder) queryCorrect(cross []int, lo, hi int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shard, cs *corrScratch) {
+	if len(cross) == 0 || lo == hi || b.cc.cancelled() {
 		return
 	}
 	sp := sh.Begin()
 	defer func() { sh.EndTrace(sp, obs.SpanQueryCorrect, int64(len(cross))) }()
+	ps, lists, id := b.ps, b.lists, b.id
 	finite, unbounded := cs.finite[:0], cs.unbounded[:0]
 	for _, i := range cross {
 		if _, full := lists[i].Radius2(); full {
@@ -157,7 +157,7 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	cs.finite, cs.unbounded = finite, unbounded
 	// All of queryCorrect's candidate loops share the d-specialized kernels
 	// (bit-identical to ps.Dist2); the direct scans run four candidates per
-	// four-point kernel call.
+	// four-point kernel call, over consecutive rows.
 	dist2 := vec.Dist2Kernel(ps.Dim)
 	batch4 := vec.Dist2Batch4Kernel(ps.Dim)
 	// directScan offers every other-side point to the lists of balls, and
@@ -167,29 +167,28 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		for _, i := range balls {
 			pi := ps.At(i)
 			l := lists[i]
-			k := 0
-			for ; k+4 <= len(otherPts); k += 4 {
-				j0, j1, j2, j3 := otherPts[k], otherPts[k+1], otherPts[k+2], otherPts[k+3]
-				da, db, dc, dd := batch4(pi, ps.At(j0), ps.At(j1), ps.At(j2), ps.At(j3))
-				l.Insert(j0, da)
-				l.Insert(j1, db)
-				l.Insert(j2, dc)
-				l.Insert(j3, dd)
+			j := lo
+			for ; j+4 <= hi; j += 4 {
+				da, db, dc, dd := batch4(pi, ps.At(j), ps.At(j+1), ps.At(j+2), ps.At(j+3))
+				l.Insert(id[j], da)
+				l.Insert(id[j+1], db)
+				l.Insert(id[j+2], dc)
+				l.Insert(id[j+3], dd)
 			}
-			for ; k < len(otherPts); k++ {
-				l.Insert(otherPts[k], dist2(pi, ps.At(otherPts[k])))
+			for ; j < hi; j++ {
+				l.Insert(id[j], dist2(pi, ps.At(j)))
 			}
 		}
-		pairs := len(balls) * len(otherPts)
+		pairs := len(balls) * (hi - lo)
 		ctx.PrimK(2, pairs)
-		tl.add(func(s *Stats) { s.CandidatePairs += pairs })
+		b.tl.add(func(s *Stats) { s.CandidatePairs += pairs })
 		sh.Count(obs.CCandidatePairs, int64(pairs))
 	}
 	// A small punt scans all its balls at once; a large one scans only
 	// the unbounded balls and builds the structure over the rest.
-	if len(finite)*len(otherPts) <= directScanPairs {
+	if len(finite)*(hi-lo) <= directScanPairs {
 		directScan(cross)
-		tl.add(func(s *Stats) { s.QueryCorrections++ })
+		b.tl.add(func(s *Stats) { s.QueryCorrections++ })
 		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
@@ -197,11 +196,14 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		directScan(unbounded)
 	}
 
-	// Build the query structure over the finite crossing balls: the punt
-	// queries run on the same flat engine as serving.
-	tree, err := septree.Build(puntSystem(ps, lists, finite, opts.k()), g.Split(), &septree.Options{Sep: opts.sep(), Done: cc.done})
+	// Build the query structure over the finite crossing balls, in input
+	// order: the structure depends on its balls' order, and the children's
+	// recursions have permuted this side's range. The punt queries run on
+	// the same flat engine as serving.
+	slices.SortFunc(finite, func(x, y int) int { return cmp.Compare(id[x], id[y]) })
+	tree, err := septree.Build(b.puntSystem(finite), g.Split(), &septree.Options{Sep: b.opts.sep(), Done: b.cc.done})
 	if err != nil {
-		if cc.cancelled() {
+		if b.cc.cancelled() {
 			// The structure build was cut short by cancellation; the punt
 			// correction is moot because the lists are being discarded.
 			return
@@ -209,13 +211,13 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 		// Degenerate system (e.g. all centers identical): fall back to the
 		// direct scan, still exact.
 		directScan(finite)
-		tl.add(func(s *Stats) { s.QueryCorrections++ })
+		b.tl.add(func(s *Stats) { s.QueryCorrections++ })
 		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
 	st := tree.Stats()
 	ctx.Charge(st.Cost)
-	tl.add(func(s *Stats) { s.SeparatorTrials += st.SeparatorTrials })
+	b.tl.add(func(s *Stats) { s.SeparatorTrials += st.SeparatorTrials })
 	sh.Count(obs.CSeparatorTrials, int64(st.SeparatorTrials))
 	sh.Count(obs.CSeptreeBuilds, 1)
 	sh.Count(obs.CSeptreeStored, int64(st.TotalStored))
@@ -226,19 +228,19 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 	// plus the balls reported.
 	var covered []int
 	deepest, work, hits := 0, 0, 0
-	for _, j := range otherPts {
+	for j := lo; j < hi; j++ {
 		var visited int
 		covered, visited, _ = tree.CoveringClosed(ps.At(j), covered[:0])
 		deepest = max(deepest, visited)
 		work += visited + len(covered)
-		for _, b := range covered {
-			i := finite[b]
-			lists[i].Insert(j, dist2(ps.At(i), ps.At(j)))
+		for _, c := range covered {
+			i := finite[c]
+			lists[i].Insert(id[j], dist2(ps.At(i), ps.At(j)))
 		}
 		hits += len(covered)
 	}
 	ctx.Charge(vm.Cost{Steps: int64(deepest) + 2, Work: int64(work)})
-	tl.add(func(s *Stats) {
+	b.tl.add(func(s *Stats) {
 		s.CandidatePairs += hits
 		s.QueryCorrections++
 	})
@@ -248,14 +250,14 @@ func queryCorrect(ps *pts.PointSet, lists []*topk.List, cross []int, otherPts []
 
 // puntSystem is the ball system a large punt builds its search structure
 // over: the finite crossing balls at their current k-th neighbor radii.
-func puntSystem(ps *pts.PointSet, lists []*topk.List, finite []int, k int) *nbrsys.System {
+func (b *builder) puntSystem(finite []int) *nbrsys.System {
 	centers := make([]vec.Vec, len(finite))
 	radii := make([]float64, len(finite))
 	for j, i := range finite {
-		r2, _ := lists[i].Radius2()
-		centers[j] = ps.At(i)
+		r2, _ := b.lists[i].Radius2()
+		centers[j] = b.ps.At(i)
 		// Inflate, and bump past squared-distance underflow: never lose a tie.
 		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
 	}
-	return &nbrsys.System{Centers: centers, Radii: radii, K: k}
+	return &nbrsys.System{Centers: centers, Radii: radii, K: b.opts.k()}
 }

@@ -14,9 +14,10 @@ import (
 )
 
 // setupPunt sets up one punted correction: nA points on the left of x=0.5
-// whose lists hold their k-NN among themselves, nB points on the right.
-// The returned generator is the one the correction draws from next.
-func setupPunt(seed uint64, nA, nB, k int) (ps *pts.PointSet, lists []*topk.List, left, right []int, g *xrand.RNG) {
+// (positions [0, nA)) whose lists hold their k-NN among themselves, nB
+// points on the right (positions [nA, nA+nB)), in input order. The
+// returned generator is the one the correction draws from next.
+func setupPunt(seed uint64, nA, nB, k int) (b *builder, left []int, g *xrand.RNG) {
 	g = xrand.New(seed)
 	pv := make([]vec.Vec, nA+nB)
 	for i := range pv {
@@ -26,17 +27,13 @@ func setupPunt(seed uint64, nA, nB, k int) (ps *pts.PointSet, lists []*topk.List
 		}
 		pv[i] = vec.Of(x, g.Float64())
 	}
-	ps = pts.FromVecs(pv)
-	left, right = make([]int, nA), make([]int, nB)
-	for i := range left {
-		left[i] = i
+	b = &builder{ps: pts.FromVecs(pv), id: make([]int, len(pv)), lists: topk.NewArena(len(pv), k).Lists(), tl: &tally{}}
+	for i := range b.id {
+		b.id[i] = i
 	}
-	for i := range right {
-		right[i] = nA + i
-	}
-	lists = topk.NewArena(len(pv), k).Lists()
-	brute.AllKNNSubsetInto(ps, left, lists)
-	return ps, lists, left, right, g
+	left = b.id[:nA:nA]
+	brute.AllKNNInto(b.rows(0, nA), left, b.lists[:nA])
+	return b, left, g
 }
 
 // runPunt runs setupPunt's correction, every left ball corrected against
@@ -44,15 +41,10 @@ func setupPunt(seed uint64, nA, nB, k int) (ps *pts.PointSet, lists []*topk.List
 // tally and its simulated charge.
 func runPunt(t *testing.T, seed uint64, nA, nB, k int) ([]vec.Vec, []*topk.List, Stats, vm.Cost) {
 	t.Helper()
-	ps, lists, left, right, g := setupPunt(seed, nA, nB, k)
-	tl := &tally{}
+	b, left, g := setupPunt(seed, nA, nB, k)
 	ctx := vm.Sequential().NewCtx()
-	queryCorrect(ps, lists, left, right, g.Split(), nil, ctx, tl, nil, canceller{}, new(corrScratch))
-	pv := make([]vec.Vec, len(right)+len(left))
-	for i := range pv {
-		pv[i] = ps.At(i)
-	}
-	return pv, lists, tl.s, ctx.Cost()
+	b.queryCorrect(left, nA, nA+nB, g.Split(), ctx, nil, new(corrScratch))
+	return b.ps.Vecs(), b.lists, b.tl.s, ctx.Cost()
 }
 
 // checkLeftExact: after the correction every left point's list must be
@@ -134,18 +126,17 @@ func TestQueryCorrectQueryCharge(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		_, _, st, cost := runPunt(t, seed, 64, 64, k)
 
-		ps, lists, left, right, g := setupPunt(seed, 64, 64, k)
+		b, left, g := setupPunt(seed, 64, 64, k)
 		// runPunt's options (the defaults) and its generator: queryCorrect
 		// gets g.Split() and splits it again for the build.
-		var opts *Options
-		sys := puntSystem(ps, lists, left, opts.k())
-		tree, err := septree.Build(sys, g.Split().Split(), &septree.Options{Sep: opts.sep()})
+		sys := b.puntSystem(left)
+		tree, err := septree.Build(sys, g.Split().Split(), &septree.Options{Sep: b.opts.sep()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		deepest, work, hits := 0, 0, 0
-		for _, j := range right {
-			q := ps.At(j)
+		for j := 64; j < 128; j++ {
+			q := b.ps.At(j)
 			_, visited, _ := tree.CoveringClosed(q, nil)
 			balls := 0
 			for i, c := range sys.Centers {

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"slices"
-	"sync"
 
 	"sepdc/internal/brute"
 	"sepdc/internal/march"
@@ -99,7 +97,7 @@ func validate(pv []vec.Vec) (*pts.PointSet, error) {
 
 // splitFunc produces a separator for a subproblem, reporting the trial
 // count and whether corrections must always take the query path. sub is
-// the node's gathered (contiguous) subset, and interior receives the
+// the node's range of the working copy, and interior receives the
 // separator's side of each of its points; depth is the recursion depth,
 // which Bentley's rule uses to cycle dimensions.
 type splitFunc func(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG, opts *Options) (sep separator.Result, alwaysQuery bool, err error)
@@ -128,6 +126,29 @@ func hyperplaneSplit(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG
 	return res, true, nil
 }
 
+// builder is one run's shared state. The recursion works on its own copy
+// of the points, permuted in place as it divides, so that every node's
+// points are one contiguous range [lo, hi) of positions: the paper's
+// per-node packed vector. Sibling strands own disjoint ranges.
+type builder struct {
+	ps    *pts.PointSet // the working copy, in recursion order
+	id    []int         // position → input index
+	pos   []int         // pos[p] = p; the partition tree's leaves are its subslices
+	lists []*topk.List  // by position; entries carry input indices
+	opts  *Options
+	split splitFunc
+	base  int
+	tl    *tally
+	cc    canceller
+
+	// The divide step's scratch, by position like the points, so a node
+	// uses its own range of it: the accepted separator's side of each
+	// point, and the exterior rows and ids while the partition moves them.
+	interior []bool
+	exRows   []float64
+	exIDs    []int
+}
+
 func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, split splitFunc) (*Result, error) {
 	n := ps.N()
 	if n == 0 {
@@ -136,17 +157,6 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 	if err := cx.Err(); err != nil {
 		return nil, err
 	}
-	k := opts.k()
-	// One arena allocation backs every point's k-NN list; the recursion's
-	// base cases and corrections insert into the lists in place.
-	lists := topk.NewArena(n, k).Lists()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	tl := &tally{}
-	ctx := opts.machine().NewCtx()
-	base := opts.baseSize(n)
 	cc := canceller{done: cx.Done()}
 	if cc.done != nil {
 		// Carry cancellation into every separator search, the node's own
@@ -158,78 +168,93 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 		o.Sep = o.Sep.WithDone(cc.done)
 		opts = &o
 	}
+	// One arena allocation backs every point's k-NN list, in position
+	// order; the recursion's base cases and corrections insert into the
+	// lists in place.
+	b := &builder{ps: ps.Clone(), id: make([]int, n), pos: make([]int, n),
+		lists: topk.NewArena(n, opts.k()).Lists(), opts: opts, split: split,
+		base: opts.baseSize(n), tl: &tally{}, cc: cc,
+		interior: make([]bool, n), exRows: make([]float64, len(ps.Data)), exIDs: make([]int, n)}
+	for i := range b.id {
+		b.id[i], b.pos[i] = i, i
+	}
+	ctx := opts.machine().NewCtx()
 	sh := opts.rec().Root()
 	sp := sh.Begin()
-	tree := rec(ps, idx, lists, 0, g, opts, split, base, ctx, tl, sh, cc)
+	tree := b.rec(0, n, 0, g, ctx, sh)
 	sh.EndTrace(sp, obs.SpanBuild, int64(n))
-	tl.s.Cost = ctx.Cost()
-	sh.Count(obs.CSimSteps, tl.s.Cost.Steps)
-	sh.Count(obs.CSimWork, tl.s.Cost.Work)
+	b.tl.s.Cost = ctx.Cost()
+	sh.Count(obs.CSimSteps, b.tl.s.Cost.Steps)
+	sh.Count(obs.CSimWork, b.tl.s.Cost.Work)
 	sh.Release()
 	if cc.cancelled() {
 		// The recursion collapsed early; the partially filled lists are
 		// not a k-NN graph. Abandon them.
 		return nil, cx.Err()
 	}
-	return &Result{Lists: lists, Tree: tree, Stats: tl.s}, nil
+	// Hand back the input's order: the leaves, subslices of pos, now hold
+	// input indices, and list i is point i's.
+	copy(b.pos, b.id)
+	lists := make([]*topk.List, n)
+	for p, i := range b.id {
+		lists[i] = b.lists[p]
+	}
+	return &Result{Lists: lists, Tree: tree, Stats: b.tl.s}, nil
 }
 
-// baseCase brute-forces the subset into the points' own lists: the paper's
+// rows returns the positions [lo, hi) of the working copy as a point set
+// view.
+func (b *builder) rows(lo, hi int) *pts.PointSet {
+	d := b.ps.Dim
+	return &pts.PointSet{Data: b.ps.Data[lo*d : hi*d : hi*d], Dim: d}
+}
+
+// baseCase brute-forces the range into the points' own lists: the paper's
 // "deterministically compute the neighborhood system in m time using m
 // processors by testing all pairs" (Section 6.1).
-func baseCase(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, ctx *vm.Ctx, tl *tally, sh *obs.Shard) *march.PNode {
+func (b *builder) baseCase(lo, hi, depth int, ctx *vm.Ctx, sh *obs.Shard) *march.PNode {
 	sp := sh.Begin()
-	brute.AllKNNSubsetInto(ps, idx, lists)
-	ctx.PrimK(len(idx), len(idx))
-	tl.add(func(s *Stats) {
+	brute.AllKNNInto(b.rows(lo, hi), b.id[lo:hi], b.lists[lo:hi])
+	ctx.PrimK(hi-lo, hi-lo)
+	b.tl.add(func(s *Stats) {
 		s.BaseCases++
 		if depth > s.MaxDepth {
 			s.MaxDepth = depth
 		}
 	})
 	sh.Count(obs.CBaseCases, 1)
-	sh.End(sp, obs.PhaseBase, obs.SpanBase, int64(len(idx)))
-	return &march.PNode{Pts: idx}
+	sh.End(sp, obs.PhaseBase, obs.SpanBase, int64(hi-lo))
+	return &march.PNode{Pts: b.pos[lo:hi]}
 }
 
-func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RNG, opts *Options,
-	split splitFunc, base int, ctx *vm.Ctx, tl *tally, sh *obs.Shard, cc canceller) *march.PNode {
-
-	if cc.cancelled() {
+func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shard) *march.PNode {
+	if b.cc.cancelled() {
 		// The build is being abandoned: stop descending (and inserting)
 		// immediately so the whole tree collapses in one flag check per
 		// pending node. The partial tree is discarded by run.
 		return nil
 	}
-	m := len(idx)
-	if m <= base {
-		return baseCase(ps, idx, lists, depth, ctx, tl, sh)
+	m := hi - lo
+	if m <= b.base {
+		return b.baseCase(lo, hi, depth, ctx, sh)
 	}
 
 	spDiv := sh.Begin()
-	// The divide step materializes the node's subset contiguously: one
-	// gather into pooled scratch, after which every separator trial
-	// streams cache-friendly. No separator keeps a reference to the
-	// subset, so the scratch goes back once the partition below has read
-	// the accepted separator's sides.
-	ds := divPool.Get().(*divScratch)
-	ds.sub.Data = slices.Grow(ds.sub.Data[:0], m*ps.Dim)[:m*ps.Dim]
-	ds.sub.Dim = ps.Dim
-	ds.interior = slices.Grow(ds.interior[:0], m)[:m]
-	ps.GatherInto(ds.sub.Data, idx)
-	res, alwaysQuery, err := split(&ds.sub, ds.interior, depth, g.Split(), opts)
+	// The node's points are already contiguous: every separator trial
+	// streams its range of the working copy. No separator keeps a
+	// reference to it, so the partition below may move its rows.
+	res, alwaysQuery, err := b.split(b.rows(lo, hi), b.interior[lo:hi], depth, g.Split(), b.opts)
 	if err != nil {
-		divPool.Put(ds)
-		if cc.cancelled() {
+		if b.cc.cancelled() {
 			// The separator search stopped on cancellation, not on an
 			// unsplittable subset: abandon the node like any other.
 			return nil
 		}
 		// Unsplittable subset (all points identical): brute force it.
 		sh.End(spDiv, obs.PhaseDivide, obs.SpanDivide, int64(m))
-		return baseCase(ps, idx, lists, depth, ctx, tl, sh)
+		return b.baseCase(lo, hi, depth, ctx, sh)
 	}
-	tl.add(func(s *Stats) {
+	b.tl.add(func(s *Stats) {
 		s.Nodes++
 		s.SeparatorTrials += res.Trials
 		if res.Punted {
@@ -248,29 +273,13 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	}
 	ctx.PrimK(res.Trials, m) // each Unit Time Separator trial: O(1) steps over m points
 
-	// Partition by the search's sides into one exact-size slice: interior
-	// (Side <= 0) from the front, exterior from the back. Reversing the
-	// exterior part restores idx order on both sides.
-	part := make([]int, m)
-	lo, hi := 0, m
-	for i, j := range idx {
-		if ds.interior[i] {
-			part[lo] = j
-			lo++
-		} else {
-			hi--
-			part[hi] = j
-		}
-	}
-	divPool.Put(ds)
-	inIdx, exIdx := part[:lo:lo], part[lo:]
-	slices.Reverse(exIdx)
+	mid := b.partition(lo, hi)
 	ctx.PrimK(2, m) // classify + pack
 	sh.End(spDiv, obs.PhaseDivide, obs.SpanDivide, int64(m))
-	if len(inIdx) == 0 || len(exIdx) == 0 {
+	if mid == lo || mid == hi {
 		// A vacuous split (possible for hyperplanes on pathological data):
 		// brute force rather than recurse without progress.
-		return baseCase(ps, idx, lists, depth, ctx, tl, sh)
+		return b.baseCase(lo, hi, depth, ctx, sh)
 	}
 
 	// Recurse on the two sides in parallel. The left branch may run on
@@ -288,8 +297,8 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 		// exists so the hot path does not pay the two per-node heap cells
 		// the timed variant's shared durL/durR variables escape into.
 		ctx.Fork(
-			func(c *vm.Ctx) { node.Left = rec(ps, inIdx, lists, depth+1, gl, opts, split, base, c, tl, nil, cc) },
-			func(c *vm.Ctx) { node.Right = rec(ps, exIdx, lists, depth+1, gr, opts, split, base, c, tl, nil, cc) },
+			func(c *vm.Ctx) { node.Left = b.rec(lo, mid, depth+1, gl, c, nil) },
+			func(c *vm.Ctx) { node.Right = b.rec(mid, hi, depth+1, gr, c, nil) },
 		)
 	} else {
 		shL := sh.Fork()
@@ -298,19 +307,19 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 		ctx.Fork(
 			func(c *vm.Ctx) {
 				t0 := shL.Now()
-				node.Left = rec(ps, inIdx, lists, depth+1, gl, opts, split, base, c, tl, shL, cc)
+				node.Left = b.rec(lo, mid, depth+1, gl, c, shL)
 				durL = shL.Now() - t0
 				shL.Release()
 			},
 			func(c *vm.Ctx) {
 				t0 := sh.Now()
-				node.Right = rec(ps, exIdx, lists, depth+1, gr, opts, split, base, c, tl, sh, cc)
+				node.Right = b.rec(mid, hi, depth+1, gr, c, sh)
 				durR = sh.Now() - t0
 			},
 		)
 		sh.EndAdjusted(spRec, obs.PhaseRecurse, obs.SpanRecurse, int64(m), durL+durR)
 	}
-	if cc.cancelled() {
+	if b.cc.cancelled() {
 		// Skip the correction phase outright: the lists are being thrown
 		// away, and corrections are the expensive part of a node.
 		return node
@@ -320,16 +329,16 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	spCor := sh.Begin()
 	cs := corrPool.Get().(*corrScratch)
 	defer corrPool.Put(cs)
-	cs.crossIn = crossing(cs.crossIn[:0], ps, lists, inIdx, res.Sep, ctx)
-	cs.crossEx = crossing(cs.crossEx[:0], ps, lists, exIdx, res.Sep, ctx)
+	cs.crossIn = b.crossing(cs.crossIn[:0], lo, mid, res.Sep, ctx)
+	cs.crossEx = b.crossing(cs.crossEx[:0], mid, hi, res.Sep, ctx)
 	crossIn, crossEx := cs.crossIn, cs.crossEx
 	crossed := len(crossIn) + len(crossEx)
 	sh.Observe(obs.HCrossingBalls, int64(crossed))
 
 	gq := g.Split()
 	if alwaysQuery {
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
+		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
+		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 		return node
 	}
@@ -338,12 +347,12 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	// small (ι_{B_I}(S) + ι_{B_E}(S) < m^μ). The chaos injector can force
 	// the punt at selected depths — the Punting Lemma's bad-luck event on
 	// demand, with identical correction semantics.
-	threshold := math.Pow(float64(m), opts.mu())
-	if float64(crossed) >= threshold || opts.chaos().ForcePunt(depth) {
-		tl.add(func(s *Stats) { s.ThresholdPunts++ })
+	threshold := math.Pow(float64(m), b.opts.mu())
+	if float64(crossed) >= threshold || b.opts.chaos().ForcePunt(depth) {
+		b.tl.add(func(s *Stats) { s.ThresholdPunts++ })
 		sh.Count(obs.CThresholdPunts, 1)
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
+		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
+		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 		return node
 	}
@@ -352,26 +361,45 @@ func rec(ps *pts.PointSet, idx []int, lists []*topk.List, depth int, g *xrand.RN
 	// punts only its own direction. A chaos-forced abort skips the march
 	// entirely (as if it had flooded at level 0) and takes the same punt.
 	activeLimit := int(activeFactor*threshold*math.Log2(float64(m))) + 16
-	forceAbort := opts.chaos().ForceMarchAbort(depth)
-	if forceAbort || !fastCorrect(ps, lists, crossIn, node.Right, activeLimit, opts, ctx, tl, sh, cs) {
-		tl.add(func(s *Stats) { s.MarchAborts++ })
+	forceAbort := b.opts.chaos().ForceMarchAbort(depth)
+	if forceAbort || !b.fastCorrect(crossIn, node.Right, activeLimit, ctx, sh, cs) {
+		b.tl.add(func(s *Stats) { s.MarchAborts++ })
 		sh.Count(obs.CMarchAborts, 1)
-		queryCorrect(ps, lists, crossIn, exIdx, gq, opts, ctx, tl, sh, cc, cs)
+		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
 	}
-	if forceAbort || !fastCorrect(ps, lists, crossEx, node.Left, activeLimit, opts, ctx, tl, sh, cs) {
-		tl.add(func(s *Stats) { s.MarchAborts++ })
+	if forceAbort || !b.fastCorrect(crossEx, node.Left, activeLimit, ctx, sh, cs) {
+		b.tl.add(func(s *Stats) { s.MarchAborts++ })
 		sh.Count(obs.CMarchAborts, 1)
-		queryCorrect(ps, lists, crossEx, inIdx, gq, opts, ctx, tl, sh, cc, cs)
+		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 	}
 	sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
 	return node
 }
 
-// divScratch is the divide step's pooled scratch: the node's contiguous
-// subset and the accepted separator's side of each of its points.
-type divScratch struct {
-	sub      pts.PointSet
-	interior []bool
+// partition reorders the range [lo, hi) by b.interior's sides and
+// returns the first exterior position: interior rows first, then exterior
+// rows, each side in its previous order, which is input order because
+// every node's range starts out that way. The lists of the range are
+// still empty, so only rows and ids move. Exterior rows wait in the
+// scratch while the interior ones compact.
+func (b *builder) partition(lo, hi int) int {
+	d := b.ps.Dim
+	data, id := b.ps.Data, b.id
+	mid, ex := lo, lo
+	for p := lo; p < hi; p++ {
+		if !b.interior[p] {
+			copy(b.exRows[ex*d:(ex+1)*d], data[p*d:(p+1)*d])
+			b.exIDs[ex] = id[p]
+			ex++
+			continue
+		}
+		if mid != p {
+			copy(data[mid*d:(mid+1)*d], data[p*d:(p+1)*d])
+			id[mid] = id[p]
+		}
+		mid++
+	}
+	copy(data[mid*d:hi*d], b.exRows[lo*d:ex*d])
+	copy(id[mid:hi], b.exIDs[lo:ex])
+	return mid
 }
-
-var divPool = sync.Pool{New: func() any { return new(divScratch) }}

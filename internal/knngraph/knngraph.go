@@ -20,11 +20,10 @@ import (
 // Graph is an undirected graph in CSR form. Adjacency lists are sorted and
 // deduplicated; the graph contains no self-loops.
 type Graph struct {
-	N        int
-	K        int
-	RowPtr   []int32
-	ColIdx   []int32
-	Directed [][]topk.Neighbor // the underlying k-NN lists (out-neighbors)
+	N      int
+	K      int
+	RowPtr []int32
+	ColIdx []int32
 }
 
 // FromLists builds the symmetrized k-NN graph per Definition 1.1, by the
@@ -34,22 +33,10 @@ type Graph struct {
 // a handful of flat arrays — no per-vertex maps or row allocations.
 func FromLists(lists []*topk.List, k int) *Graph {
 	n := len(lists)
-	// Directed lists, copied into one flat backing array. The capacity is
-	// exact, so the per-vertex views never move.
-	m := 0
-	for _, l := range lists {
-		m += l.Len()
-	}
-	flat := make([]topk.Neighbor, 0, m)
-	directed := make([][]topk.Neighbor, n)
 	// deg counts each row's entries including duplicates (out + in edges).
 	deg := make([]int32, n)
 	for i, l := range lists {
-		items := l.Items()
-		off := len(flat)
-		flat = append(flat, items...)
-		directed[i] = flat[off:len(flat):len(flat)]
-		for _, nb := range items {
+		for _, nb := range l.Items() {
 			if nb.Idx == i {
 				continue // defensive: no self-loops
 			}
@@ -75,7 +62,7 @@ func FromLists(lists []*topk.List, k int) *Graph {
 			pos[nb.Idx]++
 		}
 	}
-	g := &Graph{N: n, K: k, Directed: directed}
+	g := &Graph{N: n, K: k}
 	g.RowPtr = make([]int32, n+1)
 	g.ColIdx = make([]int32, 0, start[n])
 	for v := 0; v < n; v++ {
@@ -113,8 +100,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 }
 
 // Equal reports whether two graphs have identical vertex sets and edges.
-// The directed lists are not compared: two algorithms may discover the same
-// graph from different list states when k exceeds the point count.
+// Only edges are compared, not k-NN lists: two algorithms may discover
+// the same graph from different list states when k exceeds the point
+// count.
 func Equal(a, b *Graph) bool {
 	if a.N != b.N || len(a.ColIdx) != len(b.ColIdx) {
 		return false

@@ -48,7 +48,7 @@ type PNode struct {
 	Sep   geom.Separator
 	Left  *PNode
 	Right *PNode
-	Pts   []int // leaf payload: global point indices
+	Pts   []int // leaf payload: the leaf's rows of the point set it is marched over
 }
 
 // IsLeaf reports whether the node is a leaf.

@@ -4,10 +4,10 @@
 // natural Go realization is one flat []float64 backing array with a
 // dimension stride, not a [][]float64 of separately heap-allocated rows.
 // Flat storage removes one pointer indirection from every distance
-// computation, keeps the divide-and-conquer's working sets contiguous in
-// cache, and makes gather (the divide step) a single memmove-friendly
-// loop. ParGeo's point sequences follow the same layout for the same
-// reasons.
+// computation, and lets a divide and conquer keep every node's points as
+// one contiguous range of a reordered copy, which it partitions in place
+// with row moves. ParGeo's point sequences follow the same layout for the
+// same reasons.
 //
 // A PointSet's individual points are still addressable as vec.Vec views
 // (zero-copy sub-slices of the backing array), so the existing geometric
@@ -109,19 +109,6 @@ func (p *PointSet) Vecs() []vec.Vec {
 // Dist2 returns the squared Euclidean distance between points i and j.
 func (p *PointSet) Dist2(i, j int) float64 {
 	return vec.Dist2Flat(p.Data[i*p.Dim:(i+1)*p.Dim], p.Data[j*p.Dim:(j+1)*p.Dim])
-}
-
-// GatherInto copies the points selected by idx, in order, into dst, which
-// must have length len(idx)*Dim — the divide step's subset
-// materialization, into caller scratch so arenas can be reused.
-func (p *PointSet) GatherInto(dst []float64, idx []int) {
-	d := p.Dim
-	if len(dst) != len(idx)*d {
-		panic(fmt.Sprintf("pts: gather dst length %d, want %d", len(dst), len(idx)*d))
-	}
-	for i, j := range idx {
-		copy(dst[i*d:(i+1)*d], p.Data[j*d:(j+1)*d])
-	}
 }
 
 // Clone returns a deep copy.

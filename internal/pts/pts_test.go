@@ -74,19 +74,6 @@ func TestDist2MatchesVec(t *testing.T) {
 	}
 }
 
-func TestGatherInto(t *testing.T) {
-	g := xrand.New(3)
-	ps, _ := FromSlices(randomSlices(20, 2, g))
-	idx := []int{7, 0, 19, 3, 3}
-	scratch := make([]float64, len(idx)*2)
-	ps.GatherInto(scratch, idx)
-	for i, j := range idx {
-		if !vec.Equal(scratch[i*2:(i+1)*2], ps.At(j)) {
-			t.Fatalf("gathered point %d != source point %d", i, j)
-		}
-	}
-}
-
 func TestViewAndClone(t *testing.T) {
 	ps, _ := FromSlices([][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
 	c := ps.Clone()

@@ -25,7 +25,7 @@ func TestGraphEncodeDecodeRoundTrip(t *testing.T) {
 	if got.K() != g.K() || got.NumPoints() != g.NumPoints() {
 		t.Error("metadata lost")
 	}
-	// Directed lists must round trip too.
+	// Every point's k-NN list, as Neighbors returns it, must round trip too.
 	for i := 0; i < g.NumPoints(); i++ {
 		a, b := g.Neighbors(i), got.Neighbors(i)
 		if len(a) != len(b) {
