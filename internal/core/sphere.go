@@ -192,8 +192,8 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 		// not a k-NN graph. Abandon them.
 		return nil, cx.Err()
 	}
-	// Hand back the input's order: the leaves, subslices of pos, now hold
-	// input indices, and list i is point i's.
+	// Hand back the input's order: once pos holds id, the leaves (its
+	// subslices) hold input indices; and list i is point i's.
 	copy(b.pos, b.id)
 	lists := make([]*topk.List, n)
 	for p, i := range b.id {
