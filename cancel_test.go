@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"sepdc/internal/chaos"
-	"sepdc/internal/obs"
 )
 
 // TestCancelBeforeStart: an already-cancelled context aborts every
@@ -182,14 +181,12 @@ func TestQueryStructureParallelBuildReturns(t *testing.T) {
 	}
 	settled("deadline")
 
-	// The cancel waits for the separator tree's first separator
-	// candidate, which the process-wide counters see while a recorder is
-	// open, so it lands after the k-NN radii, which do not poll the
-	// context, and inside the recursion, which does.
-	rec := obs.New(obs.Config{})
-	defer rec.Finish(0)
-	candidates := func() int64 { return obs.GlobalSnapshot()["separator_candidates"] }
-	before := candidates()
+	// The cancel waits for the k-NN radii, which do not poll the
+	// context, so it lands as the separator tree's recursion, which
+	// does, starts.
+	radiiReady := make(chan struct{})
+	afterRadii = func() { close(radiiReady) }
+	defer func() { afterRadii = nil }()
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)
@@ -197,12 +194,10 @@ func TestQueryStructureParallelBuildReturns(t *testing.T) {
 		_, err := NewQueryStructureContext(ctx, points, 4, 33)
 		done <- err
 	}()
-	for candidates() == before {
-		select {
-		case err := <-done:
-			t.Fatalf("build returned (err = %v) before its separator tree started", err)
-		case <-time.After(50 * time.Microsecond):
-		}
+	select {
+	case <-radiiReady:
+	case err := <-done:
+		t.Fatalf("build returned (err = %v) before its separator tree started", err)
 	}
 	cancelled := time.Now()
 	cancel()

@@ -170,6 +170,40 @@ func TestChaosPuntAllTakesBothPuntPaths(t *testing.T) {
 	}
 }
 
+// TestStatsPuntsAreQueryCorrections: Stats.Punts counts each punted
+// correction once, as the query correction that ran, not again as the
+// threshold punt or march abort that sent it there.
+func TestStatsPuntsAreQueryCorrections(t *testing.T) {
+	const n, d, k, seed = 2048, 3, 4, 13
+	points := genPoints(n, d, seed)
+	cases := []struct {
+		algo Algorithm
+		spec string
+	}{
+		{Sphere, ""},
+		{Sphere, "punt=all"},
+		{Sphere, "march-abort=all"},
+		{Hyperplane, ""},
+	}
+	for _, c := range cases {
+		inj := &chaos.Injector{} // clean even under an ambient KNN_CHAOS
+		if c.spec != "" {
+			var err error
+			if inj, err = chaos.Parse(c.spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := BuildKNNGraph(points, k, &Options{Algorithm: c.algo, Seed: seed, Observe: true, chaos: inj})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := g.Stats()
+		if want := st.Report.Counter("query_corrections"); st.Punts != int(want) || want == 0 {
+			t.Errorf("%s %q: Punts = %d, query_corrections = %d", c.algo, c.spec, st.Punts, want)
+		}
+	}
+}
+
 // TestChaosDeterministicUnderInjection: a chaos build is as reproducible
 // as a clean one — same seed, same profile, same graph and same counters.
 func TestChaosDeterministicUnderInjection(t *testing.T) {

@@ -4,7 +4,7 @@
 //	knn -n 10000 -d 3 -k 4 -algo sphere -dist uniform-cube
 //	knn -input points.txt -k 2 -algo hyperplane -out graph.txt
 //	knn -n 50000 -k 4 -obs -trace build.json   # Chrome trace + phase report
-//	knn -n 50000 -k 4 -debug-addr :8080        # /metrics + expvar + pprof
+//	knn -n 50000 -k 4 -debug-addr :8080        # /metrics + /statsz + pprof
 //	knn -n 5000 -d 3 -k 4 -audit               # paper-invariant audit table
 //
 // Input files hold one point per line, whitespace-separated coordinates.
@@ -57,7 +57,7 @@ func run() error {
 	flightLatency := flag.Duration("flight-latency", 25*time.Millisecond, "per-batch latency SLO objective for -flight")
 	flightBatches := flag.Int("flight-batches", 200, "batches to serve in the -flight loop")
 	verifyBundleDir := flag.String("verify-bundle", "", "validate a captured flight bundle directory and exit")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /statsz, /journal, expvar (/debug/vars) and pprof (/debug/pprof) on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /statsz, /journal and pprof (/debug/pprof) on this address")
 	debugHold := flag.Duration("debug-hold", 0, "keep the process (and -debug-addr server) alive this long after the build")
 	timeout := flag.Duration("timeout", 0, "abandon the build after this long (0 = no limit)")
 	flag.Parse()
@@ -74,8 +74,6 @@ func run() error {
 	fmt.Printf("kernels: tier=%s cpu=%s\n", tier, cpu)
 
 	if *debugAddr != "" {
-		obs.EnableGlobal()
-		obs.PublishExpvar()
 		// Runtime telemetry rides along on every scrape: GC pauses,
 		// scheduler latency, heap, mutex wait as sepdc_runtime_* gauges.
 		rt := runtimeobs.New().Start(5 * time.Second)
@@ -89,7 +87,7 @@ func run() error {
 				fmt.Fprintln(os.Stderr, "knn: debug server:", err)
 			}
 		}()
-		fmt.Printf("debug server: http://%s/metrics, /statsz, /journal, /debug/vars, /debug/pprof\n", *debugAddr)
+		fmt.Printf("debug server: http://%s/metrics, /statsz, /journal, /debug/pprof\n", *debugAddr)
 	}
 
 	if *flightDir != "" {

@@ -49,7 +49,6 @@ func main() {
 	)
 	flag.Parse()
 
-	obs.EnableGlobal()
 	srv, err := newServer(serverConfig{
 		dist:          pointgen.Dist(*dist),
 		n:             *n,

@@ -140,10 +140,33 @@ type Stats struct {
 	QueryCorrections int // corrections executed via the Section-3 structure
 	Duplications     int // crossing-ball duplications during marches (Lemma 6.4)
 	CandidatePairs   int // (ball, point) hits offered to the k-NN lists
+	SeptreeBuilds    int // Section-3 query structures built by punts
+	SeptreeStored    int // Σ balls stored in those structures' leaves
 	MaxMarchActive   int // max active pairs at any march level (Lemma 6.2)
 	MaxDepth         int // deepest recursion node reached (root = 0)
 	Cost             vm.Cost
 	Profiles         [][]int // per-march active-per-level profiles (optional)
+}
+
+// Counters returns the run's totals under the names of the observability
+// report's counters (obs.BuildReport.Counters).
+func (s *Stats) Counters() map[string]int64 {
+	return map[string]int64{
+		"nodes":                int64(s.Nodes),
+		"base_cases":           int64(s.BaseCases),
+		"separator_trials":     int64(s.SeparatorTrials),
+		"separator_punts":      int64(s.SeparatorPunts),
+		"threshold_punts":      int64(s.ThresholdPunts),
+		"march_aborts":         int64(s.MarchAborts),
+		"fast_corrections":     int64(s.FastCorrections),
+		"query_corrections":    int64(s.QueryCorrections),
+		"candidate_pairs":      int64(s.CandidatePairs),
+		"march_duplications":   int64(s.Duplications),
+		"septree_builds":       int64(s.SeptreeBuilds),
+		"septree_stored_balls": int64(s.SeptreeStored),
+		"sim_steps":            s.Cost.Steps,
+		"sim_work":             s.Cost.Work,
+	}
 }
 
 type tally struct {

@@ -50,10 +50,7 @@ func (b *builder) crossing(dst []int, lo, hi int, sep geom.Separator, ctx *vm.Ct
 		}
 		// Inflate the radius a hair: sqrt rounding must never demote a
 		// crossing ball to interior/exterior (missing a tie candidate).
-		// The Nextafter bump handles squared-distance underflow — r2 == 0
-		// still admits ties out to sqrt(minSubnormal) ≈ 1.5e-162.
-		r := math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
-		if sep.ClassifyBall(b.ps.At(i), r) == geom.Crossing {
+		if sep.ClassifyBall(b.ps.At(i), march.InflatedRadius(r2)) == geom.Crossing {
 			dst = append(dst, i)
 		}
 	}
@@ -105,7 +102,6 @@ func (b *builder) fastCorrect(cross []int, otherTree *march.PNode, activeLimit i
 	sh.Observe(obs.HMarchLevels, int64(st.Levels))
 	sh.Observe(obs.HMarchMaxActive, int64(st.MaxActive))
 	sh.Observe(obs.HMarchVisited, int64(st.TotalVisited))
-	sh.Count(obs.CDuplications, int64(st.Duplications))
 	sh.EndTrace(sp, obs.SpanMarch, int64(len(cross)))
 	if st.Aborted {
 		return false
@@ -124,8 +120,6 @@ func (b *builder) fastCorrect(cross []int, otherTree *march.PNode, activeLimit i
 		s.CandidatePairs += len(hits)
 		s.FastCorrections++
 	})
-	sh.Count(obs.CFastCorrections, 1)
-	sh.Count(obs.CCandidatePairs, int64(len(hits)))
 	return true
 }
 
@@ -182,14 +176,12 @@ func (b *builder) queryCorrect(cross []int, lo, hi int, g *xrand.RNG, ctx *vm.Ct
 		pairs := len(balls) * (hi - lo)
 		ctx.PrimK(2, pairs)
 		b.tl.add(func(s *Stats) { s.CandidatePairs += pairs })
-		sh.Count(obs.CCandidatePairs, int64(pairs))
 	}
 	// A small punt scans all its balls at once; a large one scans only
 	// the unbounded balls and builds the structure over the rest.
 	if len(finite)*(hi-lo) <= directScanPairs {
 		directScan(cross)
 		b.tl.add(func(s *Stats) { s.QueryCorrections++ })
-		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
 	if len(unbounded) > 0 {
@@ -212,15 +204,15 @@ func (b *builder) queryCorrect(cross []int, lo, hi int, g *xrand.RNG, ctx *vm.Ct
 		// direct scan, still exact.
 		directScan(finite)
 		b.tl.add(func(s *Stats) { s.QueryCorrections++ })
-		sh.Count(obs.CQueryCorrections, 1)
 		return
 	}
 	st := tree.Stats()
 	ctx.Charge(st.Cost)
-	b.tl.add(func(s *Stats) { s.SeparatorTrials += st.SeparatorTrials })
-	sh.Count(obs.CSeparatorTrials, int64(st.SeparatorTrials))
-	sh.Count(obs.CSeptreeBuilds, 1)
-	sh.Count(obs.CSeptreeStored, int64(st.TotalStored))
+	b.tl.add(func(s *Stats) {
+		s.SeparatorTrials += st.SeparatorTrials
+		s.SeptreeBuilds++
+		s.SeptreeStored += st.TotalStored
+	})
 
 	// Query every other-side point, conceptually all in parallel (Theorem
 	// 3.1's query phase): steps = the deepest query path plus distributing
@@ -244,8 +236,6 @@ func (b *builder) queryCorrect(cross []int, lo, hi int, g *xrand.RNG, ctx *vm.Ct
 		s.CandidatePairs += hits
 		s.QueryCorrections++
 	})
-	sh.Count(obs.CCandidatePairs, int64(hits))
-	sh.Count(obs.CQueryCorrections, 1)
 }
 
 // puntSystem is the ball system a large punt builds its search structure
@@ -256,8 +246,7 @@ func (b *builder) puntSystem(finite []int) *nbrsys.System {
 	for j, i := range finite {
 		r2, _ := b.lists[i].Radius2()
 		centers[j] = b.ps.At(i)
-		// Inflate, and bump past squared-distance underflow: never lose a tie.
-		radii[j] = math.Sqrt(math.Nextafter(r2, math.Inf(1))) * (1 + 1e-12)
+		radii[j] = march.InflatedRadius(r2) // never lose a tie
 	}
 	return &nbrsys.System{Centers: centers, Radii: radii, K: b.opts.k()}
 }

@@ -19,13 +19,14 @@ import (
 // SphereDNC computes the exact k-nearest-neighbor lists of pv with the
 // paper's Section-6 algorithm: sphere-separator divide and conquer with
 // Fast Correction and punting. See the package comment for the outline.
-// It is a validating wrapper over SphereDNCFlat.
+// It is a validating wrapper over SphereDNCFlat that builds on its one
+// flat copy of pv.
 func SphereDNC(pv []vec.Vec, g *xrand.RNG, opts *Options) (*Result, error) {
 	ps, err := validate(pv)
 	if err != nil {
 		return nil, err
 	}
-	return SphereDNCFlat(ps, g, opts)
+	return run(context.Background(), ps, g, opts, sphereSplit)
 }
 
 // SphereDNCFlat is SphereDNC over flat contiguous point storage — the hot
@@ -40,7 +41,7 @@ func SphereDNCFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, erro
 // cx.Err() is returned. The probe is a single channel poll per node, so
 // context.Background costs one nil comparison on the hot path.
 func SphereDNCFlatContext(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return run(cx, ps, g, opts, sphereSplit)
+	return run(cx, ps.Clone(), g, opts, sphereSplit)
 }
 
 // HyperplaneDNC computes the same lists with the Section-5 baseline:
@@ -50,7 +51,7 @@ func HyperplaneDNC(pv []vec.Vec, g *xrand.RNG, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return HyperplaneDNCFlat(ps, g, opts)
+	return run(context.Background(), ps, g, opts, hyperplaneSplit)
 }
 
 // HyperplaneDNCFlat is HyperplaneDNC over flat contiguous point storage.
@@ -61,7 +62,7 @@ func HyperplaneDNCFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, 
 // HyperplaneDNCFlatContext is HyperplaneDNCFlat under a context, with the
 // same cancellation semantics as SphereDNCFlatContext.
 func HyperplaneDNCFlatContext(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return run(cx, ps, g, opts, hyperplaneSplit)
+	return run(cx, ps.Clone(), g, opts, hyperplaneSplit)
 }
 
 // canceller is the cancellation probe threaded through every strand of one
@@ -126,10 +127,10 @@ func hyperplaneSplit(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG
 	return res, true, nil
 }
 
-// builder is one run's shared state. The recursion works on its own copy
-// of the points, permuted in place as it divides, so that every node's
-// points are one contiguous range [lo, hi) of positions: the paper's
-// per-node packed vector. Sibling strands own disjoint ranges.
+// builder is one run's shared state. The recursion works on a copy of
+// the points that the run owns, permuted in place as it divides, so that
+// every node's points are one contiguous range [lo, hi) of positions: the
+// paper's per-node packed vector. Sibling strands own disjoint ranges.
 type builder struct {
 	ps    *pts.PointSet // the working copy, in recursion order
 	id    []int         // position → input index
@@ -149,6 +150,7 @@ type builder struct {
 	exIDs    []int
 }
 
+// run builds on ps, which it owns: the recursion permutes its rows.
 func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, split splitFunc) (*Result, error) {
 	n := ps.N()
 	if n == 0 {
@@ -171,7 +173,7 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 	// One arena allocation backs every point's k-NN list, in position
 	// order; the recursion's base cases and corrections insert into the
 	// lists in place.
-	b := &builder{ps: ps.Clone(), id: make([]int, n), pos: make([]int, n),
+	b := &builder{ps: ps, id: make([]int, n), pos: make([]int, n),
 		lists: topk.NewArena(n, opts.k()).Lists(), opts: opts, split: split,
 		base: opts.baseSize(n), tl: &tally{}, cc: cc,
 		interior: make([]bool, n), exRows: make([]float64, len(ps.Data)), exIDs: make([]int, n)}
@@ -184,8 +186,6 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 	tree := b.rec(0, n, 0, g, ctx, sh)
 	sh.EndTrace(sp, obs.SpanBuild, int64(n))
 	b.tl.s.Cost = ctx.Cost()
-	sh.Count(obs.CSimSteps, b.tl.s.Cost.Steps)
-	sh.Count(obs.CSimWork, b.tl.s.Cost.Work)
 	sh.Release()
 	if cc.cancelled() {
 		// The recursion collapsed early; the partially filled lists are
@@ -222,7 +222,6 @@ func (b *builder) baseCase(lo, hi, depth int, ctx *vm.Ctx, sh *obs.Shard) *march
 			s.MaxDepth = depth
 		}
 	})
-	sh.Count(obs.CBaseCases, 1)
 	sh.End(sp, obs.PhaseBase, obs.SpanBase, int64(hi-lo))
 	return &march.PNode{Pts: b.pos[lo:hi]}
 }
@@ -264,13 +263,8 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 			s.MaxDepth = depth
 		}
 	})
-	sh.Count(obs.CNodes, 1)
-	sh.Count(obs.CSeparatorTrials, int64(res.Trials))
 	sh.Observe(obs.HSeparatorTrials, int64(res.Trials))
 	sh.Observe(obs.HNodeSize, int64(m))
-	if res.Punted {
-		sh.Count(obs.CSeparatorPunts, 1)
-	}
 	ctx.PrimK(res.Trials, m) // each Unit Time Separator trial: O(1) steps over m points
 
 	mid := b.partition(lo, hi)
@@ -350,7 +344,6 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 	threshold := math.Pow(float64(m), b.opts.mu())
 	if float64(crossed) >= threshold || b.opts.chaos().ForcePunt(depth) {
 		b.tl.add(func(s *Stats) { s.ThresholdPunts++ })
-		sh.Count(obs.CThresholdPunts, 1)
 		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
 		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
@@ -364,12 +357,10 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 	forceAbort := b.opts.chaos().ForceMarchAbort(depth)
 	if forceAbort || !b.fastCorrect(crossIn, node.Right, activeLimit, ctx, sh, cs) {
 		b.tl.add(func(s *Stats) { s.MarchAborts++ })
-		sh.Count(obs.CMarchAborts, 1)
 		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
 	}
 	if forceAbort || !b.fastCorrect(crossEx, node.Left, activeLimit, ctx, sh, cs) {
 		b.tl.add(func(s *Stats) { s.MarchAborts++ })
-		sh.Count(obs.CMarchAborts, 1)
 		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 	}
 	sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))

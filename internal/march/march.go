@@ -35,7 +35,6 @@ import (
 
 	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
-	"sepdc/internal/obs"
 	"sepdc/internal/pts"
 	"sepdc/internal/vec"
 	"sepdc/internal/vm"
@@ -96,15 +95,25 @@ type Ball struct {
 	Radius2 float64
 }
 
-// NewBall builds a marching ball from an exact squared radius, inflating
-// the descent radius by one part in 2^40 to absorb sqrt rounding. The
-// pre-sqrt Nextafter bump covers subnormal underflow: points within
-// ~1.5e-162 of each other have squared distance 0, so a radius² of 0 still
-// means "ties possible out to sqrt(minSubnormal)", not "ties impossible".
+// NewBall builds a marching ball from an exact squared radius, with the
+// descent radius inflated by InflatedRadius.
 func NewBall(id int, center vec.Vec, radius2 float64) Ball {
-	r := math.Sqrt(math.Nextafter(radius2, math.Inf(1)))
-	return Ball{ID: id, Center: center, Radius: r * (1 + 1e-12), Radius2: radius2}
+	return Ball{ID: id, Center: center, Radius: InflatedRadius(radius2), Radius2: radius2}
 }
+
+// InflatedRadius is the radius of squared radius r2 inflated by about one
+// part in 10^12 to absorb sqrt rounding, so that no test against it loses
+// a tie. The pre-sqrt Nextafter bump covers subnormal underflow: points
+// within ~1.5e-162 of each other have squared distance 0, so a radius² of
+// 0 still means "ties possible out to sqrt(minSubnormal)", not "ties
+// impossible".
+func InflatedRadius(r2 float64) float64 {
+	return math.Sqrt(math.Nextafter(r2, posInf)) * (1 + 1e-12)
+}
+
+// posInf is a variable rather than a math.Inf call so that InflatedRadius
+// stays within the inlining budget of its callers' hot loops.
+var posInf = math.Inf(1)
 
 // Stats describes one march.
 type Stats struct {
@@ -284,10 +293,6 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 		// Constant steps for the whole march (Lemma 6.3, chunked);
 		// work = all (ball, node) pairs labeled plus the leaf scans.
 		ctx.Charge(vm.Cost{Steps: marchSteps, Work: int64(st.TotalVisited + leafWork)})
-	}
-	if obs.On() {
-		obs.Add(obs.GMarchPairs, int64(st.TotalVisited))
-		obs.Add(obs.GMarchLeafPoints, int64(leafWork))
 	}
 	if st.Aborted {
 		return nil, st

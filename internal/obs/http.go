@@ -13,15 +13,14 @@ import (
 
 // Handler returns the observability endpoint mux:
 //
-//	/metrics — Prometheus text exposition (format 0.0.4): the
-//	           process-wide sepdc_* counters, pool gauges, every
+//	/metrics — Prometheus text exposition (format 0.0.4): every
 //	           registered serve recorder's phase-split histograms and
 //	           rolling-window quantiles, and the registered gauges
 //	           (paper-invariant audit results).
 //	/statsz  — the same telemetry as machine-readable JSON: full
 //	           ServeSnapshot per registered recorder (including tail
 //	           samples with descent paths, which have no Prometheus
-//	           representation) plus the global counters.
+//	           representation).
 //	/journal — the wide-event query journals as JSON Lines: one event
 //	           object per line, every registered journal, ordered by
 //	           (engine, batch, query). ?name=<engine> filters to one
@@ -40,7 +39,7 @@ import (
 //	           Chrome trace_event JSON with request and strand lanes.
 //
 // Mount it on any mux; cmd/knn wires it into -debug-addr alongside
-// expvar and pprof.
+// pprof.
 func Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", serveMetrics)
@@ -53,24 +52,6 @@ func Handler() http.Handler {
 func serveMetrics(w http.ResponseWriter, req *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	pw := promtext.NewWriter(w)
-
-	// Process-wide counters, stable order.
-	globals := GlobalSnapshot()
-	names := make([]string, 0, len(globals))
-	for name := range globals {
-		if name == "pool_inflight" || name == "pool_max_inflight" {
-			continue // gauges, emitted below
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		pw.Counter("sepdc_"+name+"_total", globalHelp(name), nil, float64(globals[name]))
-	}
-	pw.Gauge("sepdc_pool_inflight", "Tasks currently held by worker-pool workers.",
-		promtext.GaugeSample{Value: float64(globals["pool_inflight"])})
-	pw.Gauge("sepdc_pool_max_inflight", "High-water mark of concurrent worker-pool tasks.",
-		promtext.GaugeSample{Value: float64(globals["pool_max_inflight"])})
 
 	// Serve recorders: exact served counts, sampled phase-split
 	// histograms, and window quantiles as a summary.
@@ -190,32 +171,11 @@ func histFamEx(pw *promtext.Writer, name, help string, labels []promtext.Label, 
 	pw.Histogram(name, help, labels, pts, float64(h.Sum), h.Count)
 }
 
-func globalHelp(name string) string {
-	if h, ok := globalHelpText[name]; ok {
-		return h
-	}
-	return "sepdc process-wide counter."
-}
-
-var globalHelpText = map[string]string{
-	"pool_submitted":        "Tasks accepted by an idle worker-pool worker.",
-	"pool_inline":           "Tasks run inline because the pool was saturated.",
-	"query_batches":         "Batched covering-ball Run invocations.",
-	"query_served":          "Covering-ball queries answered (batched + single).",
-	"query_nodes_visited":   "Septree nodes visited answering queries.",
-	"query_leaf_scans":      "Leaf ball candidates scanned answering queries.",
-	"septree_builds":        "Section-3 query structures built.",
-	"septree_forced_leaves": "Oversized (forced) septree leaves.",
-	"separator_candidates":  "Unit Time Separator candidates generated.",
-	"separator_fallbacks":   "Separator searches that exhausted the trial budget.",
-}
-
 // statszPayload is the /statsz JSON document.
 type statszPayload struct {
-	Globals map[string]int64          `json:"globals"`
-	Info    map[string]string         `json:"info,omitempty"`
-	Serves  map[string]*ServeSnapshot `json:"serves,omitempty"`
-	Gauges  []statszGauge             `json:"gauges,omitempty"`
+	Info   map[string]string         `json:"info,omitempty"`
+	Serves map[string]*ServeSnapshot `json:"serves,omitempty"`
+	Gauges []statszGauge             `json:"gauges,omitempty"`
 }
 
 type statszGauge struct {
@@ -232,7 +192,7 @@ type statszGauge struct {
 func WriteStatsz(w io.Writer) error {
 	_, snaps := serveSnapshots()
 	gaugeNames, byName, _ := gaugeSnapshot()
-	doc := statszPayload{Globals: GlobalSnapshot(), Info: infoSnapshot(), Serves: snaps}
+	doc := statszPayload{Info: infoSnapshot(), Serves: snaps}
 	for _, name := range gaugeNames {
 		for _, p := range byName[name] {
 			label := ""

@@ -47,8 +47,8 @@ func TestMetricsHandlerExposition(t *testing.T) {
 		len(got[0].Labels) != 1 || got[0].Labels[0] != (promtext.Label{Name: "gen", Value: "uniform-ball"}) {
 		t.Errorf("audit gauge = %+v", got)
 	}
-	if exp.Types["sepdc_query_served_total"] != "counter" {
-		t.Errorf("global counters missing: %v", exp.Types)
+	if exp.Types["sepdc_serve_testengine_sampled_total"] != "counter" {
+		t.Errorf("sampled counter missing: %v", exp.Types)
 	}
 	if got := exp.Find("sepdc_serve_testengine_window_latency_ns"); len(got) != 4 {
 		t.Errorf("summary quantiles = %+v", got)
@@ -72,8 +72,7 @@ func TestStatszJSON(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var doc struct {
-		Globals map[string]int64 `json:"globals"`
-		Serves  map[string]struct {
+		Serves map[string]struct {
 			Queries int64 `json:"queries"`
 			Tail    []struct {
 				LatencyNs int64   `json:"latency_ns"`

@@ -3,17 +3,15 @@
 // build: separator trials (Unit Time Separator success probability),
 // punt events (the Section-4 Punting Lemma's retry cascades), fast-
 // correction march lengths and active-pair profiles (Lemmas 6.2/6.3),
-// ι(S) crossing-ball counts (Lemma 6.1), SCAN/vector-model simulated
-// cost, worker-pool utilization, and topk arena reuse.
+// ι(S) crossing-ball counts (Lemma 6.1), and the vector-model simulated
+// cost.
 //
 // Design constraints, in order:
 //
 //  1. A nil or absent Recorder must cost (near) nothing on the hot
 //     paths. Every Shard method nil-checks its receiver and returns
 //     immediately, so the disabled divide-and-conquer pays one
-//     predictable branch per event site and allocates nothing. The
-//     process-wide counters (global.go) are guarded by a single atomic
-//     load of a refcounted enabled flag.
+//     predictable branch per event site and allocates nothing.
 //
 //  2. An enabled Recorder must not serialize the parallel recursion.
 //     Each strand of the fork-join records into its own Shard — plain
@@ -24,13 +22,14 @@
 //     pooled through a freelist so a build allocates O(parallelism)
 //     of them, not O(nodes), and are merged once at Finish.
 //
-//  3. Aggregates must be schedule-independent. Counters and histograms
-//     merge by commutative addition of per-strand totals, and every
-//     observation is derived from deterministic algorithm state, so
-//     the merged BuildReport.Counters and .Histograms are identical
-//     for any worker count at a fixed seed (asserted by the
-//     determinism test in the root package). Phase wall times and the
-//     runtime counters are real-time measurements and are exempt.
+//  3. Aggregates must be schedule-independent. Histograms merge by
+//     commutative addition of per-strand totals, every observation is
+//     derived from deterministic algorithm state, and the counters are
+//     the build's own totals handed to Finish once, so
+//     BuildReport.Counters and .Histograms are identical for any worker
+//     count at a fixed seed (asserted by the determinism test in the
+//     root package). Phase wall times are real-time measurements and
+//     are exempt.
 package obs
 
 import (
@@ -38,44 +37,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Counter identifies one deterministic, shard-merged build counter.
-type Counter uint8
-
-const (
-	CNodes            Counter = iota // internal recursion nodes
-	CBaseCases                       // brute-force leaves
-	CSeparatorTrials                 // Unit Time Separator candidates consumed
-	CSeparatorPunts                  // FindGood fell back to a median hyperplane
-	CThresholdPunts                  // corrections skipped because ι ≥ m^μ
-	CMarchAborts                     // marches aborted by the active-ball limit
-	CFastCorrections                 // marches that completed
-	CQueryCorrections                // corrections via the Section-3 structure
-	CCandidatePairs                  // (ball, point) hits offered to k-NN lists
-	CDuplications                    // crossing-ball duplications while marching
-	CSeptreeBuilds                   // Section-3 query structures built (punt path)
-	CSeptreeStored                   // Σ balls stored in those structures' leaves
-	CSimSteps                        // vector-model critical-path steps
-	CSimWork                         // vector-model total element-operations
-	numCounters
-)
-
-var counterNames = [numCounters]string{
-	CNodes:            "nodes",
-	CBaseCases:        "base_cases",
-	CSeparatorTrials:  "separator_trials",
-	CSeparatorPunts:   "separator_punts",
-	CThresholdPunts:   "threshold_punts",
-	CMarchAborts:      "march_aborts",
-	CFastCorrections:  "fast_corrections",
-	CQueryCorrections: "query_corrections",
-	CCandidatePairs:   "candidate_pairs",
-	CDuplications:     "march_duplications",
-	CSeptreeBuilds:    "septree_builds",
-	CSeptreeStored:    "septree_stored_balls",
-	CSimSteps:         "sim_steps",
-	CSimWork:          "sim_work",
-}
 
 // Histo identifies one deterministic, shard-merged histogram.
 type Histo uint8
@@ -160,17 +121,11 @@ type Recorder struct {
 	shards []*Shard // every shard ever created; merged at Finish
 	free   []*Shard // released shards available for reuse
 
-	globalBase [numGlobals]int64 // global counter snapshot at New
-	finished   bool
 }
 
-// New returns an enabled Recorder and turns on the process-wide counters
-// for its lifetime (refcounted; see global.go). Finish releases it.
+// New returns an enabled Recorder.
 func New(cfg Config) *Recorder {
-	r := &Recorder{epoch: time.Now(), tracing: cfg.Trace}
-	globalRefs.Add(1)
-	r.globalBase = globalSnapshot()
-	return r
+	return &Recorder{epoch: time.Now(), tracing: cfg.Trace}
 }
 
 // Root returns the recorder's root shard (lane 0). Nil-safe: a nil
@@ -204,37 +159,28 @@ func (r *Recorder) release(s *Shard) {
 	r.mu.Unlock()
 }
 
-// Finish merges every shard, snapshots the global-counter deltas, and
-// releases the recorder's hold on the process-wide enabled flag. wall is
-// the build's end-to-end wall time. Finish must be called exactly once;
-// the recorder must not record after it.
-func (r *Recorder) Finish(wall time.Duration) *BuildReport {
+// Finish merges every shard into the build's report. wall is the build's
+// end-to-end wall time and counters its totals, which the report keeps
+// as they are: the build tallies them once, so the shards do not.
+// The recorder must not record after Finish.
+func (r *Recorder) Finish(wall time.Duration, counters map[string]int64) *BuildReport {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.finished {
-		r.finished = true
-		globalRefs.Add(-1)
-	}
 	rep := &BuildReport{
 		WallNs:     wall.Nanoseconds(),
 		Phases:     make(map[string]int64, numPhases),
-		Counters:   make(map[string]int64, numCounters),
+		Counters:   counters,
 		Histograms: make(map[string]Hist, numHistos),
-		Runtime:    make(map[string]int64, numGlobals),
 	}
-	var counters [numCounters]int64
 	var phases [numPhases]int64
 	var hists [numHistos]histogram
 	for i := range hists {
 		hists[i].min = math.MaxInt64
 	}
 	for _, s := range r.shards {
-		for c, v := range s.counters {
-			counters[c] += v
-		}
 		for p, v := range s.phaseNs {
 			phases[p] += v
 		}
@@ -242,20 +188,12 @@ func (r *Recorder) Finish(wall time.Duration) *BuildReport {
 			hists[h].merge(&s.histos[h])
 		}
 	}
-	for c, v := range counters {
-		rep.Counters[counterNames[c]] = v
-	}
 	for p, v := range phases {
 		rep.Phases[phaseNames[p]] = v
 	}
 	for h := range hists {
 		rep.Histograms[histoNames[h]] = hists[h].snapshot()
 	}
-	now := globalSnapshot()
-	for g := 0; g < int(numGlobals); g++ {
-		rep.Runtime[globalNames[g]] = now[g] - r.globalBase[g]
-	}
-	rep.Runtime["pool_max_inflight"] = poolMaxInflight.Load()
 	return rep
 }
 
@@ -264,20 +202,11 @@ func (r *Recorder) Finish(wall time.Duration) *BuildReport {
 // observability on" — it simply calls through a possibly-nil shard.
 // A shard must only be used by one goroutine at a time.
 type Shard struct {
-	rec      *Recorder
-	tid      int
-	counters [numCounters]int64
-	phaseNs  [numPhases]int64
-	histos   [numHistos]histogram
-	events   []traceEvent
-}
-
-// Count adds v to counter c.
-func (s *Shard) Count(c Counter, v int64) {
-	if s == nil {
-		return
-	}
-	s.counters[c] += v
+	rec     *Recorder
+	tid     int
+	phaseNs [numPhases]int64
+	histos  [numHistos]histogram
+	events  []traceEvent
 }
 
 // Observe records value v into histogram h.
@@ -376,21 +305,19 @@ func (s *Shard) Now() int64 {
 
 // BuildReport is the merged observability record of one build. Counters
 // and Histograms are deterministic paper quantities (identical across
-// worker counts at a fixed seed); Phases, WallNs, and Runtime are
-// real-time or schedule-dependent measurements.
+// worker counts at a fixed seed); Phases and WallNs are real-time
+// measurements.
 type BuildReport struct {
 	// WallNs is the build's end-to-end wall time in nanoseconds.
 	WallNs int64 `json:"wall_ns"`
 	// Phases maps divide/recurse/correct/base to exclusive nanoseconds
 	// summed over all strands (recurse counts only fork-join overhead).
 	Phases map[string]int64 `json:"phase_ns"`
-	// Counters holds the shard-merged deterministic totals.
+	// Counters holds the build's deterministic totals, written once
+	// from its own tally.
 	Counters map[string]int64 `json:"counters"`
 	// Histograms holds the shard-merged paper-quantity distributions.
 	Histograms map[string]Hist `json:"histograms"`
-	// Runtime holds process-wide counter deltas over the build (worker
-	// pool, scans, arenas); contaminated by concurrent builds.
-	Runtime map[string]int64 `json:"runtime"`
 }
 
 // Counter returns a named counter (0 when absent).

@@ -17,7 +17,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if sh != nil {
 		t.Fatalf("nil recorder handed out a non-nil shard")
 	}
-	sh.Count(CNodes, 1)
 	sh.Observe(HCrossingBalls, 7)
 	sp := sh.Begin()
 	sh.End(sp, PhaseDivide, SpanDivide, 42)
@@ -27,7 +26,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 		t.Fatalf("nil shard forked a non-nil child")
 	}
 	child.Release()
-	if rep := r.Finish(time.Second); rep != nil {
+	if rep := r.Finish(time.Second, nil); rep != nil {
 		t.Fatalf("nil recorder produced a report")
 	}
 	if err := r.WriteTrace(&bytes.Buffer{}); err == nil {
@@ -36,19 +35,14 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 }
 
 // TestDisabledPathZeroAllocs is the benchmark-delta guard in test form:
-// the disabled (nil-shard, globals-off) hot path must not allocate.
+// the disabled (nil-shard) hot path must not allocate.
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	var sh *Shard
 	allocs := testing.AllocsPerRun(1000, func() {
-		sh.Count(CSeparatorTrials, 3)
 		sh.Observe(HMarchLevels, 11)
 		sp := sh.Begin()
 		sh.End(sp, PhaseCorrect, SpanCorrect, 9)
 		sh.Fork().Release()
-		Add(GSepCandidates, 1)
-		if On() {
-			Add(GMarchPairs, 5)
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled path allocated %.1f allocs/op, want 0", allocs)
@@ -58,7 +52,6 @@ func TestDisabledPathZeroAllocs(t *testing.T) {
 func TestRecorderMerge(t *testing.T) {
 	r := New(Config{})
 	root := r.Root()
-	root.Count(CNodes, 1)
 	root.Observe(HNodeSize, 1024)
 
 	var wg sync.WaitGroup
@@ -68,20 +61,16 @@ func TestRecorderMerge(t *testing.T) {
 		go func(sh *Shard) {
 			defer wg.Done()
 			for j := 0; j < 10; j++ {
-				sh.Count(CSeparatorTrials, 2)
 				sh.Observe(HSeparatorTrials, 2)
 			}
 			sh.Release()
 		}(sh)
 	}
 	wg.Wait()
-	rep := r.Finish(123 * time.Millisecond)
+	rep := r.Finish(123*time.Millisecond, map[string]int64{"nodes": 1})
 
 	if got := rep.Counter("nodes"); got != 1 {
 		t.Errorf("nodes = %d, want 1", got)
-	}
-	if got := rep.Counter("separator_trials"); got != 80 {
-		t.Errorf("separator_trials = %d, want 80", got)
 	}
 	h := rep.Histograms["separator_trials_per_node"]
 	if h.Count != 40 || h.Sum != 80 || h.Min != 2 || h.Max != 2 {
@@ -101,50 +90,17 @@ func TestShardReuse(t *testing.T) {
 	r := New(Config{})
 	root := r.Root()
 	a := root.Fork()
-	a.Count(CBaseCases, 1)
+	a.Observe(HNodeSize, 1)
 	a.Release()
 	b := root.Fork()
 	if a != b {
 		t.Fatalf("freelist did not reuse the released shard")
 	}
-	b.Count(CBaseCases, 2)
+	b.Observe(HNodeSize, 2)
 	b.Release()
-	rep := r.Finish(0)
-	if got := rep.Counter("base_cases"); got != 3 {
-		t.Errorf("base_cases = %d, want 3", got)
-	}
-}
-
-func TestGlobalRefcount(t *testing.T) {
-	if On() {
-		t.Skip("another test left globals enabled")
-	}
-	Add(GArenaAllocs, 5) // dropped: disabled
-	r := New(Config{})
-	if !On() {
-		t.Fatalf("live recorder did not enable globals")
-	}
-	Add(GArenaAllocs, 7)
-	rep := r.Finish(0)
-	if On() {
-		t.Fatalf("Finish did not release the global refcount")
-	}
-	if got := rep.Runtime["arena_allocs"]; got != 7 {
-		t.Errorf("arena_allocs delta = %d, want 7", got)
-	}
-}
-
-func TestPoolGauge(t *testing.T) {
-	before := poolMaxInflight.Load()
-	PoolEnter()
-	PoolEnter()
-	PoolExit()
-	PoolExit()
-	if poolInflight.Load() != 0 {
-		t.Errorf("inflight = %d after balanced enter/exit", poolInflight.Load())
-	}
-	if poolMaxInflight.Load() < before || poolMaxInflight.Load() < 2 {
-		t.Errorf("max inflight gauge did not advance: %d", poolMaxInflight.Load())
+	rep := r.Finish(0, nil)
+	if h := rep.Histograms["node_size"]; h.Count != 2 || h.Sum != 3 {
+		t.Errorf("node_size hist = %+v, want count=2 sum=3", h)
 	}
 }
 
@@ -156,7 +112,7 @@ func TestTraceJSON(t *testing.T) {
 	sh.End(sp, PhaseDivide, SpanDivide, 512)
 	sp2 := sh.Begin()
 	sh.End(sp2, PhaseCorrect, SpanCorrect, 128)
-	r.Finish(time.Millisecond)
+	r.Finish(time.Millisecond, nil)
 
 	var buf bytes.Buffer
 	if err := r.WriteTrace(&buf); err != nil {
@@ -202,7 +158,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	r := New(Config{})
 	sh := r.Root()
 	sh.End(sh.Begin(), PhaseBase, SpanBase, 1)
-	r.Finish(0)
+	r.Finish(0, nil)
 	for _, s := range r.shards {
 		if n := len(s.events); n != 0 {
 			t.Errorf("non-tracing recorder buffered %d events", n)
@@ -246,19 +202,8 @@ func BenchmarkDisabledShard(b *testing.B) {
 	var sh *Shard
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sh.Count(CSeparatorTrials, 1)
 		sh.Observe(HCrossingBalls, int64(i))
 		sh.End(sh.Begin(), PhaseDivide, SpanDivide, 1)
-	}
-}
-
-// BenchmarkDisabledGlobal measures the guarded global-counter site cost.
-func BenchmarkDisabledGlobal(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if On() {
-			Add(GVMPrims, 1)
-		}
 	}
 }
 
@@ -268,9 +213,8 @@ func BenchmarkEnabledShard(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sh.Count(CSeparatorTrials, 1)
 		sh.Observe(HCrossingBalls, int64(i))
 	}
 	b.StopTimer()
-	r.Finish(0)
+	r.Finish(0, nil)
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // WriteText renders the report as the human-readable table cmd/knn
-// prints: wall time, per-phase durations, non-zero counters, histogram
-// summaries, and runtime gauges. Every write error from w is propagated
+// prints: wall time, per-phase durations, non-zero counters and histogram
+// summaries. Every write error from w is propagated
 // (satellite contract: telemetry sinks can fail — disks fill, pipes
 // close — and a rendering that silently drops output is worse than an
 // error).
@@ -52,13 +52,6 @@ func (r *BuildReport) WriteText(w io.Writer) error {
 		if err := write(w, "hist %-24s count=%d mean=%.1f min=%d max=%d\n",
 			name, h.Count, h.Mean(), h.Min, h.Max); err != nil {
 			return err
-		}
-	}
-	for _, name := range sortedKeys(r.Runtime) {
-		if v := r.Runtime[name]; v != 0 {
-			if err := write(w, "runtime %-24s %d\n", name, v); err != nil {
-				return err
-			}
 		}
 	}
 	return nil

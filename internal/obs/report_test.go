@@ -31,10 +31,9 @@ func (f *failAfter) Write(p []byte) (int, error) {
 func buildReportForTest() *BuildReport {
 	r := New(Config{})
 	sh := r.Root()
-	sh.Count(CNodes, 3)
 	sh.Observe(HNodeSize, 256)
 	sh.End(sh.Begin(), PhaseDivide, SpanDivide, 64)
-	return r.Finish(5 * time.Millisecond)
+	return r.Finish(5*time.Millisecond, map[string]int64{"nodes": 3})
 }
 
 func TestWriteTextRendersReport(t *testing.T) {
@@ -78,7 +77,7 @@ func TestWriteTracePropagatesWriteError(t *testing.T) {
 	r := New(Config{Trace: true})
 	sh := r.Root()
 	sh.End(sh.Begin(), PhaseDivide, SpanDivide, 8)
-	r.Finish(time.Millisecond)
+	r.Finish(time.Millisecond, nil)
 
 	var full bytes.Buffer
 	if err := r.WriteTrace(&full); err != nil {

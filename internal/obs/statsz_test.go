@@ -15,7 +15,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestStatszSchemaGolden pins the /statsz JSON schema — every field
-// name, JSON type, and the full set of global counter keys — against
+// name and JSON type — against
 // testdata/statsz_schema.golden. Serving dashboards parse this document
 // by name; a renamed or retyped field is a breaking change and must
 // show up as a reviewed golden diff (go test ./internal/obs -update).
@@ -48,7 +48,7 @@ func TestStatszSchemaGolden(t *testing.T) {
 
 	// Canonicalize the parts other tests in this package can perturb:
 	// keep only this test's serve registration and gauges, under stable
-	// keys. The globals key set is compile-time fixed and stays whole.
+	// keys.
 	if serves, ok := doc["serves"].(map[string]any); ok {
 		mine, ok := serves["statsz-golden"]
 		if !ok {

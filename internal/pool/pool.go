@@ -18,8 +18,6 @@ package pool
 import (
 	"runtime"
 	"sync"
-
-	"sepdc/internal/obs"
 )
 
 // Pool is a fixed set of persistent worker goroutines.
@@ -73,29 +71,11 @@ func (p *Pool) Size() int { return p.size }
 // can take the task immediately it returns false and the caller must run f
 // itself. The unbuffered task channel makes "accepted" mean "a worker is
 // executing it now", which keeps real parallelism ≤ Size.
-//
-// With observability on, accepted tasks are wrapped to maintain the
-// pool's inflight gauge (obs "queue depth"); the disabled path pays one
-// atomic load.
 func (p *Pool) TrySubmit(f func()) bool {
-	if obs.On() {
-		inner := f
-		f = func() {
-			obs.PoolEnter()
-			defer obs.PoolExit()
-			inner()
-		}
-	}
 	select {
 	case p.tasks <- f:
-		if obs.On() {
-			obs.Add(obs.GPoolSubmitted, 1)
-		}
 		return true
 	default:
-		if obs.On() {
-			obs.Add(obs.GPoolInline, 1)
-		}
 		return false
 	}
 }

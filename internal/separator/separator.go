@@ -41,7 +41,6 @@ import (
 	"sepdc/internal/centerpoint"
 	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
-	"sepdc/internal/obs"
 	"sepdc/internal/pts"
 	"sepdc/internal/vec"
 	"sepdc/internal/xrand"
@@ -165,9 +164,6 @@ func CandidateFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (geom.Separato
 	n := ps.N()
 	if n == 0 {
 		return nil, errors.New("separator: no points")
-	}
-	if obs.On() {
-		obs.Add(obs.GSepCandidates, 1)
 	}
 	d := ps.Dim
 
@@ -358,9 +354,6 @@ func FindGoodSides(ps *pts.PointSet, interior []bool, g *xrand.RNG, opts *Option
 			res.Sep, res.Stats = sep, st
 			return res, nil
 		}
-	}
-	if obs.On() {
-		obs.Add(obs.GSepFallbacks, 1)
 	}
 	sep, err := MedianHyperplaneFlat(ps)
 	if err != nil {

@@ -200,12 +200,8 @@ func (b *Batch) runTraced(queries [][]float64, traces []obs.TraceContext, closed
 	} else {
 		b.spans = b.spans[:len(queries)]
 	}
-	var nodes0, scanned0 int64
 	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.ids = sh.ids[:0]
-		nodes0 += sh.nodes
-		scanned0 += sh.scanned
+		b.shards[i].ids = b.shards[i].ids[:0]
 	}
 	b.next.Store(0)
 
@@ -230,17 +226,6 @@ func (b *Batch) runTraced(queries [][]float64, traces []obs.TraceContext, closed
 	b.queries, b.traces = nil, nil
 	b.batches++
 	b.latency.Observe(time.Since(start).Nanoseconds())
-	if obs.On() {
-		var nodes1, scanned1 int64
-		for i := range b.shards {
-			nodes1 += b.shards[i].nodes
-			scanned1 += b.shards[i].scanned
-		}
-		obs.Add(obs.GQueryBatches, 1)
-		obs.Add(obs.GQueryServed, b.nq)
-		obs.Add(obs.GQueryNodes, nodes1-nodes0)
-		obs.Add(obs.GQueryLeafScans, scanned1-scanned0)
-	}
 }
 
 // traceOf returns query qi's request trace context and its derived

@@ -36,7 +36,6 @@ import (
 
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
-	"sepdc/internal/obs"
 	"sepdc/internal/pts"
 	"sepdc/internal/separator"
 	"sepdc/internal/vm"
@@ -151,10 +150,6 @@ func Build(sys *nbrsys.System, g *xrand.RNG, opts *Options) (*Frozen, error) {
 	f := t.layout(sys, d, blockedOrder(t.kind, t.child))
 	st := &f.stats
 	st.Leaves, st.TotalStored, st.Cost = f.NumLeaves(), f.StoredBalls(), ctx.Cost()
-	if obs.On() {
-		obs.Add(obs.GSeptreeBuilds, 1)
-		obs.Add(obs.GSeptreeForced, int64(st.ForcedLeaves))
-	}
 	return f, nil
 }
 

@@ -6,8 +6,6 @@
 // exact graph-equality testing between algorithms possible.
 package topk
 
-import "sepdc/internal/obs"
-
 // Neighbor is a candidate neighbor: the point's index and squared distance.
 type Neighbor struct {
 	Idx   int
@@ -117,10 +115,6 @@ func NewArena(n, k int) *Arena {
 	for i := range a.lists {
 		a.lists[i] = List{K: k, items: a.items[i*k : i*k : (i+1)*k]}
 	}
-	if obs.On() {
-		obs.Add(obs.GArenaAllocs, 1)
-		obs.Add(obs.GArenaLists, int64(n))
-	}
 	return a
 }
 
@@ -141,9 +135,6 @@ func (a *Arena) Lists() []*List {
 func (a *Arena) Reset() {
 	for i := range a.lists {
 		a.lists[i].items = a.lists[i].items[:0]
-	}
-	if obs.On() {
-		obs.Add(obs.GArenaResets, 1)
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"sync"
 
-	"sepdc/internal/obs"
 	"sepdc/internal/pool"
 )
 
@@ -136,9 +135,6 @@ func (c *Ctx) Prim(n int) {
 	}
 	c.steps++
 	c.work += int64(n)
-	if obs.On() {
-		obs.Add(obs.GVMPrims, 1)
-	}
 }
 
 // PrimK charges k consecutive vector primitives over n elements each, e.g.
@@ -149,9 +145,6 @@ func (c *Ctx) PrimK(k, n int) {
 	}
 	c.steps += int64(k)
 	c.work += int64(k) * int64(n)
-	if obs.On() {
-		obs.Add(obs.GVMPrims, int64(k))
-	}
 }
 
 // Charge adds an externally computed cost sequentially.
@@ -169,9 +162,6 @@ func (c *Ctx) Cost() Cost { return Cost{Steps: c.steps, Work: c.work} }
 // parallelism budget, inline otherwise; accounting is unaffected by that
 // choice.
 func (c *Ctx) Fork(branches ...func(*Ctx)) {
-	if obs.On() {
-		obs.Add(obs.GForks, 1)
-	}
 	switch len(branches) {
 	case 0:
 		return

@@ -130,10 +130,9 @@ type Stats struct {
 	// every separator search fails to the hyperplane fallback.
 	MaxDepth int
 	// Report is the full observability report (per-phase wall times,
-	// counters, histograms, runtime gauges); nil unless Options.Observe or
-	// Options.Trace was set. Counters and Histograms are deterministic for a
-	// fixed seed regardless of Workers; Phases, WallNs, and Runtime are
-	// wall-clock and schedule dependent.
+	// counters, histograms); nil unless Options.Observe or Options.Trace
+	// was set. Counters and Histograms are deterministic for a fixed seed
+	// regardless of Workers; Phases and WallNs are wall-clock.
 	Report *obs.BuildReport
 }
 
@@ -205,6 +204,7 @@ func buildFromPointSet(ctx context.Context, ps *pts.PointSet, k int, opts *Optio
 	start := time.Now()
 	var lists []*topk.List
 	var st Stats
+	var cst core.Stats // the build's tally; zero for the baselines
 	switch algo := opts.algorithm(); algo {
 	case Brute:
 		lists = brute.AllKNNFlat(ps, k)
@@ -236,28 +236,22 @@ func buildFromPointSet(ctx context.Context, ps *pts.PointSet, k int, opts *Optio
 			res, err = core.HyperplaneDNCFlatContext(ctx, ps, g, cOpts)
 		}
 		if err != nil {
-			if rec != nil {
-				rec.Finish(time.Since(start))
-			}
 			return nil, err
 		}
-		lists = res.Lists
+		lists, cst = res.Lists, res.Stats
 		st = Stats{
-			SimulatedSteps:  res.Stats.Cost.Steps,
-			SimulatedWork:   res.Stats.Cost.Work,
-			SeparatorTrials: res.Stats.SeparatorTrials,
-			Punts:           res.Stats.ThresholdPunts + res.Stats.MarchAborts + res.Stats.QueryCorrections,
-			FastCorrections: res.Stats.FastCorrections,
-			MaxDepth:        res.Stats.MaxDepth,
+			SimulatedSteps:  cst.Cost.Steps,
+			SimulatedWork:   cst.Cost.Work,
+			SeparatorTrials: cst.SeparatorTrials,
+			Punts:           cst.QueryCorrections,
+			FastCorrections: cst.FastCorrections,
+			MaxDepth:        cst.MaxDepth,
 		}
 	default:
-		if rec != nil {
-			rec.Finish(time.Since(start))
-		}
 		return nil, fmt.Errorf("sepdc: unknown algorithm %q", algo)
 	}
 	if rec != nil {
-		st.Report = rec.Finish(time.Since(start))
+		st.Report = rec.Finish(time.Since(start), cst.Counters())
 	}
 	return &Graph{
 		k:     k,

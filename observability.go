@@ -183,10 +183,9 @@ func (bt *Batcher) Journal(qj *QueryJournal) {
 
 // MetricsHandler returns the observability endpoints:
 //
-//	/metrics — Prometheus text exposition (format 0.0.4): process-wide
-//	           sepdc counters, worker-pool gauges, every registered
-//	           ServeObserver's histograms and window quantiles, and the
-//	           paper-invariant audit gauges.
+//	/metrics — Prometheus text exposition (format 0.0.4): every
+//	           registered ServeObserver's histograms and window
+//	           quantiles, and the paper-invariant audit gauges.
 //	/statsz  — the same telemetry as JSON, including tail samples with
 //	           their descent paths.
 //	/journal — registered QueryJournals as JSON Lines (?name= filters,

@@ -92,6 +92,9 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 		opts.Sep = &separator.Options{Chaos: inj}
 	}
 	sys := nbrsys.KNeighborhoodFlat(ps, k, m)
+	if afterRadii != nil {
+		afterRadii()
+	}
 	frozen, err := septree.Build(sys, xrand.New(seed), opts)
 	if err != nil {
 		if ctx.Err() != nil {
@@ -101,6 +104,10 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 	}
 	return &QueryStructure{frozen: frozen, dim: ps.Dim, k: k}, nil
 }
+
+// afterRadii, when set, runs between a query structure's k-NN radii and
+// its separator tree; tests use it to cancel a build at that point.
+var afterRadii func()
 
 // validateQuery rejects dimension-mismatched or non-finite query
 // coordinates with the library's typed sentinels — the same contract
@@ -127,12 +134,7 @@ func (qs *QueryStructure) CoveringBalls(q []float64) ([]int, error) {
 	if err := qs.validateQuery(q); err != nil {
 		return nil, err
 	}
-	balls, nodes, scanned := qs.frozen.Covering(q, nil)
-	if obs.On() {
-		obs.Add(obs.GQueryServed, 1)
-		obs.Add(obs.GQueryNodes, int64(nodes))
-		obs.Add(obs.GQueryLeafScans, int64(scanned))
-	}
+	balls, _, _ := qs.frozen.Covering(q, nil)
 	if len(balls) == 0 {
 		return nil, nil
 	}
