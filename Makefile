@@ -45,10 +45,13 @@ bench-json:
 # the set-up on one CPU and on two, since it builds on every worker.
 # CI runs these at -benchtime=1x and diffs against
 # testdata/bench-query-baseline.txt with benchstat when available
-# (informational smoke, not a gate).
+# (informational smoke, not a gate). The last line runs the engine's
+# telemetry legs (nil, journal, observer, traced) once each, so they
+# keep compiling and running; time them with a longer -benchtime.
 bench-query:
 	$(GO) test -run '^$$' -bench 'CoveringBalls|NeighborsBatch' -benchmem .
 	$(GO) test -run '^$$' -bench 'NewQueryStructure' -cpu 1,2 -benchmem .
+	$(GO) test -run '^$$' -bench 'JournaledBatch' -benchtime 1x ./internal/septree/
 
 # Distance-kernel benchmarks: the d=2..8 dispatch table (unrolled
 # single-pair and four-point forms, with the AVX2 assembly four-lane

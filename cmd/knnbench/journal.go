@@ -68,7 +68,7 @@ func runJournalBench() (*JournalBench, error) {
 	jour := obs.NewJournal(obs.JournalConfig{PerStrand: perStrand}, 1)
 	b := septree.NewBatch(frozen, 1)
 	b.Journal(jour)
-	b.Run(queries) // warm
+	b.Run(queries, nil, false) // warm
 	jour.Drain()
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -88,7 +88,7 @@ func runJournalBench() (*JournalBench, error) {
 	}()
 	start := time.Now()
 	for i := 0; i < batches; i++ {
-		b.Run(queries)
+		b.Run(queries, nil, false)
 	}
 	el := time.Since(start)
 	close(stop)
@@ -101,7 +101,7 @@ func runJournalBench() (*JournalBench, error) {
 	jour2 := obs.NewJournal(obs.JournalConfig{PerStrand: perStrand}, 1)
 	b.Journal(jour2)
 	for i := 0; i < batches; i++ {
-		b.Run(queries)
+		b.Run(queries, nil, false)
 	}
 	snap := jour2.Drain()
 	res.SaturatedPublished = snap.Published

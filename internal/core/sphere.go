@@ -19,8 +19,7 @@ import (
 // SphereDNC computes the exact k-nearest-neighbor lists of pv with the
 // paper's Section-6 algorithm: sphere-separator divide and conquer with
 // Fast Correction and punting. See the package comment for the outline.
-// It is a validating wrapper over SphereDNCFlat that builds on its one
-// flat copy of pv.
+// It validates pv and builds on its one flat copy; pv is not modified.
 func SphereDNC(pv []vec.Vec, g *xrand.RNG, opts *Options) (*Result, error) {
 	ps, err := validate(pv)
 	if err != nil {
@@ -29,19 +28,16 @@ func SphereDNC(pv []vec.Vec, g *xrand.RNG, opts *Options) (*Result, error) {
 	return run(context.Background(), ps, g, opts, sphereSplit)
 }
 
-// SphereDNCFlat is SphereDNC over flat contiguous point storage — the hot
-// entry point. Points must be finite and are not modified.
-func SphereDNCFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return SphereDNCFlatContext(context.Background(), ps, g, opts)
-}
-
-// SphereDNCFlatContext is SphereDNCFlat under a context: cancellation (or
+// SphereDNCFlatContext is SphereDNC over flat contiguous point storage —
+// the hot entry point — under a context. Points must be finite. The
+// build takes ps over: the recursion permutes its rows in place, so a
+// caller that needs them afterwards passes a copy. Cancellation (or
 // deadline expiry) is observed at every recursion node and at the
 // correction-phase boundaries, the partial build is abandoned, and
 // cx.Err() is returned. The probe is a single channel poll per node, so
 // context.Background costs one nil comparison on the hot path.
 func SphereDNCFlatContext(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return run(cx, ps.Clone(), g, opts, sphereSplit)
+	return run(cx, ps, g, opts, sphereSplit)
 }
 
 // HyperplaneDNC computes the same lists with the Section-5 baseline:
@@ -54,15 +50,11 @@ func HyperplaneDNC(pv []vec.Vec, g *xrand.RNG, opts *Options) (*Result, error) {
 	return run(context.Background(), ps, g, opts, hyperplaneSplit)
 }
 
-// HyperplaneDNCFlat is HyperplaneDNC over flat contiguous point storage.
-func HyperplaneDNCFlat(ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return HyperplaneDNCFlatContext(context.Background(), ps, g, opts)
-}
-
-// HyperplaneDNCFlatContext is HyperplaneDNCFlat under a context, with the
-// same cancellation semantics as SphereDNCFlatContext.
+// HyperplaneDNCFlatContext is HyperplaneDNC over flat contiguous point
+// storage under a context. Like SphereDNCFlatContext it takes ps over
+// and permutes its rows, with the same cancellation semantics.
 func HyperplaneDNCFlatContext(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options) (*Result, error) {
-	return run(cx, ps.Clone(), g, opts, hyperplaneSplit)
+	return run(cx, ps, g, opts, hyperplaneSplit)
 }
 
 // canceller is the cancellation probe threaded through every strand of one

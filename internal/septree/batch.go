@@ -76,7 +76,9 @@ type batchShard struct {
 	jbuf    [batchChunk]obs.JournalEvent
 	// paths holds each slot's descent path for timed queries; the
 	// buffers never shrink, so steady state times without allocating.
+	// probe carries one timed query's route and mid-point clock read.
 	paths [batchChunk][]int32
+	probe Probe
 	// tick is the strand's sample clock: with an observer attached,
 	// every query advances it and 1 in mask+1 is timed for the
 	// recorder's aggregates. Deterministic: no RNG, no clock read.
@@ -164,33 +166,21 @@ func (sh *batchShard) allocPaths() {
 // Run.
 func (b *Batch) Chaos(inj *chaos.Injector) { b.inj = inj }
 
-// Run answers an open-ball covering query for every element of queries
-// (the Covering predicate). Results are read back with Result; they
-// remain valid until the next Run. Queries must match the tree's
-// dimension — the engine does not validate (the public API layer does).
-func (b *Batch) Run(queries [][]float64) { b.runTraced(queries, nil, false) }
-
-// RunClosed is Run with closed-ball membership (the CoveringClosed predicate).
-func (b *Batch) RunClosed(queries [][]float64) { b.runTraced(queries, nil, true) }
-
-// RunTraced is Run with per-query trace contexts: traces[i] is query
-// i's request context (the zero value marks an untraced query). Traced
-// queries stamp their TraceID and a per-query derived SpanID on journal
-// events; a trace with the sampled flag forces the timed phase-split
-// path (and so an exemplar + absolute-timeline journal event) even when
-// the strand's own sample tick does not fire. traces must be nil or
-// len(queries) long; the engine holds the slice only for the duration
-// of the run. Answers are bit-identical to Run.
-func (b *Batch) RunTraced(queries [][]float64, traces []obs.TraceContext) {
-	b.runTraced(queries, traces, false)
-}
-
-// RunClosedTraced is RunTraced with closed-ball membership.
-func (b *Batch) RunClosedTraced(queries [][]float64, traces []obs.TraceContext) {
-	b.runTraced(queries, traces, true)
-}
-
-func (b *Batch) runTraced(queries [][]float64, traces []obs.TraceContext, closed bool) {
+// Run answers a covering query for every element of queries: the open
+// predicate (Covering), or with closed set the boundary-inclusive one
+// (CoveringClosed). Results are read back with Result; they remain valid
+// until the next Run. Queries must match the tree's dimension — the
+// engine does not validate (the public API layer does).
+//
+// traces carries per-query trace contexts: nil for an untraced run, or
+// len(queries) long with traces[i] query i's request context (the zero
+// value marks an untraced query). Traced queries stamp their TraceID and
+// a per-query derived SpanID on journal events; a trace with the sampled
+// flag forces the timed phase-split path (and so an exemplar +
+// absolute-timeline journal event) even when the strand's own sample
+// tick does not fire. The engine holds the slice only for the duration
+// of the run. Answers do not depend on traces.
+func (b *Batch) Run(queries [][]float64, traces []obs.TraceContext, closed bool) {
 	start := time.Now()
 	b.queries, b.traces, b.closed = queries, traces, closed
 	b.curBatch = b.batches + 1
@@ -264,9 +254,6 @@ func (b *Batch) strand(id int) {
 		b.inj.Stall(nil) // chaos: a lagging serving worker (nil = no-op)
 		for qi := lo; qi < hi; qi++ {
 			before := len(sh.ids)
-			var nodes, scanned int
-			leaf := int32(-1)
-			var descNs, scanNs, startNs int64
 			tc, qspan := traceOf(tr, qi)
 			// A client-sampled trace forces the timed path; the tick
 			// still advances so the deterministic cadence of untraced
@@ -276,30 +263,28 @@ func (b *Batch) strand(id int) {
 			sh.tick++
 			tick := observed && sh.tick&sh.mask == 0
 			sampled := tick || tc.Sampled
+			// A timed query runs the same traversal with the strand's
+			// probe, which keeps the route in the slot's path buffer for
+			// the tail and splits the clock between descent and scan.
+			var p *Probe
+			var t0 time.Time
 			if sampled {
-				// Timed path: phase-split clock reads bracket the descent
-				// and the leaf scan separately, and the descent route is
-				// kept in the slot's path buffer for the tail. Identical
-				// answers — DescendPath/ScanLeaf are the two halves the
-				// covering kernels are built from.
-				slot := qi - lo
-				q := b.queries[qi]
-				t0 := time.Now()
-				lf, path := f.DescendPath(q, sh.paths[slot][:0])
-				t1 := time.Now()
-				sh.ids, scanned = f.ScanLeaf(lf, q, closed, sh.ids)
+				p = &sh.probe
+				p.Path = sh.paths[qi-lo][:0]
+				t0 = time.Now()
+			}
+			var nodes, scanned int
+			sh.ids, nodes, scanned = f.Query(b.queries[qi], sh.ids, closed, p)
+			leaf := int32(-1)
+			var descNs, scanNs, startNs int64
+			if sampled {
 				t2 := time.Now()
-				sh.paths[slot] = path
-				nodes = len(path)
-				leaf = lf
-				descNs, scanNs = t1.Sub(t0).Nanoseconds(), t2.Sub(t1).Nanoseconds()
+				sh.paths[qi-lo] = p.Path
+				leaf = p.Leaf
+				descNs, scanNs = p.Mid.Sub(t0).Nanoseconds(), t2.Sub(p.Mid).Nanoseconds()
 				if tc.Valid() {
 					startNs = t0.UnixNano()
 				}
-			} else if closed {
-				sh.ids, nodes, scanned = f.CoveringClosed(b.queries[qi], sh.ids)
-			} else {
-				sh.ids, nodes, scanned = f.Covering(b.queries[qi], sh.ids)
 			}
 			b.spans[qi] = span{shard: int32(id), start: int32(before), end: int32(len(sh.ids))}
 			sh.queries++

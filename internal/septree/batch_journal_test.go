@@ -20,13 +20,8 @@ func TestJournaledBatchIdenticalResults(t *testing.T) {
 		journaled.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		journaled.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
 		for _, closed := range []bool{false, true} {
-			if closed {
-				plain.RunClosed(queries)
-				journaled.RunClosed(queries)
-			} else {
-				plain.Run(queries)
-				journaled.Run(queries)
-			}
+			plain.Run(queries, nil, closed)
+			journaled.Run(queries, nil, closed)
 			for i := range queries {
 				if !equalInts(plain.Result(i), journaled.Result(i)) {
 					t.Fatalf("workers=%d closed=%v query %d: journaled %v, plain %v",
@@ -54,8 +49,8 @@ func TestJournaledBatchEventCorrectness(t *testing.T) {
 	// degraded to inline on a saturated box) keeps both Runs' events.
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
 	b.Journal(j)
-	b.Run(queries)
-	b.Run(queries)
+	b.Run(queries, nil, false)
+	b.Run(queries, nil, false)
 
 	d := j.Snapshot()
 	if d.Published != uint64(2*len(queries)) {
@@ -129,9 +124,9 @@ func TestJournaledBatchZeroAllocSteadyState(t *testing.T) {
 		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
 		for warm := 0; warm < 3; warm++ {
-			b.Run(queries)
+			b.Run(queries, nil, false)
 		}
-		if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
+		if avg := testing.AllocsPerRun(50, func() { b.Run(queries, nil, false) }); avg != 0 {
 			t.Fatalf("workers=%d: %v allocs per journaled steady-state Run, want 0",
 				workers, avg)
 		}
@@ -146,7 +141,7 @@ func TestBatchChaosStallInflatesLatency(t *testing.T) {
 	queries := queryMix(pts, 2, 64, 5)
 
 	plain := NewBatch(f, 1)
-	plain.Run(queries)
+	plain.Run(queries, nil, false)
 
 	inj, err := chaos.Parse("stall=5ms")
 	if err != nil {
@@ -155,7 +150,7 @@ func TestBatchChaosStallInflatesLatency(t *testing.T) {
 	stalled := NewBatch(f, 1)
 	stalled.Chaos(inj)
 	start := time.Now()
-	stalled.Run(queries)
+	stalled.Run(queries, nil, false)
 	elapsed := time.Since(start)
 
 	// 64 queries / 16-per-chunk = 4 chunks -> >= 20ms of injected stall.
@@ -170,7 +165,7 @@ func TestBatchChaosStallInflatesLatency(t *testing.T) {
 	// Detach restores full speed semantics (nil injector branch).
 	stalled.Chaos(nil)
 	start = time.Now()
-	stalled.Run(queries)
+	stalled.Run(queries, nil, false)
 	if e := time.Since(start); e > 10*time.Millisecond {
 		t.Fatalf("detached Run still stalled: %v", e)
 	}
@@ -183,34 +178,43 @@ func TestJournalDetach(t *testing.T) {
 	b := NewBatch(f, 2)
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 256}, 2)
 	b.Journal(j)
-	b.Run(queries)
+	b.Run(queries, nil, false)
 	if d := j.Snapshot(); d.Published != uint64(len(queries)) {
 		t.Fatalf("published %d, want %d", d.Published, len(queries))
 	}
 	b.Journal(nil)
-	b.Run(queries)
+	b.Run(queries, nil, false)
 	if d := j.Snapshot(); d.Published != uint64(len(queries)) {
 		t.Fatalf("detached engine still published: %d", d.Published)
 	}
 }
 
-// BenchmarkJournaledBatch times steady-state serving with and without
-// the journal attached — the per-query cost of wide-event emission in
-// isolation (perfbench's obs.overhead_pct measures it end to end, with
-// the observer and trace contexts also attached).
+// BenchmarkJournaledBatch times steady-state serving on one strand with
+// each telemetry layer added in turn, so each layer's per-query cost has
+// a name: nil (bare engine), journal (wide events only), observer (the
+// default 1-in-16 recorder only), and traced (observer, journal and
+// every query traced with 1 in 16 client-sampled). perfbench's
+// obs.overhead_pct measures the traced set-up end to end, against nil.
 func BenchmarkJournaledBatch(b *testing.B) {
 	f, pts := buildUniform(b, 100000, 2, 4, 1, nil)
 	queries := queryMix(pts, 2, 4096, 99)
-	for _, mode := range []string{"nil", "journal"} {
+	for _, mode := range []string{"nil", "journal", "observer", "traced"} {
 		b.Run(mode, func(b *testing.B) {
 			bt := NewBatch(f, 1)
-			if mode == "journal" {
+			var traces []obs.TraceContext
+			if mode == "journal" || mode == "traced" {
 				bt.Journal(obs.NewJournal(obs.JournalConfig{}, 1))
 			}
-			bt.Run(queries)
+			if mode == "observer" || mode == "traced" {
+				bt.Observe(obs.NewServeRecorder(obs.ServeConfig{}, 1))
+			}
+			if mode == "traced" {
+				traces = mkTraces(len(queries), 1, 99, 16, 0)
+			}
+			bt.Run(queries, traces, false)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bt.Run(queries)
+				bt.Run(queries, traces, false)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
 		})

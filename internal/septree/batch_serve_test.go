@@ -19,13 +19,8 @@ func TestObservedBatchIdenticalResults(t *testing.T) {
 			observed := NewBatch(f, workers)
 			observed.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 1}, workers))
 			for _, closed := range []bool{false, true} {
-				if closed {
-					plain.RunClosed(queries)
-					observed.RunClosed(queries)
-				} else {
-					plain.Run(queries)
-					observed.Run(queries)
-				}
+				plain.Run(queries, nil, closed)
+				observed.Run(queries, nil, closed)
 				for i := range queries {
 					if !equalInts(plain.Result(i), observed.Result(i)) {
 						t.Fatalf("d=%d workers=%d closed=%v query %d: observed %v, plain %v",
@@ -51,7 +46,7 @@ func TestObservedBatchTelemetry(t *testing.T) {
 	b := NewBatch(f, 4)
 	b.Observe(rec)
 	for i := 0; i < 4; i++ {
-		b.Run(queries)
+		b.Run(queries, nil, false)
 	}
 	snap := rec.Snapshot()
 	if snap.Queries != int64(4*len(queries)) {
@@ -91,7 +86,7 @@ func TestObservedBatchTelemetry(t *testing.T) {
 	}
 	// Detach: telemetry stops, serving continues.
 	b.Observe(nil)
-	b.Run(queries)
+	b.Run(queries, nil, false)
 	after := rec.Snapshot()
 	if after.Queries != snap.Queries {
 		t.Fatalf("detached engine still recorded: %d -> %d", snap.Queries, after.Queries)
@@ -108,18 +103,20 @@ func TestObservedBatchZeroAllocSteadyState(t *testing.T) {
 		b := NewBatch(f, workers)
 		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		for warm := 0; warm < 3; warm++ {
-			b.Run(queries)
+			b.Run(queries, nil, false)
 		}
-		if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
+		if avg := testing.AllocsPerRun(50, func() { b.Run(queries, nil, false) }); avg != 0 {
 			t.Fatalf("workers=%d: %v allocs per instrumented steady-state Run, want 0", workers, avg)
 		}
 	}
 }
 
-// TestDescendPathMatchesCovering: DescendPath+ScanLeaf is the exact
-// decomposition of Covering, for every dimension's kernel — the d=4..8
-// inline descents against Covering's indirect-call loop, and d=1 for
-// the generic fallback both sides share.
+// TestDescendPathMatchesCovering: a probed query answers exactly like
+// an unprobed one and records the route it took, for every dimension's
+// body (covering2 and covering3 at d = 2 and 3, coveringN at d = 1 and
+// d = 4..8) and under both predicates: the same ids, node count and
+// candidate count; a route of one node per node visited that starts at
+// the root and steps to a child each time; Leaf its last node, a leaf.
 func TestDescendPathMatchesCovering(t *testing.T) {
 	// Point counts grow with d just enough to clear the default leaf
 	// size (which doubles per dimension above 3), so every dimension's
@@ -132,21 +129,29 @@ func TestDescendPathMatchesCovering(t *testing.T) {
 			n = s
 		}
 		f, pts := buildUniform(t, n, d, 2, 3, nil)
-		var path []int32
+		var p Probe
 		var got, want []int
 		for _, q := range queryMix(pts, d, 200, 5) {
-			var leaf int32
-			leaf, path = f.DescendPath(q, path[:0])
-			var scanned int
-			got, scanned = f.ScanLeaf(leaf, q, false, got[:0])
-			var wantNodes, wantScanned int
-			want, wantNodes, wantScanned = f.Covering(q, want[:0])
-			if !equalInts(got, want) {
-				t.Fatalf("d=%d: split traversal %v != covering %v", d, got, want)
-			}
-			if len(path) != wantNodes || scanned != wantScanned {
-				t.Fatalf("d=%d: split accounting (%d,%d) != covering (%d,%d)",
-					d, len(path), scanned, wantNodes, wantScanned)
+			for _, closed := range []bool{false, true} {
+				p = Probe{Path: p.Path[:0], Leaf: -1}
+				var nodes, scanned, wantNodes, wantScanned int
+				got, nodes, scanned = f.Query(q, got[:0], closed, &p)
+				want, wantNodes, wantScanned = f.Query(q, want[:0], closed, nil)
+				if !equalInts(got, want) {
+					t.Fatalf("d=%d closed=%v: probed %v != unprobed %v", d, closed, got, want)
+				}
+				if nodes != wantNodes || scanned != wantScanned || len(p.Path) != nodes {
+					t.Fatalf("d=%d closed=%v: probed (nodes %d, scanned %d, route %d) != unprobed (%d, %d)",
+						d, closed, nodes, scanned, len(p.Path), wantNodes, wantScanned)
+				}
+				if p.Path[0] != 0 || p.Leaf != p.Path[len(p.Path)-1] || f.kind[p.Leaf] != kindLeaf || p.Mid.IsZero() {
+					t.Fatalf("d=%d closed=%v: route %v, leaf %d, mid %v", d, closed, p.Path, p.Leaf, p.Mid)
+				}
+				for j := 1; j < len(p.Path); j++ {
+					if c := f.child[p.Path[j-1]]; p.Path[j] != c && p.Path[j] != c+1 {
+						t.Fatalf("d=%d closed=%v: route %v steps off the tree at %d", d, closed, p.Path, j)
+					}
+				}
 			}
 		}
 	}

@@ -45,13 +45,8 @@ func TestTracedBatchIdenticalResults(t *testing.T) {
 		traced.Observe(tracedRec)
 		traced.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 512}, workers))
 		for _, closed := range []bool{false, true} {
-			if closed {
-				plain.RunClosed(queries)
-				traced.RunClosedTraced(queries, traces)
-			} else {
-				plain.Run(queries)
-				traced.RunTraced(queries, traces)
-			}
+			plain.Run(queries, nil, closed)
+			traced.Run(queries, traces, closed)
 			for i := range queries {
 				if !equalInts(plain.Result(i), traced.Result(i)) {
 					t.Fatalf("workers=%d closed=%v query %d: traced %v, plain %v",
@@ -91,7 +86,7 @@ func TestTracedBatchJournalStamps(t *testing.T) {
 	b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, 4))
 	j := obs.NewJournal(obs.JournalConfig{PerStrand: 2048}, 4)
 	b.Journal(j)
-	b.RunTraced(queries, traces)
+	b.Run(queries, traces, false)
 
 	d := j.Snapshot()
 	if d.Published != uint64(len(queries)) {
@@ -149,9 +144,9 @@ func TestTracedBatchZeroAllocSteadyState(t *testing.T) {
 		b.Observe(obs.NewServeRecorder(obs.ServeConfig{SampleEvery: 4}, workers))
 		b.Journal(obs.NewJournal(obs.JournalConfig{PerStrand: 1024}, workers))
 		for warm := 0; warm < 3; warm++ {
-			b.RunTraced(queries, traces)
+			b.Run(queries, traces, false)
 		}
-		if avg := testing.AllocsPerRun(50, func() { b.RunTraced(queries, traces) }); avg != 0 {
+		if avg := testing.AllocsPerRun(50, func() { b.Run(queries, traces, false) }); avg != 0 {
 			t.Fatalf("workers=%d: %v allocs per traced steady-state Run, want 0",
 				workers, avg)
 		}

@@ -2,6 +2,7 @@ package septree
 
 import (
 	"math"
+	"time"
 
 	"sepdc/internal/geom"
 	"sepdc/internal/nbrsys"
@@ -45,12 +46,15 @@ import (
 //     multiplication r*r, so membership is bit-identical to a scan of
 //     the system's balls.
 //
-// Each query is one root-to-leaf descent and one leaf scan. d = 2 and
-// d = 3 run inlined traversals; every other d runs the descent and scan
-// loops over the vec kernels dispatched for that d. All of them are
-// bit-identical to the generic kernel forms, so Covering/CoveringClosed
-// return exactly the ids, in exactly the order, of a brute-force scan
-// of every ball with the same predicate.
+// Each query is one root-to-leaf descent and one leaf scan, written once
+// per dimension class: covering2 and covering3 inline the d = 2 and
+// d = 3 arithmetic, and coveringN runs the descent and scan loops over
+// the vec kernels dispatched for every other d. A timed query runs the
+// same body with a Probe that records its route and reads the clock
+// between the two halves. All of them are bit-identical to the generic
+// kernel forms, so Query (and Covering/CoveringClosed over it) returns
+// exactly the ids, in exactly the order, of a brute-force scan of every
+// ball with the same predicate.
 type Frozen struct {
 	dim     int
 	stride  int // dim + 1: ball record width (center ‖ r²)
@@ -136,7 +140,7 @@ func blockedOrder(kind []uint8, child []int32) []int32 {
 // order their leaves appear, and the leaf ids and inlined records are
 // laid out at their exact size. The dispatch kernels are captured here.
 // The strided form is nil where vec has no assembly body for the
-// dimension, build or CPU, which ScanLeaf treats as "use the four-wide
+// dimension, build or CPU, which coveringN treats as "use the four-wide
 // path".
 func (t *draft) layout(sys *nbrsys.System, dim int, order []int32) *Frozen {
 	nn, ns := len(order), t.nstride
@@ -235,18 +239,71 @@ func (f *Frozen) Node(i int32) (sep geom.Separator, left int32, punted bool) {
 	return nil, -1, f.punted[i]
 }
 
-// descend walks from the root to the leaf containing q and returns the
-// leaf's node id and the number of nodes visited on the way (leaf
-// included). With record set it also appends every node id on the
-// route, leaf included, to path.
-func (f *Frozen) descend(q []float64, path []int32, record bool) (leaf int32, visited int, outPath []int32) {
+// Probe records one query's route for the serving telemetry. Handed to
+// Query, it makes the traversal append every node id on the
+// root-to-leaf route, leaf included, to Path, set Leaf to the leaf's node
+// id, and read the clock into Mid between the descent and the leaf scan.
+// The branch decisions and the scan are those of an unprobed query, so a
+// probed query answers exactly like an unprobed one.
+type Probe struct {
+	Path []int32
+	Leaf int32
+	Mid  time.Time
+}
+
+// reach records the leaf i that ends the descent and reads the clock as
+// the leaf scan starts.
+func (p *Probe) reach(i int32) {
+	p.Path = append(p.Path, i)
+	p.Leaf, p.Mid = i, time.Now()
+}
+
+// Query is the tree's one traversal: it descends from the root to the
+// leaf containing q and scans the leaf's candidates with the open (or,
+// with closed set, the boundary-inclusive) membership predicate,
+// appending matching ball ids to out in ascending order. It returns the
+// extended slice, the nodes visited (leaf included) and the candidates
+// scanned. A nil probe is an untimed query; a non-nil one also records
+// the route (see Probe).
+func (f *Frozen) Query(q []float64, out []int, closed bool, p *Probe) (res []int, nodesVisited, leafScanned int) {
+	switch f.dim {
+	case 2:
+		return f.covering2(q, out, closed, p)
+	case 3:
+		return f.covering3(q, out, closed, p)
+	}
+	return f.coveringN(q, out, closed, p)
+}
+
+// Covering appends to out the ids of all balls whose open interior
+// contains q (squared distance < r²), in ascending order. It returns the
+// extended slice, the nodes visited, and the number of leaf candidates
+// scanned. out is reused via append semantics; pass out[:0] to recycle a
+// buffer. The call allocates only if out's capacity is exceeded.
+func (f *Frozen) Covering(q []float64, out []int) (res []int, nodesVisited, leafScanned int) {
+	return f.Query(q, out, false, nil)
+}
+
+// CoveringClosed is Covering with closed-ball membership (boundary
+// included, squared distance ≤ r² + geom.Eps); the divide-and-conquer
+// correction uses closed balls so that candidate neighbors at exactly
+// the current k-th distance are not lost.
+func (f *Frozen) CoveringClosed(q []float64, out []int) (res []int, nodesVisited, leafScanned int) {
+	return f.Query(q, out, true, nil)
+}
+
+// coveringN is the traversal at every d other than 2 and 3: the descent
+// and the leaf scan call the vec kernels dispatched for d.
+func (f *Frozen) coveringN(q []float64, out []int, closed bool, p *Probe) (res []int, nodesVisited, leafScanned int) {
+	record := p != nil
 	dist2, dot := f.dist2, f.dot
 	nstride, dim := f.nstride, f.dim
 	i := int32(0)
+	visited := 0
 	for f.kind[i] != kindLeaf {
 		visited++
 		if record {
-			path = append(path, i)
+			p.Path = append(p.Path, i)
 		}
 		rec := f.sep[int(i)*nstride : int(i)*nstride+nstride]
 		// The paper's rule sends Side <= 0 (interior, incl. on-surface)
@@ -270,48 +327,14 @@ func (f *Frozen) descend(q []float64, path []int32, record bool) (leaf int32, vi
 			i = f.child[i]
 		}
 	}
+	visited++
 	if record {
-		path = append(path, i)
+		p.reach(i)
 	}
-	return i, visited + 1, path
-}
-
-// DescendPath is descend with the route captured: it appends every node
-// id on the root-to-leaf path (leaf included) to path and returns the
-// leaf id. The serving telemetry's sampled queries take this entry
-// point so tail samples can retain the exact descent a slow query took.
-// d = 2 and d = 3 take inlined descents that mirror covering2 and
-// covering3; every other d runs descend's loop. Either way the branch
-// decisions match the unsampled path, so a sampled query answers
-// exactly like an unsampled one.
-func (f *Frozen) DescendPath(q []float64, path []int32) (leaf int32, outPath []int32) {
-	switch f.dim {
-	case 2:
-		return f.descendPath2(q, path)
-	case 3:
-		return f.descendPath3(q, path)
-	}
-	leaf, _, path = f.descend(q, path, true)
-	return leaf, path
-}
-
-// ScanLeaf scans the leaf's CSR candidate list with the open (or, with
-// closed=true, boundary-inclusive) membership predicate, appending
-// matching ball ids to out in ascending order. It returns the extended
-// slice and the number of candidates scanned. For any q,
-// Covering(q, out) equals descending to the leaf and calling ScanLeaf —
-// the generic Covering paths are built from exactly these two halves.
-func (f *Frozen) ScanLeaf(leaf int32, q []float64, closed bool, out []int) (res []int, leafScanned int) {
-	switch f.dim {
-	case 2:
-		return f.scanLeaf2(leaf, q, closed, out)
-	case 3:
-		return f.scanLeaf3(leaf, q, closed, out)
-	}
-	slot := f.child[leaf]
+	slot := f.child[i]
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
-	dist2, batch4, stride := f.dist2, f.batch4, f.stride
+	batch4, stride := f.batch4, f.stride
 	recs := f.leafRecs[int(lo)*stride : int(hi)*stride]
 	n := len(balls)
 	k := 0
@@ -441,40 +464,7 @@ func (f *Frozen) ScanLeaf(leaf int32, q []float64, closed bool, out []int) (res 
 			}
 		}
 	}
-	return out, n
-}
-
-// Covering appends to out the ids of all balls whose open interior
-// contains q (squared distance < r²), in ascending order. It returns the extended slice, the nodes visited, and the number of
-// leaf candidates scanned. out is reused via append semantics; pass
-// out[:0] to recycle a buffer. The call allocates only if out's capacity
-// is exceeded.
-func (f *Frozen) Covering(q []float64, out []int) (res []int, nodesVisited, leafScanned int) {
-	switch f.dim {
-	case 2:
-		return f.covering2(q, out, false)
-	case 3:
-		return f.covering3(q, out, false)
-	}
-	leaf, visited, _ := f.descend(q, nil, false)
-	out, scanned := f.ScanLeaf(leaf, q, false, out)
-	return out, visited, scanned
-}
-
-// CoveringClosed is Covering with closed-ball membership (boundary
-// included, squared distance ≤ r² + geom.Eps); the divide-and-conquer
-// correction uses closed balls so that candidate neighbors at exactly
-// the current k-th distance are not lost.
-func (f *Frozen) CoveringClosed(q []float64, out []int) (res []int, nodesVisited, leafScanned int) {
-	switch f.dim {
-	case 2:
-		return f.covering2(q, out, true)
-	case 3:
-		return f.covering3(q, out, true)
-	}
-	leaf, visited, _ := f.descend(q, nil, false)
-	out, scanned := f.ScanLeaf(leaf, q, true, out)
-	return out, visited, scanned
+	return out, visited, n
 }
 
 // covering2 and covering3 are the d = 2 and d = 3 traversals with the vec
@@ -482,17 +472,25 @@ func (f *Frozen) CoveringClosed(q []float64, out []int) (res []int, nodesVisited
 // the dominant cost of the generic path at these dimensions. Every
 // floating-point expression mirrors the corresponding kernel operation for
 // operation (same operands, same order), so the results remain
-// bit-identical to the generic path. The leaf scans stay inlined too:
-// calling scanLeaf2 instead measured 10–15% slower per query
-// (BenchmarkCoveringBalls batch-1, n=10⁴, d=2, 2-vCPU 2.1 GHz Xeon).
+// bit-identical to the generic path. The leaf scans stay inlined in the
+// same body too: calling a separate d = 2 scan function instead measured
+// 10–15% slower per query (BenchmarkCoveringBalls batch-1, n=10⁴, d=2,
+// 2-vCPU 2.1 GHz Xeon). The probe's appends sit in the descent loop
+// behind the hoisted record flag: interleaved runs of this loop and of
+// one with no probe code, side by side in one binary, read the same for
+// untimed queries (n=10⁴, d=2, same host).
 
-func (f *Frozen) covering2(q []float64, out []int, closed bool) (res []int, nodesVisited, leafScanned int) {
+func (f *Frozen) covering2(q []float64, out []int, closed bool, p *Probe) (res []int, nodesVisited, leafScanned int) {
+	record := p != nil
 	q0, q1 := q[0], q[1]
 	kind, child, sep := f.kind, f.child, f.sep
 	i := int32(0)
 	visited := 0
 	for k := kind[i]; k != kindLeaf; k = kind[i] {
 		visited++
+		if record {
+			p.Path = append(p.Path, i)
+		}
 		base := int(i) * 5
 		rec := sep[base : base+5 : base+5]
 		right := false
@@ -518,6 +516,9 @@ func (f *Frozen) covering2(q []float64, out []int, closed bool) (res []int, node
 		}
 	}
 	visited++
+	if record {
+		p.reach(i)
+	}
 	slot := child[i]
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
@@ -548,13 +549,17 @@ func (f *Frozen) covering2(q []float64, out []int, closed bool) (res []int, node
 	return out, visited, len(balls)
 }
 
-func (f *Frozen) covering3(q []float64, out []int, closed bool) (res []int, nodesVisited, leafScanned int) {
+func (f *Frozen) covering3(q []float64, out []int, closed bool, p *Probe) (res []int, nodesVisited, leafScanned int) {
+	record := p != nil
 	q0, q1, q2 := q[0], q[1], q[2]
 	kind, child, sep := f.kind, f.child, f.sep
 	i := int32(0)
 	visited := 0
 	for k := kind[i]; k != kindLeaf; k = kind[i] {
 		visited++
+		if record {
+			p.Path = append(p.Path, i)
+		}
 		base := int(i) * 6
 		rec := sep[base : base+6 : base+6]
 		right := false
@@ -582,6 +587,9 @@ func (f *Frozen) covering3(q []float64, out []int, closed bool) (res []int, node
 		}
 	}
 	visited++
+	if record {
+		p.reach(i)
+	}
 	slot := child[i]
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
@@ -612,141 +620,4 @@ func (f *Frozen) covering3(q []float64, out []int, closed bool) (res []int, node
 		}
 	}
 	return out, visited, len(balls)
-}
-
-// descendPath2/3 and scanLeaf2/3 are the d = 2 and d = 3 halves of the
-// covering2/covering3 traversals with the route captured — the same
-// floating-point expressions operation for operation, so a sampled
-// (timed) query stays bit-identical to the inlined covering paths. They
-// exist so the telemetry's sampled queries don't regress to the generic
-// kernels' indirect calls at the hot dimensions.
-
-func (f *Frozen) descendPath2(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1 := q[0], q[1]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 5
-		rec := sep[base : base+5 : base+5]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := d0*d0 + d1*d1
-			if d2 > rec[4] {
-				right = true
-			} else if d2 >= rec[3] {
-				right = math.Sqrt(d2)-rec[2] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			right = s-rec[2] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) descendPath3(q []float64, path []int32) (leaf int32, outPath []int32) {
-	q0, q1, q2 := q[0], q[1], q[2]
-	kind, child, sep := f.kind, f.child, f.sep
-	i := int32(0)
-	for k := kind[i]; k != kindLeaf; k = kind[i] {
-		path = append(path, i)
-		base := int(i) * 6
-		rec := sep[base : base+6 : base+6]
-		right := false
-		if k == kindSphere {
-			d0 := q0 - rec[0]
-			d1 := q1 - rec[1]
-			d2 := q2 - rec[2]
-			dd := (d0*d0 + d1*d1) + d2*d2
-			if dd > rec[5] {
-				right = true
-			} else if dd >= rec[4] {
-				right = math.Sqrt(dd)-rec[3] > 0
-			}
-		} else {
-			s := 0.0
-			s += rec[0] * q0
-			s += rec[1] * q1
-			s += rec[2] * q2
-			right = s-rec[3] > 0
-		}
-		if right {
-			i = child[i] + 1
-		} else {
-			i = child[i]
-		}
-	}
-	return i, append(path, i)
-}
-
-func (f *Frozen) scanLeaf2(leaf int32, q []float64, closed bool, out []int) (res []int, leafScanned int) {
-	q0, q1 := q[0], q[1]
-	slot := f.child[leaf]
-	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
-	balls := f.leafBalls[lo:hi]
-	recs := f.leafRecs[int(lo)*3 : int(hi)*3]
-	if closed {
-		bi := 0
-		for m := 0; m+2 < len(recs); m += 3 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			if d0*d0+d1*d1 <= recs[m+2]+geom.Eps {
-				out = append(out, int(balls[bi]))
-			}
-			bi++
-		}
-	} else {
-		bi := 0
-		for m := 0; m+2 < len(recs); m += 3 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			if d0*d0+d1*d1 < recs[m+2] {
-				out = append(out, int(balls[bi]))
-			}
-			bi++
-		}
-	}
-	return out, len(balls)
-}
-
-func (f *Frozen) scanLeaf3(leaf int32, q []float64, closed bool, out []int) (res []int, leafScanned int) {
-	q0, q1, q2 := q[0], q[1], q[2]
-	slot := f.child[leaf]
-	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
-	balls := f.leafBalls[lo:hi]
-	recs := f.leafRecs[int(lo)*4 : int(hi)*4]
-	if closed {
-		bi := 0
-		for m := 0; m+3 < len(recs); m += 4 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			d2 := q2 - recs[m+2]
-			if (d0*d0+d1*d1)+d2*d2 <= recs[m+3]+geom.Eps {
-				out = append(out, int(balls[bi]))
-			}
-			bi++
-		}
-	} else {
-		bi := 0
-		for m := 0; m+3 < len(recs); m += 4 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			d2 := q2 - recs[m+2]
-			if (d0*d0+d1*d1)+d2*d2 < recs[m+3] {
-				out = append(out, int(balls[bi]))
-			}
-			bi++
-		}
-	}
-	return out, len(balls)
 }

@@ -41,7 +41,7 @@ func equalInts(a, b []int) bool {
 // traversal returns exactly the ids, in exactly the order, of a
 // brute-force scan of every ball — for both the open and closed
 // predicates, across dimensions and distributions — and its node count
-// is the length of the route DescendPath records.
+// is the length of the route a Probe records.
 func TestFrozenMatchesTree(t *testing.T) {
 	g := xrand.New(7)
 	for d := 1; d <= 9; d++ {
@@ -59,7 +59,7 @@ func TestFrozenMatchesTree(t *testing.T) {
 				t.Fatalf("leaves %d, want %d", f.NumLeaves(), f.Stats().Leaves)
 			}
 			var buf []int
-			var path []int32
+			var p Probe
 			for trial := 0; trial < 150; trial++ {
 				var q vec.Vec
 				if trial%2 == 0 {
@@ -72,8 +72,9 @@ func TestFrozenMatchesTree(t *testing.T) {
 				if want := coveringBrute(sys, q, false); !equalInts(buf, want) {
 					t.Fatalf("d=%d %s trial %d: frozen %v, brute %v", d, dist, trial, buf, want)
 				}
-				if _, path = f.DescendPath(q, path[:0]); visited != len(path) {
-					t.Fatalf("d=%d trial %d: frozen visited %d, route has %d nodes", d, trial, visited, len(path))
+				p.Path = p.Path[:0]
+				if buf, _, _ = f.Query(q, buf[:0], false, &p); visited != len(p.Path) {
+					t.Fatalf("d=%d trial %d: frozen visited %d, route has %d nodes", d, trial, visited, len(p.Path))
 				}
 				buf, _, _ = f.CoveringClosed(q, buf[:0])
 				if want := coveringBrute(sys, q, true); !equalInts(buf, want) {
@@ -117,11 +118,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 7} {
 		b := NewBatch(f, workers)
 		for _, closed := range []bool{false, true} {
-			if closed {
-				b.RunClosed(queries)
-			} else {
-				b.Run(queries)
-			}
+			b.Run(queries, nil, closed)
 			if b.Len() != len(queries) {
 				t.Fatalf("Len %d, want %d", b.Len(), len(queries))
 			}
@@ -160,9 +157,9 @@ func TestBatchZeroAllocSteadyState(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		b := NewBatch(f, workers)
 		for warm := 0; warm < 3; warm++ {
-			b.Run(queries)
+			b.Run(queries, nil, false)
 		}
-		if avg := testing.AllocsPerRun(50, func() { b.Run(queries) }); avg != 0 {
+		if avg := testing.AllocsPerRun(50, func() { b.Run(queries, nil, false) }); avg != 0 {
 			t.Fatalf("workers=%d: %v allocs per steady-state Run, want 0", workers, avg)
 		}
 	}
@@ -182,7 +179,7 @@ func TestBatchEnginesConcurrent(t *testing.T) {
 		go func() {
 			b := NewBatch(f, 3)
 			for rep := 0; rep < 8; rep++ {
-				b.Run(queries)
+				b.Run(queries, nil, false)
 				for i := range queries {
 					if !equalInts(b.Result(i), want[i]) {
 						done <- fmt.Errorf("result mismatch at query %d", i)
@@ -205,12 +202,12 @@ func TestBatchEnginesConcurrent(t *testing.T) {
 func TestBatchTinyAndEmpty(t *testing.T) {
 	f, pts := buildUniform(t, 300, 2, 2, 29, nil)
 	b := NewBatch(f, 8)
-	b.Run(nil)
+	b.Run(nil, nil, false)
 	if b.Len() != 0 {
 		t.Fatalf("empty batch Len = %d", b.Len())
 	}
 	q := [][]float64{pts[0]}
-	b.Run(q)
+	b.Run(q, nil, false)
 	want := coveringBrute(f.System(), q[0], false)
 	if !equalInts(b.Result(0), want) {
 		t.Fatalf("single-query batch %v, want %v", b.Result(0), want)

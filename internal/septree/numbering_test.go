@@ -17,8 +17,8 @@ import (
 // frozenHash is an FNV-1a digest of every array a query reads: node
 // kinds, child ids, separator records, leaf offsets, leaf ball ids and
 // the inlined leaf records (float bits). Node ids leak out through
-// journal events and DescendPath routes, so the layout is pinned, not
-// just the answers.
+// journal events and probed routes, so the layout is pinned, not just
+// the answers.
 func frozenHash(f *Frozen) uint64 {
 	h := fnv.New64a()
 	var b [8]byte

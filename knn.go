@@ -185,7 +185,8 @@ func newMachine(workers int, inj *chaos.Injector, done <-chan struct{}) *vm.Mach
 
 // buildFromPointSet is the flat-storage core of BuildKNNGraph, shared with
 // FindGraphSeparator so a caller that already holds a PointSet does not pay
-// a second [][]float64 round trip.
+// a second [][]float64 round trip. ps must be the caller's private copy:
+// the Sphere and Hyperplane builds permute its rows in place.
 func buildFromPointSet(ctx context.Context, ps *pts.PointSet, k int, opts *Options) (*Graph, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("sepdc: k must be >= 1, got %d", k)

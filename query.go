@@ -161,7 +161,7 @@ func (qs *QueryStructure) CoveringBallsBatch(queries [][]float64) ([][]int, erro
 	if qs.batch == nil {
 		qs.batch = septree.NewBatch(qs.frozen, 0)
 	}
-	qs.batch.Run(queries)
+	qs.batch.Run(queries, nil, false)
 	total := 0
 	for i := range queries {
 		total += len(qs.batch.Result(i))
@@ -206,28 +206,12 @@ func (qs *QueryStructure) NewBatcher(workers int) *Batcher {
 
 // Run answers an open-ball covering query for every element of queries.
 // Results are read with Result and stay valid until the next Run.
-func (bt *Batcher) Run(queries [][]float64) error {
-	for i, q := range queries {
-		if err := bt.qs.validateQuery(q); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	bt.b.Run(queries)
-	return nil
-}
+func (bt *Batcher) Run(queries [][]float64) error { return bt.run(queries, nil, false) }
 
 // RunClosed is Run with closed-ball membership (a point on a ball's
 // boundary counts as covered, within geom.Eps on the squared radius).
 // The serving front end maps the wire format's closed flag here.
-func (bt *Batcher) RunClosed(queries [][]float64) error {
-	for i, q := range queries {
-		if err := bt.qs.validateQuery(q); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	bt.b.RunClosed(queries)
-	return nil
-}
+func (bt *Batcher) RunClosed(queries [][]float64) error { return bt.run(queries, nil, true) }
 
 // RunTraced is Run with per-query trace contexts: traces[i] carries
 // query i's request trace (zero value = untraced). Traced queries stamp
@@ -237,20 +221,17 @@ func (bt *Batcher) RunClosed(queries [][]float64) error {
 // absolute-timeline journal event. traces must be nil or len(queries)
 // long. Answers are bit-identical to Run.
 func (bt *Batcher) RunTraced(queries [][]float64, traces []TraceContext) error {
-	if traces != nil && len(traces) != len(queries) {
-		return fmt.Errorf("sepdc: %d traces for %d queries", len(traces), len(queries))
-	}
-	for i, q := range queries {
-		if err := bt.qs.validateQuery(q); err != nil {
-			return fmt.Errorf("query %d: %w", i, err)
-		}
-	}
-	bt.b.RunTraced(queries, traces)
-	return nil
+	return bt.run(queries, traces, false)
 }
 
 // RunClosedTraced is RunTraced with closed-ball membership.
 func (bt *Batcher) RunClosedTraced(queries [][]float64, traces []TraceContext) error {
+	return bt.run(queries, traces, true)
+}
+
+// run validates the batch, rejecting it whole on the first bad query or
+// a traces slice of the wrong length, and hands it to the engine.
+func (bt *Batcher) run(queries [][]float64, traces []TraceContext, closed bool) error {
 	if traces != nil && len(traces) != len(queries) {
 		return fmt.Errorf("sepdc: %d traces for %d queries", len(traces), len(queries))
 	}
@@ -259,7 +240,7 @@ func (bt *Batcher) RunClosedTraced(queries [][]float64, traces []TraceContext) e
 			return fmt.Errorf("query %d: %w", i, err)
 		}
 	}
-	bt.b.RunClosedTraced(queries, traces)
+	bt.b.Run(queries, traces, closed)
 	return nil
 }
 

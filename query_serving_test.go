@@ -124,16 +124,14 @@ func TestParallelQueryStructureIdentical(t *testing.T) {
 		t.Fatalf("parallel build: %d nodes, %+v; sequential: %d nodes, %+v",
 			qs.frozen.NumNodes(), got, ref.NumNodes(), want)
 	}
-	var gotPath, wantPath []int32
+	var gotP, wantP septree.Probe
 	for i, q := range queryPoints(points, 1000, seed) {
-		var gotLeaf, wantLeaf int32
-		gotLeaf, gotPath = qs.frozen.DescendPath(q, gotPath[:0])
-		wantLeaf, wantPath = ref.DescendPath(q, wantPath[:0])
-		if gotLeaf != wantLeaf || !slices.Equal(gotPath, wantPath) {
-			t.Fatalf("query %d: descent %v in parallel, %v sequential", i, gotPath, wantPath)
+		gotP.Path, wantP.Path = gotP.Path[:0], wantP.Path[:0]
+		got, _, _ := qs.frozen.Query(q, nil, false, &gotP)
+		want, _, _ := ref.Query(q, nil, false, &wantP)
+		if gotP.Leaf != wantP.Leaf || !slices.Equal(gotP.Path, wantP.Path) {
+			t.Fatalf("query %d: descent %v in parallel, %v sequential", i, gotP.Path, wantP.Path)
 		}
-		got, _, _ := qs.frozen.Covering(q, nil)
-		want, _, _ := ref.Covering(q, nil)
 		if !sameInts(got, want) {
 			t.Fatalf("query %d: covering %v in parallel, %v sequential", i, got, want)
 		}

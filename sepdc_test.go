@@ -104,6 +104,33 @@ func TestBuildKNNGraphDeterministic(t *testing.T) {
 	}
 }
 
+// TestBuildKNNGraphLeavesInput: the Sphere and Hyperplane builds permute
+// their point rows in place, and those rows must be the library's own
+// copy: the caller's points come back bit for bit.
+func TestBuildKNNGraphLeavesInput(t *testing.T) {
+	points := genPoints(3000, 3, 5)
+	bits := make([]uint64, 0, 3*len(points))
+	for _, p := range points {
+		for _, x := range p {
+			bits = append(bits, math.Float64bits(x))
+		}
+	}
+	for _, algo := range []Algorithm{Sphere, Hyperplane} {
+		if _, err := BuildKNNGraph(points, 4, &Options{Algorithm: algo}); err != nil {
+			t.Fatal(err)
+		}
+		j := 0
+		for i, p := range points {
+			for c, x := range p {
+				if math.Float64bits(x) != bits[j] {
+					t.Fatalf("%s: point %d coordinate %d changed to %v", algo, i, c, x)
+				}
+				j++
+			}
+		}
+	}
+}
+
 func TestBuildKNNGraphStatsPopulated(t *testing.T) {
 	points := genPoints(2000, 2, 3)
 	g, err := BuildKNNGraph(points, 1, &Options{Algorithm: Sphere, Seed: 4})
