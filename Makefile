@@ -101,10 +101,12 @@ race-build:
 # Focused race gate over the batched query-serving paths and the
 # serving telemetry they feed (concurrent Snapshot during recording,
 # journal publish/drain, same-name journal registration, SLO evaluation,
-# flight capture). Also covered by test-race's full-module sweep; kept as
-# its own target so a failure names the subsystem.
+# flight capture) and the worker pool's slot handoff, which every pass
+# fans out through. Also covered by test-race's full-module sweep; kept
+# as its own target so a failure names the subsystem.
 race-batch:
 	$(GO) test -race -run 'Batch|Batcher|CoveringBalls|QueryStructure|Serve|Journal|NewQueryJournalConcurrentSameName|Flight|Burn|Trip|Trace' . ./internal/septree/ ./internal/obs/ ./internal/obs/slo/ ./internal/obs/flight/ ./internal/obs/runtimeobs/
+	$(GO) test -race -count=10 ./internal/pool/
 
 # Focused race gate over the serving front end: concurrent HTTP traffic
 # against the coalescer, repeated epoch/RCU snapshot swaps, telemetry

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,7 +31,10 @@ func TestCancelBeforeStart(t *testing.T) {
 // TestCancelMidBuildPrompt is the acceptance test for prompt cancellation:
 // a build held back by chaos worker stalls and forced punts (the slowest
 // path the engine has) must return context.Canceled within 100ms of the
-// cancel signal.
+// cancel signal. The cancel lands as the first worker stall begins, and
+// that worker waits for it: its task belongs to a fork of the separator
+// recursion, which waits for the task, so the build is certainly still
+// running.
 func TestCancelMidBuildPrompt(t *testing.T) {
 	points := genPoints(3000, 3, 21)
 	inj := &chaos.Injector{
@@ -48,6 +52,10 @@ func TestCancelMidBuildPrompt(t *testing.T) {
 				latency time.Duration
 			}
 			var cancelled time.Time
+			stalled := make(chan struct{})
+			var once sync.Once
+			beforeStall = func() { once.Do(func() { close(stalled); <-ctx.Done() }) }
+			defer func() { beforeStall = nil }()
 			done := make(chan outcome, 1)
 			go func() {
 				_, err := BuildKNNGraphContext(ctx, points, 4, &Options{
@@ -56,8 +64,11 @@ func TestCancelMidBuildPrompt(t *testing.T) {
 				done <- outcome{err: err, latency: time.Since(cancelled)}
 			}()
 
-			// Let the build get properly underway, then pull the plug.
-			time.Sleep(20 * time.Millisecond)
+			select {
+			case <-stalled:
+			case out := <-done:
+				t.Fatalf("build returned (err = %v) before any worker stalled", out.err)
+			}
 			cancelled = time.Now()
 			cancel()
 

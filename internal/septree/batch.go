@@ -19,7 +19,9 @@ import (
 // (shard, start, end) span per query, so the steady state — capacities
 // warmed up by earlier runs — performs zero heap allocations per Run:
 // the task closures are pre-allocated at construction, dispatch is one
-// channel send per strand, and result storage is recycled.
+// pool submission per strand (a slot handoff to a worker still spinning
+// after the previous Run, or a channel send that wakes a parked one), and
+// result storage is recycled.
 //
 // A Batch is NOT safe for concurrent use; callers serialize Runs (or use
 // one Batch per goroutine over the same Frozen, which is safe — the

@@ -523,8 +523,13 @@ func (f *Frozen) covering2(q []float64, out []int, closed bool, p *Probe) (res [
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
 	recs := f.leafRecs[int(lo)*3 : int(hi)*3]
-	// The m+2 < len(recs) guard lets the compiler prove all three record
-	// accesses in bounds, so the scan runs bounds-check-free.
+	// recs is the leaf's exact record span, three words per ball. This
+	// indexed loop keeps bounds checks on recs[m..m+2] (the prove pass
+	// cannot rule out overflow of m+2) and on balls[bi]. covering3's
+	// reslicing walk proves its record reads in bounds, but here it read
+	// 1.5–11% slower per query, interleaved with this loop in one test
+	// binary (n=10⁴, 2-vCPU Xeon): at d = 2 the reslice's pointer
+	// arithmetic costs more than the three predicted checks it removes.
 	if closed {
 		bi := 0
 		for m := 0; m+2 < len(recs); m += 3 {
@@ -594,29 +599,30 @@ func (f *Frozen) covering3(q []float64, out []int, closed bool, p *Probe) (res [
 	lo, hi := f.leafOff[slot], f.leafOff[slot+1]
 	balls := f.leafBalls[lo:hi]
 	recs := f.leafRecs[int(lo)*4 : int(hi)*4]
-	// As in covering2: the m+3 < len(recs) guard makes the scan
-	// bounds-check-free.
+	// recs is the leaf's exact record span, four words per ball. Walking
+	// it by reslicing lets the compiler prove every record read in
+	// bounds; only balls[bi], on the hit path, keeps its check. It read
+	// 0–5% faster per query than an indexed loop over recs[m..m+3],
+	// interleaved in one test binary (n=10⁴, 2-vCPU Xeon).
 	if closed {
-		bi := 0
-		for m := 0; m+3 < len(recs); m += 4 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			d2 := q2 - recs[m+2]
-			if (d0*d0+d1*d1)+d2*d2 <= recs[m+3]+geom.Eps {
+		for bi := 0; len(recs) >= 4; bi++ {
+			d0 := q0 - recs[0]
+			d1 := q1 - recs[1]
+			d2 := q2 - recs[2]
+			if (d0*d0+d1*d1)+d2*d2 <= recs[3]+geom.Eps {
 				out = append(out, int(balls[bi]))
 			}
-			bi++
+			recs = recs[4:]
 		}
 	} else {
-		bi := 0
-		for m := 0; m+3 < len(recs); m += 4 {
-			d0 := q0 - recs[m]
-			d1 := q1 - recs[m+1]
-			d2 := q2 - recs[m+2]
-			if (d0*d0+d1*d1)+d2*d2 < recs[m+3] {
+		for bi := 0; len(recs) >= 4; bi++ {
+			d0 := q0 - recs[0]
+			d1 := q1 - recs[1]
+			d2 := q2 - recs[2]
+			if (d0*d0+d1*d1)+d2*d2 < recs[3] {
 				out = append(out, int(balls[bi]))
 			}
-			bi++
+			recs = recs[4:]
 		}
 	}
 	return out, visited, len(balls)

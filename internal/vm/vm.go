@@ -25,7 +25,9 @@
 // (package pool), created at NewMachine and reused across every Fork and
 // ForkN of a run. The seed implementation spawned a fresh goroutine per
 // fork; for the small subproblems near the recursion's leaves that
-// spawn/park overhead dominated the arithmetic. Submission to the pool is
+// spawn/park overhead dominated the arithmetic. A pool worker spins
+// briefly after each task before it parks, so a fork that follows soon
+// after reaches it without a scheduler wake-up. Submission to the pool is
 // non-blocking — when every worker is busy the branch runs inline — so
 // nested forks cannot deadlock and parallelism stays bounded.
 package vm

@@ -178,10 +178,21 @@ func BuildKNNGraphContext(ctx context.Context, points [][]float64, k int, opts *
 // when done closes, so a stalled build still cancels promptly.
 func newMachine(workers int, inj *chaos.Injector, done <-chan struct{}) *vm.Machine {
 	if inj.StallDuration() > 0 {
-		return vm.NewMachineHooked(workers, func() { inj.Stall(done) })
+		hook := beforeStall
+		return vm.NewMachineHooked(workers, func() {
+			if hook != nil {
+				hook()
+			}
+			inj.Stall(done)
+		})
 	}
 	return vm.NewMachine(workers)
 }
+
+// beforeStall, when set as a machine is made, runs before each of its
+// chaos worker stalls; tests use it to cancel a build while one of its
+// forks waits on a worker.
+var beforeStall func()
 
 // buildFromPointSet is the flat-storage core of BuildKNNGraph, shared with
 // FindGraphSeparator so a caller that already holds a PointSet does not pay

@@ -83,8 +83,8 @@ func NewQueryStructureContext(ctx context.Context, points [][]float64, k int, se
 		return nil, err
 	}
 	// The machine starts before the k-NN radii's kd-tree is built, so
-	// its workers are parked and accept tasks by the time the searches
-	// are handed out.
+	// its workers are up and accept tasks by the time the searches are
+	// handed out.
 	m := newMachine(0, inj, ctx.Done())
 	defer m.Close()
 	opts := &septree.Options{Done: ctx.Done(), Machine: m}
