@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 60s
 
-.PHONY: build vet test test-race race-build race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve ab-perfbench kernels-matrix perfbench-check verify fuzz chaos clean
+.PHONY: build vet test test-race race-build race-batch race-serve metrics-audit flight-smoke serve-smoke bench bench-json bench-query bench-kernel bench-serve ab-perfbench kernels-matrix perfbench-check verify fuzz chaos loc clean
 
 build:
 	$(GO) build ./...
@@ -174,6 +174,11 @@ chaos:
 	KNN_CHAOS="sep-fail=all;punt=all;march-level=1;stall=200us" $(GO) test -run 'Chaos|Degenerate|Golden|AllAlgorithmsAgree|FlatBackendsMatchBrute|ParallelQueryStructure' .
 
 verify: build test vet test-race
+
+# Non-test Go line count outside perfbench: the size figure a
+# simplification reports before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

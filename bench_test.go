@@ -195,9 +195,11 @@ func BenchmarkMarching(b *testing.B) {
 			balls = append(balls, march.NewBall(i, pts[i], r2))
 		}
 	}
+	tree := res.Tree
+	var sc march.Scratch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hits, st := march.Down(res.Tree, pts, balls, 0, nil)
+		hits, st := march.DownFlatChaos(tree, tree.Root, balls, 0, nil, nil, &sc)
 		if st.Aborted || len(hits) == 0 {
 			b.Fatal("march failed")
 		}

@@ -184,8 +184,10 @@ func (t *tally) add(f func(*Stats)) {
 type Result struct {
 	// Lists holds each point's exact k nearest neighbors in canonical order.
 	Lists []*topk.List
-	// Tree is the partition tree induced by the recursion.
-	Tree *march.PNode
+	// Tree is the partition tree induced by the recursion, over the
+	// build's working copy of the points in the order the recursion left
+	// them; Tree.ID maps its rows to input indices.
+	Tree *march.Tree
 	// Stats instruments the run.
 	Stats Stats
 }

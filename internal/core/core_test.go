@@ -209,7 +209,7 @@ func TestStatsPopulated(t *testing.T) {
 	if st.Cost.Steps == 0 || st.Cost.Work == 0 {
 		t.Error("cost not charged")
 	}
-	if res.Tree == nil || res.Tree.Height() < 2 {
+	if res.Tree == nil || res.Tree.Height(res.Tree.Root) < 2 {
 		t.Error("partition tree missing or trivial")
 	}
 }
@@ -236,20 +236,34 @@ func TestSphereDNCFastPathDominates(t *testing.T) {
 func TestPartitionTreeCoversAllPoints(t *testing.T) {
 	g := xrand.New(12)
 	pts := pointgen.Dedup(pointgen.MustGenerate(pointgen.Gaussian, 700, 2, g))
-	res, err := SphereDNC(pts, g.Split(), &Options{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	leaves := res.Tree.Leaves(nil)
-	if len(leaves) != len(pts) {
-		t.Fatalf("tree leaves hold %d points, want %d", len(leaves), len(pts))
-	}
-	seen := make([]bool, len(pts))
-	for _, p := range leaves {
-		if seen[p] {
-			t.Fatalf("point %d in two leaves", p)
+	for _, c := range []struct {
+		name  string
+		build func([]vec.Vec, *xrand.RNG, *Options) (*Result, error)
+	}{{"sphere", SphereDNC}, {"hyperplane", HyperplaneDNC}} {
+		name := c.name
+		res, err := c.build(pts, g.Split(), &Options{K: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[p] = true
+		// The leaves partition the rows in order, and the rows are the
+		// input points, each once, at the input index ID names.
+		tree, next := res.Tree, 0
+		walkLeaves(tree, tree.Root, func(lo, hi int) {
+			if lo != next || hi <= lo {
+				t.Fatalf("%s: leaf [%d, %d) after row %d", name, lo, hi, next)
+			}
+			next = hi
+		})
+		if next != len(pts) {
+			t.Fatalf("%s: tree leaves hold %d rows, want %d", name, next, len(pts))
+		}
+		seen := make([]bool, len(pts))
+		for p, i := range tree.ID {
+			if seen[i] || !vec.Equal(tree.Rows.At(p), pts[i]) {
+				t.Fatalf("%s: row %d holds input %d twice or not its point", name, p, i)
+			}
+			seen[i] = true
+		}
 	}
 }
 

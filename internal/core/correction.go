@@ -26,11 +26,13 @@ import (
 const directScanPairs = 1024
 
 // corrScratch is one node's correction storage: the two crossing sets,
-// the marching balls, and a punt's split into finite and unbounded balls.
-// Pooled, so the correction phase of a node allocates nothing of its own.
+// the marching balls, the marches' frontiers, hits and profiles, and a
+// punt's split into finite and unbounded balls. Pooled, so the correction
+// phase of a node allocates nothing of its own.
 type corrScratch struct {
 	crossIn, crossEx  []int
 	balls             []march.Ball
+	march             march.Scratch
 	finite, unbounded []int
 }
 
@@ -75,20 +77,20 @@ func (b *builder) ballsOf(dst []march.Ball, cross []int) []march.Ball {
 }
 
 // fastCorrect runs the paper's Fast Correction in one direction: march the
-// crossing balls of one side down the partition tree of the other side and
-// offer every discovered (ball, point) pair to the ball's k-NN list.
-// Returns false when the march aborted on the active-ball limit, in which
-// case no list was modified and the caller must punt.
-func (b *builder) fastCorrect(cross []int, otherTree *march.PNode, activeLimit int,
+// crossing balls of one side down the partition tree of the other side,
+// rooted at other, and offer every discovered (ball, point) pair to the
+// ball's k-NN list. Returns false when the march aborted on the
+// active-ball limit, in which case no list was modified and the caller
+// must punt.
+func (b *builder) fastCorrect(cross []int, other march.Ref, activeLimit int,
 	ctx *vm.Ctx, sh *obs.Shard, cs *corrScratch) bool {
 
-	if len(cross) == 0 || otherTree == nil {
+	if len(cross) == 0 {
 		return true
 	}
 	sp := sh.Begin()
 	cs.balls = b.ballsOf(cs.balls[:0], cross)
-	hits, st := march.DownFlatChaos(otherTree, b.ps, cs.balls, activeLimit, ctx, b.opts.chaos())
-	defer st.Release()
+	hits, st := march.DownFlatChaos(b.tree, other, cs.balls, activeLimit, ctx, b.opts.chaos(), &cs.march)
 	clear(cs.balls) // drop the center views so the pool does not pin the points
 	b.tl.add(func(s *Stats) {
 		s.Duplications += st.Duplications

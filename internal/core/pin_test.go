@@ -39,20 +39,22 @@ func listsHash(lists []*topk.List) uint64 {
 }
 
 // leavesHash is FNV-1a over the partition tree's leaves left to right,
-// each as its size followed by its point ids in order.
-func leavesHash(root *march.PNode) uint64 {
+// each as its size followed by its points' input indices in order.
+func leavesHash(t *march.Tree) uint64 {
 	h := fnv.New64a()
-	var walk func(n *march.PNode)
-	walk = func(n *march.PNode) {
-		if n.IsLeaf() {
-			fmt.Fprint(h, len(n.Pts), n.Pts)
-			return
-		}
-		walk(n.Left)
-		walk(n.Right)
-	}
-	walk(root)
+	walkLeaves(t, t.Root, func(lo, hi int) { fmt.Fprint(h, hi-lo, t.ID[lo:hi]) })
 	return h.Sum64()
+}
+
+// walkLeaves calls f with the rows of every leaf of the subtree at r, left
+// to right.
+func walkLeaves(t *march.Tree, r march.Ref, f func(lo, hi int)) {
+	if r.IsLeaf() {
+		f(t.Leaf(r))
+		return
+	}
+	walkLeaves(t, t.Nodes[r].Left, f)
+	walkLeaves(t, t.Nodes[r].Right, f)
 }
 
 // profilesHash digests the march profiles as a multiset: marches on

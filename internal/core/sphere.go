@@ -122,11 +122,13 @@ func hyperplaneSplit(sub *pts.PointSet, interior []bool, depth int, g *xrand.RNG
 // builder is one run's shared state. The recursion works on a copy of
 // the points that the run owns, permuted in place as it divides, so that
 // every node's points are one contiguous range [lo, hi) of positions: the
-// paper's per-node packed vector. Sibling strands own disjoint ranges.
+// paper's per-node packed vector. Sibling strands own disjoint ranges,
+// and each node records itself in the partition tree's slot for its
+// split position or, for a leaf, its first position.
 type builder struct {
 	ps    *pts.PointSet // the working copy, in recursion order
 	id    []int         // position → input index
-	pos   []int         // pos[p] = p; the partition tree's leaves are its subslices
+	tree  *march.Tree   // over ps and id
 	lists []*topk.List  // by position; entries carry input indices
 	opts  *Options
 	split splitFunc
@@ -165,17 +167,18 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 	// One arena allocation backs every point's k-NN list, in position
 	// order; the recursion's base cases and corrections insert into the
 	// lists in place.
-	b := &builder{ps: ps, id: make([]int, n), pos: make([]int, n),
+	b := &builder{ps: ps, id: make([]int, n),
 		lists: topk.NewArena(n, opts.k()).Lists(), opts: opts, split: split,
 		base: opts.baseSize(n), tl: &tally{}, cc: cc,
 		interior: make([]bool, n), exRows: make([]float64, len(ps.Data)), exIDs: make([]int, n)}
 	for i := range b.id {
-		b.id[i], b.pos[i] = i, i
+		b.id[i] = i
 	}
+	b.tree = &march.Tree{Rows: ps, ID: b.id, Nodes: make([]march.Node, n), Ends: make([]int32, n)}
 	ctx := opts.machine().NewCtx()
 	sh := opts.rec().Root()
 	sp := sh.Begin()
-	tree := b.rec(0, n, 0, g, ctx, sh)
+	b.tree.Root = b.rec(0, n, 0, g, ctx, sh)
 	sh.EndTrace(sp, obs.SpanBuild, int64(n))
 	b.tl.s.Cost = ctx.Cost()
 	sh.Release()
@@ -184,14 +187,12 @@ func run(cx context.Context, ps *pts.PointSet, g *xrand.RNG, opts *Options, spli
 		// not a k-NN graph. Abandon them.
 		return nil, cx.Err()
 	}
-	// Hand back the input's order: once pos holds id, the leaves (its
-	// subslices) hold input indices; and list i is point i's.
-	copy(b.pos, b.id)
+	// Hand back the input's order: list i is point i's.
 	lists := make([]*topk.List, n)
 	for p, i := range b.id {
 		lists[i] = b.lists[p]
 	}
-	return &Result{Lists: lists, Tree: tree, Stats: b.tl.s}, nil
+	return &Result{Lists: lists, Tree: b.tree, Stats: b.tl.s}, nil
 }
 
 // rows returns the positions [lo, hi) of the working copy as a point set
@@ -203,8 +204,9 @@ func (b *builder) rows(lo, hi int) *pts.PointSet {
 
 // baseCase brute-forces the range into the points' own lists: the paper's
 // "deterministically compute the neighborhood system in m time using m
-// processors by testing all pairs" (Section 6.1).
-func (b *builder) baseCase(lo, hi, depth int, ctx *vm.Ctx, sh *obs.Shard) *march.PNode {
+// processors by testing all pairs" (Section 6.1). The range is a leaf of
+// the partition tree.
+func (b *builder) baseCase(lo, hi, depth int, ctx *vm.Ctx, sh *obs.Shard) march.Ref {
 	sp := sh.Begin()
 	brute.AllKNNInto(b.rows(lo, hi), b.id[lo:hi], b.lists[lo:hi])
 	ctx.PrimK(hi-lo, hi-lo)
@@ -215,15 +217,18 @@ func (b *builder) baseCase(lo, hi, depth int, ctx *vm.Ctx, sh *obs.Shard) *march
 		}
 	})
 	sh.End(sp, obs.PhaseBase, obs.SpanBase, int64(hi-lo))
-	return &march.PNode{Pts: b.pos[lo:hi]}
+	b.tree.Ends[lo] = int32(hi)
+	return march.LeafRef(lo)
 }
 
-func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shard) *march.PNode {
+// rec builds the subtree of the range [lo, hi) and returns its root.
+func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shard) march.Ref {
 	if b.cc.cancelled() {
 		// The build is being abandoned: stop descending (and inserting)
 		// immediately so the whole tree collapses in one flag check per
-		// pending node. The partial tree is discarded by run.
-		return nil
+		// pending node. The partial tree is discarded by run, and no
+		// correction marches it.
+		return march.LeafRef(lo)
 	}
 	m := hi - lo
 	if m <= b.base {
@@ -239,7 +244,7 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 		if b.cc.cancelled() {
 			// The separator search stopped on cancellation, not on an
 			// unsplittable subset: abandon the node like any other.
-			return nil
+			return march.LeafRef(lo)
 		}
 		// Unsplittable subset (all points identical): brute force it.
 		sh.End(spDiv, obs.PhaseDivide, obs.SpanDivide, int64(m))
@@ -276,7 +281,10 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 	// own divide/correct/base spans account for the remainder), floored at
 	// zero — when the branches truly overlap the fork's wall time is less
 	// than the durations' sum and the overhead rounds down to nothing.
-	node := &march.PNode{Sep: res.Sep}
+	// The node's slot is its split position. Each child strand writes its
+	// subtree's root into its own field of the slot.
+	node := &b.tree.Nodes[mid]
+	node.Sep = res.Sep
 	gl, gr := g.Split(), g.Split()
 	if sh == nil {
 		// Disabled-observability fork: no duration captures. The branch
@@ -308,7 +316,7 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 	if b.cc.cancelled() {
 		// Skip the correction phase outright: the lists are being thrown
 		// away, and corrections are the expensive part of a node.
-		return node
+		return march.Ref(mid)
 	}
 
 	// Correction phase (Section 6.1's Correction / Section 5's step 3).
@@ -326,7 +334,7 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
 		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
-		return node
+		return march.Ref(mid)
 	}
 
 	// Punt threshold: attempt the fast path only when the crossing set is
@@ -339,7 +347,7 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 		b.queryCorrect(crossIn, mid, hi, gq, ctx, sh, cs)
 		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 		sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
-		return node
+		return march.Ref(mid)
 	}
 
 	// Fast Correction, each direction independently; an aborted march
@@ -356,7 +364,7 @@ func (b *builder) rec(lo, hi, depth int, g *xrand.RNG, ctx *vm.Ctx, sh *obs.Shar
 		b.queryCorrect(crossEx, lo, mid, gq, ctx, sh, cs)
 	}
 	sh.End(spCor, obs.PhaseCorrect, obs.SpanCorrect, int64(crossed))
-	return node
+	return march.Ref(mid)
 }
 
 // partition reorders the range [lo, hi) by b.interior's sides and

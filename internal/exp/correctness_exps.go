@@ -10,7 +10,6 @@ import (
 	"sepdc/internal/stats"
 	"sepdc/internal/topk"
 	"sepdc/internal/vec"
-	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
@@ -43,11 +42,6 @@ func makeBalls(pts []vec.Vec, res *core.Result, count int, g *xrand.RNG) []march
 		balls = append(balls, march.NewBall(i, pts[i], r2))
 	}
 	return balls
-}
-
-// marchDown wraps march.Down with no abort limit.
-func marchDown(tree *march.PNode, pts []vec.Vec, balls []march.Ball, ctx *vm.Ctx) ([]march.Hit, march.Stats) {
-	return march.Down(tree, pts, balls, 0, ctx)
 }
 
 // runE9 verifies graph-level exactness of both algorithms against brute

@@ -31,7 +31,6 @@ package march
 
 import (
 	"math"
-	"sync"
 
 	"sepdc/internal/chaos"
 	"sepdc/internal/geom"
@@ -40,44 +39,54 @@ import (
 	"sepdc/internal/vm"
 )
 
-// PNode is a node of a partition tree: the by-product of the sphere
-// divide-and-conquer recursion over a point set. Internal nodes carry the
-// separator used at that recursion step; leaves carry point indices.
-type PNode struct {
-	Sep   geom.Separator
-	Left  *PNode
-	Right *PNode
-	Pts   []int // leaf payload: the leaf's rows of the point set it is marched over
+// Tree is a partition tree: the by-product of the sphere divide-and-
+// conquer recursion over a point set. The recursion leaves the points in
+// an order where every node owns a contiguous range [lo, hi) of Rows, so
+// the tree is laid out flat over those rows. The internal node that
+// splits its range at row mid, the first row of its right child, is
+// Nodes[mid]; the leaf [lo, hi) is recorded as Ends[lo] = hi. No two
+// internal nodes split at one row and no two leaves start at one, so the
+// strands of a parallel build fill disjoint slots without a lock.
+type Tree struct {
+	Rows  *pts.PointSet // the points, in the recursion's order
+	ID    []int         // row → the point's input index
+	Nodes []Node        // internal nodes, by split row
+	Ends  []int32       // leaf ends, by first row
+	Root  Ref
 }
 
-// IsLeaf reports whether the node is a leaf.
-func (n *PNode) IsLeaf() bool { return n.Sep == nil }
+// Node is an internal node of a Tree: the separator of its recursion step
+// and its two children. The left child owns the rows below the node's
+// split row, the right child the rest.
+type Node struct {
+	Sep         geom.Separator
+	Left, Right Ref
+}
 
-// Height returns the height of the tree (a lone leaf has height 1).
-func (n *PNode) Height() int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
+// Ref names a node of a Tree: an internal node by its split row, a leaf
+// by the bitwise complement of its first row. Rows fit in an int32.
+type Ref int32
+
+// LeafRef returns the Ref of the leaf whose first row is lo.
+func LeafRef(lo int) Ref { return Ref(^lo) }
+
+// IsLeaf reports whether r names a leaf.
+func (r Ref) IsLeaf() bool { return r < 0 }
+
+// Leaf returns the rows [lo, hi) of the leaf r.
+func (t *Tree) Leaf(r Ref) (lo, hi int) {
+	lo = int(^r)
+	return lo, int(t.Ends[lo])
+}
+
+// Height returns the height of the subtree at r (a lone leaf has height
+// 1).
+func (t *Tree) Height(r Ref) int {
+	if r.IsLeaf() {
 		return 1
 	}
-	l, r := n.Left.Height(), n.Right.Height()
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// Leaves appends all leaf payloads (the points of the subtree) to dst.
-func (n *PNode) Leaves(dst []int) []int {
-	if n == nil {
-		return dst
-	}
-	if n.IsLeaf() {
-		return append(dst, n.Pts...)
-	}
-	dst = n.Left.Leaves(dst)
-	return n.Right.Leaves(dst)
+	n := &t.Nodes[r]
+	return 1 + max(t.Height(n.Left), t.Height(n.Right))
 }
 
 // Ball is one marching ball: its geometry plus the caller's identifier
@@ -123,41 +132,27 @@ type Stats struct {
 	Duplications int   // crossing-ball duplications (Lemma 6.4's quantity)
 	ActivePerLvl []int // full per-level profile for experiment E8
 	Aborted      bool  // true when MaxActive exceeded the caller's limit
-
-	buf *scratch // pooled storage behind the hits and ActivePerLvl
-}
-
-// Release hands the march's pooled storage back for reuse. The hits and
-// ActivePerLvl the march returned alias that storage and must not be used
-// afterwards. Calling Release is optional: an unreleased march's storage
-// is simply garbage collected.
-func (s *Stats) Release() {
-	if s.buf == nil {
-		return
-	}
-	s.buf.prof = s.ActivePerLvl[:0]
-	scratchPool.Put(s.buf)
-	s.buf, s.ActivePerLvl = nil, nil
 }
 
 // item is one active (ball, node) pair of the frontier.
 type item struct {
-	node *PNode
-	ball int // index into balls
+	node Ref
+	ball int32 // index into balls
 }
 
-// scratch is one march's storage: the two frontier levels (which swap
-// roles every level), the hit list and the per-level profile. Pooled so
-// that a steady stream of marches allocates nothing.
-type scratch struct {
+// Scratch is a march's storage: the two frontier levels (which swap roles
+// every level), the hit list and the per-level profile. A march returns
+// its hits and Stats.ActivePerLvl in it, valid until the next march with
+// the same Scratch; reused, it lets a steady stream of marches allocate
+// nothing. The zero value is ready to use.
+type Scratch struct {
 	cur, next []item
 	hits      []Hit
 	prof      []int
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// Hit pairs a ball with a point found inside it.
+// Hit pairs a ball with a point found inside it: a row of the tree's
+// Rows.
 type Hit struct {
 	BallID int
 	Point  int
@@ -168,49 +163,30 @@ type Hit struct {
 // each a unit-time vector primitive on the paper's machine.
 const marchSteps = 4
 
-// Down marches balls down the partition tree rooted at root. It is a
-// converting wrapper over DownFlat for []vec.Vec call sites.
-func Down(root *PNode, pv []vec.Vec, balls []Ball, activeLimit int, ctx *vm.Ctx) ([]Hit, Stats) {
-	if root == nil || len(balls) == 0 {
-		return nil, Stats{}
-	}
-	return DownFlat(root, pts.FromVecs(pv), balls, activeLimit, ctx)
-}
-
-// DownFlat marches balls down the partition tree rooted at root. For every
-// ball, every reachable leaf is scanned and the points lying in the closed
-// ball are reported as hits. activeLimit aborts the march when the number
+// DownFlatChaos marches balls down the subtree of t rooted at root. For
+// every ball, every reachable leaf is scanned and the rows lying in the
+// closed ball are reported as hits, in frontier order and each leaf's
+// rows in order. activeLimit aborts the march when the number
 // of active pairs at some level exceeds it (pass 0 for unlimited); on
 // abort the returned hits are nil and Stats.Aborted is set — the caller
 // must fall back to the query-structure correction (the paper's punt).
-//
-// The point set is the flat contiguous storage of package pts; the leaf
-// scans stream through its backing array without per-point indirection.
+// A march that reaches a level the fault injector inj selects aborts the
+// same way, driving the caller down the punt path deterministically; a
+// nil injector injects nothing.
 //
 // The simulated cost charged to ctx follows Lemma 6.3: each level is a
 // constant number of vector primitives whose width is the level's active
 // pair count; the leaf scans charge one primitive per scanned point.
 //
-// The two frontier levels, the hits and Stats.ActivePerLvl live in pooled
-// storage; Stats.Release recycles it once the caller is done with them.
-func DownFlat(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int, ctx *vm.Ctx) ([]Hit, Stats) {
-	return DownFlatChaos(root, ps, balls, activeLimit, ctx, nil)
-}
-
-// DownFlatChaos is DownFlat with a fault injector attached: a march that
-// reaches a level the injector selects aborts exactly as an active-ball
-// blow-up would (nil hits, Stats.Aborted set), driving the caller down the
-// punt path deterministically. A nil injector is DownFlat.
-func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int, ctx *vm.Ctx, inj *chaos.Injector) ([]Hit, Stats) {
+// The hits and Stats.ActivePerLvl live in sc until its next march.
+func DownFlatChaos(t *Tree, root Ref, balls []Ball, activeLimit int, ctx *vm.Ctx, inj *chaos.Injector, sc *Scratch) ([]Hit, Stats) {
 	var st Stats
-	if root == nil || len(balls) == 0 {
+	if len(balls) == 0 {
 		return nil, st
 	}
-	sc := scratchPool.Get().(*scratch)
-	st.buf = sc
 	frontier := sc.cur[:0]
 	for i := range balls {
-		frontier = append(frontier, item{node: root, ball: i})
+		frontier = append(frontier, item{node: root, ball: int32(i)})
 	}
 	next := sc.next[:0]
 	hits := sc.hits[:0]
@@ -219,6 +195,7 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 	// d-specialized kernels once for the whole march (bit-identical to
 	// ps.Dist2To). The four-point form amortizes the ball-center load over
 	// four leaf points per call.
+	ps := t.Rows
 	dist2 := vec.Dist2Kernel(ps.Dim)
 	batch4 := vec.Dist2Batch4Kernel(ps.Dim)
 	leafWork := 0
@@ -236,38 +213,37 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 		next = next[:0]
 		for _, it := range frontier {
 			b := &balls[it.ball]
-			n := it.node
-			if n.IsLeaf() {
-				leafWork += len(n.Pts)
+			if it.node.IsLeaf() {
+				lo, hi := t.Leaf(it.node)
+				leafWork += hi - lo
 				r2 := b.Radius2
-				// Four leaf points per kernel call; lane results are
-				// tested in point order, so hits appear exactly as the
-				// scalar loop emits them.
-				k := 0
-				for ; k+4 <= len(n.Pts); k += 4 {
-					p0, p1, p2, p3 := n.Pts[k], n.Pts[k+1], n.Pts[k+2], n.Pts[k+3]
-					da, db, dc, dd := batch4(b.Center, ps.At(p0), ps.At(p1), ps.At(p2), ps.At(p3))
+				// Four leaf rows per kernel call; lane results are tested
+				// in row order, so hits appear exactly as the scalar loop
+				// emits them.
+				p := lo
+				for ; p+4 <= hi; p += 4 {
+					da, db, dc, dd := batch4(b.Center, ps.At(p), ps.At(p+1), ps.At(p+2), ps.At(p+3))
 					if da <= r2 {
-						hits = append(hits, Hit{BallID: b.ID, Point: p0})
+						hits = append(hits, Hit{BallID: b.ID, Point: p})
 					}
 					if db <= r2 {
-						hits = append(hits, Hit{BallID: b.ID, Point: p1})
+						hits = append(hits, Hit{BallID: b.ID, Point: p + 1})
 					}
 					if dc <= r2 {
-						hits = append(hits, Hit{BallID: b.ID, Point: p2})
+						hits = append(hits, Hit{BallID: b.ID, Point: p + 2})
 					}
 					if dd <= r2 {
-						hits = append(hits, Hit{BallID: b.ID, Point: p3})
+						hits = append(hits, Hit{BallID: b.ID, Point: p + 3})
 					}
 				}
-				for ; k < len(n.Pts); k++ {
-					p := n.Pts[k]
+				for ; p < hi; p++ {
 					if dist2(ps.At(p), b.Center) <= r2 {
 						hits = append(hits, Hit{BallID: b.ID, Point: p})
 					}
 				}
 				continue
 			}
+			n := &t.Nodes[it.node]
 			switch n.Sep.ClassifyBall(b.Center, b.Radius) {
 			case geom.Interior:
 				next = append(next, item{node: n.Left, ball: it.ball})
@@ -282,13 +258,7 @@ func DownFlatChaos(root *PNode, ps *pts.PointSet, balls []Ball, activeLimit int,
 		}
 		frontier, next = next, frontier
 	}
-	// Keep whatever the buffers grew to, with their node pointers cleared
-	// so the pool does not pin this tree; no level was longer than
-	// MaxActive. The hits and the profile stay the caller's until
-	// Stats.Release.
-	clear(frontier[:min(st.MaxActive, cap(frontier))])
-	clear(next[:min(st.MaxActive, cap(next))])
-	sc.cur, sc.next, sc.hits = frontier[:0], next[:0], hits[:0]
+	sc.cur, sc.next, sc.hits, sc.prof = frontier[:0], next[:0], hits[:0], st.ActivePerLvl[:0]
 	if ctx != nil {
 		// Constant steps for the whole march (Lemma 6.3, chunked);
 		// work = all (ball, node) pairs labeled plus the leaf scans.

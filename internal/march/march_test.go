@@ -6,65 +6,91 @@ import (
 
 	"sepdc/internal/geom"
 	"sepdc/internal/pointgen"
+	"sepdc/internal/pts"
 	"sepdc/internal/separator"
 	"sepdc/internal/vec"
 	"sepdc/internal/vm"
 	"sepdc/internal/xrand"
 )
 
-// buildPTree constructs a partition tree over the index set by recursive
-// separator splits, mimicking what the divide and conquer produces.
-func buildPTree(pts []vec.Vec, idx []int, g *xrand.RNG, leafSize int) *PNode {
-	if len(idx) <= leafSize {
-		return &PNode{Pts: idx}
+// buildPTree builds a partition tree over ps by recursive separator
+// splits, mimicking what the divide and conquer produces: each split
+// partitions its range of ps in place and stably, interior rows first,
+// so every node owns a contiguous range of rows. ID maps the rows back
+// to ps's original order.
+func buildPTree(ps *pts.PointSet, g *xrand.RNG, leafSize int) *Tree {
+	n, d := ps.N(), ps.Dim
+	t := &Tree{Rows: ps, ID: make([]int, n), Nodes: make([]Node, n), Ends: make([]int32, n)}
+	for i := range t.ID {
+		t.ID[i] = i
 	}
-	sub := make([]vec.Vec, len(idx))
-	for i, j := range idx {
-		sub[i] = pts[j]
-	}
-	res, err := separator.FindGood(sub, g, nil)
-	if err != nil {
-		return &PNode{Pts: idx}
-	}
-	var left, right []int
-	for _, j := range idx {
-		if res.Sep.Side(pts[j]) <= 0 {
-			left = append(left, j)
-		} else {
-			right = append(right, j)
+	interior := make([]bool, n)
+	rows := make([]float64, 0, len(ps.Data))
+	ids := make([]int, 0, n)
+	var rec func(lo, hi int, g *xrand.RNG) Ref
+	rec = func(lo, hi int, g *xrand.RNG) Ref {
+		var sep geom.Separator
+		mid := lo
+		if hi-lo > leafSize {
+			sub := &pts.PointSet{Data: ps.Data[lo*d : hi*d], Dim: d}
+			if res, err := separator.FindGoodSides(sub, interior[lo:hi], g, nil); err == nil {
+				sep = res.Sep
+				rows, ids = rows[:0], ids[:0]
+				for _, in := range []bool{true, false} {
+					for p := lo; p < hi; p++ {
+						if interior[p] == in {
+							rows = append(rows, ps.At(p)...)
+							ids = append(ids, t.ID[p])
+						}
+					}
+					if in {
+						mid = lo + len(ids)
+					}
+				}
+				copy(ps.Data[lo*d:hi*d], rows)
+				copy(t.ID[lo:hi], ids)
+			}
 		}
+		if mid == lo || mid == hi {
+			t.Ends[lo] = int32(hi)
+			return LeafRef(lo)
+		}
+		t.Nodes[mid].Sep = sep
+		t.Nodes[mid].Left = rec(lo, mid, g.Split())
+		t.Nodes[mid].Right = rec(mid, hi, g.Split())
+		return Ref(mid)
 	}
-	if len(left) == 0 || len(right) == 0 {
-		return &PNode{Pts: idx}
-	}
-	return &PNode{
-		Sep:   res.Sep,
-		Left:  buildPTree(pts, left, g.Split(), leafSize),
-		Right: buildPTree(pts, right, g.Split(), leafSize),
-	}
+	t.Root = rec(0, n, g)
+	return t
 }
 
-func allIdx(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+// fixture builds a partition tree over n points of dist in d dimensions.
+func fixture(dist pointgen.Dist, n, d, leafSize int, g *xrand.RNG) *Tree {
+	return buildPTree(pts.FromVecs(pointgen.MustGenerate(dist, n, d, g)), g.Split(), leafSize)
+}
+
+// leaves returns the leaves of the subtree at r, left to right.
+func leaves(t *Tree, r Ref) []Ref {
+	if r.IsLeaf() {
+		return []Ref{r}
 	}
-	return idx
+	return append(leaves(t, t.Nodes[r].Left), leaves(t, t.Nodes[r].Right)...)
 }
 
 func TestDownFindsExactlyContainedPoints(t *testing.T) {
 	g := xrand.New(1)
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 1200, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 16)
+	tree := fixture(pointgen.UniformCube, 1200, 2, 16, g)
+	ps := tree.Rows
 
 	// Balls centered at random points with varied radii.
 	var balls []Ball
 	for i := 0; i < 30; i++ {
-		c := pts[g.IntN(len(pts))]
+		c := ps.At(g.IntN(ps.N()))
 		r := g.Float64() * 0.2
 		balls = append(balls, NewBall(i, c, r*r))
 	}
-	hits, st := Down(tree, pts, balls, 0, nil)
+	var sc Scratch
+	hits, st := DownFlatChaos(tree, tree.Root, balls, 0, nil, nil, &sc)
 	if st.Aborted {
 		t.Fatal("unexpected abort")
 	}
@@ -76,8 +102,8 @@ func TestDownFindsExactlyContainedPoints(t *testing.T) {
 	for _, b := range balls {
 		var want []int
 		r2 := b.Radius * b.Radius
-		for j, p := range pts {
-			if vec.Dist2(p, b.Center) <= r2 {
+		for j := 0; j < ps.N(); j++ {
+			if vec.Dist2(ps.At(j), b.Center) <= r2 {
 				want = append(want, j)
 			}
 		}
@@ -98,10 +124,10 @@ func TestDownNoDuplicateHits(t *testing.T) {
 	// A point may be reported at most once per ball: leaves partition the
 	// point set, and a ball reaches each leaf at most once.
 	g := xrand.New(2)
-	pts := pointgen.MustGenerate(pointgen.Gaussian, 800, 3, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 8)
-	balls := []Ball{NewBall(0, pts[0], 1.5*1.5)}
-	hits, _ := Down(tree, pts, balls, 0, nil)
+	tree := fixture(pointgen.Gaussian, 800, 3, 8, g)
+	balls := []Ball{NewBall(0, tree.Rows.At(0), 1.5*1.5)}
+	var sc Scratch
+	hits, _ := DownFlatChaos(tree, tree.Root, balls, 0, nil, nil, &sc)
 	seen := map[Hit]bool{}
 	for _, h := range hits {
 		if seen[h] {
@@ -113,11 +139,11 @@ func TestDownNoDuplicateHits(t *testing.T) {
 
 func TestDownAbortsOnLimit(t *testing.T) {
 	g := xrand.New(3)
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 500, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 8)
+	tree := fixture(pointgen.UniformCube, 500, 2, 8, g)
 	// A huge ball crosses every separator and floods the frontier.
 	balls := []Ball{NewBall(0, vec.Of(0.5, 0.5), 100*100)}
-	hits, st := Down(tree, pts, balls, 1, nil)
+	var sc Scratch
+	hits, st := DownFlatChaos(tree, tree.Root, balls, 1, nil, nil, &sc)
 	if !st.Aborted {
 		t.Fatal("expected abort with limit 1")
 	}
@@ -127,14 +153,10 @@ func TestDownAbortsOnLimit(t *testing.T) {
 }
 
 func TestDownEmptyInputs(t *testing.T) {
-	hits, st := Down(nil, nil, []Ball{{ID: 0}}, 0, nil)
-	if hits != nil || st.Levels != 0 {
-		t.Error("nil tree produced output")
-	}
 	g := xrand.New(4)
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 100, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 8)
-	hits, st = Down(tree, pts, nil, 0, nil)
+	tree := fixture(pointgen.UniformCube, 100, 2, 8, g)
+	var sc Scratch
+	hits, st := DownFlatChaos(tree, tree.Root, nil, 0, nil, nil, &sc)
 	if hits != nil || st.Levels != 0 {
 		t.Error("no balls produced output")
 	}
@@ -144,32 +166,34 @@ func TestDownMatchesReachableLeaves(t *testing.T) {
 	// The level-synchronous march and the label/AND-scan formulation of
 	// Lemma 6.3 must visit exactly the same leaves.
 	g := xrand.New(5)
-	pts := pointgen.MustGenerate(pointgen.Clustered, 600, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 8)
+	tree := fixture(pointgen.Clustered, 600, 2, 8, g)
+	ps := tree.Rows
+	var sc Scratch
 	for trial := 0; trial < 20; trial++ {
 		br := g.Float64() * 0.5
-		b := NewBall(trial, pts[g.IntN(len(pts))], br*br)
-		leaves := ReachableLeavesScan(tree, b)
-		wantPts := map[int]bool{}
+		b := NewBall(trial, ps.At(g.IntN(ps.N())), br*br)
+		var want []int
 		r2 := b.Radius * b.Radius
-		for _, leaf := range leaves {
-			for _, p := range leaf.Pts {
-				if vec.Dist2(pts[p], b.Center) <= r2 {
-					wantPts[p] = true
+		for _, leaf := range ReachableLeavesScan(tree, b) {
+			lo, hi := tree.Leaf(leaf)
+			for p := lo; p < hi; p++ {
+				if vec.Dist2(ps.At(p), b.Center) <= r2 {
+					want = append(want, p)
 				}
 			}
 		}
-		hits, _ := Down(tree, pts, []Ball{b}, 0, nil)
-		gotPts := map[int]bool{}
+		hits, _ := DownFlatChaos(tree, tree.Root, []Ball{b}, 0, nil, nil, &sc)
+		var got []int
 		for _, h := range hits {
-			gotPts[h.Point] = true
+			got = append(got, h.Point)
 		}
-		if len(gotPts) != len(wantPts) {
-			t.Fatalf("trial %d: Down found %d, ReachableLeavesScan %d", trial, len(gotPts), len(wantPts))
+		sort.Ints(got)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Down found %d, ReachableLeavesScan %d", trial, len(got), len(want))
 		}
-		for p := range wantPts {
-			if !gotPts[p] {
-				t.Fatalf("trial %d: point %d missed by Down", trial, p)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: point %d missed by Down", trial, want[i])
 			}
 		}
 	}
@@ -177,14 +201,14 @@ func TestDownMatchesReachableLeaves(t *testing.T) {
 
 func TestStatsProfile(t *testing.T) {
 	g := xrand.New(6)
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 1000, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 16)
+	tree := fixture(pointgen.UniformCube, 1000, 2, 16, g)
 	var balls []Ball
 	for i := 0; i < 10; i++ {
-		balls = append(balls, NewBall(i, pts[i], 0.05*0.05))
+		balls = append(balls, NewBall(i, tree.Rows.At(i), 0.05*0.05))
 	}
 	ctx := vm.Sequential().NewCtx()
-	_, st := Down(tree, pts, balls, 0, ctx)
+	var sc Scratch
+	_, st := DownFlatChaos(tree, tree.Root, balls, 0, ctx, nil, &sc)
 	if st.Levels != len(st.ActivePerLvl) {
 		t.Errorf("levels %d but profile has %d entries", st.Levels, len(st.ActivePerLvl))
 	}
@@ -216,13 +240,13 @@ func TestSmallBallsSublinearActivity(t *testing.T) {
 	// small relative to n.
 	g := xrand.New(7)
 	n := 4000
-	pts := pointgen.MustGenerate(pointgen.UniformCube, n, 2, g)
-	tree := buildPTree(pts, allIdx(n), g.Split(), 16)
+	tree := fixture(pointgen.UniformCube, n, 2, 16, g)
 	var balls []Ball
 	for i := 0; i < 50; i++ {
-		balls = append(balls, NewBall(i, pts[i], 0.03*0.03)) // ~k-NN scale
+		balls = append(balls, NewBall(i, tree.Rows.At(i), 0.03*0.03)) // ~k-NN scale
 	}
-	_, st := Down(tree, pts, balls, 0, nil)
+	var sc Scratch
+	_, st := DownFlatChaos(tree, tree.Root, balls, 0, nil, nil, &sc)
 	if st.MaxActive > n/4 {
 		t.Errorf("MaxActive %d not sublinear in n=%d", st.MaxActive, n)
 	}
@@ -232,25 +256,27 @@ func TestSmallBallsSublinearActivity(t *testing.T) {
 }
 
 func TestHeightAndLeaves(t *testing.T) {
-	leaf := &PNode{Pts: []int{1, 2}}
-	if leaf.Height() != 1 {
-		t.Errorf("leaf height = %d", leaf.Height())
+	leaf := &Tree{Ends: []int32{2, 0}, Root: LeafRef(0)}
+	if leaf.Height(leaf.Root) != 1 {
+		t.Errorf("leaf height = %d", leaf.Height(leaf.Root))
 	}
-	var nilNode *PNode
-	if nilNode.Height() != 0 {
-		t.Error("nil height nonzero")
+	if lo, hi := leaf.Leaf(leaf.Root); lo != 0 || hi != 2 {
+		t.Errorf("leaf rows = [%d, %d)", lo, hi)
 	}
-	root := &PNode{
-		Sep:   geom.Sphere{Center: vec.Of(0, 0), Radius: 1},
-		Left:  &PNode{Pts: []int{0}},
-		Right: &PNode{Pts: []int{1, 2}},
+	root := &Tree{
+		Nodes: []Node{1: {Sep: geom.Sphere{Center: vec.Of(0, 0), Radius: 1}, Left: LeafRef(0), Right: LeafRef(1)}},
+		Ends:  []int32{1, 3, 0},
+		Root:  1,
 	}
-	if root.Height() != 2 {
-		t.Errorf("height = %d", root.Height())
+	if root.Height(root.Root) != 2 {
+		t.Errorf("height = %d", root.Height(root.Root))
 	}
-	got := root.Leaves(nil)
-	sort.Ints(got)
-	if len(got) != 3 || got[0] != 0 || got[2] != 2 {
-		t.Errorf("Leaves = %v", got)
+	var got [][2]int
+	for _, r := range leaves(root, root.Root) {
+		lo, hi := root.Leaf(r)
+		got = append(got, [2]int{lo, hi})
+	}
+	if len(got) != 2 || got[0] != [2]int{0, 1} || got[1] != [2]int{1, 3} {
+		t.Errorf("leaves = %v", got)
 	}
 }

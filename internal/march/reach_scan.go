@@ -19,29 +19,30 @@ import (
 // segmented vector of labels (one segment per leaf, h·2^h entries total),
 // run a single segmented AND-scan, and read each segment's last element.
 // On the vector model this is O(1) steps with h·2^h work — the cost
-// Lemma 6.3 claims. It is the oracle the level-synchronous Down is
-// checked against (march_test.go); reach_scan_test.go checks it against
-// a recursive walk that computes the same set with O(reached) work. The
-// E10 experiment times Down.
+// Lemma 6.3 claims. It is the oracle the level-synchronous DownFlatChaos
+// is checked against (march_test.go); reach_scan_test.go checks it
+// against a recursive walk that computes the same set with O(reached)
+// work. The E10 experiment times DownFlatChaos.
 
-// ReachableLeavesScan returns the reachable leaves of the tree for ball b
-// by the labeling + segmented-AND-scan formulation of Lemma 6.3.
-func ReachableLeavesScan(root *PNode, b Ball) []*PNode {
-	if root == nil {
+// ReachableLeavesScan returns the reachable leaves of the tree for ball b,
+// left to right, by the labeling + segmented-AND-scan formulation of
+// Lemma 6.3.
+func ReachableLeavesScan(t *Tree, b Ball) []Ref {
+	if t == nil {
 		return nil
 	}
 	// Pass 1 (one parallel vector op on the model): label every node.
 	// label[v] is true when the parent's separator admits the ball on v's
 	// side; the root is always labeled true.
 	type entry struct {
-		node  *PNode
+		node  Ref
 		label bool
 	}
 	var flat []entry      // nodes in DFS order
 	var leafPaths [][]int // per leaf: indices into flat along its root path
 	var path []int
-	var walk func(n *PNode, label bool)
-	walk = func(n *PNode, label bool) {
+	var walk func(n Ref, label bool)
+	walk = func(n Ref, label bool) {
 		flat = append(flat, entry{node: n, label: label})
 		path = append(path, len(flat)-1)
 		defer func() { path = path[:len(path)-1] }()
@@ -49,11 +50,12 @@ func ReachableLeavesScan(root *PNode, b Ball) []*PNode {
 			leafPaths = append(leafPaths, append([]int(nil), path...))
 			return
 		}
-		rel := n.Sep.ClassifyBall(b.Center, b.Radius)
-		walk(n.Left, rel != geom.Exterior)
-		walk(n.Right, rel != geom.Interior)
+		v := &t.Nodes[n]
+		rel := v.Sep.ClassifyBall(b.Center, b.Radius)
+		walk(v.Left, rel != geom.Exterior)
+		walk(v.Right, rel != geom.Interior)
 	}
-	walk(root, true)
+	walk(t.Root, true)
 
 	// Pass 2: build the segmented label vector (h processors per leaf) and
 	// run ONE segmented AND-scan.
@@ -68,7 +70,7 @@ func ReachableLeavesScan(root *PNode, b Ball) []*PNode {
 	scanned := scan.SegmentedInclusive(labels, flags, func(a, b bool) bool { return a && b }, true)
 
 	// Pass 3: a leaf is reachable iff its segment's last element is true.
-	var out []*PNode
+	var out []Ref
 	pos := 0
 	for _, p := range leafPaths {
 		pos += len(p)

@@ -1,6 +1,7 @@
 package march
 
 import (
+	"slices"
 	"testing"
 
 	"sepdc/internal/geom"
@@ -12,14 +13,15 @@ import (
 // reachableLeavesWalk computes the reachable leaves of the tree for
 // ball b by a recursive walk: a child is entered when its parent's
 // separator admits the ball on that side.
-func reachableLeavesWalk(root *PNode, b Ball) []*PNode {
-	var out []*PNode
-	var walk func(n *PNode)
-	walk = func(n *PNode) {
-		if n.IsLeaf() {
-			out = append(out, n)
+func reachableLeavesWalk(t *Tree, b Ball) []Ref {
+	var out []Ref
+	var walk func(r Ref)
+	walk = func(r Ref) {
+		if r.IsLeaf() {
+			out = append(out, r)
 			return
 		}
+		n := &t.Nodes[r]
 		rel := n.Sep.ClassifyBall(b.Center, b.Radius)
 		if rel != geom.Exterior {
 			walk(n.Left)
@@ -28,7 +30,7 @@ func reachableLeavesWalk(root *PNode, b Ball) []*PNode {
 			walk(n.Right)
 		}
 	}
-	walk(root)
+	walk(t.Root)
 	return out
 }
 
@@ -36,24 +38,14 @@ func reachableLeavesWalk(root *PNode, b Ball) []*PNode {
 // produce identical leaf sets on random trees and balls.
 func TestScanReachabilityMatchesRecursive(t *testing.T) {
 	g := xrand.New(31)
-	pts := pointgen.MustGenerate(pointgen.UniformCube, 800, 2, g)
-	tree := buildPTree(pts, allIdx(len(pts)), g.Split(), 8)
+	tree := fixture(pointgen.UniformCube, 800, 2, 8, g)
 	for trial := 0; trial < 60; trial++ {
 		r := g.Float64()
-		b := NewBall(trial, pts[g.IntN(len(pts))], r*r)
+		b := NewBall(trial, tree.Rows.At(g.IntN(tree.Rows.N())), r*r)
 		rec := reachableLeavesWalk(tree, b)
 		scn := ReachableLeavesScan(tree, b)
-		if len(rec) != len(scn) {
-			t.Fatalf("trial %d: recursive %d leaves, scan %d", trial, len(rec), len(scn))
-		}
-		seen := map[*PNode]bool{}
-		for _, n := range rec {
-			seen[n] = true
-		}
-		for _, n := range scn {
-			if !seen[n] {
-				t.Fatalf("trial %d: scan found a leaf the walk missed", trial)
-			}
+		if !slices.Equal(rec, scn) {
+			t.Fatalf("trial %d: recursive %v, scan %v", trial, rec, scn)
 		}
 	}
 }
@@ -62,19 +54,19 @@ func TestScanReachabilityTinyTrees(t *testing.T) {
 	if got := ReachableLeavesScan(nil, Ball{}); got != nil {
 		t.Error("nil tree returned leaves")
 	}
-	leaf := &PNode{Pts: []int{0}}
+	leaf := &Tree{Ends: []int32{1}, Root: LeafRef(0)}
 	got := ReachableLeavesScan(leaf, NewBall(0, vec.Of(0, 0), 1))
-	if len(got) != 1 || got[0] != leaf {
+	if len(got) != 1 || got[0] != leaf.Root {
 		t.Errorf("single leaf: %v", got)
 	}
 	// A one-split tree with a ball strictly inside: only the left leaf.
-	root := &PNode{
-		Sep:   geom.Sphere{Center: vec.Of(0, 0), Radius: 10},
-		Left:  &PNode{Pts: []int{0}},
-		Right: &PNode{Pts: []int{1}},
+	root := &Tree{
+		Nodes: []Node{1: {Sep: geom.Sphere{Center: vec.Of(0, 0), Radius: 10}, Left: LeafRef(0), Right: LeafRef(1)}},
+		Ends:  []int32{1, 2},
+		Root:  1,
 	}
 	got = ReachableLeavesScan(root, NewBall(0, vec.Of(0, 0), 1))
-	if len(got) != 1 || got[0] != root.Left {
+	if len(got) != 1 || got[0] != LeafRef(0) {
 		t.Errorf("interior ball should reach only the left leaf: %v", got)
 	}
 	// A crossing ball reaches both.

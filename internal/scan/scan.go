@@ -2,7 +2,8 @@
 // reachability step rests on: "a unit time scan or prefix sum
 // operation" (Section 1), here in its segmented form. Lemma 6.3 decides
 // every leaf's reachability with one segmented AND-scan, and
-// march.ReachableLeavesScan runs it literally with SegmentedInclusive.
+// march.ReachableLeavesScan runs it literally with SegmentedInclusive
+// over the flat partition tree.
 //
 // On the simulated machine (package vm) a scan is charged one time step
 // and O(n) work, matching the paper's accounting.
